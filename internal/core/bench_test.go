@@ -49,8 +49,8 @@ func BenchmarkDiagnoseSingleJob(b *testing.B) {
 }
 
 // BenchmarkDiagnoseSingleJobSampled forces the Kernel SHAP sampling
-// estimator (the 4096-row WLS batch of Eq. 4) so the PredictBatch sharding
-// inside the model backends is what dominates.
+// estimator (the 2m+2048-row WLS batch of Eq. 4) so the PredictBatch
+// sharding inside the model backends is what dominates.
 func BenchmarkDiagnoseSingleJobSampled(b *testing.B) {
 	_, ens, _ := fixture(b)
 	rec := slowJob(b)

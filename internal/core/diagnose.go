@@ -52,15 +52,15 @@ type DiagnoseOptions struct {
 	// per-model explanations inside Diagnose and the per-job workers of
 	// DiagnoseBatch. 0 (the default) means runtime.GOMAXPROCS(0); 1 forces
 	// the sequential path. The output is bitwise-identical at every
-	// setting: each model's explainer is independently seeded and the
-	// Eq. 6/7 merges always reduce in model order.
+	// setting: each model's explanation is a function of its input and the
+	// options alone, and the Eq. 6/7 merges always reduce in model order.
 	Parallelism int
 }
 
 // DefaultDiagnoseOptions uses SHAP with automatic estimator selection:
-// exact TreeSHAP for the three boosted-tree models, Kernel SHAP (paper
-// defaults) for MLP and TabNet. Set SHAPMode to shap.ModeKernel for the
-// paper's uniform model-agnostic setup.
+// exact TreeSHAP for the three boosted-tree models, Kernel SHAP (the shap
+// package's auto budget) for MLP and TabNet. Set SHAPMode to shap.ModeKernel
+// for the paper's uniform model-agnostic setup.
 func DefaultDiagnoseOptions() DiagnoseOptions {
 	return DiagnoseOptions{
 		Interpreter: InterpreterSHAP,
@@ -147,6 +147,24 @@ func (e *Ensemble) Diagnose(rec *darshan.Record, opts DiagnoseOptions) (*Diagnos
 // set, and the Eq. 6/7 merges run over the surviving subset. Only when
 // every model fails (or ctx expires) is an error returned.
 func (e *Ensemble) DiagnoseContext(ctx context.Context, rec *darshan.Record, opts DiagnoseOptions) (*Diagnosis, error) {
+	explain, err := e.explainers(opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.diagnose(ctx, rec, explain, opts.Parallelism)
+}
+
+// modelExplainer runs one performance function's diagnosis function on a
+// transformed counter vector. It is safe for concurrent use, so one serves
+// every job of a batch.
+type modelExplainer func(ctx context.Context, x []float64) (ModelDiagnosis, error)
+
+// explainers validates opts and builds the diagnosis function of every model,
+// in model order, once for a whole Diagnose or DiagnoseBatch call. A model
+// the options cannot explain (a neural model under shap.ModeTree) gets an
+// explainer that reports that error, which marks the model skipped like any
+// other per-model failure.
+func (e *Ensemble) explainers(opts DiagnoseOptions) ([]modelExplainer, error) {
 	if len(e.Models) == 0 {
 		return nil, fmt.Errorf("core: ensemble has no models")
 	}
@@ -163,6 +181,20 @@ func (e *Ensemble) DiagnoseContext(ctx context.Context, rec *darshan.Record, opt
 	default:
 		return nil, fmt.Errorf("core: unknown shap mode %q (want auto, kernel or tree)", opts.SHAPMode)
 	}
+	explain := make([]modelExplainer, len(e.Models))
+	for i, m := range e.Models {
+		if opts.Interpreter == InterpreterLIME {
+			explain[i] = limeExplainer(m, opts.LIME)
+		} else {
+			explain[i] = shapExplainer(m, opts)
+		}
+	}
+	return explain, nil
+}
+
+// diagnose runs the prepared per-model explainers on one job and merges
+// their results. parallelism bounds the per-model worker pool.
+func (e *Ensemble) diagnose(ctx context.Context, rec *darshan.Record, explain []modelExplainer, parallelism int) (*Diagnosis, error) {
 	// Sanitize the performance tag: a NaN/Inf/negative tag (corrupt log)
 	// would otherwise poison every Eq. 8 weight. Identity on valid records.
 	perf := features.Sanitize(rec.PerfMiBps)
@@ -179,18 +211,22 @@ func (e *Ensemble) DiagnoseContext(ctx context.Context, rec *darshan.Record, opt
 	// identical to the sequential order. A panicking model is recovered
 	// into its slot's Err instead of crashing the pool.
 	d.PerModel = make([]ModelDiagnosis, len(e.Models))
-	err := parallel.EachCtx(ctx, len(e.Models), opts.Parallelism, func(i int) {
-		m := e.Models[i]
+	err := parallel.EachCtx(ctx, len(e.Models), parallelism, func(i int) {
 		callErr := parallel.Call(func() error {
-			md, err := diagnoseModel(ctx, m, x, opts)
+			md, err := explain[i](ctx, x)
 			if err != nil {
+				return err
+			}
+			md.Name = e.Models[i].Name()
+			md.PredictedMiBps = features.Inverse(md.Predicted)
+			if err := md.checkFinite(); err != nil {
 				return err
 			}
 			d.PerModel[i] = md
 			return nil
 		})
 		if callErr != nil {
-			d.PerModel[i] = ModelDiagnosis{Name: m.Name(), Err: callErr.Error()}
+			d.PerModel[i] = ModelDiagnosis{Name: e.Models[i].Name(), Err: callErr.Error()}
 		}
 	})
 	if err != nil {
@@ -241,53 +277,12 @@ func (e *Ensemble) DiagnoseContext(ctx context.Context, rec *darshan.Record, opt
 	return d, nil
 }
 
-// diagnoseModel runs one performance function's diagnosis function on the
-// transformed counter vector x. The interpreter has been validated by the
-// caller. A non-nil error (including a non-finite model output, which a
-// faulty backend can produce without panicking) marks the model as skipped.
-func diagnoseModel(ctx context.Context, m Model, x []float64, opts DiagnoseOptions) (ModelDiagnosis, error) {
-	md := ModelDiagnosis{Name: m.Name()}
-	switch opts.Interpreter {
-	case InterpreterSHAP, InterpreterTreeSHAP:
-		att, err := attributorFor(m, opts)
-		if err != nil {
-			return md, err
-		}
-		ex, err := att.Attribute(ctx, x)
-		if err != nil {
-			return md, err
-		}
-		md.Predicted = ex.FX
-		md.Base = ex.Base
-		md.Contributions = ex.Phi
-		md.AdditivityErr = ex.AdditivityError()
-	case InterpreterLIME:
-		ex, err := lime.New(m.PredictBatch, nil, opts.LIME).ExplainContext(ctx, x)
-		if err != nil {
-			return md, err
-		}
-		md.Predicted = ex.FX
-		md.Base = ex.Intercept
-		md.Contributions = ex.Phi
-		sum := ex.Intercept
-		for _, p := range ex.Phi {
-			sum += p
-		}
-		md.AdditivityErr = math.Abs(sum - ex.FX)
-	}
-	md.PredictedMiBps = features.Inverse(md.Predicted)
-	if err := md.checkFinite(); err != nil {
-		return md, err
-	}
-	return md, nil
-}
-
-// attributorFor selects one model's SHAP estimator through the shap.ForModel
-// dispatcher: the effective mode is opts.SHAPMode, or — when unset — kernel
-// under InterpreterSHAP and auto under InterpreterTreeSHAP (the historical
-// meanings of the two interpreter values). The zero background is AIIO's
-// Section 3.3 filter.
-func attributorFor(m Model, opts DiagnoseOptions) (shap.Attributor, error) {
+// shapExplainer builds one model's SHAP diagnosis function. The estimator
+// comes from the shap.ForModel dispatcher: the effective mode is
+// opts.SHAPMode, or — when unset — kernel under InterpreterSHAP and auto
+// under InterpreterTreeSHAP (the historical meanings of the two interpreter
+// values). The zero background is AIIO's Section 3.3 filter.
+func shapExplainer(m Model, opts DiagnoseOptions) modelExplainer {
 	mode := opts.SHAPMode
 	if mode == "" {
 		mode = shap.ModeKernel
@@ -296,7 +291,42 @@ func attributorFor(m Model, opts DiagnoseOptions) (shap.Attributor, error) {
 		}
 	}
 	tree, _ := TreeModel(m)
-	return shap.ForModel(m.PredictBatch, tree, nil, mode, opts.SHAP)
+	att, err := shap.ForModel(m.PredictBatch, tree, nil, mode, opts.SHAP)
+	if err != nil {
+		return func(context.Context, []float64) (ModelDiagnosis, error) { return ModelDiagnosis{}, err }
+	}
+	return func(ctx context.Context, x []float64) (ModelDiagnosis, error) {
+		ex, err := att.Attribute(ctx, x)
+		if err != nil {
+			return ModelDiagnosis{}, err
+		}
+		return ModelDiagnosis{
+			Predicted:     ex.FX,
+			Base:          ex.Base,
+			Contributions: ex.Phi,
+			AdditivityErr: ex.AdditivityError(),
+		}, nil
+	}
+}
+
+// limeExplainer builds one model's LIME diagnosis function.
+func limeExplainer(m Model, cfg lime.Config) modelExplainer {
+	return func(ctx context.Context, x []float64) (ModelDiagnosis, error) {
+		ex, err := lime.New(m.PredictBatch, nil, cfg).ExplainContext(ctx, x)
+		if err != nil {
+			return ModelDiagnosis{}, err
+		}
+		sum := ex.Intercept
+		for _, p := range ex.Phi {
+			sum += p
+		}
+		return ModelDiagnosis{
+			Predicted:     ex.FX,
+			Base:          ex.Intercept,
+			Contributions: ex.Phi,
+			AdditivityErr: math.Abs(sum - ex.FX),
+		}, nil
+	}
 }
 
 // checkFinite rejects a model diagnosis carrying NaN/Inf — the signature of
@@ -341,13 +371,16 @@ func (e *Ensemble) DiagnoseBatchContext(ctx context.Context, recs []*darshan.Rec
 		total = runtime.GOMAXPROCS(0)
 	}
 	workers := parallel.Workers(total, len(recs))
-	jobOpts := opts
-	jobOpts.Parallelism = (total + workers - 1) / workers
+	explain, err := e.explainers(opts)
+	if err != nil {
+		return nil, err
+	}
+	perJob := (total + workers - 1) / workers
 
 	out := make([]*Diagnosis, len(recs))
 	errs := make([]error, len(recs))
 	if err := parallel.EachCtx(ctx, len(recs), workers, func(i int) {
-		out[i], errs[i] = e.DiagnoseContext(ctx, recs[i], jobOpts)
+		out[i], errs[i] = e.diagnose(ctx, recs[i], explain, perJob)
 	}); err != nil {
 		return nil, fmt.Errorf("core: diagnose batch cancelled: %w", err)
 	}

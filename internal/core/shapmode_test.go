@@ -167,3 +167,34 @@ func TestSHAPModeEmptyDerivesFromInterpreter(t *testing.T) {
 		}
 	}
 }
+
+// TestUnsolvableKernelSHAPDegrades: when Kernel SHAP's least-squares system
+// cannot be solved (a NaN ridge poisons the normal matrix), the neural models
+// are skipped and the diagnosis is Degraded over the tree survivors. The
+// estimator used to report success with f(x) − f(0) spread evenly over the
+// active counters.
+func TestUnsolvableKernelSHAPDegrades(t *testing.T) {
+	_, ens, _ := fixture(t)
+	opts := fastDiagOpts()
+	opts.SHAP.Ridge = math.NaN()
+	rec := slowJob(t)
+	if m := activeCount(rec); m <= opts.SHAP.MaxExact {
+		t.Fatalf("job has %d active counters, want more than MaxExact so the sampled estimator runs", m)
+	}
+	d, err := ens.Diagnose(rec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Degraded {
+		t.Fatal("diagnosis not marked Degraded")
+	}
+	for i := range d.PerModel {
+		md := &d.PerModel[i]
+		if neural := ens.Models[i].Kind() != "gbdt"; md.Failed() != neural {
+			t.Errorf("%s: failed=%v (%s), want %v", md.Name, md.Failed(), md.Err, neural)
+		}
+	}
+	if !d.IsRobust() || d.Average.AdditivityErr > 1e-9 {
+		t.Errorf("merge over the survivors: robust=%v additivity=%v", d.IsRobust(), d.Average.AdditivityErr)
+	}
+}

@@ -64,9 +64,7 @@ func NewEnv(fast bool) *Env {
 		e.DiagOpts.SHAP.MaxExact = 10
 		e.DiagOpts.SHAP.NSamples = 1024
 	} else {
-		e.DBJobs = 4000
-		e.DiagOpts.SHAP.MaxExact = 12
-		e.DiagOpts.SHAP.NSamples = 4096
+		e.DBJobs = 4000 // the SHAP defaults stand: exact to 12 counters, auto budget
 	}
 	return e
 }

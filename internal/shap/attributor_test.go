@@ -139,10 +139,11 @@ func TestTreeSHAPParityAt45Counters(t *testing.T) {
 	}
 }
 
-// TestScratchReuseAllocationLean pins the allocation budget of the reused
-// scratch buffers: after warm-up, a sampled-path Explain allocates only the
-// Phi slice, the model's output batches and the WLS solve — not the
-// per-coalition masks and matrices it used to.
+// TestScratchReuseAllocationLean pins the allocation budget of the sampled
+// path: with the coalition plan cached and the scratch slab warm, an Explain
+// allocates the Phi slice, the model's two output batches, their matrix
+// headers and the solution vector — no masks, no design matrix, no normal
+// equations.
 func TestScratchReuseAllocationLean(t *testing.T) {
 	m := 30
 	w := make([]float64, m)
@@ -155,12 +156,10 @@ func TestScratchReuseAllocationLean(t *testing.T) {
 	cfg.MaxExact = 2
 	cfg.NSamples = 512
 	e := New(linearF(1, w), nil, cfg)
-	e.Explain(x) // warm the scratch
+	e.Explain(x) // build the plan, warm the scratch
 	allocs := testing.AllocsPerRun(5, func() { e.Explain(x) })
-	// The old []bool implementation allocated one mask per coalition
-	// (>500 here); the slab version stays in the dozens.
-	if allocs > 100 {
-		t.Errorf("sampled Explain makes %v allocs/op after warm-up, want <= 100", allocs)
+	if allocs > 10 {
+		t.Errorf("sampled Explain makes %v allocs/op after warm-up, want <= 10", allocs)
 	}
 
 	tm, xm := trainSmallGBDT(t, 400, 12, 20, 13)
@@ -174,15 +173,31 @@ func TestScratchReuseAllocationLean(t *testing.T) {
 	}
 }
 
-// TestExplainerConcurrentUse: the scratch is mutex-guarded, so one explainer
-// shared by goroutines stays correct (run under -race in CI).
+// TestExplainerConcurrentUse: an explainer holds no per-call state — the
+// plan is immutable, the scratch is borrowed per call — so one shared by
+// goroutines stays correct on the exact and the sampled path alike; the tree
+// explainer serializes on its mutex (run under -race in CI).
 func TestExplainerConcurrentUse(t *testing.T) {
 	m, xm := trainSmallGBDT(t, 300, 8, 10, 14)
-	e := New(m.PredictBatch, nil, DefaultConfig())
 	te := NewTree(m)
 	row := xm.Row(0)
-	want := e.Explain(row)
 	wantTree := te.Explain(row, nil)
+	t.Run("exact", func(t *testing.T) {
+		explainConcurrently(t, New(m.PredictBatch, nil, DefaultConfig()), row, te, wantTree)
+	})
+	t.Run("sampled", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.MaxExact = 2
+		e := New(m.PredictBatch, nil, cfg)
+		if e.Explain(row).Exact {
+			t.Fatal("expected the sampled path")
+		}
+		explainConcurrently(t, e, row, te, wantTree)
+	})
+}
+
+func explainConcurrently(t *testing.T, e *Explainer, row []float64, te *TreeExplainer, wantTree Explanation) {
+	want := e.Explain(row)
 
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {

@@ -8,9 +8,12 @@
 //
 //   - exact enumeration of all coalitions when the number of active
 //     features is small (≤ MaxExact), which yields exact Shapley values;
-//   - the Kernel SHAP weighted-least-squares estimator with paired
-//     coalition sampling otherwise, solved with the efficiency constraint
-//     (Σ C_j = f(x) − f(background)) eliminated analytically.
+//   - the Kernel SHAP weighted-least-squares estimator otherwise, over a
+//     coalition plan (see plan) chosen by shap.KernelExplainer's rules —
+//     complete size levels while their kernel-weight share of the budget
+//     covers them, complement-paired sampling for the rest — and solved
+//     with the efficiency constraint (Σ C_j = f(x) − f(background))
+//     eliminated analytically.
 //
 // The paper's sparsity rule is enforced structurally: features equal to the
 // background (zero, for AIIO's zero background filter) are never perturbed
@@ -23,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 	"sync"
 
 	"github.com/hpc-repro/aiio/internal/linalg"
@@ -40,18 +42,20 @@ type Config struct {
 	// coalitions are enumerated (exact Shapley values). Above it the
 	// sampling estimator runs.
 	MaxExact int
-	// NSamples is the coalition budget for the sampling estimator.
+	// NSamples is the coalition budget for the sampling estimator. Zero (the
+	// default) is the shap package's "auto": 2·M + 2048 for M active
+	// features.
 	NSamples int
 	// Ridge is the regularization of the WLS solve.
 	Ridge float64
 	Seed  int64
 }
 
-// DefaultConfig matches the shap package's auto settings at AIIO's scale.
+// DefaultConfig is the shap package's auto budget (NSamples 0) with exact
+// enumeration up to 12 active features.
 func DefaultConfig() Config {
 	return Config{
 		MaxExact: 12,
-		NSamples: 4096,
 		Ridge:    1e-9,
 		Seed:     1,
 	}
@@ -81,44 +85,31 @@ func (e *Explanation) AdditivityError() float64 {
 	return math.Abs(s - e.FX)
 }
 
-// Explainer computes SHAP values against a fixed background. The
-// coalition masks, the coalition input matrix and the WLS buffers live in
-// a pool-shared scratch area borrowed per call, so the steady-state
-// allocations of an Explain are the returned Phi slice and the model's
-// own output batches. A mutex serializes concurrent Explain calls on one
-// explainer; independent explainers (as core.Diagnose builds per model
-// per job) never contend.
+// Explainer computes SHAP values against a fixed background. It holds no
+// per-call state: the coalition plan is immutable and shared (see planFor)
+// and the input matrix and right-hand side live in a scratch slab borrowed
+// from a pool for the duration of one call, so one Explainer serves any
+// number of goroutines and the steady-state allocations of an Explain are
+// the returned Phi slice and the model's own output batches.
 type Explainer struct {
 	f          PredictFunc
 	background []float64
 	cfg        Config
-
-	mu sync.Mutex
-	sc *scratch // borrowed from scratchPool for the duration of one Explain
 }
 
-// scratchPool shares scratch slabs across all explainers. core.Diagnose
-// builds a fresh explainer per (job, model) pair, and without sharing
-// every diagnosis re-allocates — and the runtime re-zeroes — hundreds of
-// kilobytes of coalition masks, input matrices and WLS buffers; borrowing
-// per call keeps those slabs warm across jobs while staying safe for
-// concurrent explainers.
+// scratchPool shares scratch slabs across all explainers and goroutines, so
+// the hundreds of kilobytes of coalition inputs a diagnosis writes stay warm
+// from job to job instead of being re-allocated and re-zeroed.
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
 
-// scratch is the per-explainer reusable buffer set. Coalition masks are
-// uint64 bitsets: coalition i occupies words [i*words, (i+1)*words) of the
-// masks slab, where words = ceil(m/64) for m active features (a single word
-// for AIIO's 45-counter schema).
+// scratch is the reusable buffer set of one Explain call.
 type scratch struct {
-	active  []int
-	pair    []float64 // 2-row matrix backing for evalPair
-	masks   []uint64
-	weights []float64
-	inputs  []float64 // coalition input matrix backing
-	z       []float64 // WLS design matrix backing
-	y, w    []float64
-	perm    []int
-	sizeW   []float64 // per-coalition-size Shapley weights
+	active []int
+	zero   []float64 // the all-zero background; never written
+	pair   []float64 // 2-row matrix backing for evalPair
+	inputs []float64 // coalition input matrix backing
+	rhs    []float64 // ZᵀWy of the sampled estimator
+	sizeW  []float64 // per-coalition-size Shapley weights of the enumerator
 }
 
 // growF returns buf resized to n floats, reusing its capacity; contents are
@@ -131,14 +122,10 @@ func growF(buf []float64, n int) []float64 {
 }
 
 // New creates an explainer. AIIO initializes the background filter to zero
-// (Section 3.3); pass nil for an all-zero background of the given size at
-// first Explain call.
+// (Section 3.3); pass nil for an all-zero background of the input's size.
 func New(f PredictFunc, background []float64, cfg Config) *Explainer {
 	if cfg.MaxExact <= 0 {
 		cfg.MaxExact = DefaultConfig().MaxExact
-	}
-	if cfg.NSamples <= 0 {
-		cfg.NSamples = DefaultConfig().NSamples
 	}
 	if cfg.Ridge <= 0 {
 		cfg.Ridge = DefaultConfig().Ridge
@@ -158,34 +145,34 @@ func (e *Explainer) Explain(x []float64) Explanation {
 // its deadline. On cancellation the partial explanation is discarded and
 // ctx's error is returned. Chunked evaluation is bitwise-identical to a
 // single batch call because every AIIO model predicts rows independently.
+// The only other error is a coalition plan whose normal matrix cannot be
+// factorized (see sampled).
 func (e *Explainer) ExplainContext(ctx context.Context, x []float64) (Explanation, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+
 	bg := e.background
 	if bg == nil {
-		bg = make([]float64, len(x))
+		if cap(sc.zero) < len(x) {
+			sc.zero = make([]float64, len(x))
+		}
+		bg = sc.zero[:len(x)]
 	}
 	if len(bg) != len(x) {
 		panic(fmt.Sprintf("shap: background dim %d vs input dim %d", len(bg), len(x)))
 	}
 
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sc = scratchPool.Get().(*scratch)
-	defer func() {
-		scratchPool.Put(e.sc)
-		e.sc = nil
-	}()
-
 	// Active set: features differing from the background.
-	active := e.sc.active[:0]
+	active := sc.active[:0]
 	for j := range x {
 		if x[j] != bg[j] {
 			active = append(active, j)
 		}
 	}
-	e.sc.active = active
+	sc.active = active
 
 	out := Explanation{Phi: make([]float64, len(x))}
-	base, fx, err := e.evalPair(ctx, bg, x)
+	base, fx, err := e.evalPair(ctx, sc, bg, x)
 	if err != nil {
 		return Explanation{}, err
 	}
@@ -200,25 +187,23 @@ func (e *Explainer) ExplainContext(ctx context.Context, x []float64) (Explanatio
 		out.Exact = true
 		return out, nil
 	case len(active) <= e.cfg.MaxExact:
-		if err := e.exact(ctx, x, bg, active, &out); err != nil {
-			return Explanation{}, err
-		}
-		return out, nil
+		err = e.exact(ctx, sc, x, bg, active, &out)
 	default:
-		if err := e.sampled(ctx, x, bg, active, &out); err != nil {
-			return Explanation{}, err
-		}
-		return out, nil
+		err = e.sampled(ctx, sc, x, bg, active, &out)
 	}
+	if err != nil {
+		return Explanation{}, err
+	}
+	return out, nil
 }
 
 // evalPair evaluates f on the background and the full input in one batch.
-func (e *Explainer) evalPair(ctx context.Context, bg, x []float64) (base, fx float64, err error) {
+func (e *Explainer) evalPair(ctx context.Context, sc *scratch, bg, x []float64) (base, fx float64, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
-	e.sc.pair = growF(e.sc.pair, 2*len(x))
-	m := &linalg.Matrix{Rows: 2, Cols: len(x), Data: e.sc.pair}
+	sc.pair = growF(sc.pair, 2*len(x))
+	m := &linalg.Matrix{Rows: 2, Cols: len(x), Data: sc.pair}
 	copy(m.Row(0), bg)
 	copy(m.Row(1), x)
 	p := e.f(m)
@@ -258,13 +243,13 @@ func EvalChunked(ctx context.Context, f PredictFunc, inputs *linalg.Matrix) ([]f
 
 // exact enumerates all 2^M coalitions of the active features and computes
 // exact Shapley values from the marginal contributions.
-func (e *Explainer) exact(ctx context.Context, x, bg []float64, active []int, out *Explanation) error {
+func (e *Explainer) exact(ctx context.Context, sc *scratch, x, bg []float64, active []int, out *Explanation) error {
 	m := len(active)
 	n := 1 << m
 
 	// Evaluate f on every coalition input (matrix backing reused).
-	e.sc.inputs = growF(e.sc.inputs, n*len(x))
-	inputs := &linalg.Matrix{Rows: n, Cols: len(x), Data: e.sc.inputs}
+	sc.inputs = growF(sc.inputs, n*len(x))
+	inputs := &linalg.Matrix{Rows: n, Cols: len(x), Data: sc.inputs}
 	for mask := 0; mask < n; mask++ {
 		row := inputs.Row(mask)
 		copy(row, bg)
@@ -279,8 +264,8 @@ func (e *Explainer) exact(ctx context.Context, x, bg []float64, active []int, ou
 	}
 
 	// Precompute |S|!(M-|S|-1)!/M! per coalition size.
-	weight := growF(e.sc.sizeW, m)
-	e.sc.sizeW = weight
+	weight := growF(sc.sizeW, m)
+	sc.sizeW = weight
 	for s := 0; s < m; s++ {
 		weight[s] = 1 / (float64(m) * binom(m-1, s))
 	}
@@ -316,11 +301,10 @@ func binom(n, k int) float64 {
 	return r
 }
 
-// splitmix64 is Vigna's SplitMix64 generator. It exists because seeding
-// math/rand's default lagged-Fibonacci source walks a 607-word warm-up
-// (milliseconds across a diagnosis batch that builds one explainer per
-// job/model pair), while SplitMix64 seeds in O(1) with a single add. It
-// implements rand.Source64, so rand.Rand draws whole words from it.
+// splitmix64 is Vigna's SplitMix64 generator, the source of a coalition
+// plan's random draws: it seeds in O(1) with a single add, where math/rand's
+// default lagged-Fibonacci source walks a 607-word warm-up. It implements
+// rand.Source64, so rand.Rand draws whole words from it.
 type splitmix64 struct{ s uint64 }
 
 func (s *splitmix64) Uint64() uint64 {
@@ -334,157 +318,40 @@ func (s *splitmix64) Uint64() uint64 {
 func (s *splitmix64) Int63() int64    { return int64(s.Uint64() >> 1) }
 func (s *splitmix64) Seed(seed int64) { s.s = uint64(seed) }
 
-// sampled runs the Kernel SHAP WLS estimator with paired coalition
-// enumeration/sampling, following the shap package's KernelExplainer.
-// Coalitions live as uint64 bitsets in the scratch slab; the coalition
-// input matrix and the WLS design/target/weight buffers are reused across
-// calls. The coalition set is a deterministic function of cfg.Seed (drawn
-// from an O(1)-seed SplitMix64 stream), so repeated explanations of the
-// same input agree bitwise.
-func (e *Explainer) sampled(ctx context.Context, x, bg []float64, active []int, out *Explanation) error {
+// sampled runs the Kernel SHAP weighted-least-squares estimator over the
+// coalition plan of len(active) features: fill the plan's coalition inputs,
+// evaluate f on them in one batch, accumulate ZᵀWy by walking each row's
+// support bits, and solve against the plan's Cholesky factor. Nothing here
+// is random — the plan fixed the coalitions — so repeated explanations of
+// the same input agree bitwise. A plan whose normal matrix could not be
+// factorized yields an error, never made-up contributions.
+func (e *Explainer) sampled(ctx context.Context, sc *scratch, x, bg []float64, active []int, out *Explanation) error {
 	m := len(active)
-	words := (m + 63) / 64
 	budget := e.cfg.NSamples
-	rng := rand.New(&splitmix64{s: uint64(e.cfg.Seed)})
-
-	sc := e.sc
-	sc.masks = sc.masks[:0]
-	sc.weights = sc.weights[:0]
-	nCoal := 0
-	// addCoalition appends one zeroed bitset + weight and returns the mask
-	// words for the caller to fill.
-	addCoalition := func(weight float64) []uint64 {
-		for i := 0; i < words; i++ {
-			sc.masks = append(sc.masks, 0)
-		}
-		sc.weights = append(sc.weights, weight)
-		nCoal++
-		return sc.masks[len(sc.masks)-words:]
+	if budget <= 0 {
+		budget = 2*m + 2048 // shap's "auto"
 	}
-	maskOf := func(i int) []uint64 { return sc.masks[i*words : (i+1)*words] }
-	getBit := func(mask []uint64, b int) bool { return mask[b>>6]>>(b&63)&1 == 1 }
-	lastWord := ^uint64(0) // valid-bit mask of the slab's final word
-	if m&63 != 0 {
-		lastWord = 1<<(m&63) - 1
+	p := planFor(m, budget, e.cfg.Seed, e.cfg.Ridge)
+	if p.err != nil {
+		return fmt.Errorf("shap: %d coalitions of %d features (ridge %g): %w", p.rows(), m, e.cfg.Ridge, p.err)
 	}
+	n, words := p.rows(), p.words
 
-	// Shapley kernel weight per size, paired (s and m-s together).
-	sizeWeight := func(s int) float64 {
-		return float64(m-1) / (float64(s) * float64(m-s))
-	}
-	maxPair := m / 2 // pairs (1, m-1), (2, m-2), ...
-
-	remainingWeight := 0.0
-	for s := 1; s <= maxPair; s++ {
-		w := sizeWeight(s)
-		if s != m-s {
-			w *= 2
+	// A + row is the background with its support switched to x; a − row is
+	// x with its support switched back to the background.
+	sc.inputs = growF(sc.inputs, n*len(x))
+	inputs := &linalg.Matrix{Rows: n, Cols: len(x), Data: sc.inputs}
+	for i := 0; i < n; i++ {
+		from, to := bg, x
+		if p.weight[i] < 0 {
+			from, to = x, bg
 		}
-		remainingWeight += w
-	}
-
-	used := 0
-	lastComplete := 0 // sizes 1..lastComplete fully enumerated
-	for s := 1; s <= maxPair; s++ {
-		cnt := binom(m, s)
-		total := cnt
-		if s != m-s {
-			total *= 2
-		}
-		if float64(budget-used) < total {
-			break
-		}
-		// Enumerate all subsets of size s (and complements): each subset of
-		// a complete size level shares the level's kernel weight equally.
-		w := sizeWeight(s)
-		if s != m-s {
-			w *= 2
-		}
-		per := w / total
-		forEachSubset(m, s, func(idx []int) {
-			mask := addCoalition(per)
-			for _, i := range idx {
-				mask[i>>6] |= 1 << (i & 63)
-			}
-			if s != m-s {
-				comp := addCoalition(per)
-				mask = maskOf(nCoal - 2) // addCoalition may have regrown the slab
-				for wi := range comp {
-					comp[wi] = ^mask[wi]
-				}
-				comp[words-1] &= lastWord
-			}
-		})
-		used += int(total)
-		remainingWeight -= w
-		lastComplete = s
-	}
-
-	// Random sampling for the remaining budget across incomplete sizes.
-	if remainingWeight > 1e-12 {
-		var sizes []int
-		var cumw []float64
-		tot := 0.0
-		for s := lastComplete + 1; s <= maxPair; s++ {
-			w := sizeWeight(s)
-			if s != m-s {
-				w *= 2
-			}
-			tot += w
-			sizes = append(sizes, s)
-			cumw = append(cumw, tot)
-		}
-		nRand := budget - used
-		if nRand > 0 && len(sizes) > 0 {
-			per := remainingWeight / float64(nRand) // equal weight per sample
-			if cap(sc.perm) < m {
-				sc.perm = make([]int, m)
-			}
-			perm := sc.perm[:m]
-			for i := range perm {
-				perm[i] = i
-			}
-			for k := 0; k < nRand; k++ {
-				r := rng.Float64() * tot
-				si := 0
-				for si < len(cumw)-1 && r > cumw[si] {
-					si++
-				}
-				s := sizes[si]
-				kk := s // sizes only go up to m/2, so kk is the smaller of the pair
-				if s != m-s && rng.Intn(2) == 1 {
-					s = m - s
-				}
-				// Partial Fisher–Yates: only the first kk slots need to be
-				// drawn for a uniform kk-subset, and the unchosen suffix is
-				// then itself a uniform (m-kk)-subset for the complement
-				// size — far cheaper than shuffling all m entries.
-				for i := 0; i < kk; i++ {
-					j := i + rng.Intn(m-i)
-					perm[i], perm[j] = perm[j], perm[i]
-				}
-				chosen := perm[:kk]
-				if s != kk {
-					chosen = perm[kk:]
-				}
-				mask := addCoalition(per)
-				for _, i := range chosen {
-					mask[i>>6] |= 1 << (i & 63)
-				}
-			}
-		}
-	}
-
-	// Evaluate f on every coalition (matrix backing reused).
-	sc.inputs = growF(sc.inputs, nCoal*len(x))
-	inputs := &linalg.Matrix{Rows: nCoal, Cols: len(x), Data: sc.inputs}
-	for i := 0; i < nCoal; i++ {
 		row := inputs.Row(i)
-		copy(row, bg)
-		for wi, v := range maskOf(i) {
+		copy(row, from)
+		for wi, v := range p.support[i*words : (i+1)*words] {
 			for ; v != 0; v &= v - 1 {
 				j := active[wi<<6+bits.TrailingZeros64(v)]
-				row[j] = x[j]
+				row[j] = to[j]
 			}
 		}
 	}
@@ -493,61 +360,32 @@ func (e *Explainer) sampled(ctx context.Context, x, bg []float64, active []int, 
 		return err
 	}
 
-	// Constrained WLS: eliminate the last active feature with the
-	// efficiency constraint Σ phi = fx - base.
-	delta := out.FX - out.Base
-	zCols := m - 1
-	sc.z = growF(sc.z, nCoal*zCols)
-	zm := &linalg.Matrix{Rows: nCoal, Cols: zCols, Data: sc.z}
-	yv := growF(sc.y, nCoal)
-	wv := growF(sc.w, nCoal)
-	sc.y, sc.w = yv, wv
-	for i := 0; i < nCoal; i++ {
-		mask := maskOf(i)
-		last := 0.0
-		if getBit(mask, m-1) {
-			last = 1
+	// ZᵀWy: a + row's target is f(S) − f(bg), a − row's is f(S) − f(x), and
+	// the signed weight carries the row's ±1 entries.
+	rhs := growF(sc.rhs, m-1)
+	sc.rhs = rhs
+	for b := range rhs {
+		rhs[b] = 0
+	}
+	for i := 0; i < n; i++ {
+		w := p.weight[i]
+		t := w * (vals[i] - out.Base)
+		if w < 0 {
+			t = w * (vals[i] - out.FX)
 		}
-		// Fill the row with the off-coalition value (0 or -1), then flip
-		// just the set bits — the design matrix is sparse in whichever
-		// value the coalition's minority is, and iterating mask words
-		// beats a per-column branch.
-		row := zm.Row(i)
-		if last == 0 {
-			for b := range row {
-				row[b] = 0
-			}
-		} else {
-			for b := range row {
-				row[b] = -1
-			}
-		}
-		on := 1.0 - last
-		for wi, v := range mask {
+		for wi, v := range p.support[i*words : (i+1)*words] {
 			for ; v != 0; v &= v - 1 {
-				b := wi<<6 + bits.TrailingZeros64(v)
-				if b < zCols {
-					row[b] = on
-				}
+				rhs[wi<<6+bits.TrailingZeros64(v)] += t
 			}
 		}
-		yv[i] = vals[i] - out.Base - last*delta
-		wv[i] = sc.weights[i]
 	}
-	beta, err := linalg.WeightedRidge(zm, yv, wv, e.cfg.Ridge, false)
-	if err != nil {
-		// Degenerate sampling: fall back to spreading delta uniformly.
-		for _, j := range active {
-			out.Phi[j] = delta / float64(m)
-		}
-		return nil
-	}
+	beta := linalg.CholeskySolve(p.chol, rhs)
 	sum := 0.0
-	for b := 0; b < zCols; b++ {
-		out.Phi[active[b]] = beta[b]
-		sum += beta[b]
+	for b, v := range beta {
+		out.Phi[active[b]] = v
+		sum += v
 	}
-	out.Phi[active[m-1]] = delta - sum
+	out.Phi[active[m-1]] = out.FX - out.Base - sum
 	return nil
 }
 

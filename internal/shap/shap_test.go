@@ -275,8 +275,8 @@ func BenchmarkExplainSampled30(b *testing.B) {
 }
 
 func TestExplainContextCancellation(t *testing.T) {
-	// 20 active features forces the sampled path (4096 coalition rows), so
-	// cancellation must be observed between evaluation chunks.
+	// 20 active features forces the sampled path (2088 coalition rows, five
+	// evaluation chunks), so cancellation must be observed between chunks.
 	w := make([]float64, 20)
 	x := make([]float64, 20)
 	for j := range w {
@@ -296,9 +296,9 @@ func TestExplainContextCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// The 4096-row batch must not have been evaluated to completion: 1 pair
-	// call + a prefix of the 8 chunks.
-	if calls > 5 {
+	// The batch must not have been evaluated to completion: 1 pair call + a
+	// prefix of the 5 chunks.
+	if calls > 3 {
 		t.Errorf("%d model calls after cancellation at call 2", calls)
 	}
 
