@@ -237,7 +237,9 @@ func (s *Server) runCoalesced(ctx context.Context, recs []*darshan.Record) ([]*c
 			keys[i] = cacheKey(version, rec)
 			// Flush-time resolution: a batch dispatched a window ago may
 			// have filled this key after the waiter's handler-level miss.
-			if d, ok := cache.get(keys[i]); ok {
+			// That miss already counted the request on /healthz, so this
+			// lookup must not count it again.
+			if d, ok := cache.peek(keys[i]); ok {
 				results[i] = &coalescedResult{diag: d, fromCache: true}
 				continue
 			}

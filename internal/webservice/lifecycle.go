@@ -317,9 +317,14 @@ type AdvisoryJSON struct {
 	Confidence string `json:"confidence"`
 }
 
-// appendAdvisories attaches lifecycle provenance to a diagnosis response.
-func (s *Server) appendAdvisories(resp *DiagnosisResponse) {
-	if rep := s.genReport.Load(); rep != nil {
+// advisories returns the lifecycle provenance for a diagnosis answered now
+// by the generation rep describes (nil without a registry report). It is the
+// one part of a single-job reply computed on every request — a cached reply
+// is frozen up to this field (see sendDiagnosis) — so a drift trip or a
+// rollback shows on the very next answer, cached or not.
+func (s *Server) advisories(rep *core.LoadReport) []AdvisoryJSON {
+	var advs []AdvisoryJSON
+	if rep != nil {
 		fp := rep.Fingerprint
 		if len(fp) > 12 {
 			fp = fp[:12]
@@ -328,16 +333,16 @@ func (s *Server) appendAdvisories(resp *DiagnosisResponse) {
 		if fp != "" {
 			claim += fmt.Sprintf(" (fingerprint %s…)", fp)
 		}
-		resp.Advisories = append(resp.Advisories, AdvisoryJSON{
+		advs = append(advs, AdvisoryJSON{
 			Claim: claim, Source: "model-registry", Confidence: "exact",
 		})
 	}
 	if s.Drift == nil {
-		return
+		return advs
 	}
 	lc := s.lifecycleSnapshot()
 	if v := lc.ServingCanary; v != nil && v.Passed {
-		resp.Advisories = append(resp.Advisories, AdvisoryJSON{
+		advs = append(advs, AdvisoryJSON{
 			Claim:      fmt.Sprintf("serving generation admitted by canary gate: %s", v.Reason),
 			Source:     "canary-gate",
 			Confidence: fmt.Sprintf("measured on %d held-out jobs", v.HoldoutJobs),
@@ -348,7 +353,7 @@ func (s *Server) appendAdvisories(resp *DiagnosisResponse) {
 		if i >= 3 {
 			break
 		}
-		resp.Advisories = append(resp.Advisories, AdvisoryJSON{
+		advs = append(advs, AdvisoryJSON{
 			Claim: fmt.Sprintf("input distribution drift on %s: PSI %.2f over threshold %.2f — the training-time reference may no longer describe this workload",
 				cd.Counter, cd.PSI, st.Threshold),
 			Source:     "drift-monitor",
@@ -356,7 +361,7 @@ func (s *Server) appendAdvisories(resp *DiagnosisResponse) {
 		})
 	}
 	if st.BaselineRMSE > 0 && st.ErrorRatio >= 1.25 && st.ErrorObs >= 20 {
-		resp.Advisories = append(resp.Advisories, AdvisoryJSON{
+		advs = append(advs, AdvisoryJSON{
 			Claim: fmt.Sprintf("rolling prediction error %.3f is %.1fx the serving baseline %.3f — predicted performance may be off",
 				st.RollingRMSE, st.ErrorRatio, st.BaselineRMSE),
 			Source:     "error-tracker",
@@ -364,11 +369,30 @@ func (s *Server) appendAdvisories(resp *DiagnosisResponse) {
 		})
 	}
 	if lc.Rollbacks > 0 && lc.LastRollbackTo != 0 {
-		resp.Advisories = append(resp.Advisories, AdvisoryJSON{
+		advs = append(advs, AdvisoryJSON{
 			Claim: fmt.Sprintf("automatic rollback from generation %d to %d: %s",
 				lc.LastRollbackFrom, lc.LastRollbackTo, lc.LastRollbackReason),
 			Source:     "rollback-watch",
 			Confidence: "measured",
 		})
 	}
+	return advs
+}
+
+// sendDiagnosis completes and sends a single-job diagnosis whose body, up to
+// the advisories field, is already in eb: it encodes this request's
+// advisories as the tail and closes the object. The first answer for a job,
+// a keyed cache hit and a hit answered from the request bytes all finish
+// here, so the three cannot drift apart. It takes ownership of eb.
+func (s *Server) sendDiagnosis(w http.ResponseWriter, rep *core.LoadReport, eb *encodeBuf) {
+	if advs := s.advisories(rep); len(advs) > 0 {
+		eb.buf.WriteString(`,"advisories":`)
+		if err := eb.enc.Encode(advs); err != nil {
+			encodeFailed(w, eb, err)
+			return
+		}
+		eb.buf.Truncate(eb.buf.Len() - 1) // Encode's newline
+	}
+	eb.buf.WriteString("}\n")
+	sendEncoded(w, http.StatusOK, eb)
 }

@@ -9,6 +9,7 @@ package webservice
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -70,7 +71,10 @@ type DiagnosisResponse struct {
 	// Advisories are per-claim provenance statements from the model
 	// lifecycle (which generation served, which canary gate admitted it,
 	// which counters have drifted since training) — the trust context for
-	// the diagnosis above. See lifecycle.go.
+	// the diagnosis above. See lifecycle.go. The server never fills it in:
+	// it encodes the advisories as a tail after the (possibly cached) rest
+	// of the object — see sendDiagnosis — so the field stays last for the
+	// wire order to match the struct.
 	Advisories []AdvisoryJSON `json:"advisories,omitempty"`
 }
 
@@ -104,7 +108,9 @@ type Server struct {
 	// CacheSize bounds the LRU cache of diagnosis results (DefaultCacheSize
 	// when 0, negative disables caching). A cached entry is keyed by the
 	// model-set version and the job's full identity, so repeat diagnoses of
-	// the same log skip the SHAP work entirely; every model upload
+	// the same log skip the SHAP work entirely, and from the second repeat
+	// on the same request bytes are answered from the entry's rendered
+	// response without being parsed (see diagCache); every model upload
 	// invalidates the whole cache. Set before the first request.
 	CacheSize int
 	// Admission, when non-nil, gates the diagnosis endpoints with bounded
@@ -236,6 +242,14 @@ func (s *Server) snapshot() (*core.Ensemble, core.DiagnoseOptions, uint64) {
 	defer s.mu.RUnlock()
 	models := append([]core.Model(nil), s.ens.Models...)
 	return &core.Ensemble{Models: models}, s.opts, s.version
+}
+
+// modelVersion returns the current model-set version alone, for the lookup
+// that needs no model set.
+func (s *Server) modelVersion() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.version
 }
 
 // ServingEnsemble returns a lock-free snapshot copy of the model set
@@ -728,30 +742,77 @@ func markBreakerSkips(resp *DiagnosisResponse, open []string) {
 	}
 }
 
+// maxPooledBodyBuf keeps an outlier request body (up to MaxBody, 16 MB by
+// default) from pinning its capacity in the pool; a real single-job log is
+// 1–2 KB.
+const maxPooledBodyBuf = 64 << 10
+
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// handleDiagnose answers POST /api/v1/diagnose. The body is read whole before
+// it is parsed so that a repeat can be recognised by its bytes: once a cached
+// job has been asked for a second time, the same bytes are answered from the
+// entry's rendered response without parsing, snapshotting the model set,
+// building the response, running the advisor or encoding the factors again
+// (see diagCache). Every other request parses the buffered bytes and takes
+// the keyed path below.
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST a Darshan text log")
 		return
 	}
-	rec, err := darshan.ParseLog(http.MaxBytesReader(w, r.Body, s.maxBody()))
+	body := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if body.Cap() <= maxPooledBodyBuf {
+			bodyPool.Put(body)
+		}
+	}()
+	body.Reset()
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody())); err != nil {
+		// Worded as the streaming parser worded a failed read, so the 400
+		// body did not change when the read moved here.
+		bodyError(w, fmt.Errorf("darshan: read log: %w", err))
+		return
+	}
+	// The generation report is read before the model-set version: a swap
+	// bumps the version first and publishes its report second, so a reply
+	// stamped with the new generation can only carry a new-version body.
+	rep := s.genReport.Load()
+	cache := s.diagnosisCache()
+	var digest bodyDigest
+	if cache != nil {
+		digest = sha256.Sum256(body.Bytes())
+		if rendered, ok := cache.byDigest(digest, s.modelVersion()); ok {
+			s.sendCached(w, rep, rendered)
+			return
+		}
+	}
+	rec, err := darshan.ParseLog(bytes.NewReader(body.Bytes()))
 	if err != nil {
 		bodyError(w, err)
 		return
 	}
-	s.stampGeneration(w)
+	stampGeneration(w, rep)
 	// Diagnose against a lock-free snapshot so a concurrent model upload
 	// (write lock) never stalls behind, or waits on, in-flight SHAP work.
 	ens, opts, version := s.snapshot()
-	cache := s.diagnosisCache()
 	var key string
 	var diag *core.Diagnosis
 	if cache != nil {
 		key = cacheKey(version, rec)
-		if d, ok := cache.get(key); ok {
+		// The same job in another spelling lands here: a frozen entry still
+		// answers it without the advisor.
+		d, rendered, ok := cache.lookup(key)
+		if rendered != nil {
+			s.sendCached(w, rep, rendered)
+			return
+		}
+		if ok {
 			diag = d
 			w.Header().Set("X-AIIO-Cache", "hit")
 		}
 	}
+	secondTouch := diag != nil
 	var open []string
 	var allowed *core.Ensemble
 	switch {
@@ -833,8 +894,31 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 			PredictedGain:  r.PredictedGain,
 		})
 	}
-	s.appendAdvisories(resp)
-	writeJSON(w, http.StatusOK, resp)
+	// Encode everything but the advisories, then drop the closing "}\n":
+	// sendDiagnosis appends this request's advisories and closes the object.
+	eb := newEncodeBuf()
+	if err := eb.enc.Encode(resp); err != nil {
+		encodeFailed(w, eb, err)
+		return
+	}
+	eb.buf.Truncate(eb.buf.Len() - len("}\n"))
+	// Freeze on the second touch, not the first: a job nobody asks about
+	// twice never pays for rendered bytes. Only a complete answer is worth
+	// keeping — a degraded ensemble or a failed advisor may do better next
+	// time, so those replies are rebuilt on every hit.
+	if secondTouch && !resp.Degraded && advErr == nil {
+		cache.freeze(key, version, digest, bytes.Clone(eb.buf.Bytes()))
+	}
+	s.sendDiagnosis(w, rep, eb)
+}
+
+// sendCached answers a request from a frozen entry's rendered response.
+func (s *Server) sendCached(w http.ResponseWriter, rep *core.LoadReport, rendered []byte) {
+	stampGeneration(w, rep)
+	w.Header().Set("X-AIIO-Cache", "hit")
+	eb := newEncodeBuf()
+	eb.buf.Write(rendered)
+	s.sendDiagnosis(w, rep, eb)
 }
 
 // handleDiagnoseBatch accepts a WriteDataset-format stream of several logs
@@ -855,7 +939,7 @@ func (s *Server) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "no records in request body")
 		return
 	}
-	s.stampGeneration(w)
+	stampGeneration(w, s.genReport.Load())
 	ens, opts, version := s.snapshot()
 	cache := s.diagnosisCache()
 
@@ -971,8 +1055,8 @@ func buildResponse(diag *core.Diagnosis) *DiagnosisResponse {
 // fingerprint) produced this response, so routers, replication syncers, and
 // chaos drills can assert freshness without a second round trip. A server
 // with no registry report (e.g. a bare NewServer in tests) stamps nothing.
-func (s *Server) stampGeneration(w http.ResponseWriter) {
-	if rep := s.genReport.Load(); rep != nil {
+func stampGeneration(w http.ResponseWriter, rep *core.LoadReport) {
+	if rep != nil {
 		w.Header().Set("X-AIIO-Generation", strconv.FormatUint(rep.Generation, 10))
 		if rep.Fingerprint != "" {
 			w.Header().Set("X-AIIO-Fingerprint", rep.Fingerprint)
@@ -1121,24 +1205,40 @@ var encodePool = sync.Pool{New: func() any {
 	return eb
 }}
 
+// newEncodeBuf takes an empty buffer from the pool; sendEncoded or
+// encodeFailed gives it back.
+func newEncodeBuf() *encodeBuf {
+	eb := encodePool.Get().(*encodeBuf)
+	eb.buf.Reset()
+	return eb
+}
+
 // writeJSON encodes v through a pooled buffer + encoder, so the steady
 // state of the handler path allocates no per-response encoding state, and
 // the response carries a Content-Length (the body is in hand before any
 // byte is written).
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	eb := encodePool.Get().(*encodeBuf)
-	eb.buf.Reset()
+	eb := newEncodeBuf()
 	if err := eb.enc.Encode(v); err != nil {
-		// Encoding failed before anything was written: a structured 500
-		// is still possible (maps and the response structs here cannot
-		// actually fail, but a cycle in some future type must not hang
-		// the connection).
-		encodePool.Put(eb)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintf(w, `{"error":"encode response: %v"}`, err)
+		encodeFailed(w, eb, err)
 		return
 	}
+	sendEncoded(w, status, eb)
+}
+
+// encodeFailed answers a response whose encoding failed before anything was
+// written: a structured 500 is still possible (maps and the response structs
+// here cannot actually fail, but a cycle in some future type must not hang
+// the connection).
+func encodeFailed(w http.ResponseWriter, eb *encodeBuf, err error) {
+	encodePool.Put(eb)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusInternalServerError)
+	fmt.Fprintf(w, `{"error":"encode response: %v"}`, err)
+}
+
+// sendEncoded writes the finished JSON body in eb and returns eb to the pool.
+func sendEncoded(w http.ResponseWriter, status int, eb *encodeBuf) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(eb.buf.Len()))
 	w.WriteHeader(status)
