@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 	"strings"
 
 	"github.com/hpc-repro/aiio/internal/darshan"
 	"github.com/hpc-repro/aiio/internal/features"
 	"github.com/hpc-repro/aiio/internal/gbdt"
 	"github.com/hpc-repro/aiio/internal/mlp"
+	"github.com/hpc-repro/aiio/internal/parallel"
 	"github.com/hpc-repro/aiio/internal/tabnet"
 )
 
@@ -118,12 +120,19 @@ func TrainEnsemble(frame *features.Frame, opts TrainOptions) (*Ensemble, *TrainR
 	return TrainEnsembleContext(context.Background(), frame, opts)
 }
 
-// TrainEnsembleContext is TrainEnsemble with cooperative cancellation: ctx
-// is checked before each model's fit, so a cancelled training run stops
-// after the model in flight instead of fitting the rest of the ensemble.
-// It also refuses a frame carrying NaN/Inf features (see Frame.Validate) —
-// corrupt inputs must be quarantined or sanitized before training, never
-// silently fitted.
+// TrainEnsembleContext is TrainEnsemble with cooperative cancellation. The
+// selected models fit concurrently on the shared GOMAXPROCS worker pool
+// (each fit owns its rng and scratch and only reads the split and its warm
+// seed, so every model is bit-identical to a fit on its own); the ensemble
+// and report keep the order of opts.Models. ctx is checked before each fit
+// starts: once it is cancelled no further fit starts, the fits in flight
+// run to completion, and the call returns an error that wraps ctx's error
+// and names the first model, in model order, that never ran — never a
+// partial ensemble. A failed fit fails the call with the first error in model
+// order, and an unknown model name fails it before any fit starts. It also
+// refuses a frame carrying NaN/Inf features (see Frame.Validate) — corrupt
+// inputs must be quarantined or sanitized before training, never silently
+// fitted.
 func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts TrainOptions) (*Ensemble, *TrainReport, error) {
 	if frame.Len() < 10 {
 		return nil, nil, fmt.Errorf("core: dataset too small (%d records)", frame.Len())
@@ -137,6 +146,11 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 	names := opts.Models
 	if len(names) == 0 {
 		names = ModelNames()
+	}
+	for _, name := range names {
+		if !slices.Contains(ModelNames(), name) {
+			return nil, nil, fmt.Errorf("core: unknown model name %q", name)
+		}
 	}
 	train, eval := frame.Split(opts.Seed, opts.SplitFrac)
 
@@ -178,13 +192,9 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 		return pm, ""
 	}
 
-	ens := &Ensemble{}
-	report := &TrainReport{TrainSize: train.Len(), EvalSize: eval.Len()}
-
-	for _, name := range names {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("core: training cancelled before %s: %w", name, err)
-		}
+	// fit trains and scores one model. It runs concurrently with the other
+	// models' fits, so it only reads the shared state above.
+	fit := func(name string) (Model, ModelReport, error) {
 		var model Model
 		warmUsed := false
 		warmFallback := ""
@@ -223,7 +233,7 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 				m, err = gbdt.Train(cfg, train.X, train.Y, eval.X, eval.Y)
 			}
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: train %s: %w", name, err)
+				return nil, ModelReport{}, fmt.Errorf("core: train %s: %w", name, err)
 			}
 			model = &gbdtModel{name: name, m: m}
 		case NameMLP:
@@ -258,7 +268,7 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 				m, err = mlp.Train(cfg, train.X, train.Y, eval.X, eval.Y)
 			}
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: train %s: %w", name, err)
+				return nil, ModelReport{}, fmt.Errorf("core: train %s: %w", name, err)
 			}
 			logConstantCols(name, m.ConstantCols)
 			model = &mlpModel{m: m}
@@ -291,20 +301,34 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 				m, err = tabnet.Train(cfg, train.X, train.Y, eval.X, eval.Y)
 			}
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: train %s: %w", name, err)
+				return nil, ModelReport{}, fmt.Errorf("core: train %s: %w", name, err)
 			}
 			logConstantCols(name, m.ConstantCols)
 			model = &tabnetModel{m: m}
 		default:
-			return nil, nil, fmt.Errorf("core: unknown model name %q", name)
+			return nil, ModelReport{}, fmt.Errorf("core: unknown model name %q", name)
 		}
-		ens.Models = append(ens.Models, model)
-		report.Models = append(report.Models, ModelReport{
+		return model, ModelReport{
 			Name:           name,
 			PredictionRMSE: features.RMSE(model.PredictBatch(eval.X), eval.Y),
 			WarmStart:      warmUsed,
 			WarmFallback:   warmFallback,
-		})
+		}, nil
 	}
-	return ens, report, nil
+
+	models := make([]Model, len(names))
+	reports := make([]ModelReport, len(names))
+	errs := make([]error, len(names))
+	ctxErr := parallel.EachCtx(ctx, len(names), 0, func(i int) {
+		models[i], reports[i], errs[i] = fit(names[i])
+	})
+	for i, name := range names {
+		if errs[i] != nil {
+			return nil, nil, errs[i]
+		}
+		if models[i] == nil {
+			return nil, nil, fmt.Errorf("core: training cancelled before %s: %w", name, ctxErr)
+		}
+	}
+	return &Ensemble{Models: models}, &TrainReport{Models: reports, TrainSize: train.Len(), EvalSize: eval.Len()}, nil
 }

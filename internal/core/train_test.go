@@ -1,0 +1,103 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"math"
+	"slices"
+	"strings"
+	"sync/atomic"
+	"testing"
+)
+
+// TestConcurrentFitsMatchSequential pins the concurrent ensemble fit to the
+// models each family produces when trained alone: bit-equal predictions and
+// eval RMSE, with the ensemble and report in the requested order whatever
+// order the fits finish in.
+func TestConcurrentFitsMatchSequential(t *testing.T) {
+	frame, _, _ := fixture(t)
+	opts := DefaultTrainOptions()
+	opts.Fast = true
+	opts.Models = ModelNames()
+	slices.Reverse(opts.Models)
+	ens, report, err := TrainEnsemble(frame, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ens.Models) != len(opts.Models) || len(report.Models) != len(opts.Models) {
+		t.Fatalf("%d models, %d reports, want %d", len(ens.Models), len(report.Models), len(opts.Models))
+	}
+	for i, name := range opts.Models {
+		if ens.Models[i].Name() != name || report.Models[i].Name != name {
+			t.Fatalf("slot %d holds model %q / report %q, want %q", i, ens.Models[i].Name(), report.Models[i].Name, name)
+		}
+		alone := opts
+		alone.Models = []string{name}
+		want, wantReport, err := TrainEnsemble(frame, alone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, exp := ens.Models[i].PredictBatch(frame.X), want.Models[0].PredictBatch(frame.X)
+		for r := range got {
+			if math.Float64bits(got[r]) != math.Float64bits(exp[r]) {
+				t.Fatalf("%s row %d: %v trained with the ensemble, %v alone", name, r, got[r], exp[r])
+			}
+		}
+		if report.Models[i] != wantReport.Models[0] {
+			t.Fatalf("%s report %+v, alone %+v", name, report.Models[i], wantReport.Models[0])
+		}
+	}
+}
+
+// cancelAfterFirstCheck is a context that turns cancelled right after its
+// first Err call: exactly one fit starts, and the context is cancelled
+// while that fit is in flight.
+type cancelAfterFirstCheck struct {
+	context.Context
+	calls atomic.Int32
+}
+
+func (c *cancelAfterFirstCheck) Err() error {
+	if c.calls.Add(1) > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+func TestTrainCancelledMidFitReturnsNoEnsemble(t *testing.T) {
+	frame, _, _ := fixture(t)
+	opts := DefaultTrainOptions()
+	opts.Fast = true
+	opts.Models = []string{NameXGBoost, NameLightGBM, NameCatBoost}
+	ctx := &cancelAfterFirstCheck{Context: context.Background()}
+	ens, report, err := TrainEnsembleContext(ctx, frame, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want one wrapping context.Canceled", err)
+	}
+	if want := "training cancelled before " + NameLightGBM; !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %q, want it to name the first model that never ran (%q)", err, want)
+	}
+	if ens != nil || report != nil {
+		t.Fatalf("cancelled training returned a partial ensemble (%v, %v)", ens, report)
+	}
+}
+
+func TestTrainUnknownModelNameFails(t *testing.T) {
+	frame, _, _ := fixture(t)
+	for _, models := range [][]string{
+		{"bogus", NameXGBoost, NameCatBoost},
+		{NameXGBoost, "bogus", NameCatBoost},
+		{NameXGBoost, NameCatBoost, "bogus"},
+	} {
+		opts := DefaultTrainOptions()
+		opts.Fast = true
+		opts.Models = models
+		ens, report, err := TrainEnsemble(frame, opts)
+		if err == nil || !strings.Contains(err.Error(), `unknown model name "bogus"`) {
+			t.Fatalf("%v: err = %v, want unknown model name", models, err)
+		}
+		if ens != nil || report != nil {
+			t.Fatalf("%v: failed training returned a partial ensemble", models)
+		}
+	}
+}

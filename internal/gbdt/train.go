@@ -189,13 +189,16 @@ type trainer struct {
 	// splitScratch is bestSplit's per-feature candidate buffer, reused
 	// across nodes (parallelFor writes disjoint slots, so no aliasing).
 	splitScratch []splitCandidate
+	// levelGain is buildOblivious's per-(slot, bin) candidate total,
+	// reused across levels and trees.
+	levelGain []float64
 }
 
 // Train fits a boosted ensemble on x/y. evalX/evalY form the held-out set
 // used for early stopping and the eval-loss curve; they may be nil to train
 // for the full round budget.
 func Train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64) (*Model, error) {
-	return train(cfg, x, y, evalX, evalY, nil, nil)
+	return train(cfg, x, y, evalX, evalY, nil, nil, (*trainer).buildTree)
 }
 
 // TrainWarm fits like Train but continues boosting from prev's ensemble:
@@ -219,14 +222,15 @@ func TrainWarm(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, 
 // the validation or refitting the bins, and cold-starts when seed is nil.
 func TrainSeeded(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, seed *WarmSeed) (*Model, error) {
 	if seed == nil {
-		return train(cfg, x, y, evalX, evalY, nil, nil)
+		return train(cfg, x, y, evalX, evalY, nil, nil, (*trainer).buildTree)
 	}
-	return train(cfg, x, y, evalX, evalY, seed.prev, seed.bins)
+	return train(cfg, x, y, evalX, evalY, seed.prev, seed.bins, (*trainer).buildTree)
 }
 
 // train fits the ensemble; prev non-nil continues boosting from it, and a
 // non-nil bins (fit on this same x by CheckWarmStart) skips the refit.
-func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model, bins *BinMapper) (*Model, error) {
+// build grows each round's tree: buildTree, or a test's reference builder.
+func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model, bins *BinMapper, build func(*trainer, *Model) *Tree) (*Model, error) {
 	if x.Rows != len(y) {
 		panic(fmt.Sprintf("gbdt: %d rows vs %d targets", x.Rows, len(y)))
 	}
@@ -314,7 +318,7 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 		tr.sampleRows()
 		tr.sampleFeatures(x.Cols)
 
-		tree := tr.buildTree(m)
+		tree := build(tr, m)
 		m.Trees = append(m.Trees, tree)
 
 		// Update running predictions with the new tree.
@@ -869,46 +873,28 @@ func (tr *trainer) buildOblivious(m *Model) *Tree {
 	root := t.leaf(tr.leafValue(g, h))
 	level := []levelTask{{node: root, lo: 0, hi: len(tr.idx), sumG: g, sumH: h}}
 	hist := tr.newHistogram()
+	// total[hist.base[s]+b] is the candidate "split slot s at bin b" summed
+	// over the level's leaves, sized once per tree from the subset's bins.
+	if n := len(hist.data) / 2; cap(tr.levelGain) < n {
+		tr.levelGain = make([]float64, n)
+	}
+	total := tr.levelGain[:len(hist.data)/2]
 
 	for depth := 0; depth < tr.cfg.MaxDepth; depth++ {
-		// Accumulate per-leaf histograms and score each candidate by the
-		// total gain over all leaves.
-		type leafHist struct {
-			data []float64
+		for i := range total {
+			total[i] = 0
 		}
-		hists := make([]leafHist, len(level))
-		for li, task := range level {
+		for _, task := range level {
 			tr.buildHist(hist, task.lo, task.hi)
-			cp := make([]float64, len(hist.data))
-			copy(cp, hist.data)
-			hists[li] = leafHist{data: cp}
+			tr.addLeafGains(hist, task.sumG, task.sumH, total)
 		}
 		bestGain := 0.0
 		bestSlot, bestBin := -1, uint8(0)
 		for s := range tr.features {
-			base := 2 * hist.base[s]
+			base := hist.base[s]
 			for b := 0; b < hist.nBins[s]-1; b++ {
-				total := 0.0
-				ok := false
-				for li, task := range level {
-					gl, hl := 0.0, 0.0
-					for bb := 0; bb <= b; bb++ {
-						gl += hists[li].data[base+2*bb]
-						hl += hists[li].data[base+2*bb+1]
-					}
-					gr := task.sumG - gl
-					hr := task.sumH - hl
-					if hl < tr.cfg.MinChildWeight || hr < tr.cfg.MinChildWeight {
-						continue
-					}
-					gain := 0.5*(tr.score(gl, hl)+tr.score(gr, hr)-tr.score(task.sumG, task.sumH)) - tr.cfg.Gamma
-					if gain > 0 {
-						total += gain
-						ok = true
-					}
-				}
-				if ok && total > bestGain {
-					bestGain = total
+				if total[base+b] > bestGain {
+					bestGain = total[base+b]
 					bestSlot = s
 					bestBin = uint8(b)
 				}
@@ -955,4 +941,43 @@ func (tr *trainer) buildOblivious(m *Model) *Tree {
 	}
 	tr.freeHist(hist)
 	return t
+}
+
+// addLeafGains adds one leaf's positive split gains to the level's candidate
+// totals: a single running-prefix pass per feature slot, so a level costs
+// O(leaves·features·bins) rather than re-summing every candidate's prefix
+// from bin 0.
+// Leaves arrive in level order and each prefix is the same left-to-right sum
+// as a from-zero rescan, so every total is bit-identical to the quadratic
+// scan's. Only positive gains are added, so a total > 0 always has a
+// contributing leaf. Slots own disjoint ranges of total.
+func (tr *trainer) addLeafGains(h *histogram, sumG, sumH float64, total []float64) {
+	parent := tr.score(sumG, sumH)
+	parallelFor(len(tr.features), func(slo, shi int) {
+		for s := slo; s < shi; s++ {
+			data := h.data[2*h.base[s] : 2*(h.base[s]+h.nBins[s])]
+			tot := total[h.base[s] : h.base[s]+h.nBins[s]]
+			gl, hl := 0.0, 0.0
+			gain := 0.0
+			for b := 0; b < h.nBins[s]-1; b++ {
+				g, hw := data[2*b], data[2*b+1]
+				// An empty bin leaves the prefix sums, and so the gain, as
+				// they were at the previous bin: reuse it (bin 0 has no
+				// previous gain, so it is always scored).
+				if b == 0 || g != 0 || hw != 0 {
+					gl += g
+					hl += hw
+					gr := sumG - gl
+					hr := sumH - hl
+					gain = 0
+					if hl >= tr.cfg.MinChildWeight && hr >= tr.cfg.MinChildWeight {
+						gain = 0.5*(tr.score(gl, hl)+tr.score(gr, hr)-parent) - tr.cfg.Gamma
+					}
+				}
+				if gain > 0 {
+					tot[b] += gain
+				}
+			}
+		}
+	})
 }

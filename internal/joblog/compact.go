@@ -406,8 +406,8 @@ func (h *runHeap) Less(i, j int) bool {
 	}
 	return a.seq < b.seq
 }
-func (h *runHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *runHeap) Push(x any)         { h.items = append(h.items, x.(*runCursor)) }
+func (h *runHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *runHeap) Push(x any)    { h.items = append(h.items, x.(*runCursor)) }
 func (h *runHeap) Pop() any {
 	old := h.items
 	n := len(old)

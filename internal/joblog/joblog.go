@@ -71,16 +71,16 @@ const (
 // aborts the operation at one of these points to simulate a crash landing
 // there; production stores have no hook.
 const (
-	StepAppendWrite     = "append-write"      // before writing one record's frame
-	StepAppendSync      = "append-sync"       // before fsyncing the active segment
-	StepSealSync        = "seal-sync"         // before fsyncing a segment being sealed
-	StepSealManifest    = "seal-manifest"     // before committing the manifest that seals it
-	StepCompactRun      = "compact-run"       // before writing one sorted run
-	StepCompactMerge    = "compact-merge"     // before the k-way merge starts
-	StepCompactSeal     = "compact-seal"      // before renaming one merged segment into place
-	StepCompactManifest = "compact-manifest"  // before committing the compacted manifest
-	StepCompactCleanup  = "compact-cleanup"   // before deleting one superseded segment
-	StepCursorCommit    = "cursor-commit"     // before committing the retrain cursor
+	StepAppendWrite     = "append-write"     // before writing one record's frame
+	StepAppendSync      = "append-sync"      // before fsyncing the active segment
+	StepSealSync        = "seal-sync"        // before fsyncing a segment being sealed
+	StepSealManifest    = "seal-manifest"    // before committing the manifest that seals it
+	StepCompactRun      = "compact-run"      // before writing one sorted run
+	StepCompactMerge    = "compact-merge"    // before the k-way merge starts
+	StepCompactSeal     = "compact-seal"     // before renaming one merged segment into place
+	StepCompactManifest = "compact-manifest" // before committing the compacted manifest
+	StepCompactCleanup  = "compact-cleanup"  // before deleting one superseded segment
+	StepCursorCommit    = "cursor-commit"    // before committing the retrain cursor
 )
 
 // segmentInfo describes one sealed (immutable) segment in the manifest.

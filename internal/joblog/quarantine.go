@@ -60,7 +60,7 @@ func parseQuarantineHeader(line string) (t int64, n int, reason string, ok bool)
 		return 0, 0, "", false
 	}
 	t, err1 := strconv.ParseInt(rest[len("time="):bi], 10, 64)
-	n, err2 := strconv.Atoi(rest[bi+len(" bytes="):ri])
+	n, err2 := strconv.Atoi(rest[bi+len(" bytes=") : ri])
 	reason, err3 := strconv.Unquote(rest[ri+len(" reason="):])
 	if err1 != nil || err2 != nil || err3 != nil {
 		return 0, 0, "", false

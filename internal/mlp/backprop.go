@@ -26,14 +26,14 @@ import (
 
 // trainScratch is the reusable per-Train state of the fast path.
 type trainScratch struct {
-	xb   linalg.Matrix   // standardized batch input
-	yb   []float64       // batch targets
-	act  []linalg.Matrix // post-block activation per hidden layer
-	mask []linalg.Matrix // fused ReLU x dropout backward masks
-	xhat []linalg.Matrix // BN normalized caches
-	out  linalg.Matrix   // final linear output (batch x 1)
-	gA   linalg.Matrix   // ping-pong gradient blocks
-	gB   linalg.Matrix
+	xb       linalg.Matrix   // standardized batch input
+	yb       []float64       // batch targets
+	act      []linalg.Matrix // post-block activation per hidden layer
+	mask     []linalg.Matrix // fused ReLU x dropout backward masks
+	xhat     []linalg.Matrix // BN normalized caches
+	out      linalg.Matrix   // final linear output (batch x 1)
+	gA       linalg.Matrix   // ping-pong gradient blocks
+	gB       linalg.Matrix
 	bnMean   [][]float64
 	bnInvStd [][]float64
 	sumG     []float64 // BN backward column reductions

@@ -392,16 +392,16 @@ func (m *Model) forwardSample(x []float64, caches *[]stepCache) float64 {
 // vector of the cache-free forward pass plus, on the scratch that owns the
 // batch call, the standardized input block and the shared-layer transpose.
 type rowState struct {
-	z       []float64 // 2H pre-activation
-	hb      []float64 // H shared GLU output
-	z2      []float64 // 2H step pre-activation
-	hs      []float64 // H step GLU output
-	a       []float64 // attention features
-	agg     []float64 // aggregated decisions
-	logits  []float64
-	prior   []float64
-	cand    []float64 // sparsemax candidate buffer (descending values)
-	candIdx []int32   // sparsemax candidate indices, ascending
+	z        []float64 // 2H pre-activation
+	hb       []float64 // H shared GLU output
+	z2       []float64 // 2H step pre-activation
+	hs       []float64 // H step GLU output
+	a        []float64 // attention features
+	agg      []float64 // aggregated decisions
+	logits   []float64
+	prior    []float64
+	cand     []float64 // sparsemax candidate buffer (descending values)
+	candIdx  []int32   // sparsemax candidate indices, ascending
 	sup      []int32   // sparsemax support indices, ascending
 	supPrior []float64 // decayed prior values for the support indices
 }
