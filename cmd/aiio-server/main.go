@@ -44,9 +44,9 @@
 //
 // With -peers, the server pulls newer model generations from its peer
 // replicas every -sync-interval and hot-swaps them after verification, so
-// an upload or retrain on any replica converges the fleet. With
-// -coalesce-window, concurrent single-job diagnoses fuse into micro-batches
-// (see cmd/aiio-router for the fleet-front affinity router).
+// an upload or retrain on any replica converges the fleet. Concurrent
+// identical cold diagnoses share one ensemble pass (see cmd/aiio-router for
+// the fleet-front affinity router).
 //
 // The diagnosis endpoints sit behind a bounded admission queue: at most
 // -max-inflight requests execute concurrently per endpoint, at most
@@ -165,10 +165,6 @@ func main() {
 		"fraction of the cold budget warm-started models train for")
 	ingestInflight := flag.Int("ingest-inflight", 0,
 		"concurrent ingest requests (its own admission budget; 0 = the -max-inflight default)")
-	coalesceWindow := flag.Duration("coalesce-window", webservice.DefaultCoalesceWindow,
-		"micro-batch window: single-job diagnoses arriving within it fuse into one batch pass (0 disables)")
-	coalesceMax := flag.Int("coalesce-max", webservice.DefaultCoalesceMax,
-		"requests per fused micro-batch; a full batch dispatches before the window expires")
 	peers := flag.String("peers", "",
 		"comma-separated peer replica base URLs; enables pull-based model generation replication")
 	syncInterval := flag.Duration("sync-interval", replica.DefaultSyncInterval,
@@ -222,8 +218,6 @@ func main() {
 	ws.CacheSize = *cacheSize
 	ws.Store = store
 	ws.SetGeneration(rep)
-	ws.CoalesceWindow = *coalesceWindow
-	ws.CoalesceMax = *coalesceMax
 	ws.Admission = admission.NewController(admission.Config{
 		MaxInflight: *maxInflight,
 		QueueDepth:  *queueDepth,

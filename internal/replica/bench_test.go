@@ -17,13 +17,13 @@ package replica
 //     Real per-replica compute cannot scale on one core, so this harness
 //     isolates exactly what the router adds: fan-out across per-replica
 //     concurrency ceilings and failover-free affinity routing.
-//   - BenchmarkColdFlood{Uncoalesced,Coalesced} run the REAL diagnosis
+//   - BenchmarkColdFlood{Uncoalesced,SingleFlight} run the REAL diagnosis
 //     stack (two-model ensemble, Kernel SHAP) with the LRU cache disabled:
 //     one op = 64 concurrent clients all demanding the same cold job (the
-//     dogpile). Uncoalesced, every admitted request pays a full ensemble
-//     pass; coalesced (2 ms window), the duplicate-fusion path collapses
-//     the flood to ~one pass per window. The ratio is pure compute saved,
-//     which also holds on multi-core hosts.
+//     dogpile). Uncoalesced, each client has a server of its own, so every
+//     request pays a full ensemble pass; single-flight, all clients share
+//     one server, whose identical in-flight misses join one pass. The ratio
+//     is pure compute saved, which also holds on multi-core hosts.
 
 import (
 	"bytes"
@@ -121,25 +121,32 @@ func BenchmarkServingReplicas1(b *testing.B) { benchServing(b, 1) }
 func BenchmarkServingReplicas3(b *testing.B) { benchServing(b, 3) }
 func BenchmarkServingReplicas4(b *testing.B) { benchServing(b, 4) }
 
-func benchColdFlood(b *testing.B, coalesce bool) {
+func benchColdFlood(b *testing.B, shared bool) {
 	// Production budget with the Kernel SHAP estimator (what every
 	// non-tree model — MLP, TabNet — pays in serving, and the paper's
 	// model-agnostic attribution method). The exact-TreeSHAP pass is so
 	// cheap after the hot-path flattening that a tree-only flood
-	// bottlenecks on HTTP parsing (fusion still wins ~2x there); the
-	// kernel pass is where coalescing's collapsed ensemble passes show
-	// their real value.
+	// bottlenecks on HTTP parsing; the kernel pass is where collapsed
+	// ensemble passes show their real value.
 	opts := core.DefaultDiagnoseOptions()
 	opts.SHAPMode = shap.ModeKernel
-	s := webservice.NewServer(ensemble(b), opts)
-	s.CacheSize = -1 // every request is cold: the dogpile worst case
-	if coalesce {
-		s.CoalesceWindow = webservice.DefaultCoalesceWindow
-		s.CoalesceMax = 64
-	}
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
 	const clients = 64
+	// Client c posts under /c/<c>/. Shared, every prefix reaches the same
+	// server; otherwise each reaches its own, whose single-flight group
+	// never sees another client's request.
+	mux := http.NewServeMux()
+	var h http.Handler
+	for c := 0; c < clients; c++ {
+		if h == nil || !shared {
+			s := webservice.NewServer(ensemble(b), opts)
+			s.CacheSize = -1 // every request is cold: the dogpile worst case
+			h = s.Handler()
+		}
+		prefix := fmt.Sprintf("/c/%d", c)
+		mux.Handle(prefix+"/", http.StripPrefix(prefix, h))
+	}
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
 	body := recordBody(b, testRecord(b, 16))
 	transport := &http.Transport{MaxIdleConnsPerHost: clients}
 	client := &http.Client{Transport: transport}
@@ -152,7 +159,8 @@ func benchColdFlood(b *testing.B, coalesce bool) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				resp, err := client.Post(srv.URL+"/api/v1/diagnose", "text/plain", bytes.NewReader(body))
+				url := fmt.Sprintf("%s/c/%d/api/v1/diagnose", srv.URL, c)
+				resp, err := client.Post(url, "text/plain", bytes.NewReader(body))
 				if err != nil {
 					b.Error(err)
 					return
@@ -168,5 +176,5 @@ func benchColdFlood(b *testing.B, coalesce bool) {
 	}
 }
 
-func BenchmarkColdFloodUncoalesced(b *testing.B) { benchColdFlood(b, false) }
-func BenchmarkColdFloodCoalesced(b *testing.B)   { benchColdFlood(b, true) }
+func BenchmarkColdFloodUncoalesced(b *testing.B)  { benchColdFlood(b, false) }
+func BenchmarkColdFloodSingleFlight(b *testing.B) { benchColdFlood(b, true) }

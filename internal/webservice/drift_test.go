@@ -506,6 +506,9 @@ func TestHealthzGoldenSchema(t *testing.T) {
 	// "bool", "object"). Top-level "status" is checked separately.
 	schema := map[string]map[string]string{
 		"cache": {"hits": "number", "misses": "number", "size": "number"},
+		// batches = single-flight diagnoses run, fused = requests they
+		// answered.
+		"coalesce": {"batches": "number", "fused": "number"},
 		"joblog": {
 			"sealed_segments": "number", "bytes": "number", "records": "number",
 			"quarantined": "number", "duplicate_frames": "number",
@@ -558,5 +561,9 @@ func TestHealthzGoldenSchema(t *testing.T) {
 				t.Errorf("healthz %s.%s is %s, want %s", section, key, got, want)
 			}
 		}
+	}
+	// The one cold diagnosis above ran one flight, which answered it.
+	if co := body["coalesce"].(map[string]any); co["batches"] != 1.0 || co["fused"] != 1.0 {
+		t.Errorf("healthz coalesce = %v after one cold diagnosis, want 1 flight answering 1 request", co)
 	}
 }

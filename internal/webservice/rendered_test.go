@@ -638,11 +638,9 @@ func FuzzDiagnoseCacheTransparent(f *testing.F) {
 }
 
 // TestCoalescedMissCountedOnce: a request that misses at the handler and is
-// looked up again when its fused batch flushes is still one miss on /healthz.
+// looked up again before its flight starts is still one miss on /healthz.
 func TestCoalescedMissCountedOnce(t *testing.T) {
 	s := NewServer(ensemble(t), fastOpts())
-	s.CoalesceWindow = 20 * time.Millisecond
-	s.CoalesceMax = 16
 	h := s.Handler()
 	const jobs = 6
 	logs := make([][]byte, jobs)
@@ -660,14 +658,14 @@ func TestCoalescedMissCountedOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if _, fused := s.coal.stats(); fused != jobs {
-		t.Fatalf("coalescer served %d of %d requests", fused, jobs)
+	if _, answered := s.flights.stats(); answered != jobs {
+		t.Fatalf("flights answered %d of %d requests", answered, jobs)
 	}
 	if hits, misses := cacheStats(t, h); hits != 0 || misses != jobs {
 		t.Errorf("healthz counts %d hits / %d misses for %d distinct coalesced requests, want 0 / %d",
 			hits, misses, jobs, jobs)
 	}
-	// And a repeat of each is exactly one hit, coalescer or not.
+	// And a repeat of each is exactly one hit.
 	for _, log := range logs {
 		post(h, log)
 	}

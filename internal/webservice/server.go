@@ -140,14 +140,11 @@ type Server struct {
 	// freshly committed ensemble and its generation. Invoked single-flight
 	// from ingest; also reachable via TriggerRetrain.
 	Retrainer func(ctx context.Context) (*core.Ensemble, uint64, error)
-	// CoalesceWindow, when > 0, fuses single-job diagnose requests that
-	// arrive within the window into one DiagnoseBatch pass (duplicate jobs
-	// collapse to a single diagnosis fanned out to every caller). Set
-	// before the first request. See coalesce.go.
+	// CoalesceWindow is ignored.
+	//
+	// Deprecated: ignored since single-flight replaced the window; kept only
+	// so cmd/aiio-bench compiles until a [benchmark] PR drops it.
 	CoalesceWindow time.Duration
-	// CoalesceMax caps one fused batch (DefaultCoalesceMax when 0); a full
-	// batch dispatches without waiting out the window.
-	CoalesceMax int
 	// Drift, when non-nil, streams every durably ingested job through
 	// bounded-memory distribution sketches and rolling prediction-error
 	// tracking; a tripped detector triggers the same single-flight retrain
@@ -163,9 +160,9 @@ type Server struct {
 	// covers before the promotion is judged safe (default 200).
 	RollbackWatch int
 
-	// coalesceOnce pins the coalescer (or its absence) at first use.
-	coalesceOnce sync.Once
-	coal         *coalescer
+	// flights collapses concurrent identical cache misses into one
+	// diagnosis (see singleflight.go).
+	flights flightGroup
 
 	// watch is the live post-promotion rollback watch (nil between
 	// promotions); lifecycleMu guards the lifecycle decision history.
@@ -454,10 +451,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		hits, misses, size := c.stats()
 		body["cache"] = map[string]any{"hits": hits, "misses": misses, "size": size}
 	}
-	if co := s.coalescerIfEnabled(); co != nil {
-		batches, fused := co.stats()
-		body["coalesce"] = map[string]any{"batches": batches, "fused": fused}
-	}
+	// batches counts flights run, fused the requests they answered.
+	batches, fused := s.flights.stats()
+	body["coalesce"] = map[string]any{"batches": batches, "fused": fused}
 	if s.JobLog != nil {
 		st := s.JobLog.Stats()
 		body["joblog"] = map[string]any{
@@ -796,10 +792,9 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	// Diagnose against a lock-free snapshot so a concurrent model upload
 	// (write lock) never stalls behind, or waits on, in-flight SHAP work.
 	ens, opts, version := s.snapshot()
-	var key string
+	key := cacheKey(version, rec)
 	var diag *core.Diagnosis
 	if cache != nil {
-		key = cacheKey(version, rec)
 		// The same job in another spelling lands here: a frozen entry still
 		// answers it without the advisor.
 		d, rendered, ok := cache.lookup(key)
@@ -815,61 +810,31 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	secondTouch := diag != nil
 	var open []string
 	var allowed *core.Ensemble
-	switch {
-	case diag != nil:
-	case s.coalescerIfEnabled() != nil:
-		// Micro-batch path: park behind the coalescer; the fused batch
-		// does the snapshotting, breaker partition, outcome accounting,
-		// and cache fills (runCoalesced).
-		res, err := s.coal.submit(r.Context(), rec)
-		if err != nil {
+	if diag == nil {
+		// A miss: join the flight already diagnosing this job under this
+		// model set, or start one (singleflight.go).
+		res := s.flights.do(r.Context(), key, cache, func(ctx context.Context) flightResult {
+			return s.diagnoseFlight(ctx, ens, opts, rec, key, cache)
+		})
+		if res.err != nil {
 			switch {
-			case errors.Is(err, errAllBreakersOpen):
+			case errors.Is(res.err, errAllBreakersOpen):
 				s.writeBreakerOpen(w)
 			case r.Context().Err() != nil:
-				s.writeUnavailable(w, err)
+				s.writeUnavailable(w, res.err)
 			default:
-				httpError(w, http.StatusInternalServerError, fmt.Sprintf("diagnose: %v", err))
+				httpError(w, http.StatusInternalServerError, fmt.Sprintf("diagnose: %v", res.err))
 			}
 			return
 		}
 		diag, allowed, open = res.diag, res.allowed, res.open
-		w.Header().Set("X-AIIO-Coalesced", strconv.Itoa(res.batched))
-		if cache != nil {
-			if res.fromCache {
-				w.Header().Set("X-AIIO-Cache", "hit")
-			} else if len(open) == 0 {
+		if res.fromCache {
+			w.Header().Set("X-AIIO-Cache", "hit")
+		} else {
+			w.Header().Set("X-AIIO-Coalesced", strconv.Itoa(res.answered))
+			if cache != nil && len(open) == 0 {
 				w.Header().Set("X-AIIO-Cache", "miss")
 			}
-		}
-	default:
-		var openNow []string
-		allowed, openNow = s.applyBreakers(ens)
-		open = openNow
-		if len(allowed.Models) == 0 {
-			s.writeBreakerOpen(w)
-			return
-		}
-		var err error
-		diag, err = allowed.DiagnoseContext(r.Context(), rec, opts)
-		if err != nil {
-			if r.Context().Err() != nil {
-				s.writeUnavailable(w, err)
-				return
-			}
-			// A non-cancellation diagnosis error means every allowed model
-			// failed; the breakers must hear about it or they never open.
-			s.recordAllFailures(allowed)
-			httpError(w, http.StatusInternalServerError, fmt.Sprintf("diagnose: %v", err))
-			return
-		}
-		s.recordOutcomes(allowed, diag)
-		// A result computed with breaker-open models excluded is partial:
-		// caching it would keep serving the degraded answer after the
-		// breakers close, so only full-ensemble results are cached.
-		if cache != nil && len(open) == 0 {
-			cache.put(key, diag)
-			w.Header().Set("X-AIIO-Cache", "miss")
 		}
 	}
 	resp := buildResponse(diag)
