@@ -97,7 +97,8 @@ func BenchmarkDiagnoseBatch(b *testing.B) {
 // BenchmarkPredictBatchPerFamily isolates each model family's flattened
 // batch-inference path over the full fixture frame, outside the SHAP loop.
 // This is the kernel-level view behind BENCH_inference.json: gbdt rides the
-// flat SoA tree walk, mlp and tabnet the paired GemvT2/fused-GLU pass.
+// flat SoA tree walk, mlp and tabnet the packed linalg.Dense kernel (and
+// tabnet the fused GLU).
 func BenchmarkPredictBatchPerFamily(b *testing.B) {
 	frame, ens, _ := fixture(b)
 	for _, m := range ens.Models {

@@ -1,0 +1,156 @@
+package linalg
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// TestDenseKernelBodiesBitwise pins Dense.Forward's contract: every kernel
+// body this CPU can run — zmm (AVX-512), ymm (AVX2) and the portable
+// math.FMA loop — produces the same bits, on shapes with In and Out tails
+// and row counts not divisible by four, for rows anywhere in the block,
+// and leaves the stride gap between dst rows alone. It also logs which
+// body init installed, so a CI log shows the runner's ISA.
+func TestDenseKernelBodiesBitwise(t *testing.T) {
+	t.Logf("Dense.Forward body installed by init: %s", denseKernel.name)
+	have := map[string]bool{}
+	for _, b := range denseBodies {
+		have[b.name] = true
+	}
+	for _, name := range []string{"zmm", "ymm"} {
+		if !have[name] {
+			t.Logf("body %s: not supported by this CPU, skipped", name)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(29))
+	shapes := [][2]int{{1, 1}, {1, 8}, {3, 7}, {8, 16}, {9, 17}, {45, 90}, {90, 89}, {89, 69},
+		{69, 49}, {49, 29}, {29, 9}, {9, 1}, {8, 45}, {16, 32}, {45, 32}, {5, 24}, {13, 40}}
+	for _, sh := range shapes {
+		in, out := sh[0], sh[1]
+		w := randVec(rng, in*out)
+		bias := randVec(rng, out)
+		d := NewDense(in, out)
+		d.Pack(w, bias)
+		for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13} {
+			xStride := in + rng.Intn(3)
+			dstStride := d.OutPad + 8*rng.Intn(2)
+			x := randVec(rng, (rows-1)*xStride+in)
+			want := make([]float64, (rows-1)*dstStride+d.OutPad)
+			denseGo(d, want, dstStride, x, xStride, rows)
+
+			// The portable body against a plain per-output FMA chain.
+			for r := 0; r < rows; r++ {
+				for o := 0; o < out; o++ {
+					acc := bias[o]
+					for i := 0; i < in; i++ {
+						acc = math.FMA(x[r*xStride+i], w[o*in+i], acc)
+					}
+					if got := want[r*dstStride+o]; got != acc {
+						t.Fatalf("%dx%d rows=%d: go-fma [%d][%d] = %v, chain %v", in, out, rows, r, o, got, acc)
+					}
+				}
+				for o := out; o < d.OutPad; o++ {
+					if v := want[r*dstStride+o]; v != 0 {
+						t.Fatalf("%dx%d rows=%d: padding output [%d][%d] = %v, want 0", in, out, rows, r, o, v)
+					}
+				}
+			}
+
+			for _, b := range denseBodies {
+				const gap = -7.0
+				got := make([]float64, len(want))
+				for i := range got {
+					got[i] = gap
+				}
+				b.run(d, got, dstStride, x, xStride, rows)
+				for r := 0; r < rows; r++ {
+					for o := 0; o < d.OutPad; o++ {
+						if g, e := got[r*dstStride+o], want[r*dstStride+o]; math.Float64bits(g) != math.Float64bits(e) {
+							t.Fatalf("%dx%d rows=%d: %s [%d][%d] = %v, go-fma %v", in, out, rows, b.name, r, o, g, e)
+						}
+					}
+					for o := d.OutPad; o < dstStride && r < rows-1; o++ {
+						if g := got[r*dstStride+o]; g != gap {
+							t.Fatalf("%dx%d rows=%d: %s wrote %v into row %d's stride gap", in, out, rows, b.name, g, r)
+						}
+					}
+				}
+			}
+
+			// Row independence: each row alone gives the same bits as in
+			// the block, whatever its position.
+			one := make([]float64, d.OutPad)
+			for r := 0; r < rows; r++ {
+				d.Forward(one, d.OutPad, x[r*xStride:r*xStride+in], in, 1)
+				for o := range one {
+					if math.Float64bits(one[o]) != math.Float64bits(want[r*dstStride+o]) {
+						t.Fatalf("%dx%d rows=%d: row %d alone [%d] = %v, in block %v", in, out, rows, r, o, one[o], want[r*dstStride+o])
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDenseForward runs the default MLP's seven layers (45 → 90 → 89 →
+// 69 → 49 → 29 → 9 → 1) over a 256-row block on every body this CPU has,
+// against the two-row GemvT2 path the models used before the packed
+// kernel. ns/row is the figure to compare.
+func BenchmarkDenseForward(b *testing.B) {
+	dims := []int{45, 90, 89, 69, 49, 29, 9, 1}
+	const rows = 256
+	rng := rand.New(rand.NewSource(31))
+	type layer struct {
+		w, bias []float64
+		d       *Dense
+	}
+	layers := make([]layer, len(dims)-1)
+	for l := range layers {
+		in, out := dims[l], dims[l+1]
+		w, bias := randVec(rng, in*out), randVec(rng, out)
+		d := NewDense(in, out)
+		d.Pack(w, bias)
+		layers[l] = layer{w, bias, d}
+	}
+	x := randVec(rng, rows*dims[0])
+	bufs := [2][]float64{make([]float64, rows*96), make([]float64, rows*96)}
+	for _, body := range denseBodies {
+		b.Run(body.name, func(b *testing.B) {
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				h, stride := x, dims[0]
+				for l, ly := range layers {
+					body.run(ly.d, bufs[l&1], ly.d.OutPad, h, stride, rows)
+					h, stride = bufs[l&1], ly.d.OutPad
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
+	}
+	b.Run("gemvT2", func(b *testing.B) {
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			h, stride := x, dims[0]
+			for l, ly := range layers {
+				in, out := dims[l], dims[l+1]
+				dst := bufs[l&1]
+				for r := 0; r+1 < rows; r += 2 {
+					GemvT2(dst[r*out:(r+1)*out], dst[(r+1)*out:(r+2)*out], ly.w, out, in,
+						h[r*stride:r*stride+in], h[(r+1)*stride:(r+1)*stride+in], ly.bias)
+				}
+				h, stride = dst, out
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+	})
+}
+
+func randVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}

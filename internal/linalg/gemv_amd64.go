@@ -6,6 +6,15 @@ package linalg
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
+// denseZMM and denseYMM are the AVX-512 and AVX2 bodies of Dense.Forward
+// (dense_amd64.s).
+//
+//go:noescape
+func denseZMM(dst, x, wt, bias *float64, in, outPad, blocks, xStep, xPair, dstStep, dstPair int)
+
+//go:noescape
+func denseYMM(dst, x, wt, bias *float64, in, outPad, blocks, xStep, xPair, dstStep, dstPair int)
+
 //go:noescape
 func gemvTAVX(dst, w, x *float64, inDim, outDim int, bias *float64)
 
@@ -70,7 +79,9 @@ func adamStepAVX(w, m, v, grad *float64, n int, consts *float64)
 func dropoutApplyAVX(x, mask, u *float64, keep, invKeep float64, n int)
 
 // init installs the AVX2+FMA micro-kernels when the CPU and OS support
-// them (AVX2 + FMA3 instruction sets, YMM state enabled via XGETBV).
+// them (AVX2 + FMA3 instruction sets, YMM state enabled via XGETBV), and
+// on top of them the AVX-512 Dense.Forward body when the CPU has AVX512F
+// and the OS saves the opmask and all 32 ZMM registers (XCR0 bits 5–7).
 // Without support, the kernel pointers stay nil and the portable scalar
 // paths run.
 func init() {
@@ -83,17 +94,29 @@ func init() {
 		osxsave = 1 << 27
 		avx     = 1 << 28
 		avx2    = 1 << 5
+		avx512f = 1 << 16
+		// XCR0: SSE and AVX state (bits 1–2), plus opmask, ZMM_Hi256 and
+		// Hi16_ZMM state (bits 5–7) for AVX-512.
+		xcr0AVX    = 0x06
+		xcr0AVX512 = 0xE6
 	)
 	_, _, c1, _ := cpuidex(1, 0)
 	if c1&fma == 0 || c1&osxsave == 0 || c1&avx == 0 {
 		return
 	}
-	if lo, _ := xgetbv0(); lo&6 != 6 {
+	xcr0, _ := xgetbv0()
+	if xcr0&xcr0AVX != xcr0AVX {
 		return
 	}
-	if _, b7, _, _ := cpuidex(7, 0); b7&avx2 == 0 {
+	_, b7, _, _ := cpuidex(7, 0)
+	if b7&avx2 == 0 {
 		return
 	}
+	denseBodies = append(denseBodies, denseBody{name: "ymm", run: blocked(denseYMM)})
+	if b7&avx512f != 0 && xcr0&xcr0AVX512 == xcr0AVX512 {
+		denseBodies = append(denseBodies, denseBody{name: "zmm", run: blocked(denseZMM)})
+	}
+	denseKernel = denseBodies[len(denseBodies)-1]
 	gemvTKernel = gemvTAVX
 	gemvT2Kernel = gemvT2AVX
 	gluKernel = gluAVX

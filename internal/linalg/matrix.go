@@ -156,32 +156,6 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// MulT computes a*bᵀ: a is n×k, bt is m×k (each row of bt is one output
-// "unit"), and the result is n×m. This is the dense-layer product shape
-// (x·Wᵀ for row-major-by-output weights) and runs on the tiled GemvT
-// kernel.
-func MulT(a, bt *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, bt.Rows)
-	return MulTInto(out, a, bt, nil)
-}
-
-// MulTInto computes dst = a*bᵀ (+ bias broadcast per row when bias is
-// non-nil) without allocating. dst must be a.Rows x bt.Rows.
-func MulTInto(dst, a, bt *Matrix, bias []float64) *Matrix {
-	if a.Cols != bt.Cols {
-		panic(fmt.Sprintf("linalg: MulT dimension mismatch %dx%d * (%dx%d)ᵀ", a.Rows, a.Cols, bt.Rows, bt.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != bt.Rows {
-		panic(fmt.Sprintf("linalg: MulTInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, bt.Rows))
-	}
-	parallelRows(a.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			GemvT(dst.Row(i), bt.Data, bt.Rows, bt.Cols, a.Row(i), bias)
-		}
-	})
-	return dst
-}
-
 // The vector micro-kernels. On amd64 with AVX2+FMA support the init in
 // gemv_amd64.go installs the assembly versions; nil means the portable
 // scalar paths run instead.
@@ -277,7 +251,9 @@ func GemvT(out, w []float64, outDim, inDim int, x, bias []float64) {
 // per pair (two FMAs per ymm weight load instead of one), which is the
 // main win when the weight matrix does not fit in L1; each output is
 // computed in the same operation order as the single-row kernel, so the
-// results are bitwise identical to two GemvT calls.
+// results are bitwise identical to two GemvT calls. Its one caller is the
+// mlp training forward (mlp/backprop.go), which keeps this arithmetic so
+// trained weights do not move; inference runs on Dense.Forward.
 func GemvT2(out0, out1, w []float64, outDim, inDim int, x0, x1, bias []float64) {
 	if gemvT2Kernel == nil || inDim < 4 || outDim < 4 {
 		GemvT(out0, w, outDim, inDim, x0, bias)

@@ -102,9 +102,38 @@ type Model struct {
 	invOnce  sync.Once
 	invStd   []float64
 	stdShift []float64
+	// packed holds the dense layers in the linalg.Dense inference layout,
+	// built once on first use: a trained model's weights never change.
+	// Training never reads it — its per-epoch evaluations re-pack the
+	// current weights into their own layers (see train).
+	packOnce sync.Once
+	packed   []*linalg.Dense
 	// scratch pools per-worker forward buffers so batch inference reuses
 	// activation matrices instead of allocating per dense layer per shard.
 	scratch sync.Pool
+}
+
+// layers returns the model's packed inference layers, building them on the
+// first call.
+func (m *Model) layers() []*linalg.Dense {
+	m.packOnce.Do(func() { m.packed = packLayers(nil, m.Dense) })
+	return m.packed
+}
+
+// packLayers packs ds into the linalg.Dense layout, reusing dst's layers
+// when it already holds them (training re-packs into the same storage every
+// epoch).
+func packLayers(dst []*linalg.Dense, ds []DenseState) []*linalg.Dense {
+	if len(dst) != len(ds) {
+		dst = make([]*linalg.Dense, len(ds))
+		for l := range ds {
+			dst[l] = linalg.NewDense(ds[l].In, ds[l].Out)
+		}
+	}
+	for l := range ds {
+		dst[l].Pack(ds[l].W, ds[l].B)
+	}
+	return dst
 }
 
 // inputInvStd returns the cached per-column reciprocal of Std. Entries that
@@ -131,11 +160,11 @@ func (m *Model) inputInvStd() []float64 {
 }
 
 // fwdScratch is one worker's reusable forward-pass state: the standardized
-// input block, two ping-pong activation matrices, and the per-call fused
-// BN scale/shift vectors.
+// input block, two ping-pong activation blocks (rows × a layer's OutPad),
+// and the per-call fused BN scale/shift vectors.
 type fwdScratch struct {
 	xs           linalg.Matrix
-	ping, pong   linalg.Matrix
+	ping, pong   []float64
 	scale, shift []float64
 }
 
@@ -284,13 +313,24 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 		evalXS = m.standardize(evalX)
 	}
 
+	// Evaluations run on the packed inference kernel over the weights as
+	// they are at that moment: evalLayers re-packs them into one set of
+	// training-owned layers before every use, so no evaluation reads an
+	// earlier epoch's weights, and m's own lazily built pack stays unbuilt
+	// until the finished model is first asked for a prediction.
+	var evalPack []*linalg.Dense
+	evalLayers := func() []*linalg.Dense {
+		evalPack = packLayers(evalPack, m.Dense)
+		return evalPack
+	}
+
 	best := math.Inf(1)
 	sinceBest := 0
 	var snapshot *Model
 	if prev != nil && evalXS != nil {
 		// The warm seed is already a working model: score it before the
 		// first epoch so early stopping restores it if no epoch improves.
-		best = rmseSlices(m.predictStandardized(evalXS), evalY)
+		best = rmseSlices(m.predictStandardized(evalXS, evalLayers()), evalY)
 		m.BestEpoch = -1
 		snapshot = m.cloneWeights()
 	}
@@ -336,9 +376,10 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 			}
 		}
 
-		m.TrainLoss = append(m.TrainLoss, m.rmseStandardized(xs, ys))
+		layers := evalLayers()
+		m.TrainLoss = append(m.TrainLoss, m.rmseStandardized(xs, ys, layers))
 		if evalXS != nil {
-			e := rmseSlices(m.predictStandardized(evalXS), evalY)
+			e := rmseSlices(m.predictStandardized(evalXS, layers), evalY)
 			m.EvalLoss = append(m.EvalLoss, e)
 			if e < best-1e-12 {
 				best = e
@@ -645,51 +686,45 @@ func (m *Model) trainStep(xb *linalg.Matrix, yb []float64, grads [][]float64,
 	}
 }
 
-// predictStandardized runs inference on already-standardized inputs,
-// returning predictions in the original target scale.
-func (m *Model) predictStandardized(xs *linalg.Matrix) []float64 {
+// predictStandardized runs inference on already-standardized inputs with
+// the given packed layers, returning predictions in the original target
+// scale.
+func (m *Model) predictStandardized(xs *linalg.Matrix, layers []*linalg.Dense) []float64 {
 	out := make([]float64, xs.Rows)
 	sc := m.getScratch()
-	m.forwardStandardized(xs, out, sc)
+	m.forwardStandardized(xs, out, sc, layers)
 	m.putScratch(sc)
 	return out
 }
 
 // forwardStandardized runs the eval forward pass over the standardized
 // block xs using one worker's scratch buffers, writing target-scale
-// predictions into out (len(out) == xs.Rows). Dense layers run on the
-// tiled linalg.MulTInto kernel; activations ping-pong between the two
-// scratch matrices so the pass allocates nothing in steady state. xs is
-// not modified.
-func (m *Model) forwardStandardized(xs *linalg.Matrix, out []float64, sc *fwdScratch) {
+// predictions into out (len(out) == xs.Rows). Every dense layer is one
+// linalg.Dense.Forward call over the whole block; activations ping-pong
+// between the two scratch blocks, each row OutPad wide, so the pass
+// allocates nothing in steady state. Each output is bitwise independent of
+// the block's size and of its row's position in it. xs is not modified.
+func (m *Model) forwardStandardized(xs *linalg.Matrix, out []float64, sc *fwdScratch, layers []*linalg.Dense) {
 	nHidden := len(m.Config.Hidden)
-	h := xs
-	bufs := [2]*linalg.Matrix{&sc.ping, &sc.pong}
-	which := 0
-	for l := 0; l <= nHidden; l++ {
-		d := &m.Dense[l]
-		dst := reshape(bufs[which], h.Rows, d.Out)
-		which ^= 1
+	rows := xs.Rows
+	h, stride := xs.Data, xs.Cols
+	bufs := [2]*[]float64{&sc.ping, &sc.pong}
+	for l, d := range layers {
 		// Rows run sequentially here: callers already shard batches across
-		// the worker pool, so the nested parallelism of MulTInto would only
-		// oversubscribe the cores.
-		i := 0
-		for ; i+1 < h.Rows; i += 2 {
-			// Row pairs share one pass over the layer weights (two FMAs
-			// per weight load); outputs are bitwise identical to the
-			// one-row-at-a-time kernel.
-			linalg.GemvT2(dst.Row(i), dst.Row(i+1), d.W, d.Out, d.In, h.Row(i), h.Row(i+1), d.B)
+		// the worker pool.
+		n := rows * d.OutPad
+		if buf := bufs[l&1]; cap(*buf) < n {
+			*buf = make([]float64, n)
 		}
-		for ; i < h.Rows; i++ {
-			linalg.GemvT(dst.Row(i), d.W, d.Out, d.In, h.Row(i), d.B)
-		}
-		h = dst
+		dst := (*bufs[l&1])[:n]
+		d.Forward(dst, d.OutPad, h, stride, rows)
+		h, stride = dst, d.OutPad
 		if l == nHidden {
 			break
 		}
 		if l > 0 {
 			// Fold eval-mode BN into one scale/shift pair per column, then
-			// apply it fused with the ReLU in a single pass over the block.
+			// apply it fused with the ReLU in a single pass over each row.
 			bn := &m.BN[l-1]
 			if cap(sc.scale) < bn.Dim {
 				sc.scale = make([]float64, bn.Dim)
@@ -702,20 +737,22 @@ func (m *Model) forwardStandardized(xs *linalg.Matrix, out []float64, sc *fwdScr
 				scale[j] = s
 				shift[j] = bn.Beta[j] - bn.Mean[j]*s
 			}
-			for i := 0; i < h.Rows; i++ {
-				linalg.ScaleShiftReLU(h.Row(i), scale, shift)
+			for i := 0; i < rows; i++ {
+				linalg.ScaleShiftReLU(h[i*stride:i*stride+d.Out], scale, shift)
 			}
 		} else {
-			linalg.ReLU(h.Data)
+			// The padding columns hold zeros; rectifying them too keeps
+			// this one call over the block.
+			linalg.ReLU(h)
 		}
 	}
 	for i := range out {
-		out[i] = h.Data[i]*m.YStd + m.YMean
+		out[i] = h[i*stride]*m.YStd + m.YMean
 	}
 }
 
-func (m *Model) rmseStandardized(xs *linalg.Matrix, ys []float64) float64 {
-	pred := m.predictStandardized(xs)
+func (m *Model) rmseStandardized(xs *linalg.Matrix, ys []float64, layers []*linalg.Dense) float64 {
+	pred := m.predictStandardized(xs, layers)
 	s := 0.0
 	for i := range ys {
 		d := (pred[i]-m.YMean)/m.YStd - ys[i]
@@ -742,7 +779,7 @@ func (m *Model) Predict(x []float64) float64 {
 	inv := m.inputInvStd()
 	linalg.ScaleShiftInto(xs.Data, x, inv, m.stdShift)
 	var out [1]float64
-	m.forwardStandardized(xs, out[:], sc)
+	m.forwardStandardized(xs, out[:], sc, m.layers())
 	m.putScratch(sc)
 	return out[0]
 }
@@ -754,14 +791,15 @@ const predictParallelMinRows = 64
 // PredictBatch predicts every row of x, sharding large batches (SHAP
 // coalition matrices, evaluation frames) across the bounded worker pool.
 // Rows are independent at inference time (batch norm uses running
-// statistics), so the sharded result is bitwise-identical to a sequential
-// pass.
+// statistics), so every row is bitwise identical to Predict on it, however
+// the batch is sharded.
 func (m *Model) PredictBatch(x *linalg.Matrix) []float64 {
 	out := make([]float64, x.Rows)
+	layers := m.layers()
 	if x.Rows < predictParallelMinRows {
 		sc := m.getScratch()
 		xs := m.standardizeInto(&sc.xs, x)
-		m.forwardStandardized(xs, out, sc)
+		m.forwardStandardized(xs, out, sc, layers)
 		m.putScratch(sc)
 		return out
 	}
@@ -769,7 +807,7 @@ func (m *Model) PredictBatch(x *linalg.Matrix) []float64 {
 		sc := m.getScratch()
 		sub := &linalg.Matrix{Rows: hi - lo, Cols: x.Cols, Data: x.Data[lo*x.Cols : hi*x.Cols]}
 		xs := m.standardizeInto(&sc.xs, sub)
-		m.forwardStandardized(xs, out[lo:hi], sc)
+		m.forwardStandardized(xs, out[lo:hi], sc, layers)
 		m.putScratch(sc)
 	})
 	return out

@@ -71,7 +71,8 @@ func TestInferenceParityWithReference(t *testing.T) {
 	if d := maxRelDiff(got, want); d > 1e-9 {
 		t.Errorf("PredictBatch deviates from reference path by %g (> 1e-9)", d)
 	}
-	// Odd row counts exercise the unpaired-row tail of the 2-row kernel.
+	// A row count that is not a multiple of four exercises the kernel's
+	// row-tail block.
 	sub := &linalg.Matrix{Rows: 7, Cols: x.Cols, Data: x.Data[:7*x.Cols]}
 	got7 := m.PredictBatch(sub)
 	if d := maxRelDiff(got7, want[:7]); d > 1e-9 {

@@ -10,7 +10,7 @@ import (
 
 // TestInferenceParityWithTrainingPath pins the flattened inference path
 // (transposed-shared axpy walk, vectorized sparsemax scan, fused GLU and
-// paired shared pass) against forwardSample, the allocation-per-call
+// packed dense layers) against forwardSample, the allocation-per-call
 // training forward that serves as the reference implementation.
 func TestInferenceParityWithTrainingPath(t *testing.T) {
 	x, y := synth(300, 8, 17)
@@ -27,7 +27,7 @@ func TestInferenceParityWithTrainingPath(t *testing.T) {
 		want[i] = m.forwardSample(xs.Row(i), nil)*m.YStd + m.YMean
 	}
 
-	for _, rows := range []int{x.Rows, 7, 1} { // even batch, odd tail, single
+	for _, rows := range []int{x.Rows, 7, 1} { // full blocks, a 3-row tail, single
 		sub := &linalg.Matrix{Rows: rows, Cols: x.Cols, Data: x.Data[:rows*x.Cols]}
 		got := m.PredictBatch(sub)
 		for i := range got {

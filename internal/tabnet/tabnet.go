@@ -144,6 +144,10 @@ type Model struct {
 	invOnce  sync.Once
 	invStd   []float64
 	stdShift []float64
+	// packed holds the dense layers in the linalg.Dense inference layout,
+	// built once on first use (see layers).
+	packOnce sync.Once
+	packed   *packed
 	// scratch pools per-worker inference buffers (see infScratch).
 	scratch sync.Pool
 }
@@ -388,17 +392,54 @@ func (m *Model) forwardSample(x []float64, caches *[]stepCache) float64 {
 	return out[0]
 }
 
-// infScratch is one worker's reusable inference state: every intermediate
-// vector of the cache-free forward pass plus, on the scratch that owns the
-// batch call, the standardized input block and the shared-layer transpose.
+// packed holds a model's dense layers in the linalg.Dense inference layout.
+// The shared layer's WT is also the In × OutPad transpose of Shared.W that
+// the masked shared pass walks one selected feature at a time (Row(i)), so
+// the shared weights exist once in the inference layout.
+type packed struct {
+	shared    *linalg.Dense
+	att, step []*linalg.Dense
+}
+
+// pack packs the current weights into pk's layers, allocating them when pk
+// is nil, and returns pk.
+func (m *Model) pack(pk *packed) *packed {
+	if pk == nil {
+		pk = &packed{shared: linalg.NewDense(m.Shared.In, m.Shared.Out)}
+		for s := range m.StepFC {
+			pk.att = append(pk.att, linalg.NewDense(m.AttFC[s].In, m.AttFC[s].Out))
+			pk.step = append(pk.step, linalg.NewDense(m.StepFC[s].In, m.StepFC[s].Out))
+		}
+	}
+	pk.shared.Pack(m.Shared.W, m.Shared.B)
+	for s := range pk.att {
+		pk.att[s].Pack(m.AttFC[s].W, m.AttFC[s].B)
+		pk.step[s].Pack(m.StepFC[s].W, m.StepFC[s].B)
+	}
+	return pk
+}
+
+// layers returns the model's packed inference layers, building them on the
+// first call: a trained model's weights never change. Training never reads
+// them — its evaluations re-pack the current weights into their own layers
+// (see train).
+func (m *Model) layers() *packed {
+	m.packOnce.Do(func() { m.packed = m.pack(nil) })
+	return m.packed
+}
+
+// rowState is one row's step-loop state. logits, a, hb and z2 are views of
+// the row's slot in its scratch's four-row blocks, which the packed
+// per-step layers read and write for every row of a block in one call; the
+// rest is the row's own.
 type rowState struct {
-	z        []float64 // 2H pre-activation
-	hb       []float64 // H shared GLU output
-	z2       []float64 // 2H step pre-activation
+	logits   []float64 // attention logits (AttFC output), NumFeatures
+	a        []float64 // attention features (AttFC input)
+	hb       []float64 // H shared GLU output (StepFC input)
+	z2       []float64 // 2H step pre-activation (StepFC output)
+	z        []float64 // 2H masked shared-pass pre-activation
 	hs       []float64 // H step GLU output
-	a        []float64 // attention features
 	agg      []float64 // aggregated decisions
-	logits   []float64
 	prior    []float64
 	cand     []float64 // sparsemax candidate buffer (descending values)
 	candIdx  []int32   // sparsemax candidate indices, ascending
@@ -406,12 +447,15 @@ type rowState struct {
 	supPrior []float64 // decayed prior values for the support indices
 }
 
+// infScratch is one worker's reusable inference state: the standardized
+// input block (Predict and PredictBatch), the initial shared-pass outputs of
+// a shard, the four-row blocks behind the rows' layer inputs and outputs,
+// and the four rows' own state.
 type infScratch struct {
-	xs      linalg.Matrix // standardized input block (batch owner only)
-	r0, r1  rowState      // per-row forward state (r1 only for paired rows)
-	z0a     []float64     // paired initial shared-pass outputs (even row)
-	z0b     []float64     // paired initial shared-pass outputs (odd row)
-	sharedT []float64     // In x Out transpose of Shared.W (batch owner only)
+	xs                linalg.Matrix
+	z0                []float64 // rows × shared.OutPad
+	logits, a, hb, z2 []float64 // four rows each, strided per layer
+	rows              [4]rowState
 }
 
 func (m *Model) getScratch() *infScratch {
@@ -445,23 +489,31 @@ func reshapeMat(m *linalg.Matrix, rows, cols int) *linalg.Matrix {
 	return m
 }
 
-// sharedTranspose rebuilds buf as the In x Out transpose of Shared.W so
-// the masked shared pass can add one contiguous row per selected feature.
-// It is rebuilt per batch call rather than cached on the model because
-// training mutates the weights between epochs.
-func (m *Model) sharedTranspose(buf []float64) []float64 {
-	in, out := m.Shared.In, m.Shared.Out
-	if cap(buf) < in*out {
-		buf = make([]float64, in*out)
+// bind sizes sc for the packed layers pk and points each row slot's views
+// into the four-row blocks: row k of a block sits at k times the stride of
+// the layer that reads (a, hb) or writes (logits, z2) it.
+func (m *Model) bind(sc *infScratch, pk *packed) {
+	nf, d, na := m.NumFeatures, m.Config.DecisionDim, m.Config.AttentionDim
+	h := d + na
+	var ls, zs int
+	if len(pk.att) > 0 {
+		ls, zs = pk.att[0].OutPad, pk.step[0].OutPad
 	}
-	buf = buf[:in*out]
-	for o := 0; o < out; o++ {
-		row := m.Shared.W[o*in : (o+1)*in]
-		for i, w := range row {
-			buf[i*out+o] = w
-		}
+	logits := resize(&sc.logits, 4*ls)
+	a := resize(&sc.a, 4*na)
+	hb := resize(&sc.hb, 4*h)
+	z2 := resize(&sc.z2, 4*zs)
+	for k := range sc.rows {
+		rs := &sc.rows[k]
+		rs.logits = logits[k*ls : k*ls+nf]
+		rs.a = a[k*na : (k+1)*na]
+		rs.hb = hb[k*h : (k+1)*h]
+		rs.z2 = z2[k*zs : k*zs+2*h]
+		resize(&rs.z, 2*h)
+		resize(&rs.hs, h)
+		resize(&rs.agg, d)
+		resize(&rs.prior, nf)
 	}
-	return buf
 }
 
 // gluInto writes the GLU of z (halves u, v -> u ⊙ σ(v)) into out through
@@ -471,42 +523,74 @@ func gluInto(out, z []float64) {
 	linalg.GLUInto(out, z[:h], z[h:])
 }
 
-// forwardInference is the cache-free forward pass over one standardized
-// row, the hot path of batch diagnosis. It differs from forwardSample in
-// three ways: all intermediates live in the worker's scratch (zero
-// steady-state allocations), dense layers run on the tiled linalg.GemvT
-// kernel, and the masked shared pass exploits sparsemax sparsity — the
-// mask typically keeps a handful of the features, so x·Wᵀ collapses to a
-// few contiguous axpys over sharedT (the In x Out transpose of Shared.W).
-// Outputs agree with forwardSample to float rounding (see the parity
-// tests), not bitwise: summation orders differ.
-func (m *Model) forwardInference(x []float64, sharedT []float64, rs *rowState) float64 {
-	h2 := 2 * (m.Config.DecisionDim + m.Config.AttentionDim)
-	z := resize(&rs.z, h2)
-	linalg.GemvT(z, m.Shared.W, h2, m.NumFeatures, x, m.Shared.B)
-	return m.forwardInferenceZ(x, z, sharedT, rs)
+// forwardRows is the cache-free forward pass over rows lo..hi of the
+// standardized block xs, the hot path of batch diagnosis, writing
+// target-scale predictions into out (len hi-lo). It differs from
+// forwardSample in three ways: all intermediates live in the worker's
+// scratch (zero steady-state allocations); dense layers run on the packed
+// linalg.Dense kernel — the initial shared pass as one call over the whole
+// range, then the step loop walking four rows in lockstep so each per-step
+// layer is one call per four rows; and the masked shared pass exploits
+// sparsemax sparsity — the mask typically keeps a handful of the features,
+// so x·Wᵀ collapses to a few contiguous axpys over rows of the packed
+// shared weights. Outputs agree with forwardSample to float rounding (see
+// the parity tests), not bitwise: summation orders differ. Each prediction
+// is bitwise independent of lo, hi and where its row falls in a block.
+func (m *Model) forwardRows(xs *linalg.Matrix, lo, hi int, out []float64, pk *packed, sc *infScratch) {
+	n, cols := hi-lo, xs.Cols
+	m.bind(sc, pk)
+	zs := pk.shared.OutPad
+	z0 := resize(&sc.z0, n*zs)
+	x := xs.Data[lo*cols : hi*cols]
+	pk.shared.Forward(z0, zs, x, cols, n)
+	for b := 0; b < n; b += 4 {
+		k := min(4, n-b)
+		m.forwardBlock(x[b*cols:], cols, z0[b*zs:], zs, out[b:b+k], pk, sc)
+	}
+}
+
+// forwardBlock walks len(out) ≤ 4 rows (x and their shared-pass outputs z0,
+// at strides cols and zs) through the step loop in lockstep. The attention
+// and step layers run once per step for the whole block; the sparsemax
+// projection and the sparse masked shared pass stay per row, because what
+// they touch depends on each row's support.
+func (m *Model) forwardBlock(x []float64, cols int, z0 []float64, zs int, out []float64, pk *packed, sc *infScratch) {
+	k := len(out)
+	nf, na := m.NumFeatures, m.Config.AttentionDim
+	h := m.Config.DecisionDim + na
+	for r := 0; r < k; r++ {
+		m.stepStart(z0[r*zs:r*zs+2*h], &sc.rows[r])
+	}
+	for s := 0; s < m.Config.Steps; s++ {
+		att := pk.att[s]
+		att.Forward(sc.logits, att.OutPad, sc.a, na, k)
+		for r := 0; r < k; r++ {
+			m.stepMask(x[r*cols:r*cols+nf], pk.shared, &sc.rows[r])
+		}
+		fc := pk.step[s]
+		fc.Forward(sc.z2, fc.OutPad, sc.hb, h, k)
+		for r := 0; r < k; r++ {
+			m.stepFinish(&sc.rows[r])
+		}
+	}
+	for r := 0; r < k; r++ {
+		y := linalg.Dot(m.Out.W, sc.rows[r].agg) + m.Out.B[0]
+		out[r] = y*m.YStd + m.YMean
+	}
 }
 
 // stepStart initializes a row's forward state from its shared-pass output.
 func (m *Model) stepStart(z0 []float64, rs *rowState) {
 	d := m.Config.DecisionDim
 	h := d + m.Config.AttentionDim
-	hb := resize(&rs.hb, h)
-	gluInto(hb, z0)
-	a := resize(&rs.a, m.Config.AttentionDim)
-	copy(a, hb[d:h])
-	agg := resize(&rs.agg, d)
-	for i := range agg {
-		agg[i] = 0
+	gluInto(rs.hb, z0)
+	copy(rs.a, rs.hb[d:h])
+	for i := range rs.agg {
+		rs.agg[i] = 0
 	}
-	prior := resize(&rs.prior, m.NumFeatures)
-	for i := range prior {
-		prior[i] = 1
+	for i := range rs.prior {
+		rs.prior[i] = 1
 	}
-	resize(&rs.logits, m.NumFeatures)
-	resize(&rs.z, 2*h)
-	resize(&rs.z2, 2*h)
-	resize(&rs.hs, h)
 }
 
 // stepMask runs one row's attentive-transformer half step: sparsemax over
@@ -518,8 +602,7 @@ func (m *Model) stepStart(z0 []float64, rs *rowState) {
 // scale), then the support entries are overwritten with their (gamma - mv)
 // product taken from the pre-decay value, so every prior matches the
 // per-index scalar update bitwise.
-func (m *Model) stepMask(x []float64, sharedT []float64, rs *rowState) {
-	h2 := len(rs.z)
+func (m *Model) stepMask(x []float64, shared *linalg.Dense, rs *rowState) {
 	gamma := m.Config.Gamma
 	var tau float64
 	tau, rs.cand, rs.candIdx = sparsemaxTauScaled(rs.logits, rs.prior, rs.cand, rs.candIdx)
@@ -530,7 +613,7 @@ func (m *Model) stepMask(x []float64, sharedT []float64, rs *rowState) {
 		if lg := rs.logits[ii]; lg > tau {
 			mv := lg - tau
 			i := int(ii)
-			linalg.Axpy(mv*x[i], sharedT[i*h2:i*h2+h2], rs.z)
+			linalg.Axpy(mv*x[i], shared.Row(i), rs.z)
 			supPrior = append(supPrior, rs.prior[i]*(gamma-mv))
 			sup = append(sup, ii)
 		}
@@ -555,49 +638,6 @@ func (m *Model) stepFinish(rs *rowState) {
 		}
 	}
 	copy(rs.a, rs.hs[d:h])
-}
-
-// forwardInferenceZ is forwardInference with the initial full shared pass
-// (z0 = Shared.W·x + Shared.B) already computed — predictStandardized
-// batches that pass over row pairs so the shared weights stream once per
-// pair.
-func (m *Model) forwardInferenceZ(x, z0 []float64, sharedT []float64, rs *rowState) float64 {
-	m.stepStart(z0, rs)
-	h2 := 2 * (m.Config.DecisionDim + m.Config.AttentionDim)
-	for s := 0; s < m.Config.Steps; s++ {
-		att := &m.AttFC[s]
-		linalg.GemvT(rs.logits, att.W, m.NumFeatures, att.In, rs.a, att.B)
-		m.stepMask(x, sharedT, rs)
-		fc := &m.StepFC[s]
-		linalg.GemvT(rs.z2, fc.W, h2, fc.In, rs.hb, fc.B)
-		m.stepFinish(rs)
-	}
-	return linalg.Dot(m.Out.W, rs.agg) + m.Out.B[0]
-}
-
-// forwardInferenceZ2 walks two rows through the step loop in lockstep so
-// every per-step dense layer (attention logits and the step feature
-// transformer) streams its weights once per pair via linalg.GemvT2, which
-// is bitwise identical to two GemvT calls. The sparsemax projection and
-// the sparse masked shared pass stay per-row — their cost is data
-// dependent and tiny next to the matmuls.
-func (m *Model) forwardInferenceZ2(x0, x1, z0a, z0b []float64, sharedT []float64, sc *infScratch) (float64, float64) {
-	r0, r1 := &sc.r0, &sc.r1
-	m.stepStart(z0a, r0)
-	m.stepStart(z0b, r1)
-	h2 := 2 * (m.Config.DecisionDim + m.Config.AttentionDim)
-	for s := 0; s < m.Config.Steps; s++ {
-		att := &m.AttFC[s]
-		linalg.GemvT2(r0.logits, r1.logits, att.W, m.NumFeatures, att.In, r0.a, r1.a, att.B)
-		m.stepMask(x0, sharedT, r0)
-		m.stepMask(x1, sharedT, r1)
-		fc := &m.StepFC[s]
-		linalg.GemvT2(r0.z2, r1.z2, fc.W, h2, fc.In, r0.hb, r1.hb, fc.B)
-		m.stepFinish(r0)
-		m.stepFinish(r1)
-	}
-	return linalg.Dot(m.Out.W, r0.agg) + m.Out.B[0],
-		linalg.Dot(m.Out.W, r1.agg) + m.Out.B[0]
 }
 
 // grads bundles the gradient buffers, index-aligned with params().
@@ -770,13 +810,23 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 	for i := range order {
 		order[i] = i
 	}
+	// Evaluations run on the packed inference kernel over the weights as
+	// they are at that moment: evalLayers re-packs them into one set of
+	// training-owned layers before every use, so no evaluation reads an
+	// earlier epoch's weights, and m's own lazily built pack stays unbuilt
+	// until the finished model is first asked for a prediction.
+	var evalPack *packed
+	evalLayers := func() *packed {
+		evalPack = m.pack(evalPack)
+		return evalPack
+	}
 	best := math.Inf(1)
 	sinceBest := 0
 	var snapshot *Model
 	if prev != nil && evalXS != nil {
 		// The warm seed is already a working model: score it before the
 		// first epoch so early stopping restores it if no epoch improves.
-		best = rmseSlices(m.predictStandardized(evalXS), evalY)
+		best = rmseSlices(m.predictStandardized(evalXS, evalLayers()), evalY)
 		m.BestEpoch = -1
 		snapshot = m.cloneWeights()
 	}
@@ -812,9 +862,10 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 			}
 			opt.step(m, g, cfg.LearningRate, cfg.ReferenceKernels)
 		}
-		m.TrainLoss = append(m.TrainLoss, m.rmseStandardized(xs, ys))
+		layers := evalLayers()
+		m.TrainLoss = append(m.TrainLoss, m.rmseStandardized(xs, ys, layers))
 		if evalXS != nil {
-			e := rmseSlices(m.predictStandardized(evalXS), evalY)
+			e := rmseSlices(m.predictStandardized(evalXS, layers), evalY)
 			m.EvalLoss = append(m.EvalLoss, e)
 			if e < best-1e-12 {
 				best = e
@@ -955,50 +1006,30 @@ func (m *Model) standardizeInto(dst, x *linalg.Matrix) *linalg.Matrix {
 // passes are too few to amortize worker startup.
 const predictParallelMinRows = 8
 
-// predictStandardized runs the per-row forward passes on the bounded worker
-// pool for large batches (SHAP coalition matrices). forwardInference reads
-// only frozen weights plus the shared read-only transpose, each worker
-// pulls its own scratch from the pool, and each worker owns a disjoint row
-// range, so the sharded result is identical to a sequential pass.
-func (m *Model) predictStandardized(xs *linalg.Matrix) []float64 {
+// predictStandardized runs the forward pass with the packed layers pk on
+// the bounded worker pool for large batches (SHAP coalition matrices). pk is
+// read-only, each worker pulls its own scratch from the pool and owns a
+// disjoint row range, and every prediction is independent of the range it
+// falls in, so the sharded result is bitwise identical to a sequential pass.
+func (m *Model) predictStandardized(xs *linalg.Matrix, pk *packed) []float64 {
 	out := make([]float64, xs.Rows)
-	owner := m.getScratch()
-	owner.sharedT = m.sharedTranspose(owner.sharedT)
-	st := owner.sharedT
 	workers := 0
 	if xs.Rows < predictParallelMinRows {
 		workers = 1
 	}
 	parallel.For(xs.Rows, workers, func(lo, hi int) {
 		sc := m.getScratch()
-		h2 := 2 * (m.Config.DecisionDim + m.Config.AttentionDim)
-		za := resize(&sc.z0a, h2)
-		zb := resize(&sc.z0b, h2)
-		i := lo
-		for ; i+1 < hi; i += 2 {
-			// The dense layers dominate the per-row weight traffic; walking
-			// two rows in lockstep streams every weight matrix (shared pass
-			// and the per-step layers inside forwardInferenceZ2) once per
-			// pair, bitwise identical to the per-row path.
-			linalg.GemvT2(za, zb, m.Shared.W, h2, m.NumFeatures, xs.Row(i), xs.Row(i+1), m.Shared.B)
-			y0, y1 := m.forwardInferenceZ2(xs.Row(i), xs.Row(i+1), za, zb, st, sc)
-			out[i] = y0*m.YStd + m.YMean
-			out[i+1] = y1*m.YStd + m.YMean
-		}
-		for ; i < hi; i++ {
-			out[i] = m.forwardInference(xs.Row(i), st, &sc.r0)*m.YStd + m.YMean
-		}
+		m.forwardRows(xs, lo, hi, out[lo:hi], pk, sc)
 		m.putScratch(sc)
 	})
-	m.putScratch(owner)
 	return out
 }
 
 // rmseStandardized scores the per-epoch training loss through the pooled
-// vectorized inference path (forwardSample and forwardInference agree to
-// float rounding; this is measurement, not training math).
-func (m *Model) rmseStandardized(xs *linalg.Matrix, ys []float64) float64 {
-	pred := m.predictStandardized(xs)
+// vectorized inference path (forwardSample and forwardRows agree to float
+// rounding; this is measurement, not training math).
+func (m *Model) rmseStandardized(xs *linalg.Matrix, ys []float64, pk *packed) float64 {
+	pred := m.predictStandardized(xs, pk)
 	s := 0.0
 	for i := range ys {
 		d := (pred[i]-m.YMean)/m.YStd - ys[i]
@@ -1016,18 +1047,17 @@ func rmseSlices(pred, y []float64) float64 {
 	return math.Sqrt(s / float64(len(y)))
 }
 
-// Predict returns the prediction for one raw feature vector.
+// Predict returns the prediction for one raw feature vector: the
+// PredictBatch path on a one-row block, so it matches PredictBatch's row
+// for the same input bitwise.
 func (m *Model) Predict(x []float64) float64 {
 	sc := m.getScratch()
-	sc.sharedT = m.sharedTranspose(sc.sharedT)
-	xr := reshapeMat(&sc.xs, 1, len(x))
-	inv := m.inputInvStd()
-	for j, v := range x {
-		xr.Data[j] = (v - m.Mean[j]) * inv[j]
-	}
-	y := m.forwardInference(xr.Data, sc.sharedT, &sc.r0)*m.YStd + m.YMean
+	xs := reshapeMat(&sc.xs, 1, len(x))
+	linalg.ScaleShiftInto(xs.Data, x, m.inputInvStd(), m.stdShift)
+	var out [1]float64
+	m.forwardRows(xs, 0, 1, out[:], m.layers(), sc)
 	m.putScratch(sc)
-	return y
+	return out[0]
 }
 
 // PredictBatch predicts every row of x. The standardized block lives in
@@ -1036,7 +1066,7 @@ func (m *Model) Predict(x []float64) float64 {
 func (m *Model) PredictBatch(x *linalg.Matrix) []float64 {
 	sc := m.getScratch()
 	xs := m.standardizeInto(&sc.xs, x)
-	out := m.predictStandardized(xs)
+	out := m.predictStandardized(xs, m.layers())
 	m.putScratch(sc)
 	return out
 }

@@ -24,6 +24,7 @@ import (
 	"github.com/hpc-repro/aiio/internal/core"
 	"github.com/hpc-repro/aiio/internal/darshan"
 	"github.com/hpc-repro/aiio/internal/features"
+	"github.com/hpc-repro/aiio/internal/linalg"
 )
 
 // Recommendation is one tuning action with its model-predicted effect.
@@ -73,9 +74,11 @@ func (a *Advisor) Advise(diag *core.Diagnosis, minGain float64) ([]Recommendatio
 	for _, f := range diag.Bottlenecks() {
 		neg[f.Counter] = true
 	}
-	baseline := a.predict(diag.Record)
 
-	var out []Recommendation
+	// The baseline and every applicable counterfactual are predicted
+	// together: recs[0] is the job, recs[k+1] is trs[k]'s rewrite.
+	recs := []*darshan.Record{diag.Record}
+	var trs []transform
 	for _, tr := range catalog() {
 		if !tr.applies(neg, diag.Record) {
 			continue
@@ -84,7 +87,15 @@ func (a *Advisor) Advise(diag *core.Diagnosis, minGain float64) ([]Recommendatio
 		if err := cf.Validate(); err != nil {
 			return nil, fmt.Errorf("tune: transform %s produced an invalid record: %w", tr.action, err)
 		}
-		pred := a.predict(cf)
+		recs = append(recs, cf)
+		trs = append(trs, tr)
+	}
+	preds := a.predict(recs)
+	baseline := preds[0]
+
+	var out []Recommendation
+	for k, tr := range trs {
+		pred := preds[k+1]
 		gain := 1.0
 		if baseline > 0 {
 			gain = pred / baseline
@@ -104,16 +115,27 @@ func (a *Advisor) Advise(diag *core.Diagnosis, minGain float64) ([]Recommendatio
 	return out, nil
 }
 
-// predict is the accuracy-agnostic ensemble prediction in MiB/s: the plain
-// mean across models (no measured performance exists for a counterfactual,
-// so Eq. 8 weights cannot be formed).
-func (a *Advisor) predict(rec *darshan.Record) float64 {
-	x := features.TransformRecord(rec)
-	s := 0.0
-	for _, m := range a.ens.Models {
-		s += m.Predict(x)
+// predict is the accuracy-agnostic ensemble prediction in MiB/s of every
+// record: the plain mean across models (no measured performance exists for
+// a counterfactual, so Eq. 8 weights cannot be formed). Each model sees all
+// records in one PredictBatch; per record the model terms are summed in
+// model order, as a per-record Predict loop would.
+func (a *Advisor) predict(recs []*darshan.Record) []float64 {
+	rows := make([][]float64, len(recs))
+	for i, rec := range recs {
+		rows[i] = features.TransformRecord(rec)
 	}
-	return features.Inverse(s / float64(len(a.ens.Models)))
+	x := linalg.FromRows(rows)
+	sums := make([]float64, len(recs))
+	for _, m := range a.ens.Models {
+		for i, p := range m.PredictBatch(x) {
+			sums[i] += p
+		}
+	}
+	for i, s := range sums {
+		sums[i] = features.Inverse(s / float64(len(a.ens.Models)))
+	}
+	return sums
 }
 
 // catalog is the built-in tuning catalogue; each entry mirrors one of the

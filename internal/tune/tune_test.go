@@ -1,6 +1,8 @@
 package tune
 
 import (
+	"math"
+	"sort"
 	"sync"
 	"testing"
 
@@ -183,5 +185,84 @@ func TestAdvisorOnCleanJobIsQuiet(t *testing.T) {
 func TestAdviseErrors(t *testing.T) {
 	if _, err := New(ensemble(t)).Advise(nil, 1.0); err == nil {
 		t.Error("nil diagnosis accepted")
+	}
+}
+
+// adviseOracle is the advisor with per-record predictions: one single-row
+// Predict per model for the baseline and again for each applicable
+// counterfactual, the terms summed in model order.
+func adviseOracle(ens *core.Ensemble, diag *core.Diagnosis, minGain float64) []Recommendation {
+	predict := func(rec *darshan.Record) float64 {
+		x := features.TransformRecord(rec)
+		s := 0.0
+		for _, m := range ens.Models {
+			s += m.Predict(x)
+		}
+		return features.Inverse(s / float64(len(ens.Models)))
+	}
+	neg := map[darshan.CounterID]bool{}
+	for _, f := range diag.Bottlenecks() {
+		neg[f.Counter] = true
+	}
+	baseline := predict(diag.Record)
+	var out []Recommendation
+	for _, tr := range catalog() {
+		if !tr.applies(neg, diag.Record) {
+			continue
+		}
+		pred := predict(tr.rewrite(diag.Record))
+		gain := 1.0
+		if baseline > 0 {
+			gain = pred / baseline
+		}
+		if gain < minGain {
+			continue
+		}
+		out = append(out, Recommendation{Action: tr.action, Description: tr.description,
+			Counters: tr.counters, PredictedMiBps: pred, PredictedGain: gain})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].PredictedGain > out[j].PredictedGain })
+	return out
+}
+
+// TestBatchedAdviceMatchesPerRecordOracle pins the batched advisor: one
+// PredictBatch per model over the baseline and all counterfactuals must give
+// recommendations bitwise equal to per-record Predict calls — same actions,
+// same order, same predicted MiB/s and gains.
+func TestBatchedAdviceMatchesPerRecordOracle(t *testing.T) {
+	e := ensemble(t)
+	p := iosim.DefaultParams()
+	p.NoiseSigma = 0
+	dassa, _ := iosim.Run(appsDassa(), p)
+	recs := []*darshan.Record{runPattern(t, 1), runPattern(t, 2), runPattern(t, 5), dassa}
+	compared := 0
+	for i, rec := range recs {
+		diag, err := e.Diagnose(rec, diagOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, minGain := range []float64{0, 1.05} {
+			got, err := New(e).Advise(diag, minGain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := adviseOracle(e, diag, minGain)
+			if len(got) != len(want) {
+				t.Fatalf("record %d minGain %v: %d recommendations, oracle %d", i, minGain, len(got), len(want))
+			}
+			for k := range got {
+				g, w := got[k], want[k]
+				if g.Action != w.Action ||
+					math.Float64bits(g.PredictedMiBps) != math.Float64bits(w.PredictedMiBps) ||
+					math.Float64bits(g.PredictedGain) != math.Float64bits(w.PredictedGain) {
+					t.Fatalf("record %d minGain %v rec %d: got %s %v MiB/s ×%v, oracle %s %v MiB/s ×%v",
+						i, minGain, k, g.Action, g.PredictedMiBps, g.PredictedGain, w.Action, w.PredictedMiBps, w.PredictedGain)
+				}
+			}
+			compared += len(got)
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no recommendation was compared")
 	}
 }

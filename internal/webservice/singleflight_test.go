@@ -17,6 +17,7 @@ import (
 	"github.com/hpc-repro/aiio/internal/darshan"
 	"github.com/hpc-repro/aiio/internal/iosim"
 	"github.com/hpc-repro/aiio/internal/linalg"
+	"github.com/hpc-repro/aiio/internal/tune"
 	"github.com/hpc-repro/aiio/internal/workload"
 )
 
@@ -63,8 +64,8 @@ func assertParity(t *testing.T, got, want *DiagnosisResponse, label string) {
 	}
 }
 
-// countingModel counts PredictBatch calls (Kernel SHAP's only use of the
-// model) and holds every call until gate is closed.
+// countingModel counts PredictBatch calls (how Kernel SHAP and the tuning
+// advisor use the model) and holds every call until gate is closed.
 type countingModel struct {
 	core.Model
 	calls atomic.Int64
@@ -151,15 +152,22 @@ func TestFlightParity(t *testing.T) {
 // TestFlightDogpile: identical concurrent cold requests run exactly one
 // ensemble pass, and that flight answers every one of them.
 func TestFlightDogpile(t *testing.T) {
-	// One pass's worth of model calls, measured on its own.
+	// One request's model calls, measured on their own: the ensemble pass,
+	// which a flight runs once for all its waiters, and the advisor's
+	// counterfactual batch, which every request runs for itself.
 	refEns, ref := countingEnsemble(t, true)
-	if _, err := refEns.Diagnose(testRecord(), fastOpts()); err != nil {
+	diag, err := refEns.Diagnose(testRecord(), fastOpts())
+	if err != nil {
 		t.Fatal(err)
 	}
 	perPass := ref.calls.Load()
 	if perPass == 0 {
 		t.Fatal("a diagnosis never called the counting model")
 	}
+	if _, err := tune.New(refEns).Advise(diag, 1.05); err != nil {
+		t.Fatal(err)
+	}
+	perAdvise := ref.calls.Load() - perPass
 
 	ens, cm := countingEnsemble(t, false)
 	s := NewServer(ens, fastOpts())
@@ -191,8 +199,9 @@ func TestFlightDogpile(t *testing.T) {
 			t.Errorf("client %d: body differs from client 0's", i)
 		}
 	}
-	if calls := cm.calls.Load(); calls != perPass {
-		t.Errorf("%d model calls for %d identical requests; one ensemble pass makes %d", calls, clients, perPass)
+	if calls, want := cm.calls.Load(), perPass+clients*perAdvise; calls != want {
+		t.Errorf("%d model calls for %d identical requests; want %d: one ensemble pass makes %d, each request's advisor %d",
+			calls, clients, want, perPass, perAdvise)
 	}
 	if runs, answered := s.flights.stats(); runs != 1 || answered != clients {
 		t.Errorf("flights: %d run, %d requests answered; want 1, %d", runs, answered, clients)
