@@ -71,9 +71,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -82,46 +80,12 @@ import (
 	"github.com/hpc-repro/aiio/internal/core"
 	"github.com/hpc-repro/aiio/internal/darshan"
 	"github.com/hpc-repro/aiio/internal/drift"
+	"github.com/hpc-repro/aiio/internal/durable"
 	"github.com/hpc-repro/aiio/internal/joblog"
 	"github.com/hpc-repro/aiio/internal/replica"
 	"github.com/hpc-repro/aiio/internal/shap"
 	"github.com/hpc-repro/aiio/internal/webservice"
 )
-
-// storeCrashEnv is the fault-injection hook for the CI chaos drill:
-// AIIO_STORE_CRASH=<step>:<n> kills the process (exit 3) the n-th time the
-// model registry reaches the named durable save step (model-write,
-// model-sync, manifest-write, gen-commit, current-commit) — a real process
-// death mid-promotion or mid-rollback, not a returned error, so restart
-// recovery is exercised against exactly the partial state a power cut
-// would leave.
-const storeCrashEnv = "AIIO_STORE_CRASH"
-
-func installStoreCrashHook(store *core.Store) {
-	spec := os.Getenv(storeCrashEnv)
-	if spec == "" {
-		return
-	}
-	step, countStr, ok := strings.Cut(spec, ":")
-	if !ok {
-		log.Fatalf("aiio-server: %s must be <step>:<n>, got %q", storeCrashEnv, spec)
-	}
-	n, err := strconv.Atoi(countStr)
-	if err != nil || n < 1 {
-		log.Fatalf("aiio-server: %s count %q must be a positive integer", storeCrashEnv, countStr)
-	}
-	seen := 0
-	store.SetSaveHook(func(s, path string) error {
-		if s == step {
-			seen++
-			if seen >= n {
-				fmt.Fprintf(os.Stderr, "aiio-server: injected crash at %s (%s), occurrence %d\n", s, path, seen)
-				os.Exit(3)
-			}
-		}
-		return nil
-	})
-}
 
 func main() {
 	modelsDir := flag.String("models", "models", "model registry directory")
@@ -189,8 +153,14 @@ func main() {
 		"labeled jobs the post-promotion watch covers before a promotion is judged safe (0 = default 200)")
 	flag.Parse()
 
+	// One AIIO_CRASH hook on every store the server opens: the CI lifecycle
+	// drill kills the process mid-promotion at a named durable step.
+	crashHook, err := durable.HookFromEnv()
+	if err != nil {
+		log.Fatalf("aiio-server: %v", err)
+	}
 	store := core.OpenStore(*modelsDir)
-	installStoreCrashHook(store)
+	store.SetHook(crashHook)
 	ens, rep, err := store.Load()
 	if err != nil {
 		log.Fatalf("aiio-server: load models: %v", err)
@@ -261,6 +231,7 @@ func main() {
 			log.Fatalf("aiio-server: open joblog: %v", err)
 		}
 		defer jl.Close()
+		jl.SetHook(crashHook)
 		if rec := jl.Recovery(); rec.TornBytes > 0 || rec.Quarantined > 0 || rec.ResealedSegments > 0 {
 			log.Printf("aiio-server: joblog recovery truncated %d torn bytes, quarantined %d records, resealed %d segments",
 				rec.TornBytes, rec.Quarantined, rec.ResealedSegments)

@@ -5,12 +5,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/hpc-repro/aiio/internal/core"
 	"github.com/hpc-repro/aiio/internal/darshan"
+	"github.com/hpc-repro/aiio/internal/durable"
 	"github.com/hpc-repro/aiio/internal/faults"
 	"github.com/hpc-repro/aiio/internal/joblog"
 	"github.com/hpc-repro/aiio/internal/logdb"
@@ -18,55 +19,39 @@ import (
 	"github.com/hpc-repro/aiio/internal/webservice"
 )
 
-// crashEnv is the fault-injection hook for the CI restart-recovery drill:
-// AIIO_JOBLOG_CRASH=<step>:<n> kills the process (exit 3) the n-th time the
-// joblog reaches the named durability step — a real process death, not a
-// returned error, so recovery is exercised against an abandoned file handle
-// exactly as a power cut would leave it.
-const crashEnv = "AIIO_JOBLOG_CRASH"
+// crashHook is the one AIIO_CRASH hook (see durable.HookFromEnv), parsed
+// once and installed on every store this process opens: the CI
+// restart-recovery drills kill the real binary at a named durable step of
+// the job log or the model registry.
+var crashHook = sync.OnceValues(durable.HookFromEnv)
 
-func installCrashHook(jl *joblog.Store) error {
-	spec := os.Getenv(crashEnv)
-	if spec == "" {
-		return nil
+// openStore opens the model registry at dir with the crash hook installed.
+func openStore(dir string) (*core.Store, error) {
+	hook, err := crashHook()
+	if err != nil {
+		return nil, err
 	}
-	step, countStr, ok := strings.Cut(spec, ":")
-	if !ok {
-		return fmt.Errorf("%s must be <step>:<n>, got %q", crashEnv, spec)
-	}
-	n, err := strconv.Atoi(countStr)
-	if err != nil || n < 1 {
-		return fmt.Errorf("%s count %q must be a positive integer", crashEnv, countStr)
-	}
-	seen := 0
-	jl.SetHook(func(s, path string) error {
-		if s == step {
-			seen++
-			if seen >= n {
-				fmt.Fprintf(os.Stderr, "aiio: injected crash at %s (%s), occurrence %d\n", s, path, seen)
-				os.Exit(3)
-			}
-		}
-		return nil
-	})
-	return nil
+	st := core.OpenStore(dir)
+	st.SetHook(hook)
+	return st, nil
 }
 
 // openJobLog opens the durable job store and surfaces what recovery had to
 // repair, so a restart after a crash is never silent about it.
 func openJobLog(dir string) (*joblog.Store, error) {
+	hook, err := crashHook()
+	if err != nil {
+		return nil, err
+	}
 	jl, err := joblog.Open(dir, joblog.Options{})
 	if err != nil {
 		return nil, err
 	}
+	jl.SetHook(hook)
 	rep := jl.Recovery()
 	if rep.TornBytes > 0 || rep.Quarantined > 0 || rep.ResealedSegments > 0 || rep.RemovedDebris > 0 {
 		report.Warn(os.Stderr, "%s: recovery truncated %d torn bytes, quarantined %d records, resealed %d segments, removed %d debris files",
 			dir, rep.TornBytes, rep.Quarantined, rep.ResealedSegments, rep.RemovedDebris)
-	}
-	if err := installCrashHook(jl); err != nil {
-		jl.Close()
-		return nil, err
 	}
 	return jl, nil
 }
@@ -237,6 +222,10 @@ func cmdRetrain(args []string) error {
 		return err
 	}
 	defer jl.Close()
+	store, err := openStore(*modelsDir)
+	if err != nil {
+		return err
+	}
 	topts := core.DefaultTrainOptions()
 	topts.Fast = *fast
 	topts.Seed = *seed
@@ -245,7 +234,7 @@ func cmdRetrain(args []string) error {
 	if *models != "" {
 		topts.Models = strings.Split(*models, ",")
 	}
-	rep, err := core.RunIncremental(context.Background(), jl, core.OpenStore(*modelsDir), core.IncrementalOptions{
+	rep, err := core.RunIncremental(context.Background(), jl, store, core.IncrementalOptions{
 		MiniBatch: *miniBatch,
 		Window:    *window,
 		MinNew:    *minNew,

@@ -154,7 +154,11 @@ func cmdTrain(args []string) error {
 		rows = append(rows, []string{r.Name, fmt.Sprintf("%.4f", r.PredictionRMSE)})
 	}
 	report.Table(os.Stdout, []string{"Model", "Eval RMSE"}, rows)
-	gen, err := core.OpenStore(*modelsDir).Save(ens)
+	store, err := openStore(*modelsDir)
+	if err != nil {
+		return err
+	}
+	gen, err := store.Save(ens)
 	if err != nil {
 		return err
 	}
@@ -168,7 +172,10 @@ func cmdTrain(args []string) error {
 // registry's provenance claims — generation, fingerprint, canary verdict —
 // for rendering under any diagnosis the ensemble produces.
 func loadRegistry(dir string) (*core.Ensemble, []report.Advisory, error) {
-	store := core.OpenStore(dir)
+	store, err := openStore(dir)
+	if err != nil {
+		return nil, nil, err
+	}
 	ens, rep, err := store.Load()
 	if err != nil {
 		return nil, nil, err

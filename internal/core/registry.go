@@ -13,16 +13,18 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"github.com/hpc-repro/aiio/internal/durable"
 )
 
 // The model registry stores pre-trained performance functions on disk, the
 // way the AIIO web service manages its models (Section 3.4 / Fig. 17). It
 // is a crash-safe, versioned store: each save commits a complete model set
-// as a new immutable generation, every durable step goes through a temp
-// file (or directory) + fsync + atomic rename, and the manifest carries a
-// SHA-256 per model file so a load can detect bit rot or a torn write and
-// fall back to the last good generation instead of serving a corrupt
-// model. On-disk layout:
+// as a new immutable generation, every durable step is an internal/durable
+// commit (temp file or directory + fsync + rename + directory fsync), and
+// the manifest carries a SHA-256 per model file so a load can detect bit
+// rot or a torn write and fall back to the last good generation instead of
+// serving a corrupt model. On-disk layout:
 //
 //	dir/
 //	  CURRENT             ← "N\n", the committed generation (atomic rename)
@@ -124,7 +126,7 @@ const (
 	referenceName  = "drift-reference.json"
 	currentName    = "CURRENT"
 	generationsDir = "generations"
-	tmpPrefix      = ".tmp-"
+	tmpPrefix      = durable.TmpPrefix
 )
 
 // DefaultKeepGenerations is how many committed generations a save retains
@@ -132,9 +134,11 @@ const (
 // fall-back generation for the newest is never pruned away.
 const DefaultKeepGenerations = 5
 
-// Save hook steps, in the order a save hits them. A fault-injection hook
-// (internal/faults) aborts the save at one of these points to simulate a
-// crash; production stores have no hook.
+// Durable hook steps, in the order a save hits them (an import skips
+// model-sync; SetCurrent hits only current-commit). A fault-injection hook
+// (internal/faults, or AIIO_CRASH via durable.HookFromEnv) aborts the
+// commit at one of these points to simulate a crash; production stores
+// have no hook. The names are disjoint from the joblog's.
 const (
 	StepModelWrite    = "model-write"    // before streaming one model's bytes
 	StepModelSync     = "model-sync"     // before fsyncing one model file
@@ -154,9 +158,9 @@ type Store struct {
 	// uploads would otherwise race on the same next-generation number).
 	saveMu sync.Mutex
 
-	// hook, when non-nil, runs before each durable step of a save and
-	// aborts it on error — the fault-injection seam for crash drills.
-	hook func(step, path string) error
+	// hook runs before each durable step and aborts it on error — the
+	// fault-injection seam for crash drills.
+	hook durable.Hook
 }
 
 // OpenStore returns a store rooted at dir. The directory need not exist
@@ -166,21 +170,10 @@ func OpenStore(dir string) *Store { return &Store{dir: dir} }
 // Dir is the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// SetSaveHook installs a fault-injection hook called before every durable
-// save step with (step, path). A non-nil error aborts the save at that
-// point, leaving whatever partial state a real crash would leave. Tests
-// only; a nil hook (the default) is a no-op.
-func (s *Store) SetSaveHook(h func(step, path string) error) { s.hook = h }
-
-func (s *Store) step(step, path string) error {
-	if s.hook == nil {
-		return nil
-	}
-	if err := s.hook(step, path); err != nil {
-		return fmt.Errorf("core: save aborted at %s (%s): %w", step, path, err)
-	}
-	return nil
-}
+// SetHook installs a fault-injection hook called before every durable
+// step of Save, ImportGeneration and SetCurrent. A nil hook (the default)
+// is a no-op.
+func (s *Store) SetHook(h durable.Hook) { s.hook = h }
 
 func (s *Store) keep() int {
 	k := s.Keep
@@ -253,13 +246,49 @@ func (s *Store) Save(e *Ensemble) (uint64, error) { return s.SaveDetailed(e, nil
 
 // SaveDetailed is Save with generation provenance attached.
 func (s *Store) SaveDetailed(e *Ensemble, extra *GenerationExtra) (uint64, error) {
+	return s.commit(0, func(tmpDir string, man *GenerationManifest) error {
+		for _, m := range e.Models {
+			file := m.Name() + ".gob"
+			path := filepath.Join(tmpDir, file)
+			if err := s.hook.At(StepModelWrite, path); err != nil {
+				return err
+			}
+			sum, err := s.writeModelFile(path, m)
+			if err != nil {
+				return err
+			}
+			man.Models = append(man.Models, ManifestEntry{
+				Name: m.Name(), Kind: m.Kind(), File: file, SHA256: sum,
+			})
+		}
+		if extra != nil {
+			man.Canary = extra.Canary
+			if len(extra.Reference) > 0 {
+				if err := durable.WriteSync(filepath.Join(tmpDir, referenceName), extra.Reference); err != nil {
+					return fmt.Errorf("core: write drift reference: %w", err)
+				}
+				man.ReferenceFile = referenceName
+			}
+		}
+		return nil
+	})
+}
+
+// commit is the one write path of Save and ImportGeneration. Under saveMu
+// it sweeps debris of crashed commits, picks the next generation number
+// (at least floor), and creates its temp directory; fill writes the model
+// files into that directory and completes man. commit then writes the
+// manifest, renames the directory to generations/N — the commit point —
+// flips CURRENT and prunes. Any exit before the rename removes the temp
+// directory, so a partial generation is never visible.
+func (s *Store) commit(floor uint64, fill func(tmpDir string, man *GenerationManifest) error) (uint64, error) {
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
 	gensRoot := filepath.Join(s.dir, generationsDir)
 	if err := os.MkdirAll(gensRoot, 0o755); err != nil {
 		return 0, fmt.Errorf("core: create registry dir: %w", err)
 	}
-	// Sweep debris from crashed saves; their temp names can never collide
+	// Sweep debris from crashed commits; their temp names can never collide
 	// with a committed generation.
 	if entries, err := os.ReadDir(gensRoot); err == nil {
 		for _, ent := range entries {
@@ -279,68 +308,41 @@ func (s *Store) SaveDetailed(e *Ensemble, extra *GenerationExtra) (uint64, error
 	if cur, ok := s.current(); ok && cur >= next {
 		next = cur + 1
 	}
+	// An import adopts the peer's number when it is ahead of local history,
+	// so fleet generation counters converge instead of drifting apart one
+	// import at a time.
+	next = max(next, floor)
 
 	tmpDir := filepath.Join(gensRoot, tmpPrefix+genDirName(next))
 	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
 		return 0, fmt.Errorf("core: create temp generation: %w", err)
 	}
+	defer os.RemoveAll(tmpDir)
 	man := GenerationManifest{Generation: next}
-	for _, m := range e.Models {
-		file := m.Name() + ".gob"
-		path := filepath.Join(tmpDir, file)
-		if err := s.step(StepModelWrite, path); err != nil {
-			return 0, err
-		}
-		sum, err := s.writeModelFile(path, m)
-		if err != nil {
-			return 0, err
-		}
-		man.Models = append(man.Models, ManifestEntry{
-			Name: m.Name(), Kind: m.Kind(), File: file, SHA256: sum,
-		})
-	}
-	if extra != nil {
-		man.Canary = extra.Canary
-		if len(extra.Reference) > 0 {
-			if err := writeFileSync(filepath.Join(tmpDir, referenceName), extra.Reference); err != nil {
-				return 0, fmt.Errorf("core: write drift reference: %w", err)
-			}
-			man.ReferenceFile = referenceName
-		}
-	}
-	manPath := filepath.Join(tmpDir, manifestName)
-	if err := s.step(StepManifestWrite, manPath); err != nil {
+	if err := fill(tmpDir, &man); err != nil {
 		return 0, err
 	}
-	data, err := json.MarshalIndent(man, "", "  ")
+	manPath := filepath.Join(tmpDir, manifestName)
+	if err := s.hook.At(StepManifestWrite, manPath); err != nil {
+		return 0, err
+	}
+	data, err := json.MarshalIndent(&man, "", "  ")
 	if err != nil {
 		return 0, err
 	}
-	if err := writeFileSync(manPath, data); err != nil {
+	if err := durable.WriteSync(manPath, data); err != nil {
 		return 0, fmt.Errorf("core: write manifest: %w", err)
 	}
-	// Commit point: the finished generation appears atomically.
 	genPath := filepath.Join(gensRoot, genDirName(next))
-	if err := s.step(StepGenCommit, genPath); err != nil {
+	if err := s.hook.At(StepGenCommit, genPath); err != nil {
 		return 0, err
 	}
-	if err := os.Rename(tmpDir, genPath); err != nil {
+	if err := durable.Rename(tmpDir, genPath); err != nil {
 		return 0, fmt.Errorf("core: commit generation %d: %w", next, err)
 	}
-	syncDir(gensRoot)
-	// Flip CURRENT via its own temp + rename.
-	curPath := filepath.Join(s.dir, currentName)
-	if err := s.step(StepCurrentCommit, curPath); err != nil {
+	if err := s.setCurrent(next); err != nil {
 		return 0, err
 	}
-	tmpCur := curPath + ".tmp"
-	if err := writeFileSync(tmpCur, []byte(strconv.FormatUint(next, 10)+"\n")); err != nil {
-		return 0, fmt.Errorf("core: write CURRENT: %w", err)
-	}
-	if err := os.Rename(tmpCur, curPath); err != nil {
-		return 0, fmt.Errorf("core: commit CURRENT: %w", err)
-	}
-	syncDir(s.dir)
 	s.prune(next)
 	return next, nil
 }
@@ -357,7 +359,7 @@ func (s *Store) writeModelFile(path string, m Model) (string, error) {
 		f.Close()
 		return "", err
 	}
-	if err := s.step(StepModelSync, path); err != nil {
+	if err := s.hook.At(StepModelSync, path); err != nil {
 		f.Close()
 		return "", err
 	}
@@ -596,8 +598,8 @@ func (s *Store) Reference(gen uint64) ([]byte, error) {
 // registry half of an automatic rollback: the post-promotion watch demotes
 // a regressing generation by pointing CURRENT back at its predecessor, so
 // a restart loads the known-good set, while the regressing generation's
-// files stay on disk for the operator. The flip goes through the same
-// temp + fsync + rename as a save; a crash mid-flip leaves the old CURRENT.
+// files stay on disk for the operator. The flip is the same durable file
+// commit a save ends with; a crash mid-flip leaves the old CURRENT.
 func (s *Store) SetCurrent(gen uint64) error {
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
@@ -615,18 +617,19 @@ func (s *Store) SetCurrent(gen uint64) error {
 	if !committed {
 		return fmt.Errorf("core: set current: generation %d is not committed", gen)
 	}
+	return s.setCurrent(gen)
+}
+
+// setCurrent is the CURRENT flip every commit ends with. Called with saveMu
+// held.
+func (s *Store) setCurrent(gen uint64) error {
 	curPath := filepath.Join(s.dir, currentName)
-	if err := s.step(StepCurrentCommit, curPath); err != nil {
+	if err := s.hook.At(StepCurrentCommit, curPath); err != nil {
 		return err
 	}
-	tmpCur := curPath + ".tmp"
-	if err := writeFileSync(tmpCur, []byte(strconv.FormatUint(gen, 10)+"\n")); err != nil {
-		return fmt.Errorf("core: write CURRENT: %w", err)
-	}
-	if err := os.Rename(tmpCur, curPath); err != nil {
+	if err := durable.WriteFile(curPath, []byte(strconv.FormatUint(gen, 10)+"\n")); err != nil {
 		return fmt.Errorf("core: commit CURRENT: %w", err)
 	}
-	syncDir(s.dir)
 	return nil
 }
 
@@ -650,81 +653,21 @@ func (s *Store) ImportGeneration(man *GenerationManifest, fetch func(file string
 			return 0, fmt.Errorf("core: import: model %s has no checksum; an unverifiable generation cannot be replicated", e.Name)
 		}
 	}
-	s.saveMu.Lock()
-	defer s.saveMu.Unlock()
-	gensRoot := filepath.Join(s.dir, generationsDir)
-	if err := os.MkdirAll(gensRoot, 0o755); err != nil {
-		return 0, fmt.Errorf("core: create registry dir: %w", err)
-	}
-	gens, err := s.Generations()
-	if err != nil {
-		return 0, err
-	}
-	target := uint64(1)
-	if len(gens) > 0 {
-		target = gens[len(gens)-1] + 1
-	}
-	if cur, ok := s.current(); ok && cur >= target {
-		target = cur + 1
-	}
-	// Adopt the peer's number when it is ahead of local history, so fleet
-	// generation counters converge instead of drifting apart one import at
-	// a time.
-	if man.Generation > target {
-		target = man.Generation
-	}
-	tmpDir := filepath.Join(gensRoot, tmpPrefix+genDirName(target))
-	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-		return 0, fmt.Errorf("core: create temp generation: %w", err)
-	}
-	// Any exit before the commit rename leaves only this temp directory,
-	// which the next save sweeps; a torn transfer can never be activated.
-	defer os.RemoveAll(tmpDir)
-	// The canary verdict is content provenance and travels with the
-	// models; the drift-reference sidecar does not replicate (followers
-	// self-arm from their own traffic), so ReferenceFile is dropped.
-	local := GenerationManifest{Generation: target, Models: man.Models, Canary: man.Canary}
-	for _, entry := range man.Models {
-		if err := s.step(StepModelWrite, filepath.Join(tmpDir, entry.File)); err != nil {
-			return 0, err
+	return s.commit(man.Generation, func(tmpDir string, local *GenerationManifest) error {
+		for _, entry := range man.Models {
+			if err := s.hook.At(StepModelWrite, filepath.Join(tmpDir, entry.File)); err != nil {
+				return err
+			}
+			if err := fetchVerified(tmpDir, entry, fetch); err != nil {
+				return err
+			}
 		}
-		if err := fetchVerified(tmpDir, entry, fetch); err != nil {
-			return 0, err
-		}
-	}
-	manPath := filepath.Join(tmpDir, manifestName)
-	if err := s.step(StepManifestWrite, manPath); err != nil {
-		return 0, err
-	}
-	data, err := json.MarshalIndent(&local, "", "  ")
-	if err != nil {
-		return 0, err
-	}
-	if err := writeFileSync(manPath, data); err != nil {
-		return 0, fmt.Errorf("core: write manifest: %w", err)
-	}
-	genPath := filepath.Join(gensRoot, genDirName(target))
-	if err := s.step(StepGenCommit, genPath); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmpDir, genPath); err != nil {
-		return 0, fmt.Errorf("core: commit generation %d: %w", target, err)
-	}
-	syncDir(gensRoot)
-	curPath := filepath.Join(s.dir, currentName)
-	if err := s.step(StepCurrentCommit, curPath); err != nil {
-		return 0, err
-	}
-	tmpCur := curPath + ".tmp"
-	if err := writeFileSync(tmpCur, []byte(strconv.FormatUint(target, 10)+"\n")); err != nil {
-		return 0, fmt.Errorf("core: write CURRENT: %w", err)
-	}
-	if err := os.Rename(tmpCur, curPath); err != nil {
-		return 0, fmt.Errorf("core: commit CURRENT: %w", err)
-	}
-	syncDir(s.dir)
-	s.prune(target)
-	return target, nil
+		// The canary verdict is content provenance and travels with the
+		// models; the drift-reference sidecar does not replicate (followers
+		// self-arm from their own traffic), so ReferenceFile is dropped.
+		local.Models, local.Canary = man.Models, man.Canary
+		return nil
+	})
 }
 
 // fetchVerified streams one replicated model file into dir, fsyncs it, and
@@ -789,34 +732,6 @@ func loadFlat(dir string) (*Ensemble, error) {
 		return nil, fmt.Errorf("core: registry %s holds no models", dir)
 	}
 	return e, nil
-}
-
-// writeFileSync writes data to path and fsyncs before closing, so the
-// bytes are durable before any rename that references them.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so a just-committed rename is durable.
-// Best effort: some filesystems refuse directory fsync, and a failure
-// here only widens the crash window rather than corrupting state.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }
 
 // SaveEnsemble writes every model of e into dir (created if missing) as a

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -177,49 +178,80 @@ func TestStoreSweepsCrashedTempDirs(t *testing.T) {
 	}
 }
 
+// TestStoreCrashMidSaveRecoversPreviousGeneration crashes every commit that
+// shares Save's path — Save, ImportGeneration and SetCurrent — at each of
+// its durable steps in turn. CURRENT flips last, so after every crash the
+// store must still serve the generation it served before, with no
+// checksum fallback, and every visible generation must verify: a temp
+// directory never becomes a generation.
 func TestStoreCrashMidSaveRecoversPreviousGeneration(t *testing.T) {
 	_, ens, _ := fixture(t)
-	st := saveGenerations(t, ens, 1)
+	peer := saveGenerations(t, ens, 1)
+	peerMan, err := peer.Manifest(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetch := func(file string) (io.ReadCloser, error) { return peer.OpenModelFile(1, file) }
 	injected := errors.New("injected crash")
-	// Crash at every step of the save in turn; after each aborted save the
-	// store must still load generation 1 cleanly.
-	steps := []string{StepModelWrite, StepModelSync, StepManifestWrite, StepGenCommit, StepCurrentCommit}
-	for _, step := range steps {
-		crashAt := step
-		st.SetSaveHook(func(s, path string) error {
-			if s == crashAt {
-				return injected
+	ops := []struct {
+		name  string
+		steps []string
+		run   func(st *Store) error
+		want  uint64 // generation a clean run serves, from two saved ones
+	}{
+		{"Save", []string{StepModelWrite, StepModelSync, StepManifestWrite, StepGenCommit, StepCurrentCommit},
+			func(st *Store) error { _, err := st.Save(ens); return err }, 4},
+		{"ImportGeneration", []string{StepModelWrite, StepManifestWrite, StepGenCommit, StepCurrentCommit},
+			func(st *Store) error { _, err := st.ImportGeneration(peerMan, fetch); return err }, 4},
+		{"SetCurrent", []string{StepCurrentCommit},
+			func(st *Store) error { return st.SetCurrent(1) }, 1},
+	}
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			st := saveGenerations(t, ens, 2)
+			for _, step := range op.steps {
+				crashAt := step
+				st.SetHook(func(s, path string) error {
+					if s == crashAt {
+						return injected
+					}
+					return nil
+				})
+				if err := op.run(st); !errors.Is(err, injected) {
+					t.Fatalf("crash at %s: err = %v, want injected crash", crashAt, err)
+				}
+				st.SetHook(nil)
+				_, rep, err := st.Load()
+				if err != nil {
+					t.Fatalf("load after crash at %s: %v", crashAt, err)
+				}
+				if rep.Generation != 2 || rep.FellBack {
+					t.Fatalf("crash at %s: report = %+v, want generation 2 with no fallback — partial state was visible",
+						crashAt, rep)
+				}
+				gens, err := st.Generations()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, g := range gens {
+					if _, _, err := st.LoadGeneration(g); err != nil {
+						t.Fatalf("crash at %s left generation %d unverifiable: %v", crashAt, g, err)
+					}
+				}
 			}
-			return nil
+			// A clean run afterwards commits and wins. The crash at
+			// current-commit left generation 3 committed but not current.
+			if err := op.run(st); err != nil {
+				t.Fatal(err)
+			}
+			_, rep, err := st.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Generation != op.want || rep.FellBack {
+				t.Fatalf("after a clean %s: report = %+v, want generation %d", op.name, rep, op.want)
+			}
 		})
-		if _, err := st.Save(ens); !errors.Is(err, injected) {
-			t.Fatalf("save with crash at %s: err = %v, want injected crash", crashAt, err)
-		}
-		st.SetSaveHook(nil)
-		_, rep, err := st.Load()
-		if err != nil {
-			t.Fatalf("load after crash at %s: %v", crashAt, err)
-		}
-		// A crash after the gen-commit rename may legitimately serve the
-		// new generation; every earlier crash must serve generation 1.
-		if crashAt != StepCurrentCommit && rep.Generation != 1 {
-			t.Fatalf("crash at %s served generation %d, want 1", crashAt, rep.Generation)
-		}
-		if rep.FellBack {
-			t.Fatalf("crash at %s forced a checksum fallback: %+v — partial state was visible", crashAt, rep)
-		}
-	}
-	// And a clean save afterwards works and wins.
-	gen, err := st.Save(ens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rep, err := st.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Generation != gen {
-		t.Fatalf("loaded generation %d after recovery save, want %d", rep.Generation, gen)
 	}
 }
 

@@ -318,9 +318,9 @@ func TestChaosCrashDuringSaveRecoversPreviousGeneration(t *testing.T) {
 	// save finally survives the whole gauntlet.
 	crashed := 0
 	for n := 0; ; n++ {
-		st.SetSaveHook(CrashAfterSteps(n))
+		st.SetHook(CrashAfterSteps(n))
 		_, err := st.Save(ens)
-		st.SetSaveHook(nil)
+		st.SetHook(nil)
 		if err == nil {
 			break
 		}
@@ -368,11 +368,11 @@ func TestChaosCrashAtGenCommit(t *testing.T) {
 	if _, err := st.Save(ens); err != nil {
 		t.Fatal(err)
 	}
-	st.SetSaveHook(CrashAtStep(core.StepGenCommit))
+	st.SetHook(CrashAtStep(core.StepGenCommit))
 	if _, err := st.Save(ens); !errors.Is(err, ErrInjectedCrash) {
 		t.Fatalf("save did not crash at gen-commit: %v", err)
 	}
-	st.SetSaveHook(nil)
+	st.SetHook(nil)
 	_, rep, err := st.Load()
 	if err != nil {
 		t.Fatalf("load after gen-commit crash: %v", err)

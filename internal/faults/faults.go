@@ -24,6 +24,7 @@ import (
 
 	"github.com/hpc-repro/aiio/internal/core"
 	"github.com/hpc-repro/aiio/internal/darshan"
+	"github.com/hpc-repro/aiio/internal/durable"
 	"github.com/hpc-repro/aiio/internal/linalg"
 )
 
@@ -149,19 +150,19 @@ type errReader struct{ err error }
 
 func (e *errReader) Read([]byte) (int, error) { return 0, e.err }
 
-// ErrInjectedCrash is the error every save-crash injector aborts with:
-// the moral equivalent of kill -9 landing mid-save. Registry code must
-// treat the save as lost, and the next load must recover the previous
-// generation.
-var ErrInjectedCrash = errors.New("faults: injected crash during save")
+// ErrInjectedCrash is the error every crash injector aborts with: the
+// moral equivalent of kill -9 landing mid-commit. The store must treat the
+// operation as lost, and the next open or load must recover the last
+// committed state.
+var ErrInjectedCrash = errors.New("faults: injected crash at a durable step")
 
-// CrashAfterSteps returns a model-store save hook (core.Store.SetSaveHook)
-// that lets the first n durable steps through and "crashes" — aborts the
-// save with ErrInjectedCrash, leaving whatever partial on-disk state
-// exists at that point — on step n+1. n=0 crashes at the very first
-// step. The hook is safe for reuse across saves; the step count is
-// cumulative, matching a process that dies once.
-func CrashAfterSteps(n int) func(step, path string) error {
+// CrashAfterSteps returns a durable-step hook — for core.Store.SetHook or
+// joblog.Store.SetHook — that lets the first n durable steps through and
+// "crashes" — aborts the operation with ErrInjectedCrash, leaving whatever
+// partial on-disk state exists at that point — on step n+1. n=0 crashes at
+// the very first step. The hook is safe for reuse across operations; the
+// step count is cumulative, matching a process that dies once.
+func CrashAfterSteps(n int) durable.Hook {
 	var calls atomic.Int64
 	return func(step, path string) error {
 		if calls.Add(1) > int64(n) {
@@ -171,11 +172,12 @@ func CrashAfterSteps(n int) func(step, path string) error {
 	}
 }
 
-// CrashAtStep returns a save hook that crashes at the first occurrence
-// of the named step (one of the core.Step* constants) and passes every
-// other step through — a crash aimed at a specific durability window,
-// e.g. core.StepGenCommit to die right before the generation rename.
-func CrashAtStep(target string) func(step, path string) error {
+// CrashAtStep returns a durable-step hook that crashes at the first
+// occurrence of the named step (a core.Step* or joblog.Step* constant) and
+// passes every other step through — a crash aimed at a specific durability
+// window, e.g. core.StepGenCommit to die right before the generation
+// rename.
+func CrashAtStep(target string) durable.Hook {
 	return func(step, path string) error {
 		if step == target {
 			return ErrInjectedCrash

@@ -15,6 +15,8 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+
+	"github.com/hpc-repro/aiio/internal/durable"
 )
 
 // Compaction rewrites the sealed segments into a duplicate-free, sorted
@@ -110,7 +112,7 @@ func (s *Store) Compact() (*CompactStats, error) {
 			return chunk[i].seq < chunk[j].seq
 		})
 		path := filepath.Join(segRoot, fmt.Sprintf("%srun-%06d", tmpPrefix, len(runs)))
-		if err := s.step(StepCompactRun, path); err != nil {
+		if err := s.hook.At(StepCompactRun, path); err != nil {
 			return err
 		}
 		f, err := os.Create(path)
@@ -179,7 +181,7 @@ func (s *Store) Compact() (*CompactStats, error) {
 	}
 
 	// (3) k-way heap merge over the runs.
-	if err := s.step(StepCompactMerge, segRoot); err != nil {
+	if err := s.hook.At(StepCompactMerge, segRoot); err != nil {
 		return nil, err
 	}
 	h := &runHeap{}
@@ -254,7 +256,7 @@ func (s *Store) Compact() (*CompactStats, error) {
 	// Cleanup, best effort: a failure leaves debris the next Open sweeps.
 	for _, si := range oldSealed {
 		path := filepath.Join(segRoot, si.File)
-		if err := s.step(StepCompactCleanup, path); err != nil {
+		if err := s.hook.At(StepCompactCleanup, path); err != nil {
 			return stats, err
 		}
 		os.Remove(path)
@@ -328,13 +330,12 @@ func (cw *compactWriter) seal() error {
 		return err
 	}
 	final := cw.s.segPath(cw.idx)
-	if err := cw.s.step(StepCompactSeal, final); err != nil {
+	if err := cw.s.hook.At(StepCompactSeal, final); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	if err := durable.Rename(tmp, final); err != nil {
 		return fmt.Errorf("joblog: commit merged segment: %w", err)
 	}
-	syncDir(cw.segRoot)
 	cw.sealed = append(cw.sealed, segmentInfo{
 		File:   filepath.Base(final),
 		Frames: cw.frames,

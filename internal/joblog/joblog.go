@@ -50,6 +50,7 @@ import (
 	"time"
 
 	"github.com/hpc-repro/aiio/internal/darshan"
+	"github.com/hpc-repro/aiio/internal/durable"
 )
 
 const (
@@ -59,7 +60,7 @@ const (
 	quarantineDir = "quarantine"
 	quarantineLog = "quarantine.log"
 	segmentExt    = ".wal"
-	tmpPrefix     = ".tmp-"
+	tmpPrefix     = durable.TmpPrefix
 
 	// DefaultSegmentBytes is the rotation threshold when Options.SegmentBytes
 	// is zero.
@@ -69,7 +70,8 @@ const (
 // Durable-step hook names, in the order an append/rotate/compact hits
 // them. A fault-injection hook (faults.CrashAfterSteps / CrashAtStep)
 // aborts the operation at one of these points to simulate a crash landing
-// there; production stores have no hook.
+// there; production stores have no hook. The names are disjoint from the
+// model registry's (core.Step*), so one AIIO_CRASH spec names one step.
 const (
 	StepAppendWrite     = "append-write"     // before writing one record's frame
 	StepAppendSync      = "append-sync"      // before fsyncing the active segment
@@ -136,9 +138,9 @@ type Store struct {
 	dir  string
 	opts Options
 
-	// hook, when non-nil, runs before each durable step and aborts it on
-	// error — the fault-injection seam for crash drills. Tests only.
-	hook func(step, path string) error
+	// hook runs before each durable step and aborts it on error — the
+	// fault-injection seam for crash drills.
+	hook durable.Hook
 
 	// compactMu serializes Compact against in-flight Scans: Scan holds the
 	// read side while it walks segment files outside mu, so compaction
@@ -209,19 +211,8 @@ func Open(dir string, opts Options) (*Store, error) {
 func (s *Store) Dir() string { return s.dir }
 
 // SetHook installs a fault-injection hook called before every durable
-// step with (step, path). A non-nil error aborts the operation at that
-// point, leaving whatever partial state a real crash would leave.
-func (s *Store) SetHook(h func(step, path string) error) { s.hook = h }
-
-func (s *Store) step(step, path string) error {
-	if s.hook == nil {
-		return nil
-	}
-	if err := s.hook(step, path); err != nil {
-		return fmt.Errorf("joblog: aborted at %s (%s): %w", step, path, err)
-	}
-	return nil
-}
+// step. A nil hook (the default) is a no-op.
+func (s *Store) SetHook(h durable.Hook) { s.hook = h }
 
 func (s *Store) segPath(idx uint64) string {
 	return filepath.Join(s.dir, segmentsDir, fmt.Sprintf("%08d%s", idx, segmentExt))
@@ -592,7 +583,7 @@ func (s *Store) Append(rec *darshan.Record) (AppendResult, error) {
 			return AppendResult{}, err
 		}
 	}
-	if err := s.step(StepAppendWrite, s.segPath(s.activeIdx)); err != nil {
+	if err := s.hook.At(StepAppendWrite, s.segPath(s.activeIdx)); err != nil {
 		return AppendResult{}, err
 	}
 	frame := appendFrame(nil, s.encBuf)
@@ -628,7 +619,7 @@ func (s *Store) openActive() error {
 	s.activeIdx = idx
 	s.activeBytes = 0
 	s.nextSegIdx++
-	syncDir(filepath.Join(s.dir, segmentsDir))
+	durable.SyncDir(filepath.Join(s.dir, segmentsDir))
 	return nil
 }
 
@@ -695,7 +686,7 @@ func (s *Store) leadSyncLocked() error {
 		return err
 	}
 	covered := s.appendSeq
-	if err := s.step(StepAppendSync, s.segPath(s.activeIdx)); err != nil {
+	if err := s.hook.At(StepAppendSync, s.segPath(s.activeIdx)); err != nil {
 		return err
 	}
 	// The fsync itself runs without mu so appenders keep staging — that
@@ -736,7 +727,7 @@ func (s *Store) sealLocked() error {
 		return err
 	}
 	path := s.segPath(s.activeIdx)
-	if err := s.step(StepSealSync, path); err != nil {
+	if err := s.hook.At(StepSealSync, path); err != nil {
 		return err
 	}
 	if err := s.active.Sync(); err != nil {
@@ -772,12 +763,12 @@ func (s *Store) sealLocked() error {
 	return s.commitManifest(StepSealManifest)
 }
 
-// commitManifest writes the manifest via tmp + fsync + atomic rename (the
-// registry.go idiom). step, when non-empty, is the hook point name.
+// commitManifest commits the manifest as one durable file write. step,
+// when non-empty, is the hook point name.
 func (s *Store) commitManifest(step string) error {
 	path := filepath.Join(s.dir, manifestName)
 	if step != "" {
-		if err := s.step(step, path); err != nil {
+		if err := s.hook.At(step, path); err != nil {
 			return err
 		}
 	}
@@ -785,14 +776,9 @@ func (s *Store) commitManifest(step string) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.dir, tmpPrefix+manifestName)
-	if err := writeFileSync(tmp, data); err != nil {
-		return fmt.Errorf("joblog: write manifest: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := durable.WriteFile(path, data); err != nil {
 		return fmt.Errorf("joblog: commit manifest: %w", err)
 	}
-	syncDir(s.dir)
 	return nil
 }
 
@@ -935,17 +921,12 @@ func (s *Store) AdvanceCursor(seq uint64) error {
 		return nil
 	}
 	path := filepath.Join(s.dir, cursorName)
-	if err := s.step(StepCursorCommit, path); err != nil {
+	if err := s.hook.At(StepCursorCommit, path); err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.dir, tmpPrefix+cursorName)
-	if err := writeFileSync(tmp, []byte(strconv.FormatUint(seq, 10)+"\n")); err != nil {
-		return fmt.Errorf("joblog: write cursor: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := durable.WriteFile(path, []byte(strconv.FormatUint(seq, 10)+"\n")); err != nil {
 		return fmt.Errorf("joblog: commit cursor: %w", err)
 	}
-	syncDir(s.dir)
 	s.cursor = seq
 	s.recomputePendingLocked()
 	return nil
@@ -1039,8 +1020,8 @@ func (s *Store) Stats() Stats {
 // missing previously durable frames — a crash at any instant leaves either
 // the old bytes or the clean bytes. For the pure torn-tail case (clean is
 // a prefix of disk) an in-place truncate suffices; otherwise the clean
-// bytes are written to a temp file, fsynced, and renamed over the segment
-// (the manifest idiom). A truncate-to-zero-then-write (os.Create) would
+// bytes are committed as one durable file write (temp + fsync + rename).
+// A truncate-to-zero-then-write (os.Create) would
 // open a window where a crash loses every acknowledged frame in the
 // segment — exactly the crash-loop regime recovery runs in.
 func rewriteSegment(path string, clean, disk []byte) error {
@@ -1059,42 +1040,5 @@ func rewriteSegment(path string, clean, disk []byte) error {
 		}
 		return f.Close()
 	}
-	dir := filepath.Dir(path)
-	tmp := filepath.Join(dir, tmpPrefix+filepath.Base(path))
-	if err := writeFileSync(tmp, clean); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	syncDir(dir)
-	return nil
-}
-
-// writeFileSync writes data to path and fsyncs before closing, so the
-// bytes are durable before any rename that references them.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so a just-committed rename is durable. Best
-// effort: some filesystems refuse directory fsync, and a failure here only
-// widens the crash window rather than corrupting state.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
+	return durable.WriteFile(path, clean)
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"github.com/hpc-repro/aiio/internal/darshan"
+	"github.com/hpc-repro/aiio/internal/durable"
 )
 
 // Operator access to the quarantine log (`aiio quarantine`). The log is
@@ -131,7 +132,7 @@ func (s *Store) PurgeQuarantine() (int, error) {
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 		return 0, fmt.Errorf("joblog: purge quarantine log: %w", err)
 	}
-	syncDir(filepath.Join(s.dir, quarantineDir))
+	durable.SyncDir(filepath.Join(s.dir, quarantineDir))
 	s.quarantined = 0
 	return n, nil
 }
