@@ -23,8 +23,9 @@ var indexTmpl = template.Must(template.New("index").Parse(`<!DOCTYPE html>
 <h1>AIIO — job-level I/O bottleneck diagnosis</h1>
 <p class="hint">Paste a Darshan text log (darshan-parser style: one
 "COUNTER\tvalue" per line; see the POSIX counter names of the paper's
-Table 4). The service runs every trained performance function, explains the
-prediction with Kernel SHAP, and merges the results.</p>
+Table 4). The service runs every trained performance function, explains
+each prediction with SHAP (exact TreeSHAP for the boosted-tree models,
+Kernel SHAP for the neural ones, by default), and merges the results.</p>
 <form method="POST" action="/diagnose">
 <textarea name="log" placeholder="# exe: ior&#10;POSIX_WRITES&#9;262144&#10;..."></textarea>
 <p><button type="submit">Diagnose</button></p>
@@ -94,7 +95,9 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	_ = indexTmpl.Execute(w, nil)
 }
 
-// handleDiagnoseHTML accepts the form post and renders the waterfall.
+// handleDiagnoseHTML accepts the form post, answers it through the same
+// diagnose stage as the JSON endpoints (cache, flights, breakers) and
+// renders the waterfall.
 func (s *Server) handleDiagnoseHTML(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Redirect(w, r, "/", http.StatusSeeOther)
@@ -110,19 +113,14 @@ func (s *Server) handleDiagnoseHTML(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "parse log: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Same lock-free snapshot discipline as the JSON endpoint: never hold
-	// s.mu across the SHAP computation.
-	ens, opts, _ := s.snapshot()
-	diag, err := ens.DiagnoseContext(r.Context(), rec, opts)
-	if err != nil {
-		if r.Context().Err() != nil {
-			http.Error(w, "diagnosis cancelled: "+err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		http.Error(w, "diagnose: "+err.Error(), http.StatusInternalServerError)
+	ens, opts, version := s.snapshot()
+	_, job := s.diagnoseJob(r.Context(), ens, opts, version, rec)
+	if job.err != nil {
+		s.writeDiagnoseError(w, r, job.err)
 		return
 	}
-	resp := buildResponse(diag)
+	resp := buildResponse(job.diag)
+	markBreakerSkips(resp, job.open)
 	res := htmlResult{DiagnosisResponse: resp}
 	maxAbs := 1e-12
 	for _, f := range resp.Factors {

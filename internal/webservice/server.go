@@ -16,6 +16,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,6 +28,7 @@ import (
 	"github.com/hpc-repro/aiio/internal/darshan"
 	"github.com/hpc-repro/aiio/internal/drift"
 	"github.com/hpc-repro/aiio/internal/joblog"
+	"github.com/hpc-repro/aiio/internal/parallel"
 	"github.com/hpc-repro/aiio/internal/tune"
 )
 
@@ -674,24 +676,16 @@ func (s *Server) applyBreakers(ens *core.Ensemble) (allowed *core.Ensemble, open
 	return allowed, open
 }
 
-// recordOutcomes feeds one request's per-model results back into the
-// breakers: a model that failed (panic, NaN) in any of the request's
-// diagnoses counts one failure, a model that worked throughout counts
-// one success. Skipped on a request-level cancellation, where per-model
-// blame is meaningless.
-func (s *Server) recordOutcomes(allowed *core.Ensemble, diags ...*core.Diagnosis) {
+// chargeBreakers feeds one computed diagnosis back into the breakers: each
+// allowed model that failed in it (panic, NaN) counts one failure, each
+// that worked one success. A nil diag means the pass errored because no
+// model survived, and charges every allowed model a failure.
+func (s *Server) chargeBreakers(allowed *core.Ensemble, diag *core.Diagnosis) {
 	if s.Breakers == nil {
 		return
 	}
 	for i, m := range allowed.Models {
-		failed := false
-		for _, d := range diags {
-			if d.PerModel[i].Failed() {
-				failed = true
-				break
-			}
-		}
-		if failed {
+		if diag == nil || diag.PerModel[i].Failed() {
 			s.Breakers.For(m.Name()).Failure()
 		} else {
 			s.Breakers.For(m.Name()).Success()
@@ -699,15 +693,17 @@ func (s *Server) recordOutcomes(allowed *core.Ensemble, diags ...*core.Diagnosis
 	}
 }
 
-// recordAllFailures charges every allowed model's breaker one failure —
-// the case where the whole diagnosis errored because no model survived,
-// so there is no per-model Diagnosis to consult.
-func (s *Server) recordAllFailures(allowed *core.Ensemble) {
-	if s.Breakers == nil {
-		return
-	}
-	for _, m := range allowed.Models {
-		s.Breakers.For(m.Name()).Failure()
+// writeDiagnoseError answers a request whose diagnose stage failed, for
+// every diagnose endpoint: the breaker-open 503 when no model may run, the
+// cancellation 503 when the caller's context ended, 500 otherwise.
+func (s *Server) writeDiagnoseError(w http.ResponseWriter, r *http.Request, err error) {
+	switch {
+	case errors.Is(err, errAllBreakersOpen):
+		s.writeBreakerOpen(w)
+	case r.Context().Err() != nil:
+		s.writeUnavailable(w, err)
+	default:
+		httpError(w, http.StatusInternalServerError, fmt.Sprintf("diagnose: %v", err))
 	}
 }
 
@@ -792,62 +788,36 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	// Diagnose against a lock-free snapshot so a concurrent model upload
 	// (write lock) never stalls behind, or waits on, in-flight SHAP work.
 	ens, opts, version := s.snapshot()
-	key := cacheKey(version, rec)
-	var diag *core.Diagnosis
-	if cache != nil {
+	key, res := s.diagnoseJob(r.Context(), ens, opts, version, rec)
+	if res.err != nil {
+		s.writeDiagnoseError(w, r, res.err)
+		return
+	}
+	if res.rendered != nil {
 		// The same job in another spelling lands here: a frozen entry still
 		// answers it without the advisor.
-		d, rendered, ok := cache.lookup(key)
-		if rendered != nil {
-			s.sendCached(w, rep, rendered)
-			return
-		}
-		if ok {
-			diag = d
-			w.Header().Set("X-AIIO-Cache", "hit")
+		s.sendCached(w, rep, res.rendered)
+		return
+	}
+	if res.fromCache {
+		w.Header().Set("X-AIIO-Cache", "hit")
+	} else {
+		w.Header().Set("X-AIIO-Coalesced", strconv.Itoa(res.answered))
+		if cache != nil && len(res.open) == 0 {
+			w.Header().Set("X-AIIO-Cache", "miss")
 		}
 	}
-	secondTouch := diag != nil
-	var open []string
-	var allowed *core.Ensemble
-	if diag == nil {
-		// A miss: join the flight already diagnosing this job under this
-		// model set, or start one (singleflight.go).
-		res := s.flights.do(r.Context(), key, cache, func(ctx context.Context) flightResult {
-			return s.diagnoseFlight(ctx, ens, opts, rec, key, cache)
-		})
-		if res.err != nil {
-			switch {
-			case errors.Is(res.err, errAllBreakersOpen):
-				s.writeBreakerOpen(w)
-			case r.Context().Err() != nil:
-				s.writeUnavailable(w, res.err)
-			default:
-				httpError(w, http.StatusInternalServerError, fmt.Sprintf("diagnose: %v", res.err))
-			}
-			return
-		}
-		diag, allowed, open = res.diag, res.allowed, res.open
-		if res.fromCache {
-			w.Header().Set("X-AIIO-Cache", "hit")
-		} else {
-			w.Header().Set("X-AIIO-Coalesced", strconv.Itoa(res.answered))
-			if cache != nil && len(open) == 0 {
-				w.Header().Set("X-AIIO-Cache", "miss")
-			}
-		}
-	}
-	resp := buildResponse(diag)
-	markBreakerSkips(resp, open)
+	resp := buildResponse(res.diag)
+	markBreakerSkips(resp, res.open)
 	// The advisor is best-effort: a failure degrades to an advisory-error
 	// field instead of discarding the successful diagnosis. It runs over
 	// the models that served this request — breaker-open models are
 	// excluded from its counterfactual predictions too.
 	adviseEns := ens
-	if allowed != nil {
-		adviseEns = allowed
+	if res.allowed != nil {
+		adviseEns = res.allowed
 	}
-	recs, advErr := s.safeAdvise(adviseEns, diag)
+	recs, advErr := s.safeAdvise(adviseEns, res.diag)
 	if advErr != nil {
 		resp.AdvisoryError = advErr.Error()
 	}
@@ -871,7 +841,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	// twice never pays for rendered bytes. Only a complete answer is worth
 	// keeping — a degraded ensemble or a failed advisor may do better next
 	// time, so those replies are rebuilt on every hit.
-	if secondTouch && !resp.Degraded && advErr == nil {
+	if res.fromCache && !resp.Degraded && advErr == nil {
 		cache.freeze(key, version, digest, bytes.Clone(eb.buf.Bytes()))
 	}
 	s.sendDiagnosis(w, rep, eb)
@@ -887,8 +857,12 @@ func (s *Server) sendCached(w http.ResponseWriter, rep *core.LoadReport, rendere
 }
 
 // handleDiagnoseBatch accepts a WriteDataset-format stream of several logs
-// and diagnoses them on the parallel engine (Ensemble.DiagnoseBatch),
-// returning one response per record in input order. Recommendations are
+// and runs each record through the diagnose stage, returning one response
+// per record in input order. The pool is split the way Ensemble.DiagnoseBatch
+// splits it: up to Parallelism workers each take one job at a time, and a
+// small batch hands its surplus down to each job's per-model pool. A job
+// already cached, or already running as a flight for another request or
+// another element of this batch, costs no ensemble pass. Recommendations are
 // omitted in batch mode; the single-job endpoint provides them.
 func (s *Server) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -906,68 +880,36 @@ func (s *Server) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	stampGeneration(w, s.genReport.Load())
 	ens, opts, version := s.snapshot()
-	cache := s.diagnosisCache()
-
-	// Resolve each record against the cache first, then run the parallel
-	// engine only over the misses and stitch the results back in order.
-	diags := make([]*core.Diagnosis, ds.Len())
-	keys := make([]string, ds.Len())
-	var missIdx []int
+	total := opts.Parallelism
+	if total <= 0 {
+		total = runtime.GOMAXPROCS(0)
+	}
+	workers := parallel.Workers(total, ds.Len())
+	opts.Parallelism = (total + workers - 1) / workers
+	res := make([]flightResult, ds.Len())
+	err = parallel.EachCtx(r.Context(), ds.Len(), workers, func(i int) {
+		_, res[i] = s.diagnoseJob(r.Context(), ens, opts, version, ds.Records[i])
+	})
+	for i := 0; err == nil && i < len(res); i++ {
+		if res[i].err != nil {
+			err = fmt.Errorf("job %d: %w", i, res[i].err)
+		}
+	}
+	if err != nil {
+		s.writeDiagnoseError(w, r, err)
+		return
+	}
 	hits := 0
-	for i, rec := range ds.Records {
-		if cache != nil {
-			keys[i] = cacheKey(version, rec)
-			if d, ok := cache.get(keys[i]); ok {
-				diags[i] = d
-				hits++
-				continue
-			}
+	resps := make([]*DiagnosisResponse, len(res))
+	for i, job := range res {
+		if job.fromCache {
+			hits++
 		}
-		missIdx = append(missIdx, i)
+		resps[i] = buildResponse(job.diag)
+		markBreakerSkips(resps[i], job.open)
 	}
-	var open []string
-	if len(missIdx) > 0 {
-		allowed, openNow := s.applyBreakers(ens)
-		open = openNow
-		if len(allowed.Models) == 0 {
-			s.writeBreakerOpen(w)
-			return
-		}
-		missRecs := make([]*darshan.Record, len(missIdx))
-		for k, i := range missIdx {
-			missRecs[k] = ds.Records[i]
-		}
-		fresh, err := allowed.DiagnoseBatchContext(r.Context(), missRecs, opts)
-		if err != nil {
-			if r.Context().Err() != nil {
-				s.writeUnavailable(w, err)
-				return
-			}
-			s.recordAllFailures(allowed)
-			httpError(w, http.StatusInternalServerError, fmt.Sprintf("diagnose: %v", err))
-			return
-		}
-		s.recordOutcomes(allowed, fresh...)
-		for k, i := range missIdx {
-			diags[i] = fresh[k]
-			// Partial (breaker-degraded) results stay out of the cache;
-			// see handleDiagnose.
-			if cache != nil && len(open) == 0 {
-				cache.put(keys[i], fresh[k])
-			}
-		}
-	}
-	if cache != nil {
-		w.Header().Set("X-AIIO-Cache", fmt.Sprintf("hits=%d misses=%d", hits, len(missIdx)))
-	}
-	resps := make([]*DiagnosisResponse, len(diags))
-	for i, diag := range diags {
-		resps[i] = buildResponse(diag)
-	}
-	// Cache hits were full-ensemble results; only the fresh misses carry
-	// the breaker-open skips.
-	for _, i := range missIdx {
-		markBreakerSkips(resps[i], open)
+	if s.diagnosisCache() != nil {
+		w.Header().Set("X-AIIO-Cache", fmt.Sprintf("hits=%d misses=%d", hits, len(res)-hits))
 	}
 	writeJSON(w, http.StatusOK, resps)
 }

@@ -10,21 +10,25 @@ import (
 	"github.com/hpc-repro/aiio/internal/darshan"
 )
 
-// Single-flight cold misses: a single-job diagnose request that misses the
-// cache starts a flight keyed by cacheKey(version, rec), and every identical
-// miss that arrives while the flight runs joins it instead of paying its own
-// ensemble pass. A dogpile of N clients diagnosing the same cold job costs
-// one pass; a lone miss starts at once, without waiting for company.
+// The diagnose stage: every diagnose endpoint — single-job, batch and the
+// HTML form — resolves each job through diagnoseJob, which runs the counted
+// keyed cache lookup and, on a miss, a single-flight cold miss. A flight is
+// keyed by cacheKey(version, rec), and every identical miss that arrives
+// while it runs joins it instead of paying its own ensemble pass. A dogpile
+// of N requests for the same cold job costs one pass, whichever endpoints
+// they came through; a lone miss starts at once, without waiting for company.
 //
 //   - The key carries the model-set version, so a request under a newer
 //     model set never joins a flight started under an older one.
 //   - Before starting a flight the group peeks at the cache (without
-//     counting a hit or miss: the handler's lookup already counted the
-//     request) under its own lock. A flight fills the cache before it leaves
-//     the group, so a miss racing a just-finished flight finds its result.
+//     counting a hit or miss: the stage's lookup already counted the job)
+//     under its own lock. A flight fills the cache before it leaves the
+//     group, so a miss racing a just-finished flight finds its result.
 //   - A flight runs detached from any one caller, under a context that is
 //     cancelled only when its last waiter has left. A waiter whose own
 //     context dies leaves at once; the flight runs on for the others.
+//   - Breakers are charged once per computed diagnosis, inside the flight:
+//     a job answered from the cache or by joining a flight charges nothing.
 //
 // Distinct jobs are not fused: a batch of two costs the same CPU as two
 // single diagnoses, so fusing them saved no work and cost each one a wait.
@@ -39,20 +43,23 @@ const DefaultCoalesceWindow time.Duration = 0
 // breaker-open 503 (writeBreakerOpen).
 var errAllBreakersOpen = errors.New("webservice: every model's circuit breaker is open")
 
-// flightResult is what every waiter of one flight receives.
+// flightResult is what every waiter of one flight receives, and what the
+// diagnose stage returns for one job.
 type flightResult struct {
 	diag *core.Diagnosis
 	// allowed is the breaker-filtered ensemble the flight ran on; the
-	// handler advises against it.
+	// single-job handler advises against it.
 	allowed *core.Ensemble
 	// open names the breaker-open models the flight skipped.
 	open []string
 	err  error
-	// answered is how many requests the flight answered; fromCache marks a
-	// result found in the cache instead (a flight filled it after this
-	// request's handler-level miss).
+	// answered is how many requests the flight answered. fromCache marks a
+	// job answered from the cache instead: by the stage's keyed lookup, or
+	// by an entry a flight filled after that lookup missed. rendered is the
+	// entry's frozen response, when the keyed lookup found one.
 	answered  int
 	fromCache bool
+	rendered  []byte
 }
 
 // flight is one in-progress diagnosis and the requests waiting on it.
@@ -151,29 +158,42 @@ func (g *flightGroup) stats() (runs, answered uint64) {
 	return g.runs, g.answered
 }
 
-// diagnoseFlight is one flight's work: breaker partition, one ensemble pass
-// over the allowed models, outcome accounting and the cache fill.
-func (s *Server) diagnoseFlight(ctx context.Context, ens *core.Ensemble, opts core.DiagnoseOptions,
-	rec *darshan.Record, key string, cache *diagCache) flightResult {
-	allowed, open := s.applyBreakers(ens)
-	if len(allowed.Models) == 0 {
-		return flightResult{err: errAllBreakersOpen}
-	}
-	diag, err := allowed.DiagnoseContext(ctx, rec, opts)
-	if err != nil {
-		// A non-cancellation diagnosis error means every allowed model
-		// failed; the breakers must hear about it or they never open.
-		if ctx.Err() == nil {
-			s.recordAllFailures(allowed)
+// diagnoseJob is the diagnose stage: it answers one job against the model
+// set snapshot (ens, opts, version), with opts.Parallelism as the job's own
+// worker budget, and returns the job's cache key with the answer. The keyed
+// lookup counts the job's one hit or miss. A miss joins or starts the job's
+// flight, which partitions the ensemble by breaker, runs one ensemble pass
+// over the allowed models, charges the breakers and caches a full-ensemble
+// result.
+func (s *Server) diagnoseJob(ctx context.Context, ens *core.Ensemble, opts core.DiagnoseOptions,
+	version uint64, rec *darshan.Record) (string, flightResult) {
+	key := cacheKey(version, rec)
+	cache := s.diagnosisCache()
+	if cache != nil {
+		if d, rendered, ok := cache.lookup(key); ok {
+			return key, flightResult{diag: d, fromCache: true, rendered: rendered}
 		}
-		return flightResult{err: err}
 	}
-	s.recordOutcomes(allowed, diag)
-	// A result computed with breaker-open models excluded is partial:
-	// caching it would keep serving the degraded answer after the breakers
-	// close, so only full-ensemble results are cached.
-	if cache != nil && len(open) == 0 {
-		cache.put(key, diag)
-	}
-	return flightResult{diag: diag, allowed: allowed, open: open}
+	return key, s.flights.do(ctx, key, cache, func(ctx context.Context) flightResult {
+		allowed, open := s.applyBreakers(ens)
+		if len(allowed.Models) == 0 {
+			return flightResult{err: errAllBreakersOpen}
+		}
+		diag, err := allowed.DiagnoseContext(ctx, rec, opts)
+		if err != nil && ctx.Err() != nil {
+			// Per-model blame is meaningless for a cancelled pass.
+			return flightResult{err: err}
+		}
+		s.chargeBreakers(allowed, diag)
+		if err != nil {
+			return flightResult{err: err}
+		}
+		// A result computed with breaker-open models excluded is partial:
+		// caching it would keep serving the degraded answer after the
+		// breakers close, so only full-ensemble results are cached.
+		if cache != nil && len(open) == 0 {
+			cache.put(key, diag)
+		}
+		return flightResult{diag: diag, allowed: allowed, open: open}
+	})
 }

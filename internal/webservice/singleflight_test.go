@@ -3,18 +3,24 @@ package webservice
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/hpc-repro/aiio/internal/admission"
 	"github.com/hpc-repro/aiio/internal/core"
 	"github.com/hpc-repro/aiio/internal/darshan"
+	"github.com/hpc-repro/aiio/internal/faults"
 	"github.com/hpc-repro/aiio/internal/iosim"
 	"github.com/hpc-repro/aiio/internal/linalg"
 	"github.com/hpc-repro/aiio/internal/tune"
@@ -346,5 +352,202 @@ func TestFlightBreakerOpenError(t *testing.T) {
 		if err := <-errs; !errors.Is(err, errAllBreakersOpen) {
 			t.Errorf("waiter got %v, want errAllBreakersOpen", err)
 		}
+	}
+}
+
+// datasetBytes is recs as one batch request body.
+func datasetBytes(t testing.TB, recs ...*darshan.Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := darshan.WriteDataset(&buf, &darshan.Dataset{Records: recs}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// postBatch sends body to POST /api/v1/diagnose/batch on h, in process.
+func postBatch(h http.Handler, body []byte) reply {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/diagnose/batch", bytes.NewReader(body)))
+	return reply{status: w.Code, header: w.Header(), body: w.Body.Bytes()}
+}
+
+// postForm sends log as the HTML form's field to POST /diagnose on h, in
+// process.
+func postForm(h http.Handler, log []byte) reply {
+	w := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/diagnose",
+		strings.NewReader(url.Values{"log": {string(log)}}.Encode()))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	h.ServeHTTP(w, req)
+	return reply{status: w.Code, header: w.Header(), body: w.Body.Bytes()}
+}
+
+// TestBatchSharesFlights: a batch [a, a, a] and a concurrent single-job
+// request for a run one ensemble pass between them.
+func TestBatchSharesFlights(t *testing.T) {
+	// One batch worker per element, so every element waits on the flight
+	// at once.
+	opts := fastOpts()
+	opts.Parallelism = 3
+	refEns, ref := countingEnsemble(t, true)
+	diag, err := refEns.Diagnose(testRecord(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perPass := ref.calls.Load()
+	if _, err := tune.New(refEns).Advise(diag, 1.05); err != nil {
+		t.Fatal(err)
+	}
+	perAdvise := ref.calls.Load() - perPass
+
+	ens, cm := countingEnsemble(t, false)
+	s := NewServer(ens, opts)
+	h := s.Handler()
+	rec := testRecord()
+	batchBody, log := datasetBytes(t, rec, rec, rec), logBytes(t, rec)
+	batch, single := make(chan reply, 1), make(chan reply, 1)
+	go func() { batch <- postBatch(h, batchBody) }()
+	go func() { single <- post(h, log) }()
+	awaitWaiting(t, &s.flights, 4)
+	close(cm.gate)
+
+	if r := <-single; r.status != http.StatusOK {
+		t.Fatalf("single request: HTTP %d: %s", r.status, r.body)
+	}
+	r := <-batch
+	if r.status != http.StatusOK {
+		t.Fatalf("batch: HTTP %d: %s", r.status, r.body)
+	}
+	var out []*DiagnosisResponse
+	if err := json.Unmarshal(r.body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 3 {
+		t.Fatalf("batch returned %d responses, want 3", len(out))
+	}
+	for i, resp := range out {
+		if resp.App != rec.App || !reflect.DeepEqual(resp, out[0]) {
+			t.Errorf("batch element %d differs from element 0", i)
+		}
+	}
+	var hits, misses int
+	if _, err := fmt.Sscanf(r.header.Get("X-AIIO-Cache"), "hits=%d misses=%d", &hits, &misses); err != nil || hits+misses != 3 {
+		t.Errorf("batch X-AIIO-Cache %q, want hits+misses = 3", r.header.Get("X-AIIO-Cache"))
+	}
+	if calls, want := cm.calls.Load(), perPass+perAdvise; calls != want {
+		t.Errorf("%d model calls; want %d: one ensemble pass makes %d, the single request's advisor %d",
+			calls, want, perPass, perAdvise)
+	}
+	if runs, answered := s.flights.stats(); runs != 1 || answered != 4 {
+		t.Errorf("flights: %d run, %d requests answered; want 1, 4", runs, answered)
+	}
+}
+
+// TestBatchElementMatchesSingleReply: element i of a batch reply is the
+// single-job reply for job i without its advisor and lifecycle fields, with
+// the cache on and off.
+func TestBatchElementMatchesSingleReply(t *testing.T) {
+	recs := make([]*darshan.Record, 4)
+	for i := range recs {
+		recs[i] = coalesceRecord(12 + i)
+	}
+	for _, size := range []int{0, -1} {
+		s := NewServer(ensemble(t), fastOpts())
+		s.CacheSize = size
+		h := s.Handler()
+		r := postBatch(h, datasetBytes(t, recs...))
+		if r.status != http.StatusOK {
+			t.Fatalf("cache size %d: batch: HTTP %d: %s", size, r.status, r.body)
+		}
+		var batch []*DiagnosisResponse
+		if err := json.Unmarshal(r.body, &batch); err != nil {
+			t.Fatal(err)
+		}
+		if len(batch) != len(recs) {
+			t.Fatalf("cache size %d: batch returned %d responses, want %d", size, len(batch), len(recs))
+		}
+		for i, rec := range recs {
+			single := post(h, logBytes(t, rec))
+			if single.status != http.StatusOK {
+				t.Fatalf("cache size %d: job %d: HTTP %d: %s", size, i, single.status, single.body)
+			}
+			var want DiagnosisResponse
+			if err := json.Unmarshal(single.body, &want); err != nil {
+				t.Fatal(err)
+			}
+			want.Recommendations, want.AdvisoryError, want.Advisories = nil, "", nil
+			if !reflect.DeepEqual(batch[i], &want) {
+				t.Errorf("cache size %d: batch element %d differs from the single reply:\n batch %+v\nsingle %+v",
+					size, i, batch[i], &want)
+			}
+		}
+	}
+}
+
+// TestHTMLFormHonoursBreakersAndCache: the form endpoint charges and
+// respects the breakers and reads and fills the cache like the JSON ones.
+func TestHTMLFormHonoursBreakersAndCache(t *testing.T) {
+	log := logBytes(t, testRecord())
+	t.Run("breakers", func(t *testing.T) {
+		ens := ensemble(t)
+		faulty := make([]*faults.FaultyModel, len(ens.Models))
+		for i := range faulty {
+			faulty[i] = &faults.FaultyModel{PanicOn: true}
+			ens = faults.Break(ens, i, faulty[i])
+		}
+		calls := func() (n int64) {
+			for _, m := range faulty {
+				n += m.Calls()
+			}
+			return n
+		}
+		s := NewServer(ens, fastOpts())
+		s.Breakers, _ = breakerClock(1, time.Minute)
+		h := s.Handler()
+		if r := postForm(h, log); r.status != http.StatusInternalServerError {
+			t.Fatalf("form post with every model failing: HTTP %d, want 500: %s", r.status, r.body)
+		}
+		before := calls()
+		r := postForm(h, log)
+		if r.status != http.StatusServiceUnavailable || r.header.Get("X-AIIO-Breaker") != "open" {
+			t.Fatalf("form post with every breaker open: HTTP %d, X-AIIO-Breaker %q; want 503, open",
+				r.status, r.header.Get("X-AIIO-Breaker"))
+		}
+		if n := calls() - before; n != 0 {
+			t.Errorf("form post with every breaker open made %d model calls, want 0", n)
+		}
+	})
+	t.Run("cache", func(t *testing.T) {
+		h := NewServer(ensemble(t), fastOpts()).Handler()
+		if r := postForm(h, log); r.status != http.StatusOK {
+			t.Fatalf("form post: HTTP %d: %s", r.status, r.body)
+		}
+		before, _ := cacheStats(t, h)
+		if r := postForm(h, log); r.status != http.StatusOK {
+			t.Fatalf("repeat form post: HTTP %d: %s", r.status, r.body)
+		}
+		if after, _ := cacheStats(t, h); after != before+1 {
+			t.Errorf("repeat form post moved cache.hits %d → %d, want one hit", before, after)
+		}
+	})
+}
+
+// TestBatchChargesBreakersPerDiagnosis: a batch charges a failing model's
+// breaker once per job it diagnoses, as the same jobs sent one by one would.
+func TestBatchChargesBreakersPerDiagnosis(t *testing.T) {
+	ens := faults.Break(ensemble(t), 0, &faults.FaultyModel{PanicOn: true})
+	s := NewServer(ens, fastOpts())
+	set, _ := breakerClock(2, time.Minute)
+	s.Breakers = set
+	r := postBatch(s.Handler(), datasetBytes(t, coalesceRecord(12), coalesceRecord(13)))
+	if r.status != http.StatusOK {
+		t.Fatalf("batch: HTTP %d: %s", r.status, r.body)
+	}
+	if st := set.For(ens.Models[0].Name()).State(); st != admission.StateOpen {
+		t.Errorf("failing model's breaker = %v after a batch of two diagnoses at threshold 2, want open", st)
+	}
+	if st := set.For(ens.Models[1].Name()).State(); st != admission.StateClosed {
+		t.Errorf("healthy model's breaker = %v, want closed", st)
 	}
 }
