@@ -50,7 +50,8 @@ type (
 	TrainOptions = core.TrainOptions
 	// TrainReport summarizes training (per-model eval RMSE).
 	TrainReport = core.TrainReport
-	// DiagnoseOptions selects the interpreter (SHAP/LIME) and its budgets.
+	// DiagnoseOptions selects the explainer (SHAP, with SHAPMode choosing
+	// TreeSHAP or Kernel SHAP per model, or LIME) and its budgets.
 	DiagnoseOptions = core.DiagnoseOptions
 	// DatabaseConfig configures synthetic log-database generation.
 	DatabaseConfig = logdb.GenConfig
@@ -107,7 +108,9 @@ func Train(frame *Frame, opts TrainOptions) (*Ensemble, *TrainReport, error) {
 // models, 50/50 split).
 func DefaultTrainOptions() TrainOptions { return core.DefaultTrainOptions() }
 
-// DefaultDiagnoseOptions returns the Kernel SHAP diagnosis configuration.
+// DefaultDiagnoseOptions returns the default diagnosis configuration:
+// SHAPModeAuto, which explains the three tree models with exact TreeSHAP and
+// the MLP and TabNet with Kernel SHAP.
 func DefaultDiagnoseOptions() DiagnoseOptions { return core.DefaultDiagnoseOptions() }
 
 // SaveModels persists an ensemble into a registry directory, as the web

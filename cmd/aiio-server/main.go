@@ -82,7 +82,6 @@ import (
 	"github.com/hpc-repro/aiio/internal/drift"
 	"github.com/hpc-repro/aiio/internal/durable"
 	"github.com/hpc-repro/aiio/internal/joblog"
-	"github.com/hpc-repro/aiio/internal/replica"
 	"github.com/hpc-repro/aiio/internal/shap"
 	"github.com/hpc-repro/aiio/internal/webservice"
 )
@@ -131,7 +130,7 @@ func main() {
 		"concurrent ingest requests (its own admission budget; 0 = the -max-inflight default)")
 	peers := flag.String("peers", "",
 		"comma-separated peer replica base URLs; enables pull-based model generation replication")
-	syncInterval := flag.Duration("sync-interval", replica.DefaultSyncInterval,
+	syncInterval := flag.Duration("sync-interval", webservice.DefaultSyncInterval,
 		"how often to poll -peers for newer model generations")
 	driftPSI := flag.Float64("drift-psi", 0,
 		"PSI threshold that trips the input-distribution detector and triggers a canary-gated retrain (0 disables drift monitoring)")
@@ -306,7 +305,7 @@ func main() {
 				peerList = append(peerList, strings.TrimRight(p, "/"))
 			}
 		}
-		sy := &replica.Syncer{
+		sy := &webservice.Syncer{
 			Store:    store,
 			Peers:    peerList,
 			Interval: *syncInterval,

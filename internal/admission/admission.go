@@ -181,9 +181,6 @@ func (l *Limiter) Stats() (admitted, shed uint64) {
 // BeginDrain stops admitting new work; in-flight requests finish.
 func (l *Limiter) BeginDrain() { l.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (l *Limiter) Draining() bool { return l.draining.Load() }
-
 // Drain begins the drain (idempotently) and blocks until every inflight
 // request has released its slot or ctx expires, returning ctx's error in
 // the latter case.

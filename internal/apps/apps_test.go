@@ -191,3 +191,20 @@ func TestAppRecordsAreReadOrWriteOnlyAsExpected(t *testing.T) {
 		t.Error("DASSA produced writes")
 	}
 }
+
+// TotalBytes returns the bytes one run reads across all workers.
+func (c DASSAConfig) TotalBytes() int64 {
+	return int64(c.MinuteFiles)*c.FileBytes + int64(c.NProcs)*c.TemplateBytes
+}
+
+// TotalBytes returns the field plus attribute bytes of one run.
+func (c OpenPMDConfig) TotalBytes() int64 {
+	per := int64(c.BlocksPerProc)*c.BlockBytes + int64(c.AttrWrites)*c.AttrBytes
+	return per * int64(c.NProcs) * int64(c.Steps)
+}
+
+// TotalBytes returns the bytes one run writes.
+func (c E2EConfig) TotalBytes() int64 {
+	g := c.Global()
+	return int64(g[0]) * int64(g[1]) * int64(g[2]) * c.ElemSize
+}

@@ -52,11 +52,6 @@ func PaperDASSATuned() DASSAConfig {
 	return cfg
 }
 
-// TotalBytes returns the bytes one run reads across all workers.
-func (c DASSAConfig) TotalBytes() int64 {
-	return int64(c.MinuteFiles)*c.FileBytes + int64(c.NProcs)*c.TemplateBytes
-}
-
 // Scale divides the worker count and file size by div.
 func (c DASSAConfig) Scale(div int) DASSAConfig {
 	out := c

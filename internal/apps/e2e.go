@@ -70,12 +70,6 @@ func (c E2EConfig) Global() [3]int {
 	return [3]int{c.NP[0] * c.ND[0], c.NP[1] * c.ND[1], c.NP[2] * c.ND[2]}
 }
 
-// TotalBytes returns the bytes one run writes.
-func (c E2EConfig) TotalBytes() int64 {
-	g := c.Global()
-	return int64(g[0]) * int64(g[1]) * int64(g[2]) * c.ElemSize
-}
-
 // Scale divides every block-count dimension by div (min 1) to produce a
 // smaller run with the same access shape.
 func (c E2EConfig) Scale(div int) E2EConfig {

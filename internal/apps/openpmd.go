@@ -81,12 +81,6 @@ func (c OpenPMDConfig) Scale(div int) OpenPMDConfig {
 	return out
 }
 
-// TotalBytes returns the field plus attribute bytes of one run.
-func (c OpenPMDConfig) TotalBytes() int64 {
-	per := int64(c.BlocksPerProc)*c.BlockBytes + int64(c.AttrWrites)*c.AttrBytes
-	return per * int64(c.NProcs) * int64(c.Steps)
-}
-
 // Job converts the configuration into a simulator job.
 func (c OpenPMDConfig) Job(jobID, seed int64) iosim.Job {
 	return iosim.Job{

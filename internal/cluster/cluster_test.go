@@ -37,6 +37,17 @@ func blobs(k, m, d int, seed int64, noise int) (*linalg.Matrix, []int) {
 	return x, truth
 }
 
+// NumClusters counts distinct non-noise labels.
+func NumClusters(labels []int) int {
+	seen := map[int]bool{}
+	for _, l := range labels {
+		if l != Noise {
+			seen[l] = true
+		}
+	}
+	return len(seen)
+}
+
 func TestHDBSCANFindsBlobs(t *testing.T) {
 	x, truth := blobs(3, 40, 4, 1, 0)
 	labels := HDBSCAN(x, HDBSCANConfig{MinClusterSize: 10})
@@ -140,41 +151,6 @@ func TestLargestCluster(t *testing.T) {
 	if _, err := LargestCluster([]int{Noise, Noise}); err == nil {
 		t.Error("all-noise input should error")
 	}
-}
-
-func TestKNNRegressor(t *testing.T) {
-	x := linalg.FromRows([][]float64{{0}, {1}, {2}, {10}, {11}, {12}})
-	y := []float64{1, 1, 1, 5, 5, 5}
-	knn := NewKNNRegressor(3, x, y)
-	if got := knn.Predict([]float64{0.5}); got != 1 {
-		t.Errorf("Predict(0.5) = %v", got)
-	}
-	if got := knn.Predict([]float64{11}); got != 5 {
-		t.Errorf("Predict(11) = %v", got)
-	}
-}
-
-func TestKNNClassifier(t *testing.T) {
-	x := linalg.FromRows([][]float64{{0}, {1}, {2}, {10}, {11}, {12}})
-	labels := []int{0, 0, 0, 1, 1, 1}
-	knn := NewKNNClassifier(3, x, labels)
-	if got := knn.Classify([]float64{1}); got != 0 {
-		t.Errorf("Classify(1) = %d", got)
-	}
-	if got := knn.Classify([]float64{10.5}); got != 1 {
-		t.Errorf("Classify(10.5) = %d", got)
-	}
-	// Misclassification of boundary points is the documented weakness.
-	_ = knn.Classify([]float64{6})
-}
-
-func TestKNNPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewKNNRegressor(3, linalg.NewMatrix(2, 1), []float64{1})
 }
 
 func BenchmarkHDBSCAN500(b *testing.B) {

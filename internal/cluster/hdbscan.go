@@ -1,7 +1,7 @@
 // Package cluster provides the clustering machinery the paper's related
 // work (Gauge) is built on: HDBSCAN — hierarchical density-based clustering
 // via mutual-reachability minimum spanning trees, condensed trees and
-// stability-based cluster extraction — plus a KNN regressor. AIIO itself
+// stability-based cluster extraction. AIIO itself
 // needs no clustering; these implementations power the Fig. 1 comparison
 // showing why group-level diagnosis fails at the job level.
 package cluster
@@ -401,17 +401,6 @@ func selectClusters(t *condensedTree) map[int]bool {
 	}
 	walk(t.root)
 	return selected
-}
-
-// NumClusters counts distinct non-noise labels.
-func NumClusters(labels []int) int {
-	seen := map[int]bool{}
-	for _, l := range labels {
-		if l != Noise {
-			seen[l] = true
-		}
-	}
-	return len(seen)
 }
 
 // Members returns the row indices with the given label.

@@ -9,6 +9,7 @@ import (
 	"github.com/hpc-repro/aiio/internal/features"
 	"github.com/hpc-repro/aiio/internal/iosim"
 	"github.com/hpc-repro/aiio/internal/logdb"
+	"github.com/hpc-repro/aiio/internal/shap"
 	"github.com/hpc-repro/aiio/internal/workload"
 )
 
@@ -270,10 +271,6 @@ func TestGBDTIntrospection(t *testing.T) {
 	if !ok || len(train) == 0 || len(eval) == 0 {
 		t.Error("no loss curves from the XGBoost-variant model (Fig. 16 input)")
 	}
-	gain, ok := FeatureGain(xgb)
-	if !ok || len(gain) != int(darshan.NumCounters) {
-		t.Error("no feature gains")
-	}
 	if _, _, ok := GBDTLossCurves(ens.Model(NameMLP)); ok {
 		t.Error("MLP reported GBDT loss curves")
 	}
@@ -351,7 +348,9 @@ func TestDiagnoseWithTreeSHAP(t *testing.T) {
 		}
 	}
 	// TreeSHAP and Kernel SHAP (sampled) must broadly agree on the GBDTs.
-	kdiag, err := ens.Diagnose(rec, fastDiagOpts())
+	kopts := fastDiagOpts()
+	kopts.SHAPMode = shap.ModeKernel
+	kdiag, err := ens.Diagnose(rec, kopts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/hpc-repro/aiio/internal/darshan"
+	"github.com/hpc-repro/aiio/internal/shap"
 )
 
 // assertDiagnosisBitwiseEqual fails unless every numeric field of two
@@ -60,6 +61,9 @@ func TestDiagnoseParallelDeterminism(t *testing.T) {
 	for _, interp := range []Interpreter{InterpreterSHAP, InterpreterTreeSHAP, InterpreterLIME} {
 		opts := fastDiagOpts()
 		opts.Interpreter = interp
+		if interp == InterpreterSHAP {
+			opts.SHAPMode = shap.ModeKernel // uniform Kernel SHAP, not auto
+		}
 
 		seqOpts := opts
 		seqOpts.Parallelism = 1

@@ -140,13 +140,3 @@ func GBDTLossCurves(m Model) (train, eval []float64, ok bool) {
 	}
 	return g.m.TrainLoss, g.m.EvalLoss, true
 }
-
-// FeatureGain exposes a boosted model's per-feature split gain (global
-// importance); ok is false for non-GBDT models.
-func FeatureGain(m Model) (gain []float64, ok bool) {
-	g, isGBDT := m.(*gbdtModel)
-	if !isGBDT {
-		return nil, false
-	}
-	return g.m.Gain, true
-}

@@ -167,9 +167,6 @@ type Store struct {
 // yet; the first Save creates it.
 func OpenStore(dir string) *Store { return &Store{dir: dir} }
 
-// Dir is the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // SetHook installs a fault-injection hook called before every durable
 // step of Save, ImportGeneration and SetCurrent. A nil hook (the default)
 // is a no-op.

@@ -60,7 +60,7 @@ func TestStoreCorruptionFallsBack(t *testing.T) {
 
 	// Flip one byte in every model file of generation 2, one at a time —
 	// any single corruption must be caught.
-	genDir := filepath.Join(st.Dir(), "generations", "000002")
+	genDir := filepath.Join(st.dir, "generations", "000002")
 	entries, err := os.ReadDir(genDir)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestStoreAllGenerationsCorruptIsAnError(t *testing.T) {
 	_, ens, _ := fixture(t)
 	st := saveGenerations(t, ens, 2)
 	for _, gen := range []string{"000001", "000002"} {
-		path := filepath.Join(st.Dir(), "generations", gen, ens.Models[0].Name()+".gob")
+		path := filepath.Join(st.dir, "generations", gen, ens.Models[0].Name()+".gob")
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -124,7 +124,7 @@ func TestStoreMissingCurrentAdoptsNewestGeneration(t *testing.T) {
 	_, ens, _ := fixture(t)
 	st := saveGenerations(t, ens, 2)
 	// Crash window: generation committed but CURRENT never flipped.
-	if err := os.Remove(filepath.Join(st.Dir(), "CURRENT")); err != nil {
+	if err := os.Remove(filepath.Join(st.dir, "CURRENT")); err != nil {
 		t.Fatal(err)
 	}
 	_, rep, err := st.Load()
@@ -140,7 +140,7 @@ func TestStoreStaleCurrentPinsGeneration(t *testing.T) {
 	_, ens, _ := fixture(t)
 	st := saveGenerations(t, ens, 3)
 	// An operator rollback: CURRENT points at an older, intact generation.
-	if err := os.WriteFile(filepath.Join(st.Dir(), "CURRENT"), []byte("2\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(st.dir, "CURRENT"), []byte("2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, rep, err := st.Load()
@@ -159,7 +159,7 @@ func TestStoreSweepsCrashedTempDirs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crashed save's debris.
-	debris := filepath.Join(st.Dir(), "generations", ".tmp-000002")
+	debris := filepath.Join(st.dir, "generations", ".tmp-000002")
 	if err := os.MkdirAll(debris, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestStoreLegacyFlatLayoutStillLoads(t *testing.T) {
 func TestStoreManifestTamperRejected(t *testing.T) {
 	_, ens, _ := fixture(t)
 	st := saveGenerations(t, ens, 2)
-	manPath := filepath.Join(st.Dir(), "generations", "000002", "manifest.json")
+	manPath := filepath.Join(st.dir, "generations", "000002", "manifest.json")
 	if err := os.WriteFile(manPath, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestStoreManifestTamperRejected(t *testing.T) {
 func TestStoreStructurallyCorruptModelFallsBack(t *testing.T) {
 	_, ens, _ := fixture(t)
 	st := saveGenerations(t, ens, 2)
-	genDir := filepath.Join(st.Dir(), "generations", "000002")
+	genDir := filepath.Join(st.dir, "generations", "000002")
 	manPath := filepath.Join(genDir, "manifest.json")
 	data, err := os.ReadFile(manPath)
 	if err != nil {

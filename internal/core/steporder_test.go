@@ -30,7 +30,7 @@ func TestRegistryDurableStepOrder(t *testing.T) {
 	st := OpenStore(t.TempDir())
 	var got []string
 	st.SetHook(func(step, path string) error {
-		rel, err := filepath.Rel(st.Dir(), path)
+		rel, err := filepath.Rel(st.dir, path)
 		if err != nil {
 			t.Fatal(err)
 		}

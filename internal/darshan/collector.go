@@ -199,9 +199,6 @@ func NewCollector(nprocs int, memAlign, fileAlign int64) *Collector {
 // driven from its own goroutine.
 func (c *Collector) Proc(rank int) *ProcCollector { return c.procs[rank] }
 
-// NProcs returns the number of processes.
-func (c *Collector) NProcs() int { return len(c.procs) }
-
 type valueCount struct {
 	value int64
 	count int64

@@ -179,20 +179,6 @@ func (id CounterID) IsWriteCounter() bool {
 	return false
 }
 
-// SizeReadBucket returns the read-size histogram counter for an access of
-// size bytes, mirroring Darshan's bucket boundaries. Accesses of 1 MiB and
-// above saturate into the top bucket, as AIIO's 45-counter subset keeps only
-// the buckets up to 100K_1M.
-func SizeReadBucket(size int64) CounterID {
-	return sizeBucket(size, PosixSizeRead0_100)
-}
-
-// SizeWriteBucket returns the write-size histogram counter for an access of
-// size bytes.
-func SizeWriteBucket(size int64) CounterID {
-	return sizeBucket(size, PosixSizeWrite0_100)
-}
-
 // sizeBucket follows Darshan's inclusive upper bounds: 0–100, 101–1K,
 // 1K+1–10K, 10K+1–100K, 100K+1–1M. AIIO's 45-counter subset stops at the
 // 100K_1M bucket, so larger accesses saturate into it.

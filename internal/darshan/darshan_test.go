@@ -69,12 +69,12 @@ func TestSizeBuckets(t *testing.T) {
 		{1 << 30, PosixSizeWrite100K_1M},
 	}
 	for _, c := range cases {
-		if got := SizeWriteBucket(c.size); got != c.want {
-			t.Errorf("SizeWriteBucket(%d) = %s, want %s", c.size, got, c.want)
+		if got := sizeBucket(c.size, PosixSizeWrite0_100); got != c.want {
+			t.Errorf("write bucket of %d = %s, want %s", c.size, got, c.want)
 		}
 	}
-	if got := SizeReadBucket(1024); got != PosixSizeRead100_1K {
-		t.Errorf("SizeReadBucket(1024) = %s", got)
+	if got := sizeBucket(1024, PosixSizeRead0_100); got != PosixSizeRead100_1K {
+		t.Errorf("read bucket of 1024 = %s", got)
 	}
 }
 

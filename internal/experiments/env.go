@@ -135,18 +135,6 @@ func (e *Env) diagnoseBatch(recs []*darshan.Record) ([]*core.Diagnosis, error) {
 	return ens.DiagnoseBatch(recs, e.DiagOpts)
 }
 
-// factorNames renders the first n factors as "NAME (+/-value)" strings.
-func factorNames(fs []core.Factor, n int) []string {
-	if n > 0 && len(fs) > n {
-		fs = fs[:n]
-	}
-	out := make([]string, len(fs))
-	for i, f := range fs {
-		out[i] = fmt.Sprintf("%s (%+.4f)", f.Counter, f.Contribution)
-	}
-	return out
-}
-
 // containsCounter reports whether id appears within the first n factors.
 func containsCounter(fs []core.Factor, id darshan.CounterID, n int) bool {
 	for i, f := range fs {

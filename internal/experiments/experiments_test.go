@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/hpc-repro/aiio/internal/core"
 )
 
 var (
@@ -355,4 +358,16 @@ func TestAblationUnseenApp(t *testing.T) {
 		t.Errorf("early stopping cost too much on unseen jobs: %.4f vs %.4f",
 			res.UnseenES, res.UnseenNoES)
 	}
+}
+
+// factorNames renders the first n factors as "NAME (+/-value)" strings.
+func factorNames(fs []core.Factor, n int) []string {
+	if n > 0 && len(fs) > n {
+		fs = fs[:n]
+	}
+	out := make([]string, len(fs))
+	for i, f := range fs {
+		out[i] = fmt.Sprintf("%s (%+.4f)", f.Counter, f.Contribution)
+	}
+	return out
 }

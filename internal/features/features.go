@@ -1,8 +1,8 @@
 // Package features implements AIIO's feature engineering (Section 3.1): the
 // log10(x+1) transform (Eq. 2) applied to every counter and to the
 // performance tag (Eq. 1), conversion of Darshan datasets into model-ready
-// matrices, the paper's shuffled 50/50 train/evaluation split, RMSE (Eq. 3),
-// and standardization for the neural models.
+// matrices, the paper's shuffled 50/50 train/evaluation split, and RMSE
+// (Eq. 3).
 package features
 
 import (
@@ -36,15 +36,6 @@ func Sanitize(v float64) float64 {
 // Inverse undoes Transform.
 func Inverse(v float64) float64 {
 	return math.Pow(10, v) - 1
-}
-
-// TransformVector applies Transform element-wise into a new slice.
-func TransformVector(v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = Transform(x)
-	}
-	return out
 }
 
 // TransformRecord converts a Darshan record into the 45-dimensional
@@ -159,72 +150,4 @@ func RMSE(pred, y []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(y)))
-}
-
-// Standardizer centers and scales features; the neural models (MLP, TabNet)
-// train better on standardized inputs. Columns with zero variance are left
-// centered but unscaled.
-type Standardizer struct {
-	Mean []float64
-	Std  []float64
-}
-
-// FitStandardizer computes per-column mean and standard deviation.
-func FitStandardizer(x *linalg.Matrix) *Standardizer {
-	s := &Standardizer{
-		Mean: make([]float64, x.Cols),
-		Std:  make([]float64, x.Cols),
-	}
-	if x.Rows == 0 {
-		for j := range s.Std {
-			s.Std[j] = 1
-		}
-		return s
-	}
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j, v := range row {
-			s.Mean[j] += v
-		}
-	}
-	n := float64(x.Rows)
-	for j := range s.Mean {
-		s.Mean[j] /= n
-	}
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j, v := range row {
-			d := v - s.Mean[j]
-			s.Std[j] += d * d
-		}
-	}
-	for j := range s.Std {
-		s.Std[j] = math.Sqrt(s.Std[j] / n)
-		if s.Std[j] < 1e-12 {
-			s.Std[j] = 1
-		}
-	}
-	return s
-}
-
-// Apply standardizes a single feature vector into a new slice.
-func (s *Standardizer) Apply(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for j, v := range x {
-		out[j] = (v - s.Mean[j]) / s.Std[j]
-	}
-	return out
-}
-
-// ApplyMatrix standardizes every row of x into a new matrix.
-func (s *Standardizer) ApplyMatrix(x *linalg.Matrix) *linalg.Matrix {
-	out := linalg.NewMatrix(x.Rows, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		orow := out.Row(i)
-		for j, v := range row {
-			orow[j] = (v - s.Mean[j]) / s.Std[j]
-		}
-	}
-	return out
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"github.com/hpc-repro/aiio/internal/darshan"
-	"github.com/hpc-repro/aiio/internal/linalg"
 )
 
 func TestTransformProperties(t *testing.T) {
@@ -51,10 +50,6 @@ func TestTransformRecordAndVector(t *testing.T) {
 	}
 	if x[darshan.PosixReads] != 2 {
 		t.Errorf("transformed POSIX_READS = %v, want 2", x[darshan.PosixReads])
-	}
-	v := TransformVector([]float64{0, 9, 99})
-	if v[0] != 0 || v[1] != 1 || v[2] != 2 {
-		t.Errorf("TransformVector = %v", v)
 	}
 }
 
@@ -130,29 +125,6 @@ func TestRMSE(t *testing.T) {
 		}
 	}()
 	RMSE([]float64{1}, []float64{1, 2})
-}
-
-func TestStandardizer(t *testing.T) {
-	x := linalg.FromRows([][]float64{{1, 10, 5}, {3, 10, 7}})
-	s := FitStandardizer(x)
-	if s.Mean[0] != 2 || s.Mean[1] != 10 {
-		t.Errorf("means = %v", s.Mean)
-	}
-	if s.Std[1] != 1 {
-		t.Error("zero-variance column should get unit std")
-	}
-	out := s.Apply([]float64{3, 10, 7})
-	if out[0] != 1 || out[1] != 0 {
-		t.Errorf("Apply = %v", out)
-	}
-	m := s.ApplyMatrix(x)
-	if m.At(0, 0) != -1 || m.At(1, 0) != 1 {
-		t.Errorf("ApplyMatrix = %+v", m)
-	}
-	empty := FitStandardizer(linalg.NewMatrix(0, 2))
-	if empty.Std[0] != 1 {
-		t.Error("empty fit should default std to 1")
-	}
 }
 
 func TestSanitizeClampsHostileValues(t *testing.T) {

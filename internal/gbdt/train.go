@@ -201,25 +201,16 @@ func Train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 	return train(cfg, x, y, evalX, evalY, nil, nil, (*trainer).buildTree)
 }
 
-// TrainWarm fits like Train but continues boosting from prev's ensemble:
-// the new model starts from prev's base score and trees (shared by pointer —
-// trees are immutable once built) and cfg.Rounds adds new trees on top, so
-// incremental retraining can run on a reduced round budget. Trees split on
-// raw thresholds, so prior trees remain exact on the re-binned new data;
-// only the new trees use the freshly fit bins. When an eval set is given,
-// the seed ensemble's eval RMSE is the early-stopping baseline, so a warm
-// run that never improves on its seed ships the seed trees unchanged
-// (BestIteration then points at the last prior tree). When CanWarmStart
-// rejects prev it falls back to a cold start.
-func TrainWarm(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model) (*Model, error) {
-	seed, _ := CheckWarmStart(prev, cfg, x, y)
-	return TrainSeeded(cfg, x, y, evalX, evalY, seed)
-}
-
-// TrainSeeded is TrainWarm for callers that already hold a CheckWarmStart
-// seed (e.g. the ensemble trainer, which checks first to record the
-// fallback reason): it continues boosting from the seed without re-running
-// the validation or refitting the bins, and cold-starts when seed is nil.
+// TrainSeeded fits like Train but continues boosting from a CheckWarmStart
+// seed, reusing the bins the check fit, and cold-starts when seed is nil.
+// The new model starts from the prior model's base score and trees (shared
+// by pointer — trees are immutable once built) and cfg.Rounds adds new trees
+// on top, so incremental retraining can run on a reduced round budget. Trees
+// split on raw thresholds, so prior trees remain exact on the re-binned new
+// data; only the new trees use the freshly fit bins. When an eval set is
+// given, the seed ensemble's eval RMSE is the early-stopping baseline, so a
+// warm run that never improves on its seed ships the seed trees unchanged
+// (BestIteration then points at the last prior tree).
 func TrainSeeded(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, seed *WarmSeed) (*Model, error) {
 	if seed == nil {
 		return train(cfg, x, y, evalX, evalY, nil, nil, (*trainer).buildTree)

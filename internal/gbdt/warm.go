@@ -16,18 +16,6 @@ import (
 // reduced round budget correcting them.
 const DefaultWarmDriftTol = 0.25
 
-// CanWarmStart reports whether prev can seed a continued boosting run of
-// cfg on x/y, and if not, why: the variant must match (tree shapes and
-// sampling differ per variant), the feature schema must match, and the bin
-// edges freshly fit on x must not have drifted past the tolerance from the
-// edges prev was trained against. y is unused — squared-loss boosting
-// corrects any target shift through the residuals — and kept only for
-// signature symmetry with the other model families.
-func CanWarmStart(prev *Model, cfg Config, x *linalg.Matrix, y []float64) (bool, string) {
-	seed, reason := CheckWarmStart(prev, cfg, x, y)
-	return seed != nil, reason
-}
-
 // WarmSeed is a validated warm-start decision: the prior model plus the bin
 // mapper the validation fit on the new window. Passing it to TrainSeeded
 // reuses those bins, so the per-feature quantile sort runs once per retrain
@@ -38,8 +26,14 @@ type WarmSeed struct {
 	bins *BinMapper
 }
 
-// CheckWarmStart is CanWarmStart returning the reusable seed: nil plus the
-// fallback reason when rejected.
+// CheckWarmStart reports whether prev can seed a continued boosting run of
+// cfg on x/y and returns the reusable seed, or nil plus the reason it was
+// rejected: the variant must match (tree shapes and sampling differ per
+// variant), the feature schema must match, and the bin edges freshly fit on
+// x must not have drifted past the tolerance from the edges prev was trained
+// against. y is unused — squared-loss boosting corrects any target shift
+// through the residuals — and kept only for signature symmetry with the
+// other model families.
 func CheckWarmStart(prev *Model, cfg Config, x *linalg.Matrix, y []float64) (*WarmSeed, string) {
 	_ = y
 	if prev == nil {

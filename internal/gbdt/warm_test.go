@@ -9,6 +9,13 @@ import (
 	"github.com/hpc-repro/aiio/internal/linalg"
 )
 
+// TrainWarm checks prev with CheckWarmStart and continues boosting from it
+// through TrainSeeded, cold-starting when the check rejects it.
+func TrainWarm(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model) (*Model, error) {
+	seed, _ := CheckWarmStart(prev, cfg, x, y)
+	return TrainSeeded(cfg, x, y, evalX, evalY, seed)
+}
+
 // TestSelectTopAbsGradMatchesSort pins the quickselect against a full sort
 // under the same total order (|grad| desc, index asc), including heavy
 // gradient ties where only the index tiebreak makes the top-k set unique.
@@ -168,20 +175,20 @@ func TestCanWarmStartRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if ok, _ := CanWarmStart(nil, cfg, x, y); ok {
+	if seed, _ := CheckWarmStart(nil, cfg, x, y); seed != nil {
 		t.Fatal("nil prev accepted")
 	}
-	if ok, reason := CanWarmStart(prev, cfg, x, y); !ok {
+	if seed, reason := CheckWarmStart(prev, cfg, x, y); seed == nil {
 		t.Fatalf("same-schema same-data warm start rejected: %s", reason)
 	}
 
 	varCfg := DefaultConfig(LeafWise)
-	if ok, reason := CanWarmStart(prev, varCfg, x, y); ok || reason == "" {
+	if seed, reason := CheckWarmStart(prev, varCfg, x, y); seed != nil || reason == "" {
 		t.Fatalf("variant change accepted (%q)", reason)
 	}
 
 	wide := linalg.NewMatrix(x.Rows, x.Cols+2)
-	if ok, reason := CanWarmStart(prev, cfg, wide, y); ok || reason == "" {
+	if seed, reason := CheckWarmStart(prev, cfg, wide, y); seed != nil || reason == "" {
 		t.Fatalf("schema change accepted (%q)", reason)
 	}
 
@@ -190,7 +197,7 @@ func TestCanWarmStartRejections(t *testing.T) {
 	for i := range scaled.Data {
 		scaled.Data[i] = x.Data[i]*1e3 + 7
 	}
-	if ok, reason := CanWarmStart(prev, cfg, scaled, y); ok || reason == "" {
+	if seed, reason := CheckWarmStart(prev, cfg, scaled, y); seed != nil || reason == "" {
 		t.Fatalf("rebinned inputs accepted (%q)", reason)
 	}
 

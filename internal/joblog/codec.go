@@ -42,11 +42,6 @@ const (
 // castagnoli is the CRC-32C table shared by every frame.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// encodedLen returns the payload size for rec.
-func encodedLen(rec *darshan.Record) int {
-	return 2 + 8 + 8 + 4 + 8 + 8 + 2 + len(rec.App) + 1 + int(darshan.NumCounters)*8
-}
-
 // encodePayload appends the payload encoding of (seq, rec) to dst.
 // The app name is truncated at maxAppLen bytes; everything else is exact.
 func encodePayload(dst []byte, seq uint64, rec *darshan.Record) []byte {

@@ -74,12 +74,6 @@ func New(f shap.PredictFunc, background []float64, cfg Config) *Explainer {
 	return &Explainer{f: f, background: background, cfg: cfg}
 }
 
-// Explain fits the local surrogate around x.
-func (e *Explainer) Explain(x []float64) Explanation {
-	out, _ := e.ExplainContext(context.Background(), x)
-	return out
-}
-
 // ExplainContext fits the local surrogate around x with cooperative
 // cancellation: the perturbation batch is evaluated in row chunks with a
 // ctx check between chunks (see shap.EvalChunked). On cancellation the

@@ -1,6 +1,7 @@
 package lime
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,15 @@ import (
 	"github.com/hpc-repro/aiio/internal/linalg"
 	"github.com/hpc-repro/aiio/internal/shap"
 )
+
+// explain fits the surrogate around x without a deadline.
+func explain(e *Explainer, x []float64) Explanation {
+	out, err := e.ExplainContext(context.Background(), x)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
 
 func linearF(c0 float64, w []float64) shap.PredictFunc {
 	return func(x *linalg.Matrix) []float64 {
@@ -24,7 +34,7 @@ func TestLIMERecoversLinearContributions(t *testing.T) {
 	x := []float64{1, 2, 5, 0} // feature 3 inactive
 	cfg := DefaultConfig()
 	cfg.NSamples = 2000
-	ex := New(linearF(4, w), nil, cfg).Explain(x)
+	ex := explain(New(linearF(4, w), nil, cfg), x)
 	wants := []float64{2, -6, 0, 0}
 	for j, want := range wants {
 		if math.Abs(ex.Phi[j]-want) > 0.15*(1+math.Abs(want)) {
@@ -49,14 +59,14 @@ func TestLIMEZeroFeaturesGetZero(t *testing.T) {
 		return out
 	}
 	x := []float64{2, 0, 3}
-	ex := New(f, nil, DefaultConfig()).Explain(x)
+	ex := explain(New(f, nil, DefaultConfig()), x)
 	if ex.Phi[1] != 0 {
 		t.Errorf("inactive feature got phi %v", ex.Phi[1])
 	}
 }
 
 func TestLIMEAllZeroInput(t *testing.T) {
-	ex := New(linearF(7, []float64{1, 2}), nil, DefaultConfig()).Explain([]float64{0, 0})
+	ex := explain(New(linearF(7, []float64{1, 2}), nil, DefaultConfig()), []float64{0, 0})
 	if ex.FX != 7 || ex.Intercept != 7 {
 		t.Errorf("FX/intercept = %v/%v", ex.FX, ex.Intercept)
 	}
@@ -79,7 +89,7 @@ func TestLIMESignAgreement(t *testing.T) {
 		return out
 	}
 	x := []float64{2, 3, 4}
-	ex := New(f, nil, DefaultConfig()).Explain(x)
+	ex := explain(New(f, nil, DefaultConfig()), x)
 	if ex.Phi[0] <= 0 {
 		t.Errorf("phi[0] = %v, want > 0", ex.Phi[0])
 	}
@@ -101,8 +111,8 @@ func TestLIMEDeterministic(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.NSamples = 500
-	a := New(linearF(0, w), nil, cfg).Explain(x)
-	b := New(linearF(0, w), nil, cfg).Explain(x)
+	a := explain(New(linearF(0, w), nil, cfg), x)
+	b := explain(New(linearF(0, w), nil, cfg), x)
 	for j := range a.Phi {
 		if a.Phi[j] != b.Phi[j] {
 			t.Fatal("same seed, different LIME values")
@@ -115,7 +125,7 @@ func TestLIMENonZeroBackground(t *testing.T) {
 	x := []float64{1, 3}
 	cfg := DefaultConfig()
 	cfg.NSamples = 800
-	ex := New(linearF(0, []float64{10, 2}), bg, cfg).Explain(x)
+	ex := explain(New(linearF(0, []float64{10, 2}), bg, cfg), x)
 	if ex.Phi[0] != 0 {
 		t.Errorf("feature at background value got phi %v", ex.Phi[0])
 	}

@@ -35,52 +35,31 @@ func TestMatrixBasics(t *testing.T) {
 func TestMulMatchesManual(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	b := FromRows([][]float64{{7, 8, 9}, {10, 11, 12}})
-	got := Mul(a, b)
+	got := NewMatrix(3, 3)
+	Gemm(got.Data, a.Data, b.Data, 3, 2, 3)
 	want := FromRows([][]float64{{27, 30, 33}, {61, 68, 75}, {95, 106, 117}})
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
-			t.Fatalf("Mul mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
-func TestMulParallelConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := NewMatrix(200, 64)
-	b := NewMatrix(64, 80)
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-	}
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64()
-	}
-	got := Mul(a, b)
-	// Serial reference.
-	want := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		for k := 0; k < a.Cols; k++ {
-			av := a.At(i, k)
-			for j := 0; j < b.Cols; j++ {
-				want.Data[i*want.Cols+j] += av * b.At(k, j)
-			}
-		}
-	}
-	for i := range want.Data {
-		if !almostEq(got.Data[i], want.Data[i], 1e-9) {
-			t.Fatalf("parallel Mul diverges at %d", i)
+			t.Fatalf("Gemm mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
 		}
 	}
 }
 
 func TestMulVecAndDot(t *testing.T) {
 	m := FromRows([][]float64{{1, 0, 2}, {0, 3, 0}})
-	got := MulVec(m, []float64{1, 2, 3})
-	if got[0] != 7 || got[1] != 6 {
-		t.Errorf("MulVec = %v", got)
+	if got := mulVec(m, []float64{1, 2, 3}); got[0] != 7 || got[1] != 6 {
+		t.Errorf("GemvT = %v", got)
 	}
 	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
 		t.Error("Dot wrong")
 	}
+}
+
+// mulVec computes m*x through GemvT, the package's matrix-vector product.
+func mulVec(m *Matrix, x []float64) []float64 {
+	out := make([]float64, m.Rows)
+	GemvT(out, m.Data, m.Rows, m.Cols, x, nil)
+	return out
 }
 
 func TestVectorHelpers(t *testing.T) {
@@ -92,9 +71,6 @@ func TestVectorHelpers(t *testing.T) {
 	Scale(0.5, y)
 	if y[0] != 3.5 {
 		t.Errorf("Scale = %v", y)
-	}
-	if Norm2([]float64{3, 4}) != 5 {
-		t.Error("Norm2 wrong")
 	}
 	if Mean(nil) != 0 || Mean([]float64{2, 4}) != 3 {
 		t.Error("Mean wrong")
@@ -110,8 +86,8 @@ func TestPanicsOnShapeMismatch(t *testing.T) {
 		}()
 		f()
 	}
-	check("Mul", func() { Mul(NewMatrix(2, 3), NewMatrix(2, 3)) })
-	check("MulVec", func() { MulVec(NewMatrix(2, 3), []float64{1}) })
+	check("Gemm", func() { Gemm(make([]float64, 4), make([]float64, 6), make([]float64, 5), 2, 3, 2) })
+	check("GemvT", func() { GemvT(make([]float64, 2), make([]float64, 6), 2, 3, []float64{1}, nil) })
 	check("Dot", func() { Dot([]float64{1}, []float64{1, 2}) })
 	check("FromRows", func() { FromRows([][]float64{{1}, {1, 2}}) })
 }
@@ -122,7 +98,8 @@ func randomSPD(n int, rng *rand.Rand) *Matrix {
 	for i := range b.Data {
 		b.Data[i] = rng.NormFloat64()
 	}
-	a := Mul(b.T(), b)
+	a := NewMatrix(n, n)
+	GemmTA(a.Data, b.Data, b.Data, n, n, n)
 	for i := 0; i < n; i++ {
 		a.Set(i, i, a.At(i, i)+1)
 	}
@@ -138,7 +115,7 @@ func TestCholeskySolveProperty(t *testing.T) {
 		for i := range xTrue {
 			xTrue[i] = rng.NormFloat64()
 		}
-		b := MulVec(a, xTrue)
+		b := mulVec(a, xTrue)
 		x, err := SolveSPD(a.Clone(), b)
 		if err != nil {
 			return false
@@ -159,45 +136,6 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := FromRows([][]float64{{1, 0}, {0, -1}})
 	if err := Cholesky(a); err == nil {
 		t.Error("Cholesky accepted an indefinite matrix")
-	}
-}
-
-func TestLUSolveProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(10)
-		a := NewMatrix(n, n)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
-		}
-		for i := 0; i < n; i++ { // diagonal dominance keeps it well-conditioned
-			a.Set(i, i, a.At(i, i)+float64(n)+1)
-		}
-		xTrue := make([]float64, n)
-		for i := range xTrue {
-			xTrue[i] = rng.NormFloat64()
-		}
-		b := MulVec(a, xTrue)
-		x, err := LUSolve(a, b)
-		if err != nil {
-			return false
-		}
-		for i := range x {
-			if !almostEq(x[i], xTrue[i], 1e-7*(1+math.Abs(xTrue[i]))) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLUSolveSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := LUSolve(a, []float64{1, 2}); err == nil {
-		t.Error("LUSolve accepted a singular matrix")
 	}
 }
 
@@ -236,20 +174,5 @@ func TestWeightedRidgeShrinks(t *testing.T) {
 	big, _ := WeightedRidge(x, y, w, 100, false)
 	if math.Abs(big[0]) >= math.Abs(small[0]) {
 		t.Errorf("ridge did not shrink: λ=100 gives %v vs %v", big[0], small[0])
-	}
-}
-
-func BenchmarkMul256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := NewMatrix(256, 256)
-	c := NewMatrix(256, 256)
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-		c.Data[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Mul(a, c)
 	}
 }

@@ -1,15 +1,12 @@
 // Package linalg provides the small dense linear-algebra kernel the AIIO
-// models need: vectors, row-major matrices with parallel multiplication,
-// Cholesky and LU solvers, and (weighted) ridge least squares. Everything is
-// float64 and allocation-conscious; parallel paths use a bounded worker pool
-// sized by GOMAXPROCS.
+// models need: vectors, row-major matrices, the packed dense-layer and
+// training kernels, a Cholesky solver, and (weighted) ridge least squares.
+// Everything is float64 and allocation-conscious.
 package linalg
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // Matrix is a dense row-major matrix.
@@ -69,91 +66,6 @@ func (m *Matrix) T() *Matrix {
 		}
 	}
 	return out
-}
-
-// parallelRows runs fn over row ranges [lo, hi) on up to GOMAXPROCS workers.
-func parallelRows(rows int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 || rows < 64 {
-		fn(0, rows)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// mulKBlock is the k-dimension tile of the blocked Mul kernel: a block of
-// b's rows small enough to stay cache-resident while every row of the
-// current a block streams against it.
-const mulKBlock = 256
-
-// Mul computes a*b in parallel across row blocks. Within a block the k
-// dimension is tiled so the touched rows of b stay cache-resident across
-// consecutive rows of a; per output element the k-accumulation order is
-// unchanged, so the result is bitwise-identical to the untiled kernel.
-func Mul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	MulInto(out, a, b)
-	return out
-}
-
-// MulInto computes dst = a*b without allocating, reusing dst's backing
-// (dst must be a.Rows x b.Cols; its prior contents are overwritten).
-func MulInto(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: MulInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
-	parallelRows(a.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			orow := dst.Row(i)
-			for j := range orow {
-				orow[j] = 0
-			}
-		}
-		for klo := 0; klo < a.Cols; klo += mulKBlock {
-			khi := klo + mulKBlock
-			if khi > a.Cols {
-				khi = a.Cols
-			}
-			for i := lo; i < hi; i++ {
-				arow := a.Row(i)
-				orow := dst.Row(i)
-				// k-major inner loops keep b accesses sequential.
-				for k := klo; k < khi; k++ {
-					av := arow[k]
-					if av == 0 {
-						continue
-					}
-					brow := b.Row(k)
-					for j, bv := range brow {
-						orow[j] += av * bv
-					}
-				}
-			}
-		}
-	})
-	return dst
 }
 
 // The vector micro-kernels. On amd64 with AVX2+FMA support the init in
@@ -285,28 +197,6 @@ func GemvT2(out0, out1, w []float64, outDim, inDim int, x0, x1, bias []float64) 
 			out1[o] += bias[o]
 		}
 	}
-}
-
-// MulVec computes m*x.
-func MulVec(m *Matrix, x []float64) []float64 {
-	out := make([]float64, m.Rows)
-	return MulVecInto(out, m, x)
-}
-
-// MulVecInto computes dst = m*x without allocating (len(dst) == m.Rows).
-func MulVecInto(dst []float64, m *Matrix, x []float64) []float64 {
-	if m.Cols != len(x) {
-		panic(fmt.Sprintf("linalg: MulVec dimension mismatch %dx%d * %d", m.Rows, m.Cols, len(x)))
-	}
-	if len(dst) != m.Rows {
-		panic(fmt.Sprintf("linalg: MulVecInto dst %d, want %d", len(dst), m.Rows))
-	}
-	parallelRows(m.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = Dot(m.Row(i), x)
-		}
-	})
-	return dst
 }
 
 // Dot returns the inner product of a and b. Independent accumulator
@@ -472,15 +362,6 @@ func Scale(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
 	}
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // Mean returns the arithmetic mean of x (0 for empty input).

@@ -96,60 +96,6 @@ func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
 	return nil, ErrSingular
 }
 
-// LUSolve solves a·x = b by Gaussian elimination with partial pivoting for
-// general square systems. a and b are not modified.
-func LUSolve(a *Matrix, b []float64) ([]float64, error) {
-	if a.Rows != a.Cols {
-		panic(fmt.Sprintf("linalg: LUSolve of non-square %dx%d", a.Rows, a.Cols))
-	}
-	n := a.Rows
-	if len(b) != n {
-		panic(fmt.Sprintf("linalg: LUSolve rhs length %d, want %d", len(b), n))
-	}
-	m := a.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		p := col
-		best := math.Abs(m.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(m.At(r, col)); v > best {
-				best, p = v, r
-			}
-		}
-		if best < 1e-14 {
-			return nil, ErrSingular
-		}
-		if p != col {
-			pr, cr := m.Row(p), m.Row(col)
-			for j := range pr {
-				pr[j], cr[j] = cr[j], pr[j]
-			}
-			x[p], x[col] = x[col], x[p]
-		}
-		pivot := m.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := m.At(r, col) / pivot
-			if f == 0 {
-				continue
-			}
-			rrow, crow := m.Row(r), m.Row(col)
-			for j := col; j < n; j++ {
-				rrow[j] -= f * crow[j]
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		for j := i + 1; j < n; j++ {
-			x[i] -= m.At(i, j) * x[j]
-		}
-		x[i] /= m.At(i, i)
-	}
-	return x, nil
-}
-
 // WeightedRidge solves the weighted ridge least-squares problem
 //
 //	min_β Σ_i w_i (y_i − x_iᵀβ)² + λ‖β‖²

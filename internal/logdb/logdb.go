@@ -126,11 +126,6 @@ var familyNames = []string{
 	"ior-synth", "e2e-write3d", "openpmd-h5bench", "dassa-xcorr", "metadata-synth",
 }
 
-// FamilyNames lists the workload families of the mixture.
-func FamilyNames() []string {
-	return append([]string(nil), familyNames...)
-}
-
 // generateJob samples one job from the mixture and simulates it.
 func generateJob(cfg GenConfig, i int) *darshan.Record {
 	rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))

@@ -565,20 +565,6 @@ func bnForwardTrain(bn *BNState, x *linalg.Matrix) (out *linalg.Matrix, xhat *li
 	return out, xhat, mean, invStd
 }
 
-// bnForwardEval normalizes with running statistics.
-func bnForwardEval(bn *BNState, x *linalg.Matrix) *linalg.Matrix {
-	out := linalg.NewMatrix(x.Rows, bn.Dim)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		orow := out.Row(i)
-		for j, v := range row {
-			xhat := (v - bn.Mean[j]) / math.Sqrt(bn.Var[j]+1e-5)
-			orow[j] = bn.Gamma[j]*xhat + bn.Beta[j]
-		}
-	}
-	return out
-}
-
 // bnBackward computes dL/dx and accumulates gamma/beta gradients.
 func bnBackward(bn *BNState, xhat, gradOut *linalg.Matrix, invStd []float64, gGamma, gBeta []float64) *linalg.Matrix {
 	n := float64(gradOut.Rows)

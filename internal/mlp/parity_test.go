@@ -116,3 +116,17 @@ func TestConstantColumnsRecorded(t *testing.T) {
 		t.Errorf("perturbed constant columns produced non-finite prediction %v", p)
 	}
 }
+
+// bnForwardEval normalizes with running statistics.
+func bnForwardEval(bn *BNState, x *linalg.Matrix) *linalg.Matrix {
+	out := linalg.NewMatrix(x.Rows, bn.Dim)
+	for i := 0; i < x.Rows; i++ {
+		row := x.Row(i)
+		orow := out.Row(i)
+		for j, v := range row {
+			xhat := (v - bn.Mean[j]) / math.Sqrt(bn.Var[j]+1e-5)
+			orow[j] = bn.Gamma[j]*xhat + bn.Beta[j]
+		}
+	}
+	return out
+}

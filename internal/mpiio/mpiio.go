@@ -13,11 +13,7 @@
 // counters stand in for the HDF5 layer.
 package mpiio
 
-import (
-	"fmt"
-
-	"github.com/hpc-repro/aiio/internal/darshan"
-)
+import "github.com/hpc-repro/aiio/internal/darshan"
 
 // CounterID indexes the MPI-IO counter vector.
 type CounterID int
@@ -47,46 +43,6 @@ const (
 
 	NumCounters
 )
-
-var counterNames = [NumCounters]string{
-	IndepOpens:        "MPIIO_INDEP_OPENS",
-	CollOpens:         "MPIIO_COLL_OPENS",
-	IndepReads:        "MPIIO_INDEP_READS",
-	IndepWrites:       "MPIIO_INDEP_WRITES",
-	CollReads:         "MPIIO_COLL_READS",
-	CollWrites:        "MPIIO_COLL_WRITES",
-	Syncs:             "MPIIO_SYNCS",
-	BytesRead:         "MPIIO_BYTES_READ",
-	BytesWritten:      "MPIIO_BYTES_WRITTEN",
-	RWSwitches:        "MPIIO_RW_SWITCHES",
-	SizeWrite0_100:    "MPIIO_SIZE_WRITE_AGG_0_100",
-	SizeWrite100_1K:   "MPIIO_SIZE_WRITE_AGG_100_1K",
-	SizeWrite1K_10K:   "MPIIO_SIZE_WRITE_AGG_1K_10K",
-	SizeWrite10K_100K: "MPIIO_SIZE_WRITE_AGG_10K_100K",
-	SizeWrite100K_1M:  "MPIIO_SIZE_WRITE_AGG_100K_1M",
-	SizeRead0_100:     "MPIIO_SIZE_READ_AGG_0_100",
-	SizeRead100_1K:    "MPIIO_SIZE_READ_AGG_100_1K",
-	SizeRead1K_10K:    "MPIIO_SIZE_READ_AGG_1K_10K",
-	SizeRead10K_100K:  "MPIIO_SIZE_READ_AGG_10K_100K",
-	SizeRead100K_1M:   "MPIIO_SIZE_READ_AGG_100K_1M",
-}
-
-// String returns the Darshan MPIIO counter name.
-func (id CounterID) String() string {
-	if id < 0 || id >= NumCounters {
-		return fmt.Sprintf("MPIIOCounter(%d)", int(id))
-	}
-	return counterNames[id]
-}
-
-// CounterNames returns the MPIIO counter names in canonical order.
-func CounterNames() []string {
-	out := make([]string, NumCounters)
-	for i := range out {
-		out[i] = counterNames[i]
-	}
-	return out
-}
 
 // Counters is one rank's MPIIO counter vector; Merge sums ranks like
 // Darshan's shared-record reduction.
@@ -126,8 +82,6 @@ type File struct {
 	fileID   int32
 	emit     func(darshan.Op)
 	c        Counters
-	lastKind darshan.OpKind
-	touched  bool
 	lastEnd  int64
 }
 
@@ -153,40 +107,23 @@ func Open(rank, nprocs int, fileID int32, aggRatio int, collective bool, emit fu
 // Counters returns the rank's MPIIO counters accumulated so far.
 func (f *File) Counters() *Counters { return &f.c }
 
-func (f *File) account(isWrite bool, size int64) {
-	if f.touched && (f.lastKind == darshan.OpWrite) != isWrite {
-		f.c[RWSwitches]++
-	}
-	if isWrite {
-		f.c[BytesWritten] += float64(size)
-		f.c[sizeBucket(size, SizeWrite0_100)]++
-		f.lastKind = darshan.OpWrite
-	} else {
-		f.c[BytesRead] += float64(size)
-		f.c[sizeBucket(size, SizeRead0_100)]++
-		f.lastKind = darshan.OpRead
-	}
-	f.touched = true
+// accountWrite records size bytes written. The applications in this
+// repository only write through the MPI-IO layer, so the read and
+// read/write-switch counters stay zero.
+func (f *File) accountWrite(size int64) {
+	f.c[BytesWritten] += float64(size)
+	f.c[sizeBucket(size, SizeWrite0_100)]++
 }
 
 // WriteAt is an independent write (MPI_File_write_at): it lowers to a
 // seek+write by this rank.
 func (f *File) WriteAt(off, size int64) {
 	f.c[IndepWrites]++
-	f.account(true, size)
+	f.accountWrite(size)
 	if off != f.lastEnd {
 		f.emit(darshan.Op{Kind: darshan.OpSeek, File: f.fileID, Offset: off})
 	}
 	f.emit(darshan.Op{Kind: darshan.OpWrite, File: f.fileID, Offset: off, Size: size})
-	f.lastEnd = off + size
-}
-
-// ReadAt is an independent read (MPI_File_read_at).
-func (f *File) ReadAt(off, size int64) {
-	f.c[IndepReads]++
-	f.account(false, size)
-	f.emit(darshan.Op{Kind: darshan.OpSeek, File: f.fileID, Offset: off})
-	f.emit(darshan.Op{Kind: darshan.OpRead, File: f.fileID, Offset: off, Size: size})
 	f.lastEnd = off + size
 }
 
@@ -222,7 +159,7 @@ func (f *File) groupSpan() (first, n int) {
 // module sees it.
 func (f *File) CollectiveWriteContig(base, perRank, chunk int64) {
 	f.c[CollWrites]++
-	f.account(true, perRank)
+	f.accountWrite(perRank)
 	f.exchange(perRank)
 	if !f.isAggregator() || perRank <= 0 {
 		return
@@ -233,40 +170,7 @@ func (f *File) CollectiveWriteContig(base, perRank, chunk int64) {
 	first, n := f.groupSpan()
 	start := base + int64(first)*perRank
 	total := int64(n) * perRank
-	f.lowerMerged(start, total, chunk, true)
-}
-
-// CollectiveWriteInterleaved is MPI_File_write_at_all for a round-robin
-// decomposition: piece i of rank r lives at base + (i·nprocs + r)·pieceSize,
-// pieces per rank given by count. Two-phase I/O reorders the exchange so
-// aggregators still write contiguous merged extents covering their group's
-// interleaved pieces.
-func (f *File) CollectiveWriteInterleaved(base, pieceSize int64, count int, chunk int64) {
-	f.c[CollWrites]++
-	f.account(true, pieceSize*int64(count))
-	f.exchange(pieceSize * int64(count))
-	if !f.isAggregator() || pieceSize <= 0 || count <= 0 {
-		return
-	}
-	if chunk <= 0 {
-		chunk = 4 << 20
-	}
-	// The file region covered by the whole collective is
-	// [base, base + count*nprocs*pieceSize); each aggregator takes its
-	// contiguous share of it (two-phase file domains).
-	total := int64(count) * int64(f.nprocs) * pieceSize
-	nAgg := (f.nprocs + f.aggRatio - 1) / f.aggRatio
-	domain := (total + int64(nAgg) - 1) / int64(nAgg)
-	aggIdx := int64(f.rank / f.aggRatio)
-	start := base + aggIdx*domain
-	end := start + domain
-	if end > base+total {
-		end = base + total
-	}
-	if start >= end {
-		return
-	}
-	f.lowerMerged(start, end-start, chunk, true)
+	f.lowerMerged(start, total, chunk)
 }
 
 // CollectiveWriteGathered is MPI_File_write_at_all with a single aggregator
@@ -275,7 +179,7 @@ func (f *File) CollectiveWriteInterleaved(base, pieceSize int64, count int, chun
 // usual lowering for small metadata/attribute regions.
 func (f *File) CollectiveWriteGathered(base, perRank, chunk int64) {
 	f.c[CollWrites]++
-	f.account(true, perRank)
+	f.accountWrite(perRank)
 	f.exchange(perRank)
 	if f.rank != 0 || perRank <= 0 {
 		return
@@ -283,25 +187,7 @@ func (f *File) CollectiveWriteGathered(base, perRank, chunk int64) {
 	if chunk <= 0 {
 		chunk = 4 << 20
 	}
-	f.lowerMerged(base, int64(f.nprocs)*perRank, chunk, true)
-}
-
-// CollectiveReadContig is MPI_File_read_at_all for the contiguous-by-rank
-// decomposition; aggregators issue the merged reads.
-func (f *File) CollectiveReadContig(base, perRank, chunk int64) {
-	f.c[CollReads]++
-	f.account(false, perRank)
-	f.exchange(perRank)
-	if !f.isAggregator() || perRank <= 0 {
-		return
-	}
-	if chunk <= 0 {
-		chunk = 4 << 20
-	}
-	first, n := f.groupSpan()
-	start := base + int64(first)*perRank
-	total := int64(n) * perRank
-	f.lowerMerged(start, total, chunk, false)
+	f.lowerMerged(base, int64(f.nprocs)*perRank, chunk)
 }
 
 // Piece is one extent of a noncontiguous (derived-datatype) access.
@@ -332,7 +218,7 @@ func (f *File) CollectiveWriteNoncontig(pieces []Piece) {
 		f.emit(darshan.Op{Kind: darshan.OpFsync, File: f.fileID})
 		f.lastEnd = p.Off + p.Size
 	}
-	f.account(true, total)
+	f.accountWrite(total)
 	f.exchange(total)
 }
 
@@ -345,8 +231,8 @@ func (f *File) exchange(bytes int64) {
 	f.emit(darshan.Op{Kind: darshan.OpExchange, File: f.fileID, Size: bytes})
 }
 
-// lowerMerged emits the aggregator's contiguous POSIX accesses.
-func (f *File) lowerMerged(start, total, chunk int64, write bool) {
+// lowerMerged emits the aggregator's contiguous POSIX writes.
+func (f *File) lowerMerged(start, total, chunk int64) {
 	for off := start; off < start+total; off += chunk {
 		n := chunk
 		if off+n > start+total {
@@ -355,11 +241,7 @@ func (f *File) lowerMerged(start, total, chunk int64, write bool) {
 		if off != f.lastEnd {
 			f.emit(darshan.Op{Kind: darshan.OpSeek, File: f.fileID, Offset: off})
 		}
-		kind := darshan.OpRead
-		if write {
-			kind = darshan.OpWrite
-		}
-		f.emit(darshan.Op{Kind: kind, File: f.fileID, Offset: off, Size: n})
+		f.emit(darshan.Op{Kind: darshan.OpWrite, File: f.fileID, Offset: off, Size: n})
 		f.lastEnd = off + n
 	}
 }

@@ -33,32 +33,12 @@ func (c *capture) writtenRanges() map[int64]int64 {
 	return m
 }
 
-func TestCounterNames(t *testing.T) {
-	names := CounterNames()
-	if len(names) != int(NumCounters) {
-		t.Fatalf("%d names", len(names))
-	}
-	seen := map[string]bool{}
-	for i, n := range names {
-		if n == "" || seen[n] {
-			t.Errorf("counter %d bad name %q", i, n)
-		}
-		seen[n] = true
-	}
-	if CollWrites.String() != "MPIIO_COLL_WRITES" {
-		t.Errorf("CollWrites name %q", CollWrites)
-	}
-	if CounterID(99).String() == "" {
-		t.Error("out-of-range should stringify")
-	}
-}
-
 func TestIndependentOpsLowerDirectly(t *testing.T) {
 	var c capture
 	f := Open(0, 4, 7, 2, false, c.emit)
 	f.WriteAt(0, 1024)
 	f.WriteAt(1024, 1024) // contiguous: no seek
-	f.ReadAt(4096, 512)
+	f.WriteAt(4096, 512)
 	f.Sync()
 	f.Close()
 
@@ -66,28 +46,25 @@ func TestIndependentOpsLowerDirectly(t *testing.T) {
 	if cnt[IndepOpens] != 1 || cnt[CollOpens] != 0 {
 		t.Errorf("opens: %v/%v", cnt[IndepOpens], cnt[CollOpens])
 	}
-	if cnt[IndepWrites] != 2 || cnt[IndepReads] != 1 {
-		t.Errorf("ops: %v writes, %v reads", cnt[IndepWrites], cnt[IndepReads])
+	if cnt[IndepWrites] != 3 {
+		t.Errorf("ops: %v writes", cnt[IndepWrites])
 	}
-	if cnt[BytesWritten] != 2048 || cnt[BytesRead] != 512 {
-		t.Errorf("bytes: %v/%v", cnt[BytesWritten], cnt[BytesRead])
+	if cnt[BytesWritten] != 2560 {
+		t.Errorf("bytes: %v", cnt[BytesWritten])
 	}
-	if cnt[RWSwitches] != 1 {
-		t.Errorf("rw switches: %v", cnt[RWSwitches])
-	}
-	if cnt[SizeWrite100_1K] != 2 || cnt[SizeRead100_1K] != 1 {
+	if cnt[SizeWrite100_1K] != 3 {
 		t.Errorf("size buckets wrong: %v", cnt)
 	}
 	if cnt[Syncs] != 1 {
 		t.Errorf("syncs: %v", cnt[Syncs])
 	}
-	// Lowering: open, write, write (no seek between), seek, read, fsync, close.
+	// Lowering: open, write, write (no seek between), seek, write, fsync, close.
 	kinds := []darshan.OpKind{}
 	for _, op := range c.ops {
 		kinds = append(kinds, op.Kind)
 	}
 	want := []darshan.OpKind{darshan.OpOpen, darshan.OpWrite, darshan.OpWrite,
-		darshan.OpSeek, darshan.OpRead, darshan.OpFsync, darshan.OpClose}
+		darshan.OpSeek, darshan.OpWrite, darshan.OpFsync, darshan.OpClose}
 	if len(kinds) != len(want) {
 		t.Fatalf("lowered ops %v", kinds)
 	}
@@ -153,68 +130,6 @@ func TestCollectiveWriteContigCoversExactly(t *testing.T) {
 	}
 }
 
-func TestCollectiveWriteInterleavedMergesAndCovers(t *testing.T) {
-	const nprocs, aggRatio = 8, 4
-	const piece = 512
-	const count = 16
-	caps, merged := runCollective(nprocs, aggRatio, func(f *File) {
-		f.CollectiveWriteInterleaved(0, piece, count, 1<<20)
-	})
-	total := int64(nprocs * piece * count)
-	if merged[BytesWritten] != float64(total) {
-		t.Errorf("MPIIO bytes %v, want %d", merged[BytesWritten], total)
-	}
-	var posixBytes int64
-	maxWrites := 0
-	for rank := range caps {
-		posixBytes += caps[rank].bytesWritten()
-		w := 0
-		for _, op := range caps[rank].ops {
-			if op.Kind == darshan.OpWrite {
-				w++
-				if op.Size < piece {
-					t.Errorf("rank %d emitted a write smaller than a piece: %d", rank, op.Size)
-				}
-			}
-		}
-		if w > maxWrites {
-			maxWrites = w
-		}
-	}
-	if posixBytes != total {
-		t.Errorf("POSIX bytes %d, want %d", posixBytes, total)
-	}
-	// Two-phase merging: far fewer POSIX writes than the 16*8 pieces.
-	if maxWrites > 4 {
-		t.Errorf("aggregator issued %d writes; merging failed", maxWrites)
-	}
-}
-
-func TestCollectiveReadContig(t *testing.T) {
-	const nprocs, aggRatio = 4, 2
-	const perRank = 128 * 1024
-	caps, merged := runCollective(nprocs, aggRatio, func(f *File) {
-		f.CollectiveReadContig(0, perRank, 1<<20)
-	})
-	if merged[CollReads] != nprocs {
-		t.Errorf("MPIIO_COLL_READS = %v", merged[CollReads])
-	}
-	if merged[BytesRead] != nprocs*perRank {
-		t.Errorf("MPIIO read bytes %v", merged[BytesRead])
-	}
-	var posixRead int64
-	for rank := range caps {
-		for _, op := range caps[rank].ops {
-			if op.Kind == darshan.OpRead {
-				posixRead += op.Size
-			}
-		}
-	}
-	if posixRead != nprocs*perRank {
-		t.Errorf("POSIX read bytes %d", posixRead)
-	}
-}
-
 func TestAggregatorGroupEdges(t *testing.T) {
 	// nprocs not divisible by aggRatio: the last group is short but the
 	// coverage must still be exact.
@@ -236,15 +151,14 @@ func TestDegenerateInputs(t *testing.T) {
 	var c capture
 	f := Open(0, 0, 1, 0, false, c.emit) // clamps nprocs/aggRatio to 1
 	f.CollectiveWriteContig(0, 0, 0)     // zero size: counted, not lowered
-	f.CollectiveWriteInterleaved(0, 0, 0, 0)
-	f.CollectiveReadContig(0, -5, 0)
+	f.CollectiveWriteGathered(0, -5, 0)
 	f.Close()
 	if got := c.bytesWritten(); got != 0 {
 		t.Errorf("degenerate collectives wrote %d bytes", got)
 	}
 	cnt := f.Counters()
-	if cnt[CollWrites] != 2 || cnt[CollReads] != 1 {
-		t.Errorf("degenerate ops still counted: %v/%v", cnt[CollWrites], cnt[CollReads])
+	if cnt[CollWrites] != 2 {
+		t.Errorf("degenerate ops still counted: %v", cnt[CollWrites])
 	}
 }
 

@@ -60,44 +60,10 @@ func For(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Each runs fn(i) for every i in [0, n) on a bounded pool with dynamic load
-// balancing: workers pull the next free index, which suits unevenly sized
-// jobs such as per-model SHAP explanations. fn must only touch state owned
-// by index i. workers <= 0 means GOMAXPROCS.
-func Each(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	workers = Workers(workers, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	drain := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			drain()
-		}()
-	}
-	drain()
-	wg.Wait()
-}
-
-// EachCtx is Each with cooperative cancellation: once ctx is done, workers
+// EachCtx runs fn(i) for every i in [0, n) on a bounded pool with dynamic
+// load balancing: workers pull the next free index, which suits unevenly
+// sized jobs such as per-model SHAP explanations. fn must only touch state
+// owned by index i. workers <= 0 means GOMAXPROCS. Once ctx is done, workers
 // stop pulling new indices, already-started fn calls run to completion, and
 // ctx's error is returned. All workers have exited by the time EachCtx
 // returns, so no goroutine outlives the call. A nil return means fn ran for
@@ -124,55 +90,6 @@ func EachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 				return
 			}
 			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			drain()
-		}()
-	}
-	drain()
-	wg.Wait()
-	return ctx.Err()
-}
-
-// ForCtx is For with cooperative cancellation. The range is cut into more
-// chunks than workers (so cancellation takes effect within a chunk's worth
-// of work, not a full worker share) and chunks are pulled dynamically;
-// fn still owns its [lo, hi) range exclusively, so determinism is
-// unchanged. Returns ctx's error once all started chunks have finished.
-func ForCtx(ctx context.Context, n, workers int, fn func(lo, hi int)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	workers = Workers(workers, n)
-	if workers == 1 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		fn(0, n)
-		return ctx.Err()
-	}
-	// 4 chunks per worker bounds the post-cancellation overrun to ~1/4 of
-	// a worker share while keeping dispatch overhead negligible.
-	chunk := (n + workers*4 - 1) / (workers * 4)
-	nChunks := (n + chunk - 1) / chunk
-	var next atomic.Int64
-	drain := func() {
-		for ctx.Err() == nil {
-			c := int(next.Add(1)) - 1
-			if c >= nChunks {
-				return
-			}
-			lo := c * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
 		}
 	}
 	var wg sync.WaitGroup

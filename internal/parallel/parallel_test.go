@@ -47,22 +47,6 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestEachCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 3, 7, 64} {
-		for _, n := range []int{0, 1, 2, 5, 100, 1000} {
-			hits := make([]int32, n)
-			Each(n, workers, func(i int) {
-				atomic.AddInt32(&hits[i], 1)
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("Each(%d, %d): index %d visited %d times", n, workers, i, h)
-				}
-			}
-		}
-	}
-}
-
 func TestEachCtxCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7} {
 		for _, n := range []int{0, 1, 5, 100, 1000} {
@@ -75,29 +59,6 @@ func TestEachCtxCoversEveryIndexOnce(t *testing.T) {
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("EachCtx(%d, %d): index %d visited %d times", n, workers, i, h)
-				}
-			}
-		}
-	}
-}
-
-func TestForCtxCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7} {
-		for _, n := range []int{0, 1, 5, 100, 1000} {
-			hits := make([]int32, n)
-			if err := ForCtx(context.Background(), n, workers, func(lo, hi int) {
-				if lo < 0 || hi > n || lo > hi {
-					t.Fatalf("ForCtx(%d, %d): bad range [%d, %d)", n, workers, lo, hi)
-				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-			}); err != nil {
-				t.Fatalf("ForCtx(%d, %d): %v", n, workers, err)
-			}
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("ForCtx(%d, %d): index %d visited %d times", n, workers, i, h)
 				}
 			}
 		}
@@ -122,22 +83,6 @@ func TestEachCtxStopsDispatchOnCancel(t *testing.T) {
 			t.Errorf("workers=%d: %d calls ran after cancellation at call 5", workers, got)
 		}
 		cancel()
-	}
-}
-
-func TestForCtxStopsDispatchOnCancel(t *testing.T) {
-	const n = 100000
-	ctx, cancel := context.WithCancel(context.Background())
-	var covered atomic.Int64
-	err := ForCtx(ctx, n, 4, func(lo, hi int) {
-		covered.Add(int64(hi - lo))
-		cancel()
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got := covered.Load(); got >= n {
-		t.Errorf("all %d indices covered despite cancellation in the first chunk", n)
 	}
 }
 

@@ -165,14 +165,3 @@ func FitLinear(x *linalg.Matrix, y []float64, ridge float64) (*LinearSurrogate, 
 func (l *LinearSurrogate) Predict(x []float64) float64 {
 	return l.Intercept + linalg.Dot(l.Beta, x)
 }
-
-// Explain attributes β_j·x_j per feature (robust for zeros, but globally
-// linear: every job with the same counter value gets the same attribution,
-// which is exactly the job-level blindness the paper criticizes).
-func (l *LinearSurrogate) Explain(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for j, v := range x {
-		out[j] = l.Beta[j] * v
-	}
-	return out
-}

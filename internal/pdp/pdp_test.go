@@ -117,10 +117,6 @@ func TestLinearSurrogate(t *testing.T) {
 		t.Errorf("beta = %v, want [3 -2 0]", l.Beta)
 	}
 	x := []float64{2, 0, 5}
-	phi := l.Explain(x)
-	if phi[1] != 0 {
-		t.Errorf("zero feature got linear attribution %v", phi[1])
-	}
 	if math.Abs(l.Predict(x)-linearF(linalg.FromRows([][]float64{x}))[0]) > 0.2 {
 		t.Error("surrogate prediction far off on a linear model")
 	}

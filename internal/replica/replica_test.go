@@ -2,8 +2,8 @@ package replica
 
 // Shared fixtures for the replica tests: one fast-trained ensemble (the
 // expensive part, built once) and real webservice replicas with their own
-// registry stores, so routing, replication, and chaos tests exercise the
-// actual serving stack rather than stubs.
+// registry stores, so routing and chaos tests exercise the actual serving
+// and replication stack rather than stubs.
 
 import (
 	"bytes"
@@ -98,9 +98,9 @@ func newReplica(t testing.TB, dir string, models *core.Ensemble) *testReplica {
 	return &testReplica{WS: ws, Store: store, HTTP: srv}
 }
 
-// syncerFor wires a pull syncer for one replica against peers.
-func syncerFor(r *testReplica, peers ...string) *Syncer {
-	return &Syncer{
+// syncerFor wires a replica's generation syncer against peers.
+func syncerFor(r *testReplica, peers ...string) *webservice.Syncer {
+	return &webservice.Syncer{
 		Store: r.Store,
 		Peers: peers,
 		Current: func() (uint64, string) {

@@ -3,7 +3,7 @@
 // (Section 3.4 / Fig. 17) is meant to sit behind an entire production
 // fleet — the ROADMAP's "heavy traffic from millions of users" — and after
 // the inference hot paths were flattened, the throughput ceiling became
-// one process. This package removes it with three cooperating pieces:
+// one process. This package removes it with two cooperating pieces:
 //
 //   - a consistent-hash ring (ring.go) that gives every job key a stable
 //     owner replica, so the per-replica LRU diagnosis cache keeps hitting
@@ -11,12 +11,13 @@
 //   - a thin routing front (router.go) that health-gates members on their
 //     own /readyz, sheds to the ring successor when an owner answers 429
 //     or drops mid-request, and replays the buffered body so a killed
-//     replica costs a failover, not a lost request;
-//   - a generation syncer (sync.go) that pulls newly committed model
-//     registry generations from peers, SHA-256-verifies every byte against
-//     the manifest, and hot-swaps only fully verified sets — an upload or
-//     retrain on any replica converges the fleet without restarts, and a
-//     torn transfer can never be activated.
+//     replica costs a failover, not a lost request.
+//
+// The package imports only the standard library, so the router binary
+// links no model code. Generation replication between replicas is the
+// serving side's job: webservice.Syncer pulls and verifies peers'
+// generations over the /api/v1/generations endpoints the same package
+// serves.
 package replica
 
 import (

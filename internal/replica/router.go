@@ -3,6 +3,7 @@ package replica
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -399,4 +400,12 @@ func copyHeaders(dst, src http.Header) {
 		}
 		dst[k] = append([]string(nil), vs...)
 	}
+}
+
+// writeJSON is the router's response encoder (small bodies; no pooling
+// needed at router request rates — the replicas do the heavy serving).
+func writeJSON(w http.ResponseWriter, status int, body any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(body)
 }

@@ -73,20 +73,15 @@ func newDiagCache(capacity int) *diagCache {
 	}
 }
 
-// get returns the cached diagnosis for key and marks it most recently used.
-func (c *diagCache) get(key string) (*core.Diagnosis, bool) {
-	d, _, ok := c.find(key, true)
-	return d, ok
-}
-
-// lookup is get that also returns the entry's rendered response, nil while
-// the entry is not frozen.
+// lookup returns the cached diagnosis for key and the entry's rendered
+// response (nil while the entry is not frozen), marks it most recently used,
+// and counts the hit or miss.
 func (c *diagCache) lookup(key string) (d *core.Diagnosis, rendered []byte, ok bool) {
 	return c.find(key, true)
 }
 
-// peek is get without the hit/miss accounting, for a second lookup on behalf
-// of a request that has already been counted.
+// peek is lookup without the hit/miss accounting, for a second lookup on
+// behalf of a request that has already been counted.
 func (c *diagCache) peek(key string) (*core.Diagnosis, bool) {
 	d, _, ok := c.find(key, false)
 	return d, ok

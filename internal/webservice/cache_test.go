@@ -230,20 +230,20 @@ func TestDiagCacheLRU(t *testing.T) {
 	d1, d2, d3 := &core.Diagnosis{}, &core.Diagnosis{}, &core.Diagnosis{}
 	c.put("a", d1)
 	c.put("b", d2)
-	if got, ok := c.get("a"); !ok || got != d1 {
+	if got, _, ok := c.lookup("a"); !ok || got != d1 {
 		t.Fatal("a missing after insert")
 	}
 	// "b" is now least recently used; inserting "c" evicts it.
 	c.put("c", d3)
-	if _, ok := c.get("b"); ok {
+	if _, _, ok := c.lookup("b"); ok {
 		t.Error("LRU entry b survived past capacity")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, _, ok := c.lookup("a"); !ok {
 		t.Error("recently-used entry a evicted")
 	}
 	// Update-in-place does not grow the cache.
 	c.put("a", d2)
-	if got, _ := c.get("a"); got != d2 {
+	if got, _, _ := c.lookup("a"); got != d2 {
 		t.Error("put did not replace the cached value")
 	}
 	if _, _, size := c.stats(); size != 2 {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -166,34 +165,6 @@ func (c *Client) DiagnoseContext(ctx context.Context, rec *darshan.Record) (*Dia
 	return &out, nil
 }
 
-// DiagnoseBatch uploads several records as one WriteDataset stream and
-// returns their diagnoses in input order (no tuning recommendations; the
-// single-job Diagnose provides those).
-func (c *Client) DiagnoseBatch(recs []*darshan.Record) ([]*DiagnosisResponse, error) {
-	return c.DiagnoseBatchContext(context.Background(), recs)
-}
-
-// DiagnoseBatchContext is DiagnoseBatch bounded by ctx.
-func (c *Client) DiagnoseBatchContext(ctx context.Context, recs []*darshan.Record) ([]*DiagnosisResponse, error) {
-	var body bytes.Buffer
-	if err := darshan.WriteDataset(&body, &darshan.Dataset{Records: recs}); err != nil {
-		return nil, err
-	}
-	resp, err := c.post(ctx, c.BaseURL+"/api/v1/diagnose/batch", "text/plain", body.Bytes())
-	if err != nil {
-		return nil, fmt.Errorf("webservice: batch diagnose request: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var out []*DiagnosisResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("webservice: decode batch diagnosis: %w", err)
-	}
-	return out, nil
-}
-
 // Ingest ships records into the server's durable job log and returns the
 // ingest accounting. Safe to retry: the server deduplicates by job hash,
 // so a resend after a lost acknowledgment reports duplicates, not errors.
@@ -269,23 +240,6 @@ func (c *Client) ModelsContext(ctx context.Context) ([]ModelInfo, error) {
 		return out, nil
 	}
 	return nil, fmt.Errorf("webservice: giving up after %d attempts: %w", retryAttempts, lastErr)
-}
-
-// UploadModel registers a new pre-trained model from its gob serialization.
-// The body is a one-shot stream, so uploads are NOT retried — a failed
-// upload surfaces immediately and the caller (who owns the reader) decides
-// whether to rewind and resend.
-func (c *Client) UploadModel(name, kind string, gobData io.Reader) error {
-	url := fmt.Sprintf("%s/api/v1/models?name=%s&kind=%s", c.BaseURL, name, kind)
-	resp, err := c.HTTP.Post(url, "application/octet-stream", gobData)
-	if err != nil {
-		return fmt.Errorf("webservice: upload model: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	return nil
 }
 
 func decodeError(resp *http.Response) error {

@@ -2,8 +2,10 @@ package webservice
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -155,12 +157,21 @@ func TestAdvisoryErrorDegradesGracefully(t *testing.T) {
 func TestDiagnoseBatchEndpoint(t *testing.T) {
 	srv := httptest.NewServer(NewServer(ensemble(t), fastOpts()).Handler())
 	defer srv.Close()
-	client := NewClient(srv.URL)
 
 	rec := testRecord()
-	resps, err := client.DiagnoseBatch([]*darshan.Record{rec, rec, rec})
+	var body bytes.Buffer
+	if err := darshan.WriteDataset(&body, &darshan.Dataset{Records: []*darshan.Record{rec, rec, rec}}); err != nil {
+		t.Fatal(err)
+	}
+	httpResp, err := srv.Client().Post(srv.URL+"/api/v1/diagnose/batch", "text/plain", &body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var resps []*DiagnosisResponse
+	err = json.NewDecoder(httpResp.Body).Decode(&resps)
+	httpResp.Body.Close()
+	if httpResp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("batch diagnose: HTTP %d, decode: %v", httpResp.StatusCode, err)
 	}
 	if len(resps) != 3 {
 		t.Fatalf("got %d responses, want 3", len(resps))
@@ -178,7 +189,7 @@ func TestDiagnoseBatchEndpoint(t *testing.T) {
 	}
 
 	// Empty body is a 400.
-	httpResp, err := srv.Client().Post(srv.URL+"/api/v1/diagnose/batch", "text/plain", nil)
+	httpResp, err = srv.Client().Post(srv.URL+"/api/v1/diagnose/batch", "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -300,7 +300,8 @@ func TestPostPromotionErrorSpikeRollsBack(t *testing.T) {
 	good := ensemble(t)
 	s := NewServer(good, fastOpts())
 	s.JobLog = jl
-	store := core.OpenStore(t.TempDir())
+	storeDir := t.TempDir()
+	store := core.OpenStore(storeDir)
 	s.Store = store
 	s.Drift = drift.New(drift.Config{MinSamples: 10_000, ErrorWindow: 64})
 	s.RollbackRatio = 2
@@ -390,7 +391,7 @@ func TestPostPromotionErrorSpikeRollsBack(t *testing.T) {
 		t.Fatalf("serving %d models after rollback, want %d", got, len(good.Models))
 	}
 	// Durably: a restart (fresh store handle) loads the good generation.
-	if _, lrep, err := core.OpenStore(store.Dir()).Load(); err != nil || lrep.Generation != gen1 {
+	if _, lrep, err := core.OpenStore(storeDir).Load(); err != nil || lrep.Generation != gen1 {
 		t.Fatalf("restart would serve generation %d (err %v), want %d", lrep.Generation, err, gen1)
 	}
 	// Provenance: the rollback advisory rides on diagnoses.

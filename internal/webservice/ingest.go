@@ -199,7 +199,3 @@ func (s *Server) TriggerRetrain() bool {
 	}()
 	return true
 }
-
-// RetrainIdle reports whether no background retraining cycle is running
-// (tests and drains use it to wait for quiescence).
-func (s *Server) RetrainIdle() bool { return !s.retrainBusy.Load() }

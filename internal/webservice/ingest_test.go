@@ -289,3 +289,6 @@ func TestHealthzReportsJoblog(t *testing.T) {
 		t.Fatalf("healthz missing retrain section: %v", body)
 	}
 }
+
+// RetrainIdle reports whether no background retraining cycle is running.
+func (s *Server) RetrainIdle() bool { return !s.retrainBusy.Load() }

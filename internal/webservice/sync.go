@@ -1,4 +1,4 @@
-package replica
+package webservice
 
 import (
 	"context"
@@ -15,20 +15,12 @@ import (
 // DefaultSyncInterval paces the background generation-replication sweep.
 const DefaultSyncInterval = 5 * time.Second
 
-// peerSummary mirrors webservice.GenerationSummary, decoded from a peer's
-// GET /api/v1/generations. Declared locally so the replica package depends
-// only on core (webservice imports nothing from here, and a cycle would be
-// the alternative).
-type peerSummary struct {
-	Generation  uint64 `json:"generation"`
-	Fingerprint string `json:"fingerprint"`
-}
-
-// Syncer pulls committed model-registry generations from peer replicas and
-// hands fully verified sets to OnAdopt for hot-swap. Replication is
-// pull-based and leaderless: every replica polls every peer, and the
-// adoption rule below makes the fleet converge on the newest content no
-// matter which replica an upload or retrain landed on.
+// Syncer pulls committed model-registry generations from peer replicas —
+// the client half of the GET /api/v1/generations protocol this package
+// serves — and hands fully verified sets to OnAdopt for hot-swap.
+// Replication is pull-based and leaderless: every replica polls every peer,
+// and the adoption rule below makes the fleet converge on the newest content
+// no matter which replica an upload or retrain landed on.
 //
 // A generation is adopted from a peer iff
 //
@@ -53,10 +45,10 @@ type Syncer struct {
 	// HTTP performs the fetches (http.DefaultClient when nil).
 	HTTP *http.Client
 	// Current reports the serving generation and fingerprint (the
-	// webservice's GenerationReport, decoupled from its type). Required.
+	// Server's GenerationReport). Required.
 	Current func() (gen uint64, fingerprint string)
 	// OnAdopt receives each imported-and-reloaded generation for hot-swap
-	// (the webservice's AdoptGeneration seam). An error refuses the swap;
+	// (the Server's AdoptGeneration seam). An error refuses the swap;
 	// the import stays on disk but the old set keeps serving. Required.
 	OnAdopt func(ens *core.Ensemble, gen uint64, fingerprint string) error
 	// Logf, when set, narrates adoptions and fetch failures.
@@ -103,7 +95,7 @@ func (sy *Syncer) Run(ctx context.Context) {
 // fleet is down.
 func (sy *Syncer) SyncOnce(ctx context.Context) (adopted bool, err error) {
 	if sy.Store == nil || sy.Current == nil || sy.OnAdopt == nil {
-		return false, fmt.Errorf("replica: syncer missing Store, Current, or OnAdopt")
+		return false, fmt.Errorf("webservice: syncer missing Store, Current, or OnAdopt")
 	}
 	var firstErr error
 	for _, peer := range sy.Peers {
@@ -148,7 +140,7 @@ func shouldAdopt(localGen uint64, localFp string, peerGen uint64, peerFp string)
 // failure path leaves the serving set untouched: a torn transfer dies in
 // the import's temp directory, and a probe failure refuses the swap after
 // the (valid) import.
-func (sy *Syncer) adopt(ctx context.Context, peer string, sum peerSummary) error {
+func (sy *Syncer) adopt(ctx context.Context, peer string, sum GenerationSummary) error {
 	man, err := sy.fetchManifest(ctx, peer, sum.Generation)
 	if err != nil {
 		return err
@@ -178,8 +170,8 @@ func (sy *Syncer) adopt(ctx context.Context, peer string, sum peerSummary) error
 	return nil
 }
 
-func (sy *Syncer) fetchSummary(ctx context.Context, peer string) (peerSummary, error) {
-	var sum peerSummary
+func (sy *Syncer) fetchSummary(ctx context.Context, peer string) (GenerationSummary, error) {
+	var sum GenerationSummary
 	err := sy.getJSON(ctx, peer+"/api/v1/generations", &sum)
 	return sum, err
 }
@@ -227,12 +219,4 @@ func (sy *Syncer) getJSON(ctx context.Context, u string, into any) error {
 		return fmt.Errorf("GET %s: decode: %w", u, err)
 	}
 	return nil
-}
-
-// writeJSON is the router's response encoder (small bodies; no pooling
-// needed at router request rates — the replicas do the heavy serving).
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
 }

@@ -1,4 +1,4 @@
-package replica
+package webservice
 
 import (
 	"context"
@@ -12,6 +12,52 @@ import (
 
 	"github.com/hpc-repro/aiio/internal/core"
 )
+
+// testReplica is one real aiio-server replica: a Server over its own
+// registry store, seeded with the shared ensemble as generation 1.
+type testReplica struct {
+	WS    *Server
+	Store *core.Store
+	HTTP  *httptest.Server
+}
+
+func (r *testReplica) URL() string { return r.HTTP.URL }
+
+// newReplica commits models to a fresh store under dir and serves them.
+func newReplica(t testing.TB, dir string, models *core.Ensemble) *testReplica {
+	t.Helper()
+	store := core.OpenStore(dir)
+	if _, err := store.Save(models); err != nil {
+		t.Fatalf("seed store: %v", err)
+	}
+	ens, rep, err := store.Load()
+	if err != nil {
+		t.Fatalf("load store: %v", err)
+	}
+	ws := NewServer(ens, fastOpts())
+	ws.Store = store
+	ws.SetGeneration(rep)
+	srv := httptest.NewServer(ws.Handler())
+	t.Cleanup(srv.Close)
+	return &testReplica{WS: ws, Store: store, HTTP: srv}
+}
+
+// syncerFor wires a pull syncer for one replica against peers.
+func syncerFor(r *testReplica, peers ...string) *Syncer {
+	return &Syncer{
+		Store: r.Store,
+		Peers: peers,
+		Current: func() (uint64, string) {
+			if rep := r.WS.GenerationReport(); rep != nil {
+				return rep.Generation, rep.Fingerprint
+			}
+			return 0, ""
+		},
+		OnAdopt: func(ens *core.Ensemble, gen uint64, fp string) error {
+			return r.WS.AdoptGeneration(ens, &core.LoadReport{Generation: gen, Fingerprint: fp})
+		},
+	}
+}
 
 // TestSyncConvergesFollower: a new generation committed on one replica is
 // pulled, verified, and hot-swapped by a peer, and the served responses
@@ -62,7 +108,7 @@ func TestSyncConvergesFollower(t *testing.T) {
 
 	// The swap must be visible on the serving path, not just the report.
 	resp, err := http.Post(follower.URL()+"/api/v1/diagnose", "text/plain",
-		strings.NewReader(string(recordBody(t, testRecord(t, 16)))))
+		recordBody(t))
 	if err != nil {
 		t.Fatal(err)
 	}

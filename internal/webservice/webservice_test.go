@@ -2,6 +2,7 @@ package webservice
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -268,4 +269,19 @@ func TestHTMLFrontend(t *testing.T) {
 	if resp.StatusCode != 404 {
 		t.Errorf("unknown path got HTTP %d", resp.StatusCode)
 	}
+}
+
+// UploadModel registers a new pre-trained model from its gob serialization
+// through POST /api/v1/models. Uploads are not retried.
+func (c *Client) UploadModel(name, kind string, gobData io.Reader) error {
+	url := fmt.Sprintf("%s/api/v1/models?name=%s&kind=%s", c.BaseURL, name, kind)
+	resp, err := c.HTTP.Post(url, "application/octet-stream", gobData)
+	if err != nil {
+		return fmt.Errorf("webservice: upload model: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return decodeError(resp)
+	}
+	return nil
 }

@@ -156,17 +156,3 @@ func (c IORConfig) Scale(procDiv, blockDiv int) IORConfig {
 	}
 	return out
 }
-
-// TotalBytes returns the bytes one run of the config transfers (write and
-// read phases counted separately).
-func (c IORConfig) TotalBytes() int64 {
-	per := c.BlockSize * int64(c.Segments) * int64(c.NProcs)
-	n := int64(0)
-	if c.Write {
-		n += per
-	}
-	if c.Read {
-		n += per
-	}
-	return n
-}

@@ -284,3 +284,17 @@ func TestPatternsAreComplete(t *testing.T) {
 		}
 	}
 }
+
+// TotalBytes returns the bytes one run of the config transfers (write and
+// read phases counted separately).
+func (c IORConfig) TotalBytes() int64 {
+	per := c.BlockSize * int64(c.Segments) * int64(c.NProcs)
+	n := int64(0)
+	if c.Write {
+		n += per
+	}
+	if c.Read {
+		n += per
+	}
+	return n
+}
