@@ -245,15 +245,18 @@ func cmdRetrain(args []string) error {
 	}
 	rows := [][]string{}
 	for _, m := range rep.Train.Models {
-		fit := "cold"
+		fit, kept := "cold", "-"
 		if m.WarmStart {
-			fit = "warm"
+			fit, kept = "warm", "no"
+			if m.SeedKept {
+				kept = "yes"
+			}
 		} else if m.WarmFallback != "" {
 			fit = "cold (" + m.WarmFallback + ")"
 		}
-		rows = append(rows, []string{m.Name, fmt.Sprintf("%.4f", m.PredictionRMSE), fit})
+		rows = append(rows, []string{m.Name, fmt.Sprintf("%.4f", m.PredictionRMSE), fit, fmt.Sprint(m.Epochs), kept})
 	}
-	report.Table(os.Stdout, []string{"Model", "Eval RMSE", "Fit"}, rows)
+	report.Table(os.Stdout, []string{"Model", "Eval RMSE", "Fit", "Epochs", "Seed kept"}, rows)
 	fmt.Printf("retrained on %d new + %d window jobs -> %s generation %d (cursor %d)\n",
 		rep.NewRecords, rep.WindowRecords, *modelsDir, rep.Generation, rep.MaxSeq)
 	return nil

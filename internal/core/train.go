@@ -89,6 +89,13 @@ type ModelReport struct {
 	// WarmFallback is the reason a requested warm start was refused for
 	// this model ("" when warm started or never requested).
 	WarmFallback string
+	// Epochs is how long the fit ran before early stopping or its budget
+	// ended it: epochs for the networks, boosting rounds for the trees.
+	Epochs int
+	// SeedKept reports a warm fit that never beat its seed on the eval
+	// split, so the previous generation's weights (or trees) ship
+	// unchanged.
+	SeedKept bool
 }
 
 // TrainReport summarizes ensemble training.
@@ -198,6 +205,7 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 		var model Model
 		warmUsed := false
 		warmFallback := ""
+		epochs, seedKept := 0, false
 		switch name {
 		case NameXGBoost, NameLightGBM, NameCatBoost:
 			variant := gbdt.LevelWise
@@ -210,11 +218,13 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 			cfg.Rounds = gbdtRounds
 			cfg.Seed = opts.Seed
 			var seed *gbdt.WarmSeed
+			seedTrees := 0
 			if pm, why := prior(name); pm != nil {
 				if g, ok := TreeModel(pm); ok {
 					var reason string
 					if seed, reason = gbdt.CheckWarmStart(g, cfg, train.X, train.Y); seed != nil {
 						cfg.Rounds = scaleBudget(gbdtRounds)
+						seedTrees = len(g.Trees)
 					} else {
 						warmFallback = reason
 					}
@@ -235,6 +245,9 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 			if err != nil {
 				return nil, ModelReport{}, fmt.Errorf("core: train %s: %w", name, err)
 			}
+			// Early stopping keeps trees 0..BestIteration; a warm fit that
+			// never improved keeps only the seed's.
+			epochs, seedKept = len(m.EvalLoss), warmUsed && m.BestIteration < seedTrees
 			model = &gbdtModel{name: name, m: m}
 		case NameMLP:
 			cfg := mlp.DefaultConfig()
@@ -271,6 +284,7 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 				return nil, ModelReport{}, fmt.Errorf("core: train %s: %w", name, err)
 			}
 			logConstantCols(name, m.ConstantCols)
+			epochs, seedKept = len(m.EvalLoss), m.BestEpoch < 0
 			model = &mlpModel{m: m}
 		case NameTabNet:
 			cfg := tabnet.DefaultConfig()
@@ -304,6 +318,7 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 				return nil, ModelReport{}, fmt.Errorf("core: train %s: %w", name, err)
 			}
 			logConstantCols(name, m.ConstantCols)
+			epochs, seedKept = len(m.EvalLoss), m.BestEpoch < 0
 			model = &tabnetModel{m: m}
 		default:
 			return nil, ModelReport{}, fmt.Errorf("core: unknown model name %q", name)
@@ -313,6 +328,8 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 			PredictionRMSE: features.RMSE(model.PredictBatch(eval.X), eval.Y),
 			WarmStart:      warmUsed,
 			WarmFallback:   warmFallback,
+			Epochs:         epochs,
+			SeedKept:       seedKept,
 		}, nil
 	}
 

@@ -47,6 +47,54 @@ func TestEnsembleWarmStartHoldsQualityOnReducedBudget(t *testing.T) {
 	}
 }
 
+// TestTrainReportEpochsAndSeedKept checks the report's fit-length fields
+// against the models they describe: Epochs is the rounds or epochs each fit
+// ran, within its budget, and SeedKept is set exactly when a warm fit ships
+// its seed unchanged — BestEpoch -1 for the nets, no tree added on top of
+// the seed's for the boosters.
+func TestTrainReportEpochsAndSeedKept(t *testing.T) {
+	_, prev, coldReport := fixture(t)
+	const coldTrees, coldEpochs = 60, 30 // the Fast budgets
+	for _, r := range coldReport.Models {
+		budget := coldEpochs
+		if _, ok := TreeModel(prev.Model(r.Name)); ok {
+			budget = coldTrees
+		}
+		if r.Epochs < 1 || r.Epochs > budget || r.SeedKept {
+			t.Errorf("cold %s: Epochs %d (budget %d), SeedKept %v", r.Name, r.Epochs, budget, r.SeedKept)
+		}
+	}
+
+	opts := DefaultTrainOptions()
+	opts.Fast = true
+	opts.WarmStart = true
+	opts.WarmFrom = prev
+	warm, report, err := TrainEnsemble(features.Build(logdb.Generate(logdb.GenConfig{Jobs: 900, Seed: 23})), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range report.Models {
+		if !r.WarmStart {
+			t.Fatalf("model %s did not warm start (fallback: %q)", r.Name, r.WarmFallback)
+		}
+		var epochs, budget int
+		var kept bool
+		m := warm.Model(r.Name)
+		if g, ok := TreeModel(m); ok {
+			seed, _ := TreeModel(prev.Model(r.Name))
+			epochs, budget, kept = len(g.EvalLoss), 18, len(g.Trees) == len(seed.Trees)
+		} else if n, ok := MLPModel(m); ok {
+			epochs, budget, kept = len(n.EvalLoss), 9, n.BestEpoch == -1
+		} else if n, ok := TabNetModel(m); ok {
+			epochs, budget, kept = len(n.EvalLoss), 9, n.BestEpoch == -1
+		}
+		if r.Epochs != epochs || r.SeedKept != kept || r.Epochs < 1 || r.Epochs > budget {
+			t.Errorf("warm %s: report Epochs %d SeedKept %v, model ran %d (budget %d) and kept its seed: %v",
+				r.Name, r.Epochs, r.SeedKept, epochs, budget, kept)
+		}
+	}
+}
+
 // TestEnsembleWarmStartDriftFallsBackCold rescales every feature so each
 // family's drift gate (standardizer drift for the nets, bin-edge drift for
 // the trees) must refuse the seed and fall back to a cold fit.

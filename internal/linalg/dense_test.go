@@ -94,25 +94,49 @@ func TestDenseKernelBodiesBitwise(t *testing.T) {
 	}
 }
 
+// TestDenseSetRowsMatchesPack pins SetRows as Pack's untransposed twin: a
+// layer filled by SetRows from Wᵀ holds the same bits as one packed from W,
+// also after shrinking to fewer rows and growing back, and its padding
+// stays zero.
+func TestDenseSetRowsMatchesPack(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const in, out = 13, 21
+	w := randVec(rng, in*out)
+	wt := make([]float64, in*out)
+	for o := 0; o < out; o++ {
+		for i := 0; i < in; i++ {
+			wt[i*out+o] = w[o*in+i]
+		}
+	}
+	packed := NewDense(in, out)
+	packed.Pack(w, make([]float64, out))
+	d := NewDense(in, out)
+	for _, rows := range []int{in, 1, 5, in} {
+		d.SetRows(randVec(rng, rows*out), rows)
+		d.SetRows(wt, rows)
+		if d.In != rows || len(d.WT) != rows*d.OutPad {
+			t.Fatalf("SetRows(%d): In %d, len(WT) %d", rows, d.In, len(d.WT))
+		}
+		for k, v := range d.WT {
+			if math.Float64bits(v) != math.Float64bits(packed.WT[k]) {
+				t.Fatalf("SetRows(%d): WT[%d] = %v, Pack gives %v", rows, k, v, packed.WT[k])
+			}
+		}
+	}
+}
+
 // BenchmarkDenseForward runs the default MLP's seven layers (45 → 90 → 89 →
-// 69 → 49 → 29 → 9 → 1) over a 256-row block on every body this CPU has,
-// against the two-row GemvT2 path the models used before the packed
-// kernel. ns/row is the figure to compare.
+// 69 → 49 → 29 → 9 → 1) over a 256-row block on every body this CPU has.
+// ns/row is the figure to compare.
 func BenchmarkDenseForward(b *testing.B) {
 	dims := []int{45, 90, 89, 69, 49, 29, 9, 1}
 	const rows = 256
 	rng := rand.New(rand.NewSource(31))
-	type layer struct {
-		w, bias []float64
-		d       *Dense
-	}
-	layers := make([]layer, len(dims)-1)
+	layers := make([]*Dense, len(dims)-1)
 	for l := range layers {
 		in, out := dims[l], dims[l+1]
-		w, bias := randVec(rng, in*out), randVec(rng, out)
-		d := NewDense(in, out)
-		d.Pack(w, bias)
-		layers[l] = layer{w, bias, d}
+		layers[l] = NewDense(in, out)
+		layers[l].Pack(randVec(rng, in*out), randVec(rng, out))
 	}
 	x := randVec(rng, rows*dims[0])
 	bufs := [2][]float64{make([]float64, rows*96), make([]float64, rows*96)}
@@ -121,30 +145,14 @@ func BenchmarkDenseForward(b *testing.B) {
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				h, stride := x, dims[0]
-				for l, ly := range layers {
-					body.run(ly.d, bufs[l&1], ly.d.OutPad, h, stride, rows)
-					h, stride = bufs[l&1], ly.d.OutPad
+				for l, d := range layers {
+					body.run(d, bufs[l&1], d.OutPad, h, stride, rows)
+					h, stride = bufs[l&1], d.OutPad
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 		})
 	}
-	b.Run("gemvT2", func(b *testing.B) {
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			h, stride := x, dims[0]
-			for l, ly := range layers {
-				in, out := dims[l], dims[l+1]
-				dst := bufs[l&1]
-				for r := 0; r+1 < rows; r += 2 {
-					GemvT2(dst[r*out:(r+1)*out], dst[(r+1)*out:(r+2)*out], ly.w, out, in,
-						h[r*stride:r*stride+in], h[(r+1)*stride:(r+1)*stride+in], ly.bias)
-				}
-				h, stride = dst, out
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
-	})
 }
 
 func randVec(rng *rand.Rand, n int) []float64 {

@@ -2,22 +2,11 @@ package linalg
 
 import "fmt"
 
-// Training-path GEMM primitives. Backprop through a dense layer needs three
-// products the inference kernels don't cover: the input gradient G·W (Gemm),
-// the weight gradient Gᵀ·X (GemmTA, accumulating), and the single-row rank-1
-// update g⊗x (Ger). All three decompose into passes over contiguous
-// row-major rows, so they run on the Axpy/Axpy2 micro-kernels: Axpy2 fuses a
-// *pair* of rank-1 contributions into one pass over the destination row —
-// two FMAs per load/store instead of one — which is the two-row blocking
-// that makes these "tiled" without a packed-buffer GEMM. Zero coefficients
-// (ReLU- and dropout-killed gradients are mostly zeros) skip their term
-// entirely, matching the sparsity shortcuts of the scalar reference loops.
-//
-// Accumulation order per destination element is pair-major over the summed
-// dimension on every path; the AVX2 kernel fuses multiply-adds, so kernel
-// and scalar builds agree to float rounding, not bitwise. Training treats
-// that the same way gbdt treats histogram subtraction: a reference path
-// behind a flag plus parity tests at a documented tolerance.
+// Row-pass primitives of TabNet's per-sample training: Axpy2 fuses a pair
+// of rank-1 contributions into one pass over the destination row — two
+// FMAs per load/store instead of one — and ColSumsAcc is the bias-gradient
+// column reduction the MLP's mini-batch backward also uses. The MLP's three
+// dense products run on Dense.Forward (see mlp/backprop.go).
 
 // axpy2Kernel is the paired 4-lane FMA y += a0*x0 + a1*x1 (one pass over
 // y). Installed by the amd64 init alongside the other micro-kernels.
@@ -38,93 +27,6 @@ func Axpy2(a0, a1 float64, x0, x1, y []float64) {
 		v += a0 * x0[i]
 		v += a1 * x1[i]
 		y[i] = v
-	}
-}
-
-// Ger applies the rank-1 update a += alpha * x ⊗ y, where a is the
-// len(x) x len(y) row-major matrix a[i*len(y)+j]. Rows whose coefficient
-// alpha*x[i] is zero are skipped entirely.
-func Ger(alpha float64, x, y, a []float64) {
-	n := len(y)
-	if len(a) < len(x)*n {
-		panic(fmt.Sprintf("linalg: Ger matrix %d too small for %dx%d", len(a), len(x), n))
-	}
-	for i, xv := range x {
-		if s := alpha * xv; s != 0 {
-			Axpy(s, y, a[i*n:i*n+n])
-		}
-	}
-}
-
-// GemmTA accumulates dst += aᵀ·b for row-major a (m x p) and b (m x n),
-// writing into the row-major p x n dst. This is the weight-gradient shape
-// dW += Gᵀ·X. Rows of a and b are consumed in pairs so each touched dst row
-// is loaded once per pair (Axpy2); a trailing odd row falls back to Ger.
-func GemmTA(dst, a, b []float64, m, p, n int) {
-	if len(a) < m*p || len(b) < m*n || len(dst) < p*n {
-		panic(fmt.Sprintf("linalg: GemmTA shapes a=%d b=%d dst=%d for m=%d p=%d n=%d",
-			len(a), len(b), len(dst), m, p, n))
-	}
-	i := 0
-	for ; i+1 < m; i += 2 {
-		ar0 := a[i*p : i*p+p]
-		ar1 := a[(i+1)*p : (i+1)*p+p]
-		br0 := b[i*n : i*n+n]
-		br1 := b[(i+1)*n : (i+1)*n+n]
-		for o, g0 := range ar0 {
-			g1 := ar1[o]
-			drow := dst[o*n : o*n+n]
-			switch {
-			case g0 != 0 && g1 != 0:
-				Axpy2(g0, g1, br0, br1, drow)
-			case g0 != 0:
-				Axpy(g0, br0, drow)
-			case g1 != 0:
-				Axpy(g1, br1, drow)
-			}
-		}
-	}
-	if i < m {
-		Ger(1, a[i*p:i*p+p], b[i*n:i*n+n], dst)
-	}
-}
-
-// Gemm computes dst = a·b (overwriting dst) for row-major a (m x k) and
-// b (k x n), dst m x n. This is the input-gradient shape dX = G·W for
-// weights stored row-major by output unit. Each dst row accumulates pairs
-// of b rows via Axpy2; with k and n in the few-hundreds the working set is
-// cache-resident, so the pairing (two FMAs per dst load) is the tiling
-// that matters rather than packed blocking.
-func Gemm(dst, a, b []float64, m, k, n int) {
-	if len(a) < m*k || len(b) < k*n || len(dst) < m*n {
-		panic(fmt.Sprintf("linalg: Gemm shapes a=%d b=%d dst=%d for m=%d k=%d n=%d",
-			len(a), len(b), len(dst), m, k, n))
-	}
-	for i := 0; i < m; i++ {
-		drow := dst[i*n : i*n+n]
-		for j := range drow {
-			drow[j] = 0
-		}
-		arow := a[i*k : i*k+k]
-		o := 0
-		for ; o+1 < k; o += 2 {
-			g0, g1 := arow[o], arow[o+1]
-			br0 := b[o*n : o*n+n]
-			br1 := b[(o+1)*n : (o+1)*n+n]
-			switch {
-			case g0 != 0 && g1 != 0:
-				Axpy2(g0, g1, br0, br1, drow)
-			case g0 != 0:
-				Axpy(g0, br0, drow)
-			case g1 != 0:
-				Axpy(g1, br1, drow)
-			}
-		}
-		if o < k {
-			if g := arow[o]; g != 0 {
-				Axpy(g, b[o*n:o*n+n], drow)
-			}
-		}
 	}
 }
 

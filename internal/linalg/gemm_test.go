@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// The training GEMM primitives decompose into Axpy/Axpy2 passes with
-// zero-coefficient skips; these tests pin them against naive triple loops.
-// Tolerances follow the kernels_test.go convention: the AVX2 build fuses
-// multiply-adds and pairs rank-1 terms, so agreement is to rounding.
+// The row-pass training primitives against naive loops. Tolerances follow
+// the kernels_test.go convention: the AVX2 build fuses multiply-adds and
+// pairs rank-1 terms, so agreement is to rounding.
 
 func TestAxpy2MatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -26,108 +25,6 @@ func TestAxpy2MatchesNaive(t *testing.T) {
 		for i := range y {
 			if !relClose(y[i], want[i], 1e-12) {
 				t.Fatalf("n=%d y[%d]=%v want %v", n, i, y[i], want[i])
-			}
-		}
-	}
-}
-
-func TestGerMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, dims := range [][2]int{{1, 1}, {3, 5}, {4, 8}, {7, 9}, {16, 45}} {
-		rows, cols := dims[0], dims[1]
-		x := make([]float64, rows)
-		y := make([]float64, cols)
-		a := make([]float64, rows*cols)
-		want := make([]float64, rows*cols)
-		alpha := rng.NormFloat64()
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		x[0] = 0 // exercise the zero-row skip
-		for j := range y {
-			y[j] = rng.NormFloat64()
-		}
-		for i := range a {
-			a[i] = rng.NormFloat64()
-			want[i] = a[i] + alpha*x[i/cols]*y[i%cols]
-		}
-		Ger(alpha, x, y, a)
-		for i := range a {
-			if !relClose(a[i], want[i], 1e-12) {
-				t.Fatalf("%dx%d a[%d]=%v want %v", rows, cols, i, a[i], want[i])
-			}
-		}
-	}
-}
-
-func TestGemmTAMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, dims := range [][3]int{{1, 1, 1}, {2, 3, 4}, {5, 4, 8}, {7, 9, 11}, {16, 45, 45}, {33, 8, 90}} {
-		m, p, n := dims[0], dims[1], dims[2]
-		a := make([]float64, m*p)
-		b := make([]float64, m*n)
-		dst := make([]float64, p*n)
-		want := make([]float64, p*n)
-		for i := range a {
-			a[i] = rng.NormFloat64()
-			if rng.Intn(3) == 0 {
-				a[i] = 0 // exercise the sparse-gradient skips
-			}
-		}
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		for i := range dst {
-			dst[i] = rng.NormFloat64()
-			want[i] = dst[i]
-		}
-		for i := 0; i < m; i++ {
-			for o := 0; o < p; o++ {
-				for j := 0; j < n; j++ {
-					want[o*n+j] += a[i*p+o] * b[i*n+j]
-				}
-			}
-		}
-		GemmTA(dst, a, b, m, p, n)
-		for i := range dst {
-			if !relClose(dst[i], want[i], 1e-11) {
-				t.Fatalf("m=%d p=%d n=%d dst[%d]=%v want %v", m, p, n, i, dst[i], want[i])
-			}
-		}
-	}
-}
-
-func TestGemmMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for _, dims := range [][3]int{{1, 1, 1}, {2, 3, 4}, {5, 4, 8}, {7, 9, 11}, {16, 45, 45}, {33, 8, 90}} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a := make([]float64, m*k)
-		b := make([]float64, k*n)
-		dst := make([]float64, m*n)
-		want := make([]float64, m*n)
-		for i := range a {
-			a[i] = rng.NormFloat64()
-			if rng.Intn(3) == 0 {
-				a[i] = 0
-			}
-		}
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		for i := range dst {
-			dst[i] = rng.NormFloat64() // Gemm must overwrite, not accumulate
-		}
-		for i := 0; i < m; i++ {
-			for o := 0; o < k; o++ {
-				for j := 0; j < n; j++ {
-					want[i*n+j] += a[i*k+o] * b[o*n+j]
-				}
-			}
-		}
-		Gemm(dst, a, b, m, k, n)
-		for i := range dst {
-			if !relClose(dst[i], want[i], 1e-11) {
-				t.Fatalf("m=%d k=%d n=%d dst[%d]=%v want %v", m, k, n, i, dst[i], want[i])
 			}
 		}
 	}

@@ -19,9 +19,6 @@ func denseYMM(dst, x, wt, bias *float64, in, outPad, blocks, xStep, xPair, dstSt
 func gemvTAVX(dst, w, x *float64, inDim, outDim int, bias *float64)
 
 //go:noescape
-func gemvT2AVX(dst0, dst1, w, x0, x1 *float64, inDim, outDim int, bias *float64)
-
-//go:noescape
 func gluAVX(dst, u, v *float64, n int)
 
 //go:noescape
@@ -73,7 +70,7 @@ func bnApplyAVX(x, xhat, mean, invStd, gamma, beta *float64, n int)
 func bnBackApplyAVX(out, grad, xhat, c1, c2, c3 *float64, n int)
 
 //go:noescape
-func adamStepAVX(w, m, v, grad *float64, n int, consts *float64)
+func adamStepAVX(w, m, v, grad *float64, n int, b1, q1, b2, q2, invC1, invC2, lr, eps float64)
 
 //go:noescape
 func dropoutApplyAVX(x, mask, u *float64, keep, invKeep float64, n int)
@@ -118,7 +115,6 @@ func init() {
 	}
 	denseKernel = denseBodies[len(denseBodies)-1]
 	gemvTKernel = gemvTAVX
-	gemvT2Kernel = gemvT2AVX
 	gluKernel = gluAVX
 	scaleShiftReLUKernel = scaleShiftReLUAVX
 	scaleShiftIntoKernel = scaleShiftIntoAVX

@@ -128,160 +128,6 @@ gtdone:
 	VZEROUPPER
 	RET
 
-// func gemvT2AVX(dst0, dst1, w, x0, x1 *float64, inDim, outDim int, bias *float64)
-//
-// Two-row variant of gemvTAVX: dstR[o] = dot(w row o, xR) (+ bias[o]) for
-// both input rows at once. Each ymm load of a weight row feeds two FMAs
-// (one per input row), so the weight stream — the dominant memory traffic
-// when inDim is larger than the cache-resident x vectors — is read once
-// per row pair instead of once per row. Per-output arithmetic order is
-// identical to gemvTAVX, so results match the single-row kernel bitwise.
-// outDim must be a multiple of 4 and inDim >= 1; x1 and dst1 are addressed
-// relative to x0/dst0 (delta held in a register) to stay within the
-// general-register budget.
-TEXT ·gemvT2AVX(SB), NOSPLIT, $0-64
-	MOVQ dst0+0(FP), DI
-	MOVQ dst1+8(FP), AX
-	SUBQ DI, AX              // dst1 = (DI)(AX*1)
-	MOVQ w+16(FP), R11
-	MOVQ x0+24(FP), CX
-	MOVQ x1+32(FP), BX
-	SUBQ CX, BX              // x1 = (CX)(BX*1)
-	MOVQ inDim+40(FP), DX
-	MOVQ outDim+48(FP), R13
-	MOVQ bias+56(FP), R14
-
-	SHRQ $2, R13             // output tile count
-	JZ   g2done
-	MOVQ DX, R15
-	SHLQ $3, R15             // weight row stride in bytes
-
-g2tile:
-	MOVQ R11, SI             // w row 0
-	LEAQ (SI)(R15*1), R8     // w row 1
-	LEAQ (R8)(R15*1), R9     // w row 2
-	LEAQ (R9)(R15*1), R10    // w row 3
-
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-
-	MOVQ DX, R12
-	SHRQ $2, R12             // number of 4-wide blocks
-	JZ   g2reduce
-
-g2loop4:
-	VMOVUPD     (CX), Y8
-	VMOVUPD     (CX)(BX*1), Y9
-	VMOVUPD     (SI), Y10
-	VFMADD231PD Y10, Y8, Y0
-	VFMADD231PD Y10, Y9, Y4
-	VMOVUPD     (R8), Y11
-	VFMADD231PD Y11, Y8, Y1
-	VFMADD231PD Y11, Y9, Y5
-	VMOVUPD     (R9), Y12
-	VFMADD231PD Y12, Y8, Y2
-	VFMADD231PD Y12, Y9, Y6
-	VMOVUPD     (R10), Y13
-	VFMADD231PD Y13, Y8, Y3
-	VFMADD231PD Y13, Y9, Y7
-	ADDQ $32, CX
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	DECQ R12
-	JNZ  g2loop4
-
-g2reduce:
-	// Transpose-reduce each row's four accumulators (same dance as
-	// gemvTAVX, run twice).
-	VHADDPD    Y1, Y0, Y10
-	VHADDPD    Y3, Y2, Y11
-	VPERM2F128 $0x20, Y11, Y10, Y12
-	VPERM2F128 $0x31, Y11, Y10, Y13
-	VADDPD     Y13, Y12, Y0
-	VHADDPD    Y5, Y4, Y10
-	VHADDPD    Y7, Y6, Y11
-	VPERM2F128 $0x20, Y11, Y10, Y12
-	VPERM2F128 $0x31, Y11, Y10, Y13
-	VADDPD     Y13, Y12, Y4
-
-	TESTQ   R14, R14
-	JZ      g2nobias
-	VMOVUPD (R14), Y10
-	VADDPD  Y10, Y0, Y0
-	VADDPD  Y10, Y4, Y4
-	ADDQ    $32, R14
-
-g2nobias:
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y4, (DI)(AX*1)
-
-	MOVQ DX, R12
-	ANDQ $3, R12
-	JZ   g2next
-
-g2tail:
-	VMOVSD (CX), X8
-	VMOVSD (CX)(BX*1), X9
-
-	VMOVSD      (SI), X10
-	VMOVSD      (DI), X11
-	VFMADD231SD X10, X8, X11
-	VMOVSD      X11, (DI)
-	VMOVSD      (DI)(AX*1), X11
-	VFMADD231SD X10, X9, X11
-	VMOVSD      X11, (DI)(AX*1)
-
-	VMOVSD      (R8), X10
-	VMOVSD      8(DI), X11
-	VFMADD231SD X10, X8, X11
-	VMOVSD      X11, 8(DI)
-	VMOVSD      8(DI)(AX*1), X11
-	VFMADD231SD X10, X9, X11
-	VMOVSD      X11, 8(DI)(AX*1)
-
-	VMOVSD      (R9), X10
-	VMOVSD      16(DI), X11
-	VFMADD231SD X10, X8, X11
-	VMOVSD      X11, 16(DI)
-	VMOVSD      16(DI)(AX*1), X11
-	VFMADD231SD X10, X9, X11
-	VMOVSD      X11, 16(DI)(AX*1)
-
-	VMOVSD      (R10), X10
-	VMOVSD      24(DI), X11
-	VFMADD231SD X10, X8, X11
-	VMOVSD      X11, 24(DI)
-	VMOVSD      24(DI)(AX*1), X11
-	VFMADD231SD X10, X9, X11
-	VMOVSD      X11, 24(DI)(AX*1)
-
-	ADDQ $8, CX
-	ADDQ $8, SI
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	DECQ R12
-	JNZ  g2tail
-
-g2next:
-	SUBQ R15, CX             // rewind the x0 cursor to the row start
-	ADDQ $32, DI             // next 4 outputs
-	LEAQ (R11)(R15*4), R11   // next 4 weight rows
-	DECQ R13
-	JNZ  g2tile
-
-g2done:
-	VZEROUPPER
-	RET
-
 // Replicated (4x8 byte) constants for the vector sigmoid kernel: sign
 // mask, exp clamp bounds, Cody-Waite range-reduction constants, 1.0, the
 // Taylor coefficients 1/k! for k=2..11, and the IEEE-754 exponent bias as
@@ -865,10 +711,10 @@ axdone:
 // func axpy2AVX(a0, a1 float64, x0, x1, y *float64, n int)
 //
 // y[i] += a0*x0[i] + a1*x1[i] in one pass over y — the paired rank-1
-// update behind GemmTA/Gemm: two fused multiply-adds per load/store of y,
-// halving the y traffic of two Axpy calls. Per element the a0 term is
-// accumulated before the a1 term, matching the scalar fallback; only the
-// intermediate product rounding differs (fused).
+// update of TabNet's input gradients: two fused multiply-adds per
+// load/store of y, halving the y traffic of two Axpy calls. Per element
+// the a0 term is accumulated before the a1 term, matching the scalar
+// fallback; only the intermediate product rounding differs (fused).
 TEXT ·axpy2AVX(SB), NOSPLIT, $0-48
 	VBROADCASTSD a0+0(FP), Y0
 	VBROADCASTSD a1+8(FP), Y1
@@ -1141,27 +987,26 @@ bbdone:
 	VZEROUPPER
 	RET
 
-// func adamStepAVX(w, m, v, grad *float64, n int, consts *float64)
+// func adamStepAVX(w, m, v, grad *float64, n int, b1, q1, b2, q2, invC1, invC2, lr, eps float64)
 //
-// One Adam update; consts is {b1, 1-b1, b2, 1-b2, 1/c1, 1/c2, lr, eps}.
-// The moment blends are fused; bias correction is reciprocal-multiply as
-// in the scalar fallback. n is a multiple of 4.
-TEXT ·adamStepAVX(SB), NOSPLIT, $0-48
+// One Adam update; q1 = 1-b1, q2 = 1-b2, invC1/invC2 the reciprocal bias
+// corrections. The moment blends are fused; bias correction is
+// reciprocal-multiply as in the scalar fallback. n is a multiple of 4.
+TEXT ·adamStepAVX(SB), NOSPLIT, $0-104
 	MOVQ w+0(FP), DI
 	MOVQ m+8(FP), SI
 	MOVQ v+16(FP), DX
 	MOVQ grad+24(FP), CX
 	MOVQ n+32(FP), R9
-	MOVQ consts+40(FP), R8
 
-	VBROADCASTSD (R8), Y8       // b1
-	VBROADCASTSD 8(R8), Y9      // 1-b1
-	VBROADCASTSD 16(R8), Y10    // b2
-	VBROADCASTSD 24(R8), Y11    // 1-b2
-	VBROADCASTSD 32(R8), Y12    // 1/c1
-	VBROADCASTSD 40(R8), Y13    // 1/c2
-	VBROADCASTSD 48(R8), Y14    // lr
-	VBROADCASTSD 56(R8), Y15    // eps
+	VBROADCASTSD b1+40(FP), Y8
+	VBROADCASTSD q1+48(FP), Y9
+	VBROADCASTSD b2+56(FP), Y10
+	VBROADCASTSD q2+64(FP), Y11
+	VBROADCASTSD invC1+72(FP), Y12
+	VBROADCASTSD invC2+80(FP), Y13
+	VBROADCASTSD lr+88(FP), Y14
+	VBROADCASTSD eps+96(FP), Y15
 
 	MOVQ R9, BX
 	SHRQ $2, BX

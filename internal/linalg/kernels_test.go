@@ -88,44 +88,6 @@ func TestGemvTMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestGemvT2MatchesGemvT pins the pairing contract: the two-row kernel is
-// bitwise identical to two single-row calls, so callers may pair rows
-// opportunistically without any parity impact.
-func TestGemvT2MatchesGemvT(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, dims := range [][2]int{{45, 8}, {32, 45}, {45, 45}, {7, 5}, {4, 4}, {5, 3}, {12, 24}, {45, 16}, {3, 9}, {6, 1}} {
-		in, out := dims[0], dims[1]
-		w := make([]float64, in*out)
-		x0 := make([]float64, in)
-		x1 := make([]float64, in)
-		b := make([]float64, out)
-		for i := range w {
-			w[i] = rng.NormFloat64()
-		}
-		for i := range x0 {
-			x0[i], x1[i] = rng.NormFloat64(), rng.NormFloat64()
-		}
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		for _, bias := range [][]float64{nil, b} {
-			want0 := make([]float64, out)
-			want1 := make([]float64, out)
-			got0 := make([]float64, out)
-			got1 := make([]float64, out)
-			GemvT(want0, w, out, in, x0, bias)
-			GemvT(want1, w, out, in, x1, bias)
-			GemvT2(got0, got1, w, out, in, x0, x1, bias)
-			for o := 0; o < out; o++ {
-				if got0[o] != want0[o] || got1[o] != want1[o] {
-					t.Fatalf("%dx%d bias=%v o=%d got (%v,%v) want (%v,%v)",
-						in, out, bias != nil, o, got0[o], got1[o], want0[o], want1[o])
-				}
-			}
-		}
-	}
-}
-
 func TestGLUIntoMatchesExp(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{1, 4, 8, 15, 16, 17, 32, 45} {

@@ -35,12 +35,17 @@ func TestMatrixBasics(t *testing.T) {
 func TestMulMatchesManual(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	b := FromRows([][]float64{{7, 8, 9}, {10, 11, 12}})
-	got := NewMatrix(3, 3)
-	Gemm(got.Data, a.Data, b.Data, 3, 2, 3)
+	// A Dense whose rows are b's rows computes a·b (the MLP's dX = G·W).
+	d := NewDense(2, 3)
+	d.SetRows(b.Data, 2)
+	got := make([]float64, 3*d.OutPad)
+	d.Forward(got, d.OutPad, a.Data, 2, 3)
 	want := FromRows([][]float64{{27, 30, 33}, {61, 68, 75}, {95, 106, 117}})
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("Gemm mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			if g := got[i*d.OutPad+j]; g != want.At(i, j) {
+				t.Fatalf("a·b mismatch at (%d,%d): %v vs %v", i, j, g, want.At(i, j))
+			}
 		}
 	}
 }
@@ -86,7 +91,8 @@ func TestPanicsOnShapeMismatch(t *testing.T) {
 		}()
 		f()
 	}
-	check("Gemm", func() { Gemm(make([]float64, 4), make([]float64, 6), make([]float64, 5), 2, 3, 2) })
+	check("Dense.Forward", func() { NewDense(3, 2).Forward(make([]float64, 8), 8, make([]float64, 5), 3, 2) })
+	check("Dense.SetRows", func() { NewDense(2, 3).SetRows(make([]float64, 9), 3) })
 	check("GemvT", func() { GemvT(make([]float64, 2), make([]float64, 6), 2, 3, []float64{1}, nil) })
 	check("Dot", func() { Dot([]float64{1}, []float64{1, 2}) })
 	check("FromRows", func() { FromRows([][]float64{{1}, {1, 2}}) })
@@ -99,8 +105,14 @@ func randomSPD(n int, rng *rand.Rand) *Matrix {
 		b.Data[i] = rng.NormFloat64()
 	}
 	a := NewMatrix(n, n)
-	GemmTA(a.Data, b.Data, b.Data, n, n, n)
 	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			s := 0.0
+			for k := 0; k < n; k++ {
+				s += b.At(k, i) * b.At(k, j)
+			}
+			a.Set(i, j, s)
+		}
 		a.Set(i, i, a.At(i, i)+1)
 	}
 	return a

@@ -75,8 +75,6 @@ var (
 	// gemvTKernel computes dst[o] = w_row_o · x (+bias) for outDim
 	// outputs (outDim a multiple of 4) with fused multiply-adds.
 	gemvTKernel func(dst, w, x *float64, inDim, outDim int, bias *float64)
-	// gemvT2Kernel is the two-input-row variant sharing the weight stream.
-	gemvT2Kernel func(dst0, dst1, w, x0, x1 *float64, inDim, outDim int, bias *float64)
 	// gluKernel computes dst[i] = u[i]/(1+exp(-v[i])) for n a multiple
 	// of 8, with a polynomial exp accurate to ~1e-13 relative.
 	gluKernel func(dst, u, v *float64, n int)
@@ -154,47 +152,6 @@ func GemvT(out, w []float64, outDim, inDim int, x, bias []float64) {
 	if bias != nil {
 		for o := 0; o < outDim; o++ {
 			out[o] += bias[o]
-		}
-	}
-}
-
-// GemvT2 runs GemvT for two input rows against the same weight matrix.
-// On supported CPUs the paired micro-kernel streams each weight row once
-// per pair (two FMAs per ymm weight load instead of one), which is the
-// main win when the weight matrix does not fit in L1; each output is
-// computed in the same operation order as the single-row kernel, so the
-// results are bitwise identical to two GemvT calls. Its one caller is the
-// mlp training forward (mlp/backprop.go), which keeps this arithmetic so
-// trained weights do not move; inference runs on Dense.Forward.
-func GemvT2(out0, out1, w []float64, outDim, inDim int, x0, x1, bias []float64) {
-	if gemvT2Kernel == nil || inDim < 4 || outDim < 4 {
-		GemvT(out0, w, outDim, inDim, x0, bias)
-		GemvT(out1, w, outDim, inDim, x1, bias)
-		return
-	}
-	if len(x0) != inDim || len(x1) != inDim {
-		panic(fmt.Sprintf("linalg: GemvT2 inputs %d/%d, want %d", len(x0), len(x1), inDim))
-	}
-	if len(out0) < outDim || len(out1) < outDim || len(w) < outDim*inDim {
-		panic(fmt.Sprintf("linalg: GemvT2 out %d/%d / weights %d too small for %dx%d",
-			len(out0), len(out1), len(w), outDim, inDim))
-	}
-	if bias != nil && len(bias) < outDim {
-		panic(fmt.Sprintf("linalg: GemvT2 bias %d, want %d", len(bias), outDim))
-	}
-	o := outDim &^ 3
-	var bp *float64
-	if bias != nil {
-		bp = &bias[0]
-	}
-	gemvT2Kernel(&out0[0], &out1[0], &w[0], &x0[0], &x1[0], inDim, o, bp)
-	for ; o < outDim; o++ {
-		row := w[o*inDim : o*inDim+inDim]
-		out0[o] = Dot(row, x0)
-		out1[o] = Dot(row, x1)
-		if bias != nil {
-			out0[o] += bias[o]
-			out1[o] += bias[o]
 		}
 	}
 }

@@ -31,8 +31,10 @@ var (
 	// bnBackApplyKernel is out[i] = c1[i]*(g[i] - c2[i] - xhat[i]*c3[i]).
 	bnBackApplyKernel func(out, g, xhat, c1, c2, c3 *float64, n int)
 	// adamStepKernel applies the Adam update with folded constants
-	// {b1, 1-b1, b2, 1-b2, 1/c1, 1/c2, lr, eps}.
-	adamStepKernel func(w, m, v, g *float64, n int, consts *float64)
+	// q1 = 1-b1, q2 = 1-b2 and the reciprocal bias corrections. They pass
+	// by value: a pointer to a constants array would escape through the
+	// kernel variable and cost one allocation per call.
+	adamStepKernel func(w, m, v, g *float64, n int, b1, q1, b2, q2, invC1, invC2, lr, eps float64)
 	// dropoutApplyKernel scales x and mask by invKeep where u < keep,
 	// zeroing both elsewhere.
 	dropoutApplyKernel func(x, mask, u *float64, keep, invKeep float64, n int)
@@ -213,8 +215,7 @@ func AdamStep(w, m, v, g []float64, b1, b2, c1, c2, lr, eps float64) {
 	i := 0
 	if adamStepKernel != nil && n >= 8 {
 		i = n &^ 3
-		consts := [8]float64{b1, q1, b2, q2, invC1, invC2, lr, eps}
-		adamStepKernel(&w[0], &m[0], &v[0], &g[0], i, &consts[0])
+		adamStepKernel(&w[0], &m[0], &v[0], &g[0], i, b1, q1, b2, q2, invC1, invC2, lr, eps)
 	}
 	for ; i < n; i++ {
 		gv := g[i]

@@ -8,21 +8,37 @@ import (
 )
 
 // The blocked training path. One trainScratch carries every mini-batch of
-// every epoch: activations, BN caches, fused backward masks, and two
-// ping-pong gradient blocks, all sized to the configured batch once and
-// reshaped per batch — steady-state training allocates nothing per
-// mini-batch. Dense forward rows run pairwise on the GemvT2 kernel (one
-// weight stream per pair); backward is three GEMM-shaped calls per layer
-// (ColSumsAcc for db, GemmTA for dW += Gᵀ·X, Gemm for dX = G·W), all built
-// on the Axpy2 paired rank-1 kernel.
+// every epoch: activations, BN caches, fused backward masks, two ping-pong
+// gradient blocks, and the packed layers and padded slabs of the dense
+// products, all sized to the configured batch once and reshaped per batch —
+// steady-state training allocates nothing per mini-batch.
+//
+// All three dense products of a layer run on the packed linalg.Dense
+// kernel, over the whole mini-batch:
+//
+//   - forward, Y = X·Wᵀ + b: the layer packed as for inference;
+//   - input gradient, dX = G·W: a Dense whose rows are W's rows padded to
+//     InPad (In rounded up to 8), zero bias, run on the batch rows of G;
+//   - weight gradient, dW = Gᵀ·X: a Dense whose rows are the batch's input
+//     rows X padded to InPad, zero bias, run on the Out rows of Gᵀ.
+//
+// The forward and dX layers are re-packed after every Adam step (In×Out
+// copies against rows×In×Out multiply-adds per product); the dW layer is
+// filled from X each mini-batch. Dense.Forward starts every output at its
+// bias and adds its terms in increasing order, one fused multiply-add each.
+// For the two backward products that is, bit for bit, the chain of the
+// paired-Axpy2 kernels they replace (from a zero start, a skipped zero
+// term and a fused zero term give the same bits); backprop_test.go keeps
+// those kernels as the oracles of TestDenseBackwardMatchesGemmOracles.
+// The db column sums stay on ColSumsAcc.
 //
 // Equivalence with the scalar reference path (Config.ReferenceKernels): the
-// same gradients up to FP reassociation — the kernels pair rows and fuse
-// multiply-adds, so per-element sums associate differently. RNG consumption
-// is identical by construction: the dropout loop below draws one rng.Float64
-// per activation element in the same order as the reference loop, keeping
-// the epoch shuffles of the two paths aligned so parity tests see FP drift
-// only. mlp_parity_test.go pins the divergence after several epochs.
+// same gradients up to FP reassociation — the kernels fuse multiply-adds,
+// so per-element sums associate differently. RNG consumption is identical
+// by construction: the dropout loop below draws one rng.Float64 per
+// activation element in the same order as the reference loop, keeping the
+// epoch shuffles of the two paths aligned so parity tests see FP drift
+// only. train_parity_test.go pins the divergence after several epochs.
 
 // trainScratch is the reusable per-Train state of the fast path.
 type trainScratch struct {
@@ -40,9 +56,17 @@ type trainScratch struct {
 	sumGX    []float64
 	bnCoef   []float64 // BN backward per-column gamma*invStd
 	dropU    []float64 // pre-drawn dropout uniforms, one per activation
+
+	fwd []*linalg.Dense // forward layers, also the epoch-end evaluation's
+	dx  []*linalg.Dense // per layer: W's rows padded (nil for layer 0)
+	dw  []*linalg.Dense // per layer: the batch's input rows padded
+	gT  []float64       // Gᵀ of the layer being differentiated
+	pad []float64       // padded Dense.Forward output, copied out per product
 }
 
-func newTrainScratch(m *Model, batch, inCols int) *trainScratch {
+// newTrainScratch sizes the scratch for mini-batches of up to batch rows
+// and packs m's current weights into fwd (the caller's layers) and dx.
+func newTrainScratch(m *Model, batch, inCols int, fwd []*linalg.Dense) *trainScratch {
 	nHidden := len(m.Config.Hidden)
 	ts := &trainScratch{
 		yb:       make([]float64, batch),
@@ -51,6 +75,9 @@ func newTrainScratch(m *Model, batch, inCols int) *trainScratch {
 		xhat:     make([]linalg.Matrix, len(m.BN)),
 		bnMean:   make([][]float64, len(m.BN)),
 		bnInvStd: make([][]float64, len(m.BN)),
+		fwd:      fwd,
+		dx:       make([]*linalg.Dense, len(m.Dense)),
+		dw:       make([]*linalg.Dense, len(m.Dense)),
 	}
 	reshape(&ts.xb, batch, inCols)
 	maxDim := 1
@@ -67,37 +94,80 @@ func newTrainScratch(m *Model, batch, inCols int) *trainScratch {
 		ts.bnMean[i] = make([]float64, dim)
 		ts.bnInvStd[i] = make([]float64, dim)
 	}
+	padLen := 0
+	for l, d := range m.Dense {
+		if l > 0 {
+			ts.dx[l] = linalg.NewDense(d.Out, d.In)
+		}
+		ts.dw[l] = linalg.NewDense(batch, d.In)
+		inPad := ts.dw[l].OutPad
+		padLen = max(padLen, batch*fwd[l].OutPad, batch*inPad, d.Out*inPad)
+	}
 	ts.sumG = make([]float64, maxDim)
 	ts.sumGX = make([]float64, maxDim)
 	ts.bnCoef = make([]float64, maxDim)
 	ts.dropU = make([]float64, batch*maxDim)
+	ts.gT = make([]float64, batch*maxDim)
+	ts.pad = make([]float64, padLen)
 	reshape(&ts.out, batch, 1)
 	reshape(&ts.gA, batch, maxDim)
 	reshape(&ts.gB, batch, maxDim)
+	ts.pack(m)
 	return ts
 }
 
-// denseForwardInto computes dst = x·Wᵀ + b into the preallocated dst,
-// walking rows in pairs so each pass over the layer weights feeds two rows.
-func denseForwardInto(d *DenseState, x, dst *linalg.Matrix) {
-	i := 0
-	for ; i+1 < x.Rows; i += 2 {
-		linalg.GemvT2(dst.Row(i), dst.Row(i+1), d.W, d.Out, d.In, x.Row(i), x.Row(i+1), d.B)
-	}
-	for ; i < x.Rows; i++ {
-		linalg.GemvT(dst.Row(i), d.W, d.Out, d.In, x.Row(i), d.B)
+// pack refreshes the forward and dX layers from m's weights. train calls it
+// after every Adam step, so each mini-batch and each epoch-end evaluation
+// runs on the current weights.
+func (ts *trainScratch) pack(m *Model) {
+	packLayers(ts.fwd, m.Dense)
+	for l := 1; l < len(m.Dense); l++ {
+		ts.dx[l].SetRows(m.Dense[l].W, m.Dense[l].Out)
 	}
 }
 
-// denseBackwardInto accumulates dW += Gᵀ·X and db += Σ G, and writes
-// dX = G·W into gin when gin is non-nil (the first layer's input gradient
-// is never consumed, so callers pass nil and skip the largest product).
-func denseBackwardInto(d *DenseState, x, g *linalg.Matrix, gw, gb []float64, gin *linalg.Matrix) {
+// unpad copies rows rows of the first n values of src, whose rows are
+// stride apart, into the row-major rows x n dst.
+func unpad(dst []float64, n int, src []float64, stride, rows int) {
+	for r := 0; r < rows; r++ {
+		copy(dst[r*n:(r+1)*n], src[r*stride:r*stride+n])
+	}
+}
+
+// denseForward computes dst = x·Wᵀ + b for dense layer l: one Dense.Forward
+// over the block into the padded slab, then each row's Out real columns.
+func (ts *trainScratch) denseForward(l int, x, dst *linalg.Matrix) {
+	fd := ts.fwd[l]
+	out := ts.pad[:x.Rows*fd.OutPad]
+	fd.Forward(out, fd.OutPad, x.Data, x.Cols, x.Rows)
+	unpad(dst.Data, fd.Out, out, fd.OutPad, x.Rows)
+}
+
+// denseBackward accumulates db += Σ G into gb, writes dW = Gᵀ·X into gw
+// (overwriting it), and writes dX = G·W into gin when gin is non-nil (the
+// first layer's input gradient is never consumed, so callers pass nil and
+// skip that product).
+func (ts *trainScratch) denseBackward(l int, d *DenseState, x, g *linalg.Matrix, gw, gb []float64, gin *linalg.Matrix) {
 	rows := g.Rows
 	linalg.ColSumsAcc(gb, g.Data, rows, d.Out)
-	linalg.GemmTA(gw, g.Data, x.Data, rows, d.Out, d.In)
+
+	gt := ts.gT[:d.Out*rows]
+	for i := 0; i < rows; i++ {
+		for o, v := range g.Row(i) {
+			gt[o*rows+i] = v
+		}
+	}
+	dw := ts.dw[l]
+	dw.SetRows(x.Data, rows)
+	out := ts.pad[:d.Out*dw.OutPad]
+	dw.Forward(out, dw.OutPad, gt, rows, d.Out)
+	unpad(gw, d.In, out, dw.OutPad, d.Out)
+
 	if gin != nil {
-		linalg.Gemm(gin.Data, g.Data, d.W, rows, d.Out, d.In)
+		dx := ts.dx[l]
+		out := ts.pad[:rows*dx.OutPad]
+		dx.Forward(out, dx.OutPad, g.Data, d.Out, rows)
+		unpad(gin.Data, d.In, out, dx.OutPad, rows)
 	}
 }
 
@@ -194,7 +264,7 @@ func (m *Model) trainStepFast(ts *trainScratch, batch []int, xs *linalg.Matrix, 
 	for l := 0; l < nHidden; l++ {
 		d := &m.Dense[l]
 		dst := reshape(&ts.act[l], rows, d.Out)
-		denseForwardInto(d, h, dst)
+		ts.denseForward(l, h, dst)
 		if l > 0 {
 			bn := &m.BN[l-1]
 			bnForwardTrainInto(bn, dst, reshape(&ts.xhat[l-1], rows, bn.Dim),
@@ -219,7 +289,7 @@ func (m *Model) trainStepFast(ts *trainScratch, batch []int, xs *linalg.Matrix, 
 		h = dst
 	}
 	out := reshape(&ts.out, rows, 1)
-	denseForwardInto(&m.Dense[nHidden], h, out)
+	ts.denseForward(nHidden, h, out)
 
 	// MSE gradient on the single output, then walk the layers back down
 	// ping-ponging between the two gradient blocks.
@@ -231,7 +301,7 @@ func (m *Model) trainStepFast(ts *trainScratch, batch []int, xs *linalg.Matrix, 
 		cur.Data[i] = (out.Data[i] - yb[i]) * inv
 	}
 	next := reshape(bufs[1], rows, m.Dense[nHidden].In)
-	denseBackwardInto(&m.Dense[nHidden], input(nHidden), cur,
+	ts.denseBackward(nHidden, &m.Dense[nHidden], input(nHidden), cur,
 		grads[denseW[nHidden]], grads[denseB[nHidden]], next)
 	cur, curIdx = next, 1
 
@@ -249,7 +319,7 @@ func (m *Model) trainStepFast(ts *trainScratch, batch []int, xs *linalg.Matrix, 
 		if l > 0 {
 			gin = reshape(bufs[1-curIdx], rows, d.In)
 		}
-		denseBackwardInto(d, input(l), cur, grads[denseW[l]], grads[denseB[l]], gin)
+		ts.denseBackward(l, d, input(l), cur, grads[denseW[l]], grads[denseB[l]], gin)
 		if l > 0 {
 			cur, curIdx = gin, 1-curIdx
 		}

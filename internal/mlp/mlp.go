@@ -38,10 +38,10 @@ type Config struct {
 	EarlyStoppingRounds int
 	Seed                int64
 	// ReferenceKernels routes training through the original per-row scalar
-	// forward/backward loops instead of the blocked GEMM fast path. The two
-	// paths compute the same gradients up to FP reassociation (the fast path
-	// pairs rows and fuses multiply-adds); this flag exists for equivalence
-	// tests, in the spirit of gbdt's DisableHistSubtraction.
+	// forward/backward loops instead of the blocked fast path on the packed
+	// dense kernel. The two paths compute the same gradients up to FP
+	// reassociation (the fast path fuses multiply-adds); this flag exists for
+	// equivalence tests, in the spirit of gbdt's DisableHistSubtraction.
 	ReferenceKernels bool
 	// WarmDriftTol is the input-drift score above which CanWarmStart
 	// rejects seeding from a previous model (0 means DefaultWarmDriftTol).
@@ -104,8 +104,8 @@ type Model struct {
 	stdShift []float64
 	// packed holds the dense layers in the linalg.Dense inference layout,
 	// built once on first use: a trained model's weights never change.
-	// Training never reads it — its per-epoch evaluations re-pack the
-	// current weights into their own layers (see train).
+	// Training never reads it — it packs the current weights into layers
+	// of its own (see train).
 	packOnce sync.Once
 	packed   []*linalg.Dense
 	// scratch pools per-worker forward buffers so batch inference reuses
@@ -121,8 +121,8 @@ func (m *Model) layers() []*linalg.Dense {
 }
 
 // packLayers packs ds into the linalg.Dense layout, reusing dst's layers
-// when it already holds them (training re-packs into the same storage every
-// epoch).
+// when it already holds them (training re-packs into the same storage after
+// every Adam step).
 func packLayers(dst []*linalg.Dense, ds []DenseState) []*linalg.Dense {
 	if len(dst) != len(ds) {
 		dst = make([]*linalg.Dense, len(ds))
@@ -313,16 +313,13 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 		evalXS = m.standardize(evalX)
 	}
 
-	// Evaluations run on the packed inference kernel over the weights as
-	// they are at that moment: evalLayers re-packs them into one set of
-	// training-owned layers before every use, so no evaluation reads an
-	// earlier epoch's weights, and m's own lazily built pack stays unbuilt
-	// until the finished model is first asked for a prediction.
-	var evalPack []*linalg.Dense
-	evalLayers := func() []*linalg.Dense {
-		evalPack = packLayers(evalPack, m.Dense)
-		return evalPack
-	}
+	// layers holds m.Dense packed for linalg.Dense.Forward, owned by this
+	// fit: m's own lazily built pack stays unbuilt until the finished model
+	// is first asked for a prediction. The fast path runs its forward
+	// products on it and re-packs it after every Adam step; the reference
+	// path re-packs it before each evaluation. Either way every evaluation
+	// reads the weights as they are at that moment.
+	layers := packLayers(nil, m.Dense)
 
 	best := math.Inf(1)
 	sinceBest := 0
@@ -330,7 +327,7 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 	if prev != nil && evalXS != nil {
 		// The warm seed is already a working model: score it before the
 		// first epoch so early stopping restores it if no epoch improves.
-		best = rmseSlices(m.predictStandardized(evalXS, evalLayers()), evalY)
+		best = rmseSlices(m.predictStandardized(evalXS, layers), evalY)
 		m.BestEpoch = -1
 		snapshot = m.cloneWeights()
 	}
@@ -344,7 +341,7 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 	// mini-batch of every epoch; only the reference path allocates per batch.
 	var ts *trainScratch
 	if !cfg.ReferenceKernels {
-		ts = newTrainScratch(m, cfg.BatchSize, x.Cols)
+		ts = newTrainScratch(m, cfg.BatchSize, x.Cols, layers)
 	}
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -374,9 +371,14 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 			for i := range tensors {
 				opts[i].step(tensors[i], grads[i], cfg.LearningRate, cfg.ReferenceKernels)
 			}
+			if ts != nil {
+				ts.pack(m)
+			}
 		}
 
-		layers := evalLayers()
+		if ts == nil {
+			packLayers(layers, m.Dense)
+		}
 		m.TrainLoss = append(m.TrainLoss, m.rmseStandardized(xs, ys, layers))
 		if evalXS != nil {
 			e := rmseSlices(m.predictStandardized(evalXS, layers), evalY)
