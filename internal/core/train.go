@@ -229,7 +229,7 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 						warmFallback = reason
 					}
 				} else {
-					warmFallback = "previous model is a different family"
+					warmFallback = otherFamily
 				}
 			} else {
 				warmFallback = why
@@ -249,77 +249,27 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 			// never improved keeps only the seed's.
 			epochs, seedKept = len(m.EvalLoss), warmUsed && m.BestIteration < seedTrees
 			model = &gbdtModel{name: name, m: m}
-		case NameMLP:
-			cfg := mlp.DefaultConfig()
-			cfg.Epochs = nnEpochs
-			cfg.Seed = opts.Seed
-			cfg.ReferenceKernels = opts.ReferenceKernels
-			if opts.Fast {
-				cfg.Hidden = []int{45, 24, 12}
+		case NameMLP, NameTabNet:
+			family := mlpFamily
+			if name == NameTabNet {
+				family = tabnetFamily
 			}
-			var prev *mlp.Model
-			if pm, why := prior(name); pm != nil {
-				if n, ok := MLPModel(pm); ok {
-					if canWarm, reason := mlp.CanWarmStart(n, cfg, train.X, train.Y); canWarm {
-						prev = n
-						cfg.Epochs = scaleBudget(nnEpochs)
-					} else {
-						warmFallback = reason
-					}
-				} else {
-					warmFallback = "previous model is a different family"
-				}
-			} else {
+			net := family(opts, train, eval)
+			budget := nnEpochs
+			var seed Model
+			if pm, why := prior(name); pm == nil {
 				warmFallback = why
-			}
-			var m *mlp.Model
-			var err error
-			if prev != nil {
-				warmUsed = true
-				m, err = mlp.TrainWarm(cfg, train.X, train.Y, eval.X, eval.Y, prev)
+			} else if ok, reason := net.gate(pm); !ok {
+				warmFallback = reason
 			} else {
-				m, err = mlp.Train(cfg, train.X, train.Y, eval.X, eval.Y)
+				seed, warmUsed, budget = pm, true, scaleBudget(nnEpochs)
 			}
+			m, constantCols, ran, best, err := net.fit(budget, seed)
 			if err != nil {
 				return nil, ModelReport{}, fmt.Errorf("core: train %s: %w", name, err)
 			}
-			logConstantCols(name, m.ConstantCols)
-			epochs, seedKept = len(m.EvalLoss), m.BestEpoch < 0
-			model = &mlpModel{m: m}
-		case NameTabNet:
-			cfg := tabnet.DefaultConfig()
-			cfg.Epochs = nnEpochs
-			cfg.Seed = opts.Seed
-			cfg.ReferenceKernels = opts.ReferenceKernels
-			var prev *tabnet.Model
-			if pm, why := prior(name); pm != nil {
-				if n, ok := TabNetModel(pm); ok {
-					if canWarm, reason := tabnet.CanWarmStart(n, cfg, train.X, train.Y); canWarm {
-						prev = n
-						cfg.Epochs = scaleBudget(nnEpochs)
-					} else {
-						warmFallback = reason
-					}
-				} else {
-					warmFallback = "previous model is a different family"
-				}
-			} else {
-				warmFallback = why
-			}
-			var m *tabnet.Model
-			var err error
-			if prev != nil {
-				warmUsed = true
-				m, err = tabnet.TrainWarm(cfg, train.X, train.Y, eval.X, eval.Y, prev)
-			} else {
-				m, err = tabnet.Train(cfg, train.X, train.Y, eval.X, eval.Y)
-			}
-			if err != nil {
-				return nil, ModelReport{}, fmt.Errorf("core: train %s: %w", name, err)
-			}
-			logConstantCols(name, m.ConstantCols)
-			epochs, seedKept = len(m.EvalLoss), m.BestEpoch < 0
-			model = &tabnetModel{m: m}
+			logConstantCols(name, constantCols)
+			model, epochs, seedKept = m, ran, best < 0
 		default:
 			return nil, ModelReport{}, fmt.Errorf("core: unknown model name %q", name)
 		}
@@ -348,4 +298,69 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 		}
 	}
 	return &Ensemble{Models: models}, &TrainReport{Models: reports, TrainSize: train.Len(), EvalSize: eval.Len()}, nil
+}
+
+// otherFamily is the warm-start fallback reason when the previous
+// generation's model of a name is of another family.
+const otherFamily = "previous model is a different family"
+
+// netFamily is one network family's side of the net path in
+// TrainEnsembleContext, bound to the call's options and split. The path runs
+// gate once on the previous generation's model, then fit: seeded from it
+// on the reduced budget when the gate accepts it, cold otherwise.
+type netFamily struct {
+	// gate is the family's CanWarmStart for prev, false with a reason also
+	// when prev is of another family.
+	gate func(prev Model) (bool, string)
+	// fit trains for epochs, seeded from prev when it is non-nil. It
+	// returns the model, its constant input columns, the epochs it ran and
+	// the epoch whose weights it kept (-1: the seed's).
+	fit func(epochs int, prev Model) (m Model, constantCols []int, ran, best int, err error)
+}
+
+func mlpFamily(opts TrainOptions, train, eval *features.Frame) netFamily {
+	cfg := mlp.DefaultConfig()
+	cfg.Seed, cfg.ReferenceKernels = opts.Seed, opts.ReferenceKernels
+	if opts.Fast {
+		cfg.Hidden = []int{45, 24, 12}
+	}
+	return netFamily{
+		gate: func(prev Model) (bool, string) {
+			if n, ok := MLPModel(prev); ok {
+				return mlp.CanWarmStart(n, cfg, train.X, train.Y)
+			}
+			return false, otherFamily
+		},
+		fit: func(epochs int, prev Model) (Model, []int, int, int, error) {
+			seed, _ := MLPModel(prev)
+			cfg.Epochs = epochs
+			m, err := mlp.TrainSeeded(cfg, train.X, train.Y, eval.X, eval.Y, seed)
+			if err != nil {
+				return nil, nil, 0, 0, err
+			}
+			return &mlpModel{m: m}, m.ConstantCols, len(m.EvalLoss), m.BestEpoch, nil
+		},
+	}
+}
+
+func tabnetFamily(opts TrainOptions, train, eval *features.Frame) netFamily {
+	cfg := tabnet.DefaultConfig()
+	cfg.Seed, cfg.ReferenceKernels = opts.Seed, opts.ReferenceKernels
+	return netFamily{
+		gate: func(prev Model) (bool, string) {
+			if n, ok := TabNetModel(prev); ok {
+				return tabnet.CanWarmStart(n, cfg, train.X, train.Y)
+			}
+			return false, otherFamily
+		},
+		fit: func(epochs int, prev Model) (Model, []int, int, int, error) {
+			seed, _ := TabNetModel(prev)
+			cfg.Epochs = epochs
+			m, err := tabnet.TrainSeeded(cfg, train.X, train.Y, eval.X, eval.Y, seed)
+			if err != nil {
+				return nil, nil, 0, 0, err
+			}
+			return &tabnetModel{m: m}, m.ConstantCols, len(m.EvalLoss), m.BestEpoch, nil
+		},
+	}
 }

@@ -92,7 +92,7 @@ func BenchmarkTrainPerFamily(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := tabnet.Train(cfg, train.X, train.Y, eval.X, eval.Y); err != nil {
+				if _, err := tabnet.TrainSeeded(cfg, train.X, train.Y, eval.X, eval.Y, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -192,7 +192,7 @@ func TestDiagnoseParityReferenceKernels(t *testing.T) {
 		tcfg.EarlyStoppingRounds = 0
 		tcfg.Seed = 1
 		tcfg.ReferenceKernels = ref
-		tm, err := tabnet.Train(tcfg, train.X, train.Y, eval.X, eval.Y)
+		tm, err := tabnet.TrainSeeded(tcfg, train.X, train.Y, eval.X, eval.Y, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

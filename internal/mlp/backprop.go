@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"github.com/hpc-repro/aiio/internal/linalg"
+	"github.com/hpc-repro/aiio/internal/nn"
 )
 
 // The blocked training path. One trainScratch carries every mini-batch of
@@ -22,10 +23,11 @@ import (
 //   - weight gradient, dW = Gᵀ·X: a Dense whose rows are the batch's input
 //     rows X padded to InPad, zero bias, run on the Out rows of Gᵀ.
 //
-// The forward and dX layers are re-packed after every Adam step (In×Out
-// copies against rows×In×Out multiply-adds per product); the dW layer is
-// filled from X each mini-batch. Dense.Forward starts every output at its
-// bias and adds its terms in increasing order, one fused multiply-add each.
+// The forward and dX layers are re-packed at the start of every mini-batch
+// (In×Out copies against rows×In×Out multiply-adds per product); the dW
+// layer is filled from X each mini-batch. Dense.Forward starts every output
+// at its bias and adds its terms in increasing order, one fused
+// multiply-add each.
 // For the two backward products that is, bit for bit, the chain of the
 // paired-Axpy2 kernels they replace (from a zero start, a skipped zero
 // term and a fused zero term give the same bits); backprop_test.go keeps
@@ -64,8 +66,8 @@ type trainScratch struct {
 	pad []float64       // padded Dense.Forward output, copied out per product
 }
 
-// newTrainScratch sizes the scratch for mini-batches of up to batch rows
-// and packs m's current weights into fwd (the caller's layers) and dx.
+// newTrainScratch sizes the scratch for mini-batches of up to batch rows,
+// with fwd (the caller's layers) as the forward layers.
 func newTrainScratch(m *Model, batch, inCols int, fwd []*linalg.Dense) *trainScratch {
 	nHidden := len(m.Config.Hidden)
 	ts := &trainScratch{
@@ -79,18 +81,18 @@ func newTrainScratch(m *Model, batch, inCols int, fwd []*linalg.Dense) *trainScr
 		dx:       make([]*linalg.Dense, len(m.Dense)),
 		dw:       make([]*linalg.Dense, len(m.Dense)),
 	}
-	reshape(&ts.xb, batch, inCols)
+	nn.Reshape(&ts.xb, batch, inCols)
 	maxDim := 1
 	for l, dim := range m.Config.Hidden {
 		if dim > maxDim {
 			maxDim = dim
 		}
-		reshape(&ts.act[l], batch, dim)
-		reshape(&ts.mask[l], batch, dim)
+		nn.Reshape(&ts.act[l], batch, dim)
+		nn.Reshape(&ts.mask[l], batch, dim)
 	}
 	for i := range m.BN {
 		dim := m.BN[i].Dim
-		reshape(&ts.xhat[i], batch, dim)
+		nn.Reshape(&ts.xhat[i], batch, dim)
 		ts.bnMean[i] = make([]float64, dim)
 		ts.bnInvStd[i] = make([]float64, dim)
 	}
@@ -109,16 +111,15 @@ func newTrainScratch(m *Model, batch, inCols int, fwd []*linalg.Dense) *trainScr
 	ts.dropU = make([]float64, batch*maxDim)
 	ts.gT = make([]float64, batch*maxDim)
 	ts.pad = make([]float64, padLen)
-	reshape(&ts.out, batch, 1)
-	reshape(&ts.gA, batch, maxDim)
-	reshape(&ts.gB, batch, maxDim)
-	ts.pack(m)
+	nn.Reshape(&ts.out, batch, 1)
+	nn.Reshape(&ts.gA, batch, maxDim)
+	nn.Reshape(&ts.gB, batch, maxDim)
 	return ts
 }
 
-// pack refreshes the forward and dX layers from m's weights. train calls it
-// after every Adam step, so each mini-batch and each epoch-end evaluation
-// runs on the current weights.
+// pack refreshes the forward and dX layers from m's weights.
+// trainStepFast calls it first, so each mini-batch runs on the current
+// weights.
 func (ts *trainScratch) pack(m *Model) {
 	packLayers(ts.fwd, m.Dense)
 	for l := 1; l < len(m.Dense); l++ {
@@ -239,13 +240,12 @@ func bnBackwardInto(bn *BNState, xhat, g *linalg.Matrix, invStd []float64,
 
 // trainStepFast is the blocked forward/backward pass: the same math as
 // trainStep over the batch rows batch (indices into xs/ys), with gradients
-// accumulated into grads.
-func (m *Model) trainStepFast(ts *trainScratch, batch []int, xs *linalg.Matrix, ys []float64,
-	grads [][]float64, denseW, denseB, bnG, bnB []int, rng *rand.Rand) {
-
+// accumulated into the same-shaped layers of grads.
+func (m *Model) trainStepFast(ts *trainScratch, batch []int, xs *linalg.Matrix, ys []float64, grads *Model, rng *rand.Rand) {
+	ts.pack(m)
 	rows := len(batch)
 	nHidden := len(m.Config.Hidden)
-	xb := reshape(&ts.xb, rows, xs.Cols)
+	xb := nn.Reshape(&ts.xb, rows, xs.Cols)
 	yb := ts.yb[:rows]
 	for bi, i := range batch {
 		copy(xb.Row(bi), xs.Row(i))
@@ -263,16 +263,16 @@ func (m *Model) trainStepFast(ts *trainScratch, batch []int, xs *linalg.Matrix, 
 	h := xb
 	for l := 0; l < nHidden; l++ {
 		d := &m.Dense[l]
-		dst := reshape(&ts.act[l], rows, d.Out)
+		dst := nn.Reshape(&ts.act[l], rows, d.Out)
 		ts.denseForward(l, h, dst)
 		if l > 0 {
 			bn := &m.BN[l-1]
-			bnForwardTrainInto(bn, dst, reshape(&ts.xhat[l-1], rows, bn.Dim),
+			bnForwardTrainInto(bn, dst, nn.Reshape(&ts.xhat[l-1], rows, bn.Dim),
 				ts.bnMean[l-1], ts.bnInvStd[l-1])
 		}
 		// ReLU, recording the keep mask; dropout then folds its inverted
 		// scale into the same mask so backward applies both in one pass.
-		mk := reshape(&ts.mask[l], rows, d.Out)
+		mk := nn.Reshape(&ts.mask[l], rows, d.Out)
 		linalg.ReLUMask(dst.Data, mk.Data)
 		if l > 0 && m.Config.Dropout > 0 {
 			keep := 1 - m.Config.Dropout
@@ -288,38 +288,38 @@ func (m *Model) trainStepFast(ts *trainScratch, batch []int, xs *linalg.Matrix, 
 		}
 		h = dst
 	}
-	out := reshape(&ts.out, rows, 1)
+	out := nn.Reshape(&ts.out, rows, 1)
 	ts.denseForward(nHidden, h, out)
 
 	// MSE gradient on the single output, then walk the layers back down
 	// ping-ponging between the two gradient blocks.
 	bufs := [2]*linalg.Matrix{&ts.gA, &ts.gB}
-	cur := reshape(bufs[0], rows, 1)
+	cur := nn.Reshape(bufs[0], rows, 1)
 	curIdx := 0
 	inv := 1 / float64(rows)
 	for i := 0; i < rows; i++ {
 		cur.Data[i] = (out.Data[i] - yb[i]) * inv
 	}
-	next := reshape(bufs[1], rows, m.Dense[nHidden].In)
+	next := nn.Reshape(bufs[1], rows, m.Dense[nHidden].In)
 	ts.denseBackward(nHidden, &m.Dense[nHidden], input(nHidden), cur,
-		grads[denseW[nHidden]], grads[denseB[nHidden]], next)
+		grads.Dense[nHidden].W, grads.Dense[nHidden].B, next)
 	cur, curIdx = next, 1
 
 	for l := nHidden - 1; l >= 0; l-- {
 		linalg.EMul(cur.Data, ts.mask[l].Data)
 		if l > 0 {
 			bn := &m.BN[l-1]
-			nxt := reshape(bufs[1-curIdx], rows, bn.Dim)
+			nxt := nn.Reshape(bufs[1-curIdx], rows, bn.Dim)
 			bnBackwardInto(bn, &ts.xhat[l-1], cur, ts.bnInvStd[l-1],
-				grads[bnG[l-1]], grads[bnB[l-1]], nxt, ts.sumG, ts.sumGX, ts.bnCoef)
+				grads.BN[l-1].Gamma, grads.BN[l-1].Beta, nxt, ts.sumG, ts.sumGX, ts.bnCoef)
 			cur, curIdx = nxt, 1-curIdx
 		}
 		d := &m.Dense[l]
 		var gin *linalg.Matrix
 		if l > 0 {
-			gin = reshape(bufs[1-curIdx], rows, d.In)
+			gin = nn.Reshape(bufs[1-curIdx], rows, d.In)
 		}
-		ts.denseBackward(l, d, input(l), cur, grads[denseW[l]], grads[denseB[l]], gin)
+		ts.denseBackward(l, d, input(l), cur, grads.Dense[l].W, grads.Dense[l].B, gin)
 		if l > 0 {
 			cur, curIdx = gin, 1-curIdx
 		}

@@ -178,14 +178,13 @@ func TestDenseBackwardMatchesGemmOracles(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(34))
 	m := &Model{Config: DefaultConfig()}
-	dims := append([]int{45}, m.Config.Hidden...)
-	dims = append(dims, 1)
-	for l := 0; l+1 < len(dims); l++ {
-		d := initDense(dims[l], dims[l+1], rng)
-		d.B = randSlice(rng, d.Out)
-		m.Dense = append(m.Dense, d)
+	m.Dense, m.BN = newLayers(45, m.Config.Hidden)
+	for l := range m.Dense {
+		heInit(&m.Dense[l], rng)
+		m.Dense[l].B = randSlice(rng, m.Dense[l].Out)
 	}
-	ts := newTrainScratch(m, 64, dims[0], packLayers(nil, m.Dense))
+	ts := newTrainScratch(m, 64, 45, packLayers(nil, m.Dense))
+	ts.pack(m)
 
 	for _, rows := range []int{64, 5, 3, 2, 1} {
 		for l := range m.Dense {
@@ -245,15 +244,19 @@ func TestTrainOneRowLastBatchAllocFree(t *testing.T) {
 	batches := (x.Rows + cfg.BatchSize - 1) / cfg.BatchSize
 	fit := func(epochs int) float64 {
 		cfg.Epochs = epochs
-		return testing.AllocsPerRun(2, func() {
-			m, err := Train(cfg, x, y, nil, nil)
-			if err != nil {
+		var m *Model
+		allocs := testing.AllocsPerRun(2, func() {
+			var err error
+			if m, err = Train(cfg, x, y, nil, nil); err != nil {
 				t.Fatal(err)
 			}
-			if loss := m.TrainLoss[len(m.TrainLoss)-1]; math.IsNaN(loss) || math.IsInf(loss, 0) {
-				t.Fatalf("train loss %v after %d epochs", loss, epochs)
-			}
 		})
+		for i, p := range m.PredictBatch(x) {
+			if math.IsNaN(p) || math.IsInf(p, 0) {
+				t.Fatalf("prediction %d is %v after %d epochs", i, p, epochs)
+			}
+		}
+		return allocs
 	}
 	short, long := fit(2), fit(6)
 	perEpoch := (long - short) / 4

@@ -7,15 +7,13 @@
 package mlp
 
 import (
-	"encoding/gob"
-	"errors"
-	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"sync"
 
 	"github.com/hpc-repro/aiio/internal/linalg"
+	"github.com/hpc-repro/aiio/internal/nn"
 	"github.com/hpc-repro/aiio/internal/parallel"
 )
 
@@ -43,9 +41,6 @@ type Config struct {
 	// reassociation (the fast path fuses multiply-adds); this flag exists for
 	// equivalence tests, in the spirit of gbdt's DisableHistSubtraction.
 	ReferenceKernels bool
-	// WarmDriftTol is the input-drift score above which CanWarmStart
-	// rejects seeding from a previous model (0 means DefaultWarmDriftTol).
-	WarmDriftTol float64
 }
 
 // DefaultConfig returns the Table 5 architecture with typical optimizer
@@ -90,22 +85,17 @@ type Model struct {
 	BN           []BNState    // one per hidden layer except the first
 	YMean        float64      // target centering
 	YStd         float64
-	// TrainLoss and EvalLoss record per-epoch RMSE curves.
-	TrainLoss []float64
+	// EvalLoss records the eval RMSE after each epoch; BestEpoch is the
+	// epoch whose weights the model holds (-1: a warm fit's seed).
 	EvalLoss  []float64
 	BestEpoch int
 
-	// invStd caches 1/Std with a unit-scale guard for zero or non-finite
-	// entries (legacy serialized models predate the fit-time clamp). Both
-	// fields are unexported, so gob ignores them and the zero value works
-	// for decoded models.
-	invOnce  sync.Once
-	invStd   []float64
-	stdShift []float64
+	// scale standardizes inputs against Mean and Std.
+	scale nn.Scaler
 	// packed holds the dense layers in the linalg.Dense inference layout,
 	// built once on first use: a trained model's weights never change.
 	// Training never reads it — it packs the current weights into layers
-	// of its own (see train).
+	// of its own (see TrainSeeded).
 	packOnce sync.Once
 	packed   []*linalg.Dense
 	// scratch pools per-worker forward buffers so batch inference reuses
@@ -136,29 +126,6 @@ func packLayers(dst []*linalg.Dense, ds []DenseState) []*linalg.Dense {
 	return dst
 }
 
-// inputInvStd returns the cached per-column reciprocal of Std. Entries that
-// are zero, negative, or non-finite fall back to 1 so standardization can
-// never manufacture a NaN at inference time.
-func (m *Model) inputInvStd() []float64 {
-	m.invOnce.Do(func() {
-		inv := make([]float64, len(m.Std))
-		for j, s := range m.Std {
-			if s > 0 && !math.IsInf(s, 1) {
-				inv[j] = 1 / s
-			} else {
-				inv[j] = 1
-			}
-		}
-		m.invStd = inv
-		shift := make([]float64, len(m.Std))
-		for j := range shift {
-			shift[j] = -m.Mean[j] * inv[j]
-		}
-		m.stdShift = shift
-	})
-	return m.invStd
-}
-
 // fwdScratch is one worker's reusable forward-pass state: the standardized
 // input block, two ping-pong activation blocks (rows × a layer's OutPad),
 // and the per-call fused BN scale/shift vectors.
@@ -166,18 +133,6 @@ type fwdScratch struct {
 	xs           linalg.Matrix
 	ping, pong   []float64
 	scale, shift []float64
-}
-
-// reshape resizes m to rows x cols, reusing its backing array when large
-// enough, and returns it. Contents are unspecified after the call.
-func reshape(m *linalg.Matrix, rows, cols int) *linalg.Matrix {
-	n := rows * cols
-	if cap(m.Data) < n {
-		m.Data = make([]float64, n)
-	}
-	m.Data = m.Data[:n]
-	m.Rows, m.Cols = rows, cols
-	return m
 }
 
 func (m *Model) getScratch() *fwdScratch {
@@ -189,60 +144,21 @@ func (m *Model) getScratch() *fwdScratch {
 
 func (m *Model) putScratch(s *fwdScratch) { m.scratch.Put(s) }
 
-// adam is per-tensor Adam state.
-type adam struct {
-	m, v []float64
-	t    int
-}
-
-func newAdam(n int) *adam { return &adam{m: make([]float64, n), v: make([]float64, n)} }
-
-// step applies one Adam update. The fast path runs the vectorized
-// linalg.AdamStep; reference keeps the original scalar loop (with the
-// textbook bias-correction divisions) as the equivalence-mode baseline.
-func (a *adam) step(w, g []float64, lr float64, reference bool) {
-	a.t++
-	b1, b2, eps := 0.9, 0.999, 1e-8
-	c1 := 1 - math.Pow(b1, float64(a.t))
-	c2 := 1 - math.Pow(b2, float64(a.t))
-	if !reference {
-		linalg.AdamStep(w, a.m, a.v, g, b1, b2, c1, c2, lr, eps)
-		return
-	}
-	for i := range w {
-		a.m[i] = b1*a.m[i] + (1-b1)*g[i]
-		a.v[i] = b2*a.v[i] + (1-b2)*g[i]*g[i]
-		w[i] -= lr * (a.m[i] / c1) / (math.Sqrt(a.v[i]/c2) + eps)
-	}
-}
-
 // Train fits the network on x/y with eval-based early stopping. evalX may be
 // nil to train the full epoch budget.
 func Train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64) (*Model, error) {
-	return train(cfg, x, y, evalX, evalY, nil)
+	return TrainSeeded(cfg, x, y, evalX, evalY, nil)
 }
 
-// TrainWarm fits like Train but seeds the network, standardizer, and target
-// scaling from prev — the warm start that lets incremental retraining run on
-// a reduced epoch budget. When CanWarmStart rejects prev (architecture or
-// feature-schema mismatch, input drift past the tolerance) it falls back to
-// a cold start with the same cfg. Before the first epoch the seed weights
-// are scored on the eval set and held as the early-stopping baseline, so a
-// diverging warm run can never ship worse weights than it started with
-// (BestEpoch is -1 when the seed weights win).
-func TrainWarm(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model) (*Model, error) {
-	if ok, _ := CanWarmStart(prev, cfg, x, y); !ok {
-		prev = nil
-	}
-	return train(cfg, x, y, evalX, evalY, prev)
-}
-
-func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model) (*Model, error) {
-	if x.Rows == 0 {
-		return nil, errors.New("mlp: empty training set")
-	}
-	if x.Rows != len(y) {
-		panic(fmt.Sprintf("mlp: %d rows vs %d targets", x.Rows, len(y)))
+// TrainSeeded fits like Train but, when prev is non-nil, continues prev's
+// network — weights, standardizer and target scaling — the warm start that
+// lets incremental retraining run on a reduced epoch budget. prev must have
+// passed CanWarmStart for cfg on x/y; a nil prev trains cold. The seed is
+// the early-stopping baseline (see nn.Loop), so BestEpoch is -1 when no
+// epoch beats it.
+func TrainSeeded(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model) (*Model, error) {
+	if err := nn.CheckTrainingSet("mlp", x, y); err != nil {
+		return nil, err
 	}
 	if len(cfg.Hidden) == 0 {
 		cfg.Hidden = DefaultConfig().Hidden
@@ -259,230 +175,119 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	m := &Model{Config: cfg}
+	m.Dense, m.BN = newLayers(x.Cols, cfg.Hidden)
+	var s nn.Standardizer
 	if prev != nil {
-		// Warm start: continue training prev's network on the new data. The
-		// standardizer comes along with the weights — the first dense layer
-		// was learned against prev's input scaling, so refitting it here
-		// would silently invalidate every layer.
-		m.adoptPrevious(prev)
+		// The standardizer comes along with the weights: the first dense
+		// layer was learned against prev's input scaling, so refitting it
+		// here would silently invalidate every layer.
+		s = prev.standardizer().Clone()
+		nn.Copy(m.state(), prev.state())
 	} else {
-		m.fitStandardizer(x, y)
-
-		// Build layers: Dense(h0)+ReLU, then for each further hidden width
-		// Dense+BN+ReLU+Dropout, then Dense(1).
-		dims := append([]int{x.Cols}, cfg.Hidden...)
-		for i := 0; i < len(cfg.Hidden); i++ {
-			m.Dense = append(m.Dense, initDense(dims[i], dims[i+1], rng))
-			if i > 0 {
-				m.BN = append(m.BN, initBN(dims[i+1]))
-			}
+		s = nn.FitStandardizer(x, y)
+		for l := range m.Dense {
+			heInit(&m.Dense[l], rng)
 		}
-		m.Dense = append(m.Dense, initDense(dims[len(dims)-1], 1, rng))
 	}
+	m.Mean, m.Std, m.ConstantCols, m.YMean, m.YStd = s.Mean, s.Std, s.ConstantCols, s.YMean, s.YStd
+	xs := m.scale.Into(new(linalg.Matrix), x, m.Mean, m.Std)
+	ys := s.Targets(y)
 
-	// Optimizer state per tensor.
-	opts := make([]*adam, 0, 2*len(m.Dense)+2*len(m.BN))
-	tensors := make([][]float64, 0, cap(opts))
-	grads := make([][]float64, 0, cap(opts))
-	addTensor := func(w []float64) int {
-		opts = append(opts, newAdam(len(w)))
-		tensors = append(tensors, w)
-		grads = append(grads, make([]float64, len(w)))
-		return len(tensors) - 1
-	}
-	denseW := make([]int, len(m.Dense))
-	denseB := make([]int, len(m.Dense))
-	for i := range m.Dense {
-		denseW[i] = addTensor(m.Dense[i].W)
-		denseB[i] = addTensor(m.Dense[i].B)
-	}
-	bnG := make([]int, len(m.BN))
-	bnB := make([]int, len(m.BN))
-	for i := range m.BN {
-		bnG[i] = addTensor(m.BN[i].Gamma)
-		bnB[i] = addTensor(m.BN[i].Beta)
-	}
-
-	xs := m.standardize(x)
-	ys := make([]float64, len(y))
-	for i, v := range y {
-		ys[i] = (v - m.YMean) / m.YStd
-	}
-	var evalXS *linalg.Matrix
-	if evalX != nil && evalX.Rows > 0 {
-		evalXS = m.standardize(evalX)
-	}
-
+	// The gradients live in a Model of m's shape, so params lists them
+	// index-aligned with m's.
+	g := &Model{}
+	g.Dense, g.BN = newLayers(x.Cols, cfg.Hidden)
 	// layers holds m.Dense packed for linalg.Dense.Forward, owned by this
 	// fit: m's own lazily built pack stays unbuilt until the finished model
 	// is first asked for a prediction. The fast path runs its forward
-	// products on it and re-packs it after every Adam step; the reference
-	// path re-packs it before each evaluation. Either way every evaluation
-	// reads the weights as they are at that moment.
+	// products on it, re-packing it before every mini-batch, and every
+	// evaluation re-packs it, so both read the weights as they are then.
 	layers := packLayers(nil, m.Dense)
-
-	best := math.Inf(1)
-	sinceBest := 0
-	var snapshot *Model
-	if prev != nil && evalXS != nil {
-		// The warm seed is already a working model: score it before the
-		// first epoch so early stopping restores it if no epoch improves.
-		best = rmseSlices(m.predictStandardized(evalXS, layers), evalY)
-		m.BestEpoch = -1
-		snapshot = m.cloneWeights()
-	}
-
-	order := make([]int, x.Rows)
-	for i := range order {
-		order[i] = i
-	}
-
-	// The fast path reuses one set of batch-sized scratch slabs for every
-	// mini-batch of every epoch; only the reference path allocates per batch.
-	var ts *trainScratch
+	step := func(batch []int) { m.trainStep(batch, xs, ys, g, rng) }
 	if !cfg.ReferenceKernels {
-		ts = newTrainScratch(m, cfg.BatchSize, x.Cols, layers)
+		// The fast path reuses one set of batch-sized scratch slabs for
+		// every mini-batch of every epoch; only the reference path
+		// allocates per batch.
+		ts := newTrainScratch(m, cfg.BatchSize, x.Cols, layers)
+		step = func(batch []int) { m.trainStepFast(ts, batch, xs, ys, g, rng) }
 	}
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for lo := 0; lo < len(order); lo += cfg.BatchSize {
-			hi := lo + cfg.BatchSize
-			if hi > len(order) {
-				hi = len(order)
-			}
-			batch := order[lo:hi]
-			for _, g := range grads {
-				for i := range g {
-					g[i] = 0
-				}
-			}
-			if ts != nil {
-				m.trainStepFast(ts, batch, xs, ys, grads, denseW, denseB, bnG, bnB, rng)
-			} else {
-				xb := linalg.NewMatrix(len(batch), x.Cols)
-				yb := make([]float64, len(batch))
-				for bi, i := range batch {
-					copy(xb.Row(bi), xs.Row(i))
-					yb[bi] = ys[i]
-				}
-				m.trainStep(xb, yb, grads, denseW, denseB, bnG, bnB, rng)
-			}
-			for i := range tensors {
-				opts[i].step(tensors[i], grads[i], cfg.LearningRate, cfg.ReferenceKernels)
-			}
-			if ts != nil {
-				ts.pack(m)
-			}
-		}
-
-		if ts == nil {
+	loop := nn.Loop{
+		Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, EarlyStoppingRounds: cfg.EarlyStoppingRounds,
+		LearningRate: cfg.LearningRate, ScalarAdam: cfg.ReferenceKernels, Rng: rng,
+		Params: m.params(), Grads: g.params(), State: m.state(), Step: step,
+	}
+	if evalX != nil && evalX.Rows > 0 {
+		evalXS := m.scale.Into(new(linalg.Matrix), evalX, m.Mean, m.Std)
+		loop.Eval = func() []float64 {
 			packLayers(layers, m.Dense)
-		}
-		m.TrainLoss = append(m.TrainLoss, m.rmseStandardized(xs, ys, layers))
-		if evalXS != nil {
-			e := rmseSlices(m.predictStandardized(evalXS, layers), evalY)
-			m.EvalLoss = append(m.EvalLoss, e)
-			if e < best-1e-12 {
-				best = e
-				m.BestEpoch = epoch
-				sinceBest = 0
-				snapshot = m.cloneWeights()
-			} else {
-				sinceBest++
-				if cfg.EarlyStoppingRounds > 0 && sinceBest >= cfg.EarlyStoppingRounds {
-					break
-				}
-			}
-		} else {
-			m.BestEpoch = epoch
+			return m.predictStandardized(evalXS, layers)
 		}
 	}
-	if snapshot != nil {
-		m.restoreWeights(snapshot)
-	}
+	m.EvalLoss, m.BestEpoch = loop.Run(x.Rows, evalY, prev != nil)
 	return m, nil
 }
 
-func initDense(in, out int, rng *rand.Rand) DenseState {
-	d := DenseState{In: in, Out: out, W: make([]float64, in*out), B: make([]float64, out)}
-	// He initialization for ReLU networks.
-	scale := math.Sqrt(2 / float64(in))
+// newLayers allocates the layers of an in-input network with the given
+// hidden widths: Dense(h0)+ReLU, then for each further width
+// Dense+BN+ReLU+Dropout, then Dense(1). Weights and biases are zero; batch
+// norm starts as the identity (Gamma and running Var 1).
+func newLayers(in int, hidden []int) ([]DenseState, []BNState) {
+	dims := append([]int{in}, hidden...)
+	dims = append(dims, 1)
+	var ds []DenseState
+	var bns []BNState
+	for l := 0; l+1 < len(dims); l++ {
+		ds = append(ds, DenseState{In: dims[l], Out: dims[l+1],
+			W: make([]float64, dims[l]*dims[l+1]), B: make([]float64, dims[l+1])})
+		if l > 0 && l < len(hidden) {
+			dim := dims[l+1]
+			bn := BNState{Dim: dim, Gamma: make([]float64, dim), Beta: make([]float64, dim),
+				Mean: make([]float64, dim), Var: make([]float64, dim)}
+			for j := range bn.Gamma {
+				bn.Gamma[j] = 1
+				bn.Var[j] = 1
+			}
+			bns = append(bns, bn)
+		}
+	}
+	return ds, bns
+}
+
+// heInit draws d's weights with He initialization for ReLU networks.
+func heInit(d *DenseState, rng *rand.Rand) {
+	scale := math.Sqrt(2 / float64(d.In))
 	for i := range d.W {
 		d.W[i] = rng.NormFloat64() * scale
 	}
-	return d
 }
 
-func initBN(dim int) BNState {
-	bn := BNState{
-		Dim:   dim,
-		Gamma: make([]float64, dim),
-		Beta:  make([]float64, dim),
-		Mean:  make([]float64, dim),
-		Var:   make([]float64, dim),
+// params lists the tensors Adam trains, in one fixed order: each dense
+// layer's W and B, then each batch-norm layer's Gamma and Beta.
+func (m *Model) params() [][]float64 {
+	ts := make([][]float64, 0, 2*len(m.Dense)+4*len(m.BN))
+	for i := range m.Dense {
+		ts = append(ts, m.Dense[i].W, m.Dense[i].B)
 	}
-	for i := range bn.Gamma {
-		bn.Gamma[i] = 1
-		bn.Var[i] = 1
+	for i := range m.BN {
+		ts = append(ts, m.BN[i].Gamma, m.BN[i].Beta)
 	}
-	return bn
+	return ts
 }
 
-func (m *Model) fitStandardizer(x *linalg.Matrix, y []float64) {
-	m.Mean = make([]float64, x.Cols)
-	m.Std = make([]float64, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j, v := range row {
-			m.Mean[j] += v
-		}
+// state is params plus the batch-norm running statistics, which training
+// updates outside Adam: what the best-epoch snapshot holds and a warm
+// start adopts.
+func (m *Model) state() [][]float64 {
+	ts := m.params()
+	for i := range m.BN {
+		ts = append(ts, m.BN[i].Mean, m.BN[i].Var)
 	}
-	n := float64(x.Rows)
-	for j := range m.Mean {
-		m.Mean[j] /= n
-	}
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j, v := range row {
-			d := v - m.Mean[j]
-			m.Std[j] += d * d
-		}
-	}
-	for j := range m.Std {
-		m.Std[j] = math.Sqrt(m.Std[j] / n)
-		if m.Std[j] < 1e-12 {
-			m.Std[j] = 1
-			m.ConstantCols = append(m.ConstantCols, j)
-		}
-	}
-	m.YMean = linalg.Mean(y)
-	s := 0.0
-	for _, v := range y {
-		d := v - m.YMean
-		s += d * d
-	}
-	m.YStd = math.Sqrt(s / n)
-	if m.YStd < 1e-12 {
-		m.YStd = 1
-	}
+	return ts
 }
 
-func (m *Model) standardize(x *linalg.Matrix) *linalg.Matrix {
-	return m.standardizeInto(linalg.NewMatrix(x.Rows, x.Cols), x)
-}
-
-// standardizeInto writes the standardized rows of x into dst (resized as
-// needed) using the guarded reciprocal stddev.
-func (m *Model) standardizeInto(dst, x *linalg.Matrix) *linalg.Matrix {
-	inv := m.inputInvStd()
-	out := reshape(dst, x.Rows, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		// (v-mean)/std computed as v*inv - mean*inv with a cached shift
-		// vector — one fused multiply-add per element.
-		linalg.ScaleShiftInto(out.Row(i), x.Row(i), inv, m.stdShift)
-	}
-	return out
+// standardizer returns the model's input and target scaling.
+func (m *Model) standardizer() nn.Standardizer {
+	return nn.Standardizer{Mean: m.Mean, Std: m.Std, ConstantCols: m.ConstantCols, YMean: m.YMean, YStd: m.YStd}
 }
 
 // denseForward computes y = x·Wᵀ + b.
@@ -594,14 +399,19 @@ func bnBackward(bn *BNState, xhat, gradOut *linalg.Matrix, invStd []float64, gGa
 	return gradIn
 }
 
-// trainStep runs one forward/backward pass on a standardized batch,
-// accumulating gradients into grads (indexed by the tensor ids). This is
-// the reference path (Config.ReferenceKernels): per-row scalar loops with
-// per-batch allocations, kept as the equivalence baseline for the blocked
+// trainStep runs one forward/backward pass on the batch rows batch
+// (indices into the standardized xs/ys), accumulating gradients into the
+// same-shaped layers of grads. This is the reference path
+// (Config.ReferenceKernels): per-row scalar loops with per-batch
+// allocations, kept as the equivalence baseline for the blocked
 // trainStepFast in backprop.go.
-func (m *Model) trainStep(xb *linalg.Matrix, yb []float64, grads [][]float64,
-	denseW, denseB, bnG, bnB []int, rng *rand.Rand) {
-
+func (m *Model) trainStep(batch []int, xs *linalg.Matrix, ys []float64, grads *Model, rng *rand.Rand) {
+	xb := linalg.NewMatrix(len(batch), xs.Cols)
+	yb := make([]float64, len(batch))
+	for bi, i := range batch {
+		copy(xb.Row(bi), xs.Row(i))
+		yb[bi] = ys[i]
+	}
 	nHidden := len(m.Config.Hidden)
 	acts := make([]*linalg.Matrix, 0, 2*nHidden+2) // inputs to each dense layer
 	reluMask := make([]*linalg.Matrix, nHidden)    // post-ReLU masks
@@ -656,7 +466,7 @@ func (m *Model) trainStep(xb *linalg.Matrix, yb []float64, grads [][]float64,
 	}
 
 	g := denseBackward(&m.Dense[nHidden], acts[nHidden], grad,
-		grads[denseW[nHidden]], grads[denseB[nHidden]])
+		grads.Dense[nHidden].W, grads.Dense[nHidden].B)
 	for l := nHidden - 1; l >= 0; l-- {
 		if dropMask[l] != nil {
 			for i := range g.Data {
@@ -668,9 +478,9 @@ func (m *Model) trainStep(xb *linalg.Matrix, yb []float64, grads [][]float64,
 		}
 		if l > 0 {
 			g = bnBackward(&m.BN[l-1], bnXhat[l-1], g, bnInvStd[l-1],
-				grads[bnG[l-1]], grads[bnB[l-1]])
+				grads.BN[l-1].Gamma, grads.BN[l-1].Beta)
 		}
-		g = denseBackward(&m.Dense[l], acts[l], g, grads[denseW[l]], grads[denseB[l]])
+		g = denseBackward(&m.Dense[l], acts[l], g, grads.Dense[l].W, grads.Dense[l].B)
 	}
 }
 
@@ -739,33 +549,13 @@ func (m *Model) forwardStandardized(xs *linalg.Matrix, out []float64, sc *fwdScr
 	}
 }
 
-func (m *Model) rmseStandardized(xs *linalg.Matrix, ys []float64, layers []*linalg.Dense) float64 {
-	pred := m.predictStandardized(xs, layers)
-	s := 0.0
-	for i := range ys {
-		d := (pred[i]-m.YMean)/m.YStd - ys[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(ys)))
-}
-
-func rmseSlices(pred, y []float64) float64 {
-	s := 0.0
-	for i := range y {
-		d := pred[i] - y[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(y)))
-}
-
 // Predict returns the prediction for one raw feature vector. It sits on
 // the per-job advisory path, so the 1-row input and activation matrices
 // come from the model's scratch pool instead of fresh allocations.
 func (m *Model) Predict(x []float64) float64 {
 	sc := m.getScratch()
-	xs := reshape(&sc.xs, 1, len(x))
-	inv := m.inputInvStd()
-	linalg.ScaleShiftInto(xs.Data, x, inv, m.stdShift)
+	xs := nn.Reshape(&sc.xs, 1, len(x))
+	m.scale.Row(xs.Data, x, m.Mean, m.Std)
 	var out [1]float64
 	m.forwardStandardized(xs, out[:], sc, m.layers())
 	m.putScratch(sc)
@@ -786,7 +576,7 @@ func (m *Model) PredictBatch(x *linalg.Matrix) []float64 {
 	layers := m.layers()
 	if x.Rows < predictParallelMinRows {
 		sc := m.getScratch()
-		xs := m.standardizeInto(&sc.xs, x)
+		xs := m.scale.Into(&sc.xs, x, m.Mean, m.Std)
 		m.forwardStandardized(xs, out, sc, layers)
 		m.putScratch(sc)
 		return out
@@ -794,81 +584,15 @@ func (m *Model) PredictBatch(x *linalg.Matrix) []float64 {
 	parallel.For(x.Rows, 0, func(lo, hi int) {
 		sc := m.getScratch()
 		sub := &linalg.Matrix{Rows: hi - lo, Cols: x.Cols, Data: x.Data[lo*x.Cols : hi*x.Cols]}
-		xs := m.standardizeInto(&sc.xs, sub)
+		xs := m.scale.Into(&sc.xs, sub, m.Mean, m.Std)
 		m.forwardStandardized(xs, out[lo:hi], sc, layers)
 		m.putScratch(sc)
 	})
 	return out
 }
 
-// cloneWeights snapshots the learned tensors (for early-stopping restore).
-func (m *Model) cloneWeights() *Model {
-	cp := &Model{}
-	cp.Dense = make([]DenseState, len(m.Dense))
-	for i, d := range m.Dense {
-		cp.Dense[i] = DenseState{In: d.In, Out: d.Out,
-			W: append([]float64(nil), d.W...), B: append([]float64(nil), d.B...)}
-	}
-	cp.BN = make([]BNState, len(m.BN))
-	for i, bn := range m.BN {
-		cp.BN[i] = BNState{Dim: bn.Dim,
-			Gamma: append([]float64(nil), bn.Gamma...),
-			Beta:  append([]float64(nil), bn.Beta...),
-			Mean:  append([]float64(nil), bn.Mean...),
-			Var:   append([]float64(nil), bn.Var...)}
-	}
-	return cp
-}
-
-// adoptPrevious deep-copies prev's standardizer, target scaling, and
-// learned tensors into m as the warm-start seed. prev is never aliased: the
-// previous generation may still be serving predictions concurrently.
-func (m *Model) adoptPrevious(prev *Model) {
-	m.Mean = append([]float64(nil), prev.Mean...)
-	m.Std = append([]float64(nil), prev.Std...)
-	m.ConstantCols = append([]int(nil), prev.ConstantCols...)
-	m.YMean, m.YStd = prev.YMean, prev.YStd
-	m.Dense = make([]DenseState, len(prev.Dense))
-	for i, d := range prev.Dense {
-		m.Dense[i] = DenseState{In: d.In, Out: d.Out,
-			W: append([]float64(nil), d.W...), B: append([]float64(nil), d.B...)}
-	}
-	m.BN = make([]BNState, len(prev.BN))
-	for i, bn := range prev.BN {
-		m.BN[i] = BNState{Dim: bn.Dim,
-			Gamma: append([]float64(nil), bn.Gamma...),
-			Beta:  append([]float64(nil), bn.Beta...),
-			Mean:  append([]float64(nil), bn.Mean...),
-			Var:   append([]float64(nil), bn.Var...)}
-	}
-}
-
-func (m *Model) restoreWeights(snap *Model) {
-	for i := range m.Dense {
-		copy(m.Dense[i].W, snap.Dense[i].W)
-		copy(m.Dense[i].B, snap.Dense[i].B)
-	}
-	for i := range m.BN {
-		copy(m.BN[i].Gamma, snap.BN[i].Gamma)
-		copy(m.BN[i].Beta, snap.BN[i].Beta)
-		copy(m.BN[i].Mean, snap.BN[i].Mean)
-		copy(m.BN[i].Var, snap.BN[i].Var)
-	}
-}
-
 // Save gob-encodes the model.
-func (m *Model) Save(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(m); err != nil {
-		return fmt.Errorf("mlp: encode model: %w", err)
-	}
-	return nil
-}
+func (m *Model) Save(w io.Writer) error { return nn.Save(w, "mlp", m) }
 
 // Load decodes a model written by Save.
-func Load(r io.Reader) (*Model, error) {
-	var m Model
-	if err := gob.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("mlp: decode model: %w", err)
-	}
-	return &m, nil
-}
+func Load(r io.Reader) (*Model, error) { return nn.Load[Model](r, "mlp") }

@@ -57,8 +57,8 @@ func TestMLPLearnsRegression(t *testing.T) {
 	if e > baseline*0.5 {
 		t.Errorf("MLP eval RMSE %.4f not < half of baseline %.4f", e, baseline)
 	}
-	if len(m.TrainLoss) == 0 || len(m.EvalLoss) == 0 {
-		t.Error("loss curves not recorded")
+	if len(m.EvalLoss) == 0 {
+		t.Error("eval loss curve not recorded")
 	}
 }
 

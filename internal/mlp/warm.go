@@ -2,21 +2,14 @@ package mlp
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/hpc-repro/aiio/internal/linalg"
 )
 
-// DefaultWarmDriftTol is the input-drift score above which warm starting is
-// rejected: an average standardized mean shift of one sigma across features
-// (or on the target) means the frozen standardizer — and with it every
-// layer trained against it — no longer describes the data.
-const DefaultWarmDriftTol = 1.0
-
-// CanWarmStart reports whether prev can seed a warm-started fit of cfg on
+// CanWarmStart reports whether prev can seed a TrainSeeded fit of cfg on
 // x/y, and if not, why: the architecture must match (same hidden widths),
-// the feature schema must match (same input width as prev's standardizer),
-// and the new data must not have drifted past the tolerance.
+// and the standardizer's gate (nn.Standardizer.CanSeed) must accept the new
+// data — same feature schema, no drift past nn.DefaultWarmDriftTol.
 func CanWarmStart(prev *Model, cfg Config, x *linalg.Matrix, y []float64) (bool, string) {
 	if prev == nil {
 		return false, "no previous model"
@@ -37,56 +30,5 @@ func CanWarmStart(prev *Model, cfg Config, x *linalg.Matrix, y []float64) (bool,
 			return false, fmt.Sprintf("architecture changed: hidden[%d]=%d vs %d", i, hidden[i], ph[i])
 		}
 	}
-	if x.Cols != len(prev.Mean) {
-		return false, fmt.Sprintf("feature schema changed: %d columns vs %d", x.Cols, len(prev.Mean))
-	}
-	tol := cfg.WarmDriftTol
-	if tol <= 0 {
-		tol = DefaultWarmDriftTol
-	}
-	if d := prev.inputDrift(x, y); d > tol {
-		return false, fmt.Sprintf("input drift %.3f exceeds tolerance %.3f", d, tol)
-	}
-	return true, ""
-}
-
-// inputDrift scores how far x/y moved from the distribution prev's
-// standardizer was fit on: the mean over features of
-// |mean_new - mean_prev| / std_prev (each clamped at 10 sigma so one wild
-// counter cannot saturate the average alone), maxed with the same shift for
-// the target. 0 means unchanged; DefaultWarmDriftTol calibrates "too far".
-func (prev *Model) inputDrift(x *linalg.Matrix, y []float64) float64 {
-	if x.Rows == 0 || x.Cols == 0 {
-		return 0
-	}
-	n := float64(x.Rows)
-	colSum := make([]float64, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j, v := range row {
-			colSum[j] += v
-		}
-	}
-	fdrift := 0.0
-	for j, s := range colSum {
-		std := prev.Std[j]
-		if !(std > 1e-12) || math.IsInf(std, 1) {
-			std = 1
-		}
-		d := math.Abs(s/n-prev.Mean[j]) / std
-		if d > 10 {
-			d = 10
-		}
-		fdrift += d
-	}
-	fdrift /= float64(x.Cols)
-	ystd := prev.YStd
-	if !(ystd > 1e-12) {
-		ystd = 1
-	}
-	ydrift := math.Abs(linalg.Mean(y)-prev.YMean) / ystd
-	if ydrift > 10 {
-		ydrift = 10
-	}
-	return math.Max(fdrift, ydrift)
+	return prev.standardizer().CanSeed(x, y)
 }

@@ -6,6 +6,15 @@ import (
 	"github.com/hpc-repro/aiio/internal/linalg"
 )
 
+// TrainWarm gates prev with CanWarmStart, as core does before a warm fit,
+// then trains seeded from it, or cold when the gate refuses it.
+func TrainWarm(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model) (*Model, error) {
+	if ok, _ := CanWarmStart(prev, cfg, x, y); !ok {
+		prev = nil
+	}
+	return TrainSeeded(cfg, x, y, evalX, evalY, prev)
+}
+
 func TestWarmStartConvergesFasterThanCold(t *testing.T) {
 	cfg := smallConfig()
 	x, y := synth(1200, 5, 41)

@@ -234,14 +234,14 @@ func (m *Model) forwardTrain(x []float64, ts *trainScratch) float64 {
 
 // backwardTrain is backwardSample on the trainScratch: dL/dout for the
 // sample whose forward state is in ts (forwardTrain must have just run).
-func (m *Model) backwardTrain(x []float64, ts *trainScratch, gOut float64, g *grads) {
+func (m *Model) backwardTrain(x []float64, ts *trainScratch, gOut float64, g *Model) {
 	d := m.Config.DecisionDim
 	h := d + m.Config.AttentionDim
 
 	// Output layer: gw += gOut·agg, gb += gOut, gAgg = gOut·W.
 	if gOut != 0 {
-		g.outB[0] += gOut
-		linalg.Axpy(gOut, ts.agg, g.outW)
+		g.Out.B[0] += gOut
+		linalg.Axpy(gOut, ts.agg, g.Out.W)
 	}
 	gAgg := ts.gAgg
 	for i := range gAgg {
@@ -265,9 +265,9 @@ func (m *Model) backwardTrain(x []float64, ts *trainScratch, gOut float64, g *gr
 		copy(gh[d:], gA)
 
 		gluBackwardInto(ts.gz2, c.stepZ, gh)
-		denseBackwardVec(&m.StepFC[s], c.sharedH, ts.gz2, g.stepW[s], g.stepB[s], ts.ghS)
+		denseBackwardVec(&m.StepFC[s], c.sharedH, ts.gz2, g.StepFC[s].W, g.StepFC[s].B, ts.ghS)
 		gluBackwardInto(ts.gz, c.sharedZ, ts.ghS)
-		denseBackwardVec(&m.Shared, c.xm, ts.gz, g.sharedW, g.sharedB, ts.gxm)
+		denseBackwardVec(&m.Shared, c.xm, ts.gz, g.Shared.W, g.Shared.B, ts.gxm)
 
 		// xm = mask ⊙ x → gradient to the mask, back through sparsemax,
 		// then the constant-prior product to the raw logits.
@@ -284,7 +284,7 @@ func (m *Model) backwardTrain(x []float64, ts *trainScratch, gOut float64, g *gr
 		} else {
 			prevA = ts.caches[s].h[d:h]
 		}
-		denseBackwardVec(&m.AttFC[s], prevA, ts.gRaw, g.attW[s], g.attB[s], gA)
+		denseBackwardVec(&m.AttFC[s], prevA, ts.gRaw, g.AttFC[s].W, g.AttFC[s].B, gA)
 	}
 
 	// Step 0 attention features came from the unmasked shared pass.
@@ -295,5 +295,5 @@ func (m *Model) backwardTrain(x []float64, ts *trainScratch, gOut float64, g *gr
 	}
 	copy(gh[d:], gA)
 	gluBackwardInto(ts.gz, c0.sharedZ, gh)
-	denseBackwardVec(&m.Shared, x, ts.gz, g.sharedW, g.sharedB, nil)
+	denseBackwardVec(&m.Shared, x, ts.gz, g.Shared.W, g.Shared.B, nil)
 }

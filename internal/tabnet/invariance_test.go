@@ -13,8 +13,8 @@ import (
 // attention layer's 45 outputs pad to 48) and warm-starts it on fresh data
 // until early stopping restores an epoch that is neither the seed nor the
 // last one run, so the weights the model ends with were overwritten by
-// restoreWeights after the final evaluation. It returns that model and its
-// gob round-tripped copy, which has never predicted anything.
+// the best-epoch restore after the final evaluation. It returns that model
+// and its gob round-tripped copy, which has never predicted anything.
 func warmRestored(t *testing.T) (m, decoded *Model) {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -80,8 +80,9 @@ func TestPredictBatchRowsMatchPredict(t *testing.T) {
 }
 
 // TestNoStalePackAfterWarmRestore: a model that came out of TrainWarm and
-// restoreWeights predicts bitwise like its gob round-tripped copy, so no
-// packed weights built during training survive into the returned model.
+// its best-epoch restore predicts bitwise like its gob round-tripped copy,
+// so no packed weights built during training survive into the returned
+// model.
 func TestNoStalePackAfterWarmRestore(t *testing.T) {
 	m, decoded := warmRestored(t)
 	x, _ := synth(300, 45, 85)

@@ -21,7 +21,7 @@ func TestInferenceParityWithTrainingPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	xs := m.standardizeMatrix(x)
+	xs := m.scale.Into(new(linalg.Matrix), x, m.Mean, m.Std)
 	want := make([]float64, x.Rows)
 	for i := range want {
 		want[i] = m.forwardSample(xs.Row(i), nil)*m.YStd + m.YMean

@@ -14,9 +14,6 @@
 package tabnet
 
 import (
-	"encoding/gob"
-	"errors"
-	"fmt"
 	"io"
 	"math"
 	"math/bits"
@@ -24,6 +21,7 @@ import (
 	"sync"
 
 	"github.com/hpc-repro/aiio/internal/linalg"
+	"github.com/hpc-repro/aiio/internal/nn"
 	"github.com/hpc-repro/aiio/internal/parallel"
 )
 
@@ -51,9 +49,6 @@ type Config struct {
 	// up to FP reassociation; the flag exists for equivalence tests, in the
 	// spirit of gbdt's DisableHistSubtraction.
 	ReferenceKernels bool
-	// WarmDriftTol is the input-drift score above which CanWarmStart
-	// rejects seeding from a previous model (0 means DefaultWarmDriftTol).
-	WarmDriftTol float64
 }
 
 // DefaultConfig mirrors pytorch-tabnet's defaults at a small scale.
@@ -77,13 +72,16 @@ type dense struct {
 	W, B    []float64
 }
 
-func newDense(in, out int, rng *rand.Rand) dense {
-	d := dense{In: in, Out: out, W: make([]float64, in*out), B: make([]float64, out)}
-	scale := math.Sqrt(2 / float64(in))
+func newDense(in, out int) dense {
+	return dense{In: in, Out: out, W: make([]float64, in*out), B: make([]float64, out)}
+}
+
+// heInit draws d's weights with He initialization.
+func (d *dense) heInit(rng *rand.Rand) {
+	scale := math.Sqrt(2 / float64(d.In))
 	for i := range d.W {
 		d.W[i] = rng.NormFloat64() * scale
 	}
-	return d
 }
 
 func (d *dense) forward(x []float64) []float64 {
@@ -132,47 +130,19 @@ type Model struct {
 	AttFC []dense
 	// Out maps aggregated decisions N_d -> 1.
 	Out dense
-	// Loss curves.
-	TrainLoss []float64
+	// EvalLoss records the eval RMSE after each epoch; BestEpoch is the
+	// epoch whose weights the model holds (-1: a warm fit's seed).
 	EvalLoss  []float64
 	BestEpoch int
 
-	// invStd caches 1/Std with a unit-scale guard for zero or non-finite
-	// entries (legacy serialized models predate the fit-time clamp). Both
-	// fields are unexported, so gob ignores them and the zero value works
-	// for decoded models.
-	invOnce  sync.Once
-	invStd   []float64
-	stdShift []float64
+	// scale standardizes inputs against Mean and Std.
+	scale nn.Scaler
 	// packed holds the dense layers in the linalg.Dense inference layout,
 	// built once on first use (see layers).
 	packOnce sync.Once
 	packed   *packed
 	// scratch pools per-worker inference buffers (see infScratch).
 	scratch sync.Pool
-}
-
-// inputInvStd returns the cached per-column reciprocal of Std. Entries that
-// are zero, negative, or non-finite fall back to 1 so standardization can
-// never manufacture a NaN at inference time.
-func (m *Model) inputInvStd() []float64 {
-	m.invOnce.Do(func() {
-		inv := make([]float64, len(m.Std))
-		for j, s := range m.Std {
-			if s > 0 && !math.IsInf(s, 1) {
-				inv[j] = 1 / s
-			} else {
-				inv[j] = 1
-			}
-		}
-		m.invStd = inv
-		shift := make([]float64, len(m.Std))
-		for j := range shift {
-			shift[j] = -m.Mean[j] * inv[j]
-		}
-		m.stdShift = shift
-	})
-	return m.invStd
 }
 
 // sparsemaxTau returns the threshold tau of the sparsemax projection of v
@@ -318,8 +288,6 @@ func gluBackward(z, gout []float64) []float64 {
 // stepCache holds per-step forward state for backprop.
 type stepCache struct {
 	prior    []float64
-	logits   []float64
-	mask     []float64
 	support  []bool
 	xm       []float64
 	sharedZ  []float64
@@ -368,9 +336,9 @@ func (m *Model) forwardSample(x []float64, caches *[]stepCache) float64 {
 		dPre := hs[:d]
 		if caches != nil {
 			*caches = append(*caches, stepCache{
-				prior:  append([]float64(nil), prior...),
-				logits: logitsRaw, mask: mask, support: support,
-				xm: xm, sharedZ: z, sharedH: hShared,
+				prior:   append([]float64(nil), prior...),
+				support: support,
+				xm:      xm, sharedZ: z, sharedH: hShared,
 				stepZ: z2, h: hs, dPreRelu: append([]float64(nil), dPre...),
 				a: hs[d:h],
 			})
@@ -422,7 +390,7 @@ func (m *Model) pack(pk *packed) *packed {
 // layers returns the model's packed inference layers, building them on the
 // first call: a trained model's weights never change. Training never reads
 // them — its evaluations re-pack the current weights into their own layers
-// (see train).
+// (see TrainSeeded).
 func (m *Model) layers() *packed {
 	m.packOnce.Do(func() { m.packed = m.pack(nil) })
 	return m.packed
@@ -475,18 +443,6 @@ func resize(p *[]float64, n int) []float64 {
 	}
 	*p = (*p)[:n]
 	return *p
-}
-
-// reshapeMat resizes m to rows x cols, reusing its backing array when
-// large enough. Contents are unspecified after the call.
-func reshapeMat(m *linalg.Matrix, rows, cols int) *linalg.Matrix {
-	n := rows * cols
-	if cap(m.Data) < n {
-		m.Data = make([]float64, n)
-	}
-	m.Data = m.Data[:n]
-	m.Rows, m.Cols = rows, cols
-	return m
 }
 
 // bind sizes sc for the packed layers pk and points each row slot's views
@@ -640,56 +596,14 @@ func (m *Model) stepFinish(rs *rowState) {
 	copy(rs.a, rs.hs[d:h])
 }
 
-// grads bundles the gradient buffers, index-aligned with params().
-type grads struct {
-	sharedW, sharedB []float64
-	stepW, stepB     [][]float64
-	attW, attB       [][]float64
-	outW, outB       []float64
-}
-
-func (m *Model) newGrads() *grads {
-	g := &grads{
-		sharedW: make([]float64, len(m.Shared.W)),
-		sharedB: make([]float64, len(m.Shared.B)),
-		outW:    make([]float64, len(m.Out.W)),
-		outB:    make([]float64, len(m.Out.B)),
-	}
-	for s := 0; s < m.Config.Steps; s++ {
-		g.stepW = append(g.stepW, make([]float64, len(m.StepFC[s].W)))
-		g.stepB = append(g.stepB, make([]float64, len(m.StepFC[s].B)))
-		g.attW = append(g.attW, make([]float64, len(m.AttFC[s].W)))
-		g.attB = append(g.attB, make([]float64, len(m.AttFC[s].B)))
-	}
-	return g
-}
-
-func (g *grads) zero() {
-	zero := func(v []float64) {
-		for i := range v {
-			v[i] = 0
-		}
-	}
-	zero(g.sharedW)
-	zero(g.sharedB)
-	zero(g.outW)
-	zero(g.outB)
-	for s := range g.stepW {
-		zero(g.stepW[s])
-		zero(g.stepB[s])
-		zero(g.attW[s])
-		zero(g.attB[s])
-	}
-}
-
 // backwardSample backpropagates dL/dout for one sample through the cached
-// forward state.
-func (m *Model) backwardSample(x []float64, caches []stepCache, gOut float64, g *grads) {
+// forward state, accumulating into the same-shaped layers of g.
+func (m *Model) backwardSample(x []float64, caches []stepCache, gOut float64, g *Model) {
 	d := m.Config.DecisionDim
 	agg := caches[0].dPreRelu // aggregate stashed by forwardSample
 
 	// Output layer.
-	gAgg := m.Out.backward(agg, []float64{gOut}, g.outW, g.outB)
+	gAgg := m.Out.backward(agg, []float64{gOut}, g.Out.W, g.Out.B)
 
 	// gA accumulates the gradient flowing into the attention features of
 	// each earlier step (used by the next step's attentive transformer).
@@ -707,9 +621,9 @@ func (m *Model) backwardSample(x []float64, caches []stepCache, gOut float64, g 
 		copy(gh[d:], gANext)
 
 		gz2 := gluBackward(c.stepZ, gh)
-		ghShared := m.StepFC[s].backward(c.sharedH, gz2, g.stepW[s], g.stepB[s])
+		ghShared := m.StepFC[s].backward(c.sharedH, gz2, g.StepFC[s].W, g.StepFC[s].B)
 		gz := gluBackward(c.sharedZ, ghShared)
-		gxm := m.Shared.backward(c.xm, gz, g.sharedW, g.sharedB)
+		gxm := m.Shared.backward(c.xm, gz, g.Shared.W, g.Shared.B)
 
 		// xm = mask ⊙ x → gradient to the mask.
 		gMask := make([]float64, m.NumFeatures)
@@ -723,7 +637,7 @@ func (m *Model) backwardSample(x []float64, caches []stepCache, gOut float64, g 
 			gRaw[i] = gLogits[i] * c.prior[i]
 		}
 		prevA := caches[s].a
-		gANext = m.AttFC[s].backward(prevA, gRaw, g.attW[s], g.attB[s])
+		gANext = m.AttFC[s].backward(prevA, gRaw, g.AttFC[s].W, g.AttFC[s].B)
 	}
 
 	// Step 0 attention features came from the unmasked shared pass.
@@ -731,33 +645,19 @@ func (m *Model) backwardSample(x []float64, caches []stepCache, gOut float64, g 
 	gh0 := make([]float64, d+m.Config.AttentionDim)
 	copy(gh0[d:], gANext)
 	gz0 := gluBackward(c0.sharedZ, gh0)
-	m.Shared.backward(x, gz0, g.sharedW, g.sharedB)
+	m.Shared.backward(x, gz0, g.Shared.W, g.Shared.B)
 }
 
-// Train fits the model with Adam and early stopping.
-func Train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64) (*Model, error) {
-	return train(cfg, x, y, evalX, evalY, nil)
-}
-
-// TrainWarm fits like Train but seeds the network, standardizer, and target
-// scaling from prev so incremental retraining can run on a reduced epoch
-// budget. When CanWarmStart rejects prev it falls back to a cold start. The
-// seed weights are scored on the eval set before the first epoch as the
-// early-stopping baseline, so a diverging warm run restores them
-// (BestEpoch is -1 when the seed weights win).
-func TrainWarm(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model) (*Model, error) {
-	if ok, _ := CanWarmStart(prev, cfg, x, y); !ok {
-		prev = nil
-	}
-	return train(cfg, x, y, evalX, evalY, prev)
-}
-
-func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model) (*Model, error) {
-	if x.Rows == 0 {
-		return nil, errors.New("tabnet: empty training set")
-	}
-	if x.Rows != len(y) {
-		panic(fmt.Sprintf("tabnet: %d rows vs %d targets", x.Rows, len(y)))
+// TrainSeeded fits the model with Adam and eval-based early stopping (evalX
+// may be nil to train the full epoch budget). A nil prev trains cold; a
+// non-nil prev, which must have passed CanWarmStart for cfg on x/y, is
+// continued — network, standardizer and target scaling — so incremental
+// retraining can run on a reduced epoch budget. The seed is the
+// early-stopping baseline (see nn.Loop), so BestEpoch is -1 when no epoch
+// beats it.
+func TrainSeeded(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model) (*Model, error) {
+	if err := nn.CheckTrainingSet("tabnet", x, y); err != nil {
+		return nil, err
 	}
 	if cfg.Steps <= 0 {
 		cfg.Steps = 3
@@ -775,231 +675,99 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 		cfg.LearningRate = 2e-2
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	h := cfg.DecisionDim + cfg.AttentionDim
 
-	m := &Model{Config: cfg, NumFeatures: x.Cols}
+	m := newNet(cfg, x.Cols)
+	var sd nn.Standardizer
 	if prev != nil {
-		// Warm start: continue training prev's network. The standardizer
-		// travels with the weights — every layer was learned against prev's
-		// input scaling, so it must not be refit here.
-		m.adoptPrevious(prev)
+		// The standardizer travels with the weights: every layer was
+		// learned against prev's input scaling, so it must not be refit.
+		sd = prev.standardizer().Clone()
+		nn.Copy(m.params(), prev.params())
 	} else {
-		m.fitStandardizer(x, y)
-		m.Shared = newDense(x.Cols, 2*h, rng)
-		for s := 0; s < cfg.Steps; s++ {
-			m.StepFC = append(m.StepFC, newDense(h, 2*h, rng))
-			m.AttFC = append(m.AttFC, newDense(cfg.AttentionDim, x.Cols, rng))
+		sd = nn.FitStandardizer(x, y)
+		m.Shared.heInit(rng)
+		for s := range m.StepFC {
+			m.StepFC[s].heInit(rng)
+			m.AttFC[s].heInit(rng)
 		}
-		m.Out = newDense(cfg.DecisionDim, 1, rng)
+		m.Out.heInit(rng)
 	}
+	m.Mean, m.Std, m.ConstantCols, m.YMean, m.YStd = sd.Mean, sd.Std, sd.ConstantCols, sd.YMean, sd.YStd
+	xs := m.scale.Into(new(linalg.Matrix), x, m.Mean, m.Std)
+	ys := sd.Targets(y)
 
-	g := m.newGrads()
-	opt := newAdamSet(g)
-
-	xs := m.standardizeMatrix(x)
-	ys := make([]float64, len(y))
-	for i, v := range y {
-		ys[i] = (v - m.YMean) / m.YStd
+	// The gradients live in a network of m's shape, so params lists them
+	// index-aligned with m's.
+	g := newNet(cfg, x.Cols)
+	step := func(batch []int) {
+		inv := 1 / float64(len(batch))
+		for _, i := range batch {
+			var caches []stepCache
+			pred := m.forwardSample(xs.Row(i), &caches)
+			m.backwardSample(xs.Row(i), caches, (pred-ys[i])*inv, g)
+		}
 	}
-	var evalXS *linalg.Matrix
-	if evalX != nil && evalX.Rows > 0 {
-		evalXS = m.standardizeMatrix(evalX)
-	}
-
-	order := make([]int, x.Rows)
-	for i := range order {
-		order[i] = i
-	}
-	// Evaluations run on the packed inference kernel over the weights as
-	// they are at that moment: evalLayers re-packs them into one set of
-	// training-owned layers before every use, so no evaluation reads an
-	// earlier epoch's weights, and m's own lazily built pack stays unbuilt
-	// until the finished model is first asked for a prediction.
-	var evalPack *packed
-	evalLayers := func() *packed {
-		evalPack = m.pack(evalPack)
-		return evalPack
-	}
-	best := math.Inf(1)
-	sinceBest := 0
-	var snapshot *Model
-	if prev != nil && evalXS != nil {
-		// The warm seed is already a working model: score it before the
-		// first epoch so early stopping restores it if no epoch improves.
-		best = rmseSlices(m.predictStandardized(evalXS, evalLayers()), evalY)
-		m.BestEpoch = -1
-		snapshot = m.cloneWeights()
-	}
-
-	// The fast path reuses one trainScratch (per-step caches, every backward
-	// temporary) for all samples of all epochs; only the reference path
-	// allocates per sample.
-	var ts *trainScratch
 	if !cfg.ReferenceKernels {
-		ts = m.newTrainScratch()
-	}
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for lo := 0; lo < len(order); lo += cfg.BatchSize {
-			hi := lo + cfg.BatchSize
-			if hi > len(order) {
-				hi = len(order)
+		// The fast path reuses one trainScratch (per-step caches, every
+		// backward temporary) for all samples of all epochs; only the
+		// reference path allocates per sample.
+		ts := m.newTrainScratch()
+		step = func(batch []int) {
+			inv := 1 / float64(len(batch))
+			for _, i := range batch {
+				pred := m.forwardTrain(xs.Row(i), ts)
+				m.backwardTrain(xs.Row(i), ts, (pred-ys[i])*inv, g)
 			}
-			g.zero()
-			inv := 1 / float64(hi-lo)
-			if ts != nil {
-				for _, i := range order[lo:hi] {
-					pred := m.forwardTrain(xs.Row(i), ts)
-					m.backwardTrain(xs.Row(i), ts, (pred-ys[i])*inv, g)
-				}
-			} else {
-				for _, i := range order[lo:hi] {
-					var caches []stepCache
-					pred := m.forwardSample(xs.Row(i), &caches)
-					m.backwardSample(xs.Row(i), caches, (pred-ys[i])*inv, g)
-				}
-			}
-			opt.step(m, g, cfg.LearningRate, cfg.ReferenceKernels)
-		}
-		layers := evalLayers()
-		m.TrainLoss = append(m.TrainLoss, m.rmseStandardized(xs, ys, layers))
-		if evalXS != nil {
-			e := rmseSlices(m.predictStandardized(evalXS, layers), evalY)
-			m.EvalLoss = append(m.EvalLoss, e)
-			if e < best-1e-12 {
-				best = e
-				m.BestEpoch = epoch
-				sinceBest = 0
-				snapshot = m.cloneWeights()
-			} else {
-				sinceBest++
-				if cfg.EarlyStoppingRounds > 0 && sinceBest >= cfg.EarlyStoppingRounds {
-					break
-				}
-			}
-		} else {
-			m.BestEpoch = epoch
 		}
 	}
-	if snapshot != nil {
-		m.restoreWeights(snapshot)
+	loop := nn.Loop{
+		Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, EarlyStoppingRounds: cfg.EarlyStoppingRounds,
+		LearningRate: cfg.LearningRate, ScalarAdam: cfg.ReferenceKernels, Rng: rng,
+		Params: m.params(), Grads: g.params(), State: m.params(), Step: step,
 	}
+	if evalX != nil && evalX.Rows > 0 {
+		// Evaluations run on the packed inference kernel over the weights
+		// as they are at that moment, re-packed into one set of
+		// training-owned layers before every use; m's own lazily built pack
+		// stays unbuilt until the finished model is first asked for a
+		// prediction.
+		evalXS := m.scale.Into(new(linalg.Matrix), evalX, m.Mean, m.Std)
+		var pk *packed
+		loop.Eval = func() []float64 {
+			pk = m.pack(pk)
+			return m.predictStandardized(evalXS, pk)
+		}
+	}
+	m.EvalLoss, m.BestEpoch = loop.Run(x.Rows, evalY, prev != nil)
 	return m, nil
 }
 
-// adamSet carries Adam state for every tensor.
-type adamSet struct {
-	ms, vs [][]float64
-	t      int
+// newNet allocates cfg's network on nf input features with every weight
+// and bias zero.
+func newNet(cfg Config, nf int) *Model {
+	h := cfg.DecisionDim + cfg.AttentionDim
+	m := &Model{Config: cfg, NumFeatures: nf, Shared: newDense(nf, 2*h), Out: newDense(cfg.DecisionDim, 1)}
+	for s := 0; s < cfg.Steps; s++ {
+		m.StepFC = append(m.StepFC, newDense(h, 2*h))
+		m.AttFC = append(m.AttFC, newDense(cfg.AttentionDim, nf))
+	}
+	return m
 }
 
-func tensorsOf(m *Model, g *grads) (weights, gradList [][]float64) {
-	weights = [][]float64{m.Shared.W, m.Shared.B, m.Out.W, m.Out.B}
-	gradList = [][]float64{g.sharedW, g.sharedB, g.outW, g.outB}
+// params lists the model's tensors, every one trained by Adam, in one fixed
+// order: Shared, Out, then each step's transformer and attention layer,
+// weights before biases.
+func (m *Model) params() [][]float64 {
+	ts := [][]float64{m.Shared.W, m.Shared.B, m.Out.W, m.Out.B}
 	for s := range m.StepFC {
-		weights = append(weights, m.StepFC[s].W, m.StepFC[s].B, m.AttFC[s].W, m.AttFC[s].B)
-		gradList = append(gradList, g.stepW[s], g.stepB[s], g.attW[s], g.attB[s])
+		ts = append(ts, m.StepFC[s].W, m.StepFC[s].B, m.AttFC[s].W, m.AttFC[s].B)
 	}
-	return weights, gradList
+	return ts
 }
 
-func newAdamSet(g *grads) *adamSet {
-	a := &adamSet{}
-	add := func(v []float64) {
-		a.ms = append(a.ms, make([]float64, len(v)))
-		a.vs = append(a.vs, make([]float64, len(v)))
-	}
-	add(g.sharedW)
-	add(g.sharedB)
-	add(g.outW)
-	add(g.outB)
-	for s := range g.stepW {
-		add(g.stepW[s])
-		add(g.stepB[s])
-		add(g.attW[s])
-		add(g.attB[s])
-	}
-	return a
-}
-
-// step applies one Adam update across every tensor. The fast path runs the
-// vectorized linalg.AdamStep; reference keeps the original scalar loop
-// (with the textbook bias-correction divisions) as the equivalence-mode
-// baseline.
-func (a *adamSet) step(m *Model, g *grads, lr float64, reference bool) {
-	a.t++
-	b1, b2, eps := 0.9, 0.999, 1e-8
-	c1 := 1 - math.Pow(b1, float64(a.t))
-	c2 := 1 - math.Pow(b2, float64(a.t))
-	weights, gradList := tensorsOf(m, g)
-	for ti := range weights {
-		w, gr := weights[ti], gradList[ti]
-		mm, vv := a.ms[ti], a.vs[ti]
-		if !reference {
-			linalg.AdamStep(w, mm, vv, gr, b1, b2, c1, c2, lr, eps)
-			continue
-		}
-		for i := range w {
-			mm[i] = b1*mm[i] + (1-b1)*gr[i]
-			vv[i] = b2*vv[i] + (1-b2)*gr[i]*gr[i]
-			w[i] -= lr * (mm[i] / c1) / (math.Sqrt(vv[i]/c2) + eps)
-		}
-	}
-}
-
-func (m *Model) fitStandardizer(x *linalg.Matrix, y []float64) {
-	m.Mean = make([]float64, x.Cols)
-	m.Std = make([]float64, x.Cols)
-	n := float64(x.Rows)
-	for i := 0; i < x.Rows; i++ {
-		for j, v := range x.Row(i) {
-			m.Mean[j] += v
-		}
-	}
-	for j := range m.Mean {
-		m.Mean[j] /= n
-	}
-	for i := 0; i < x.Rows; i++ {
-		for j, v := range x.Row(i) {
-			d := v - m.Mean[j]
-			m.Std[j] += d * d
-		}
-	}
-	for j := range m.Std {
-		m.Std[j] = math.Sqrt(m.Std[j] / n)
-		if m.Std[j] < 1e-12 {
-			m.Std[j] = 1
-			m.ConstantCols = append(m.ConstantCols, j)
-		}
-	}
-	m.YMean = linalg.Mean(y)
-	s := 0.0
-	for _, v := range y {
-		d := v - m.YMean
-		s += d * d
-	}
-	m.YStd = math.Sqrt(s / n)
-	if m.YStd < 1e-12 {
-		m.YStd = 1
-	}
-}
-
-func (m *Model) standardizeMatrix(x *linalg.Matrix) *linalg.Matrix {
-	return m.standardizeInto(linalg.NewMatrix(x.Rows, x.Cols), x)
-}
-
-// standardizeInto writes the standardized rows of x into dst (resized as
-// needed) using the guarded reciprocal stddev.
-func (m *Model) standardizeInto(dst, x *linalg.Matrix) *linalg.Matrix {
-	inv := m.inputInvStd()
-	out := reshapeMat(dst, x.Rows, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		// (v-mean)/std computed as v*inv - mean*inv with a cached shift
-		// vector — one fused multiply-add per element.
-		linalg.ScaleShiftInto(out.Row(i), x.Row(i), inv, m.stdShift)
-	}
-	return out
+// standardizer returns the model's input and target scaling.
+func (m *Model) standardizer() nn.Standardizer {
+	return nn.Standardizer{Mean: m.Mean, Std: m.Std, ConstantCols: m.ConstantCols, YMean: m.YMean, YStd: m.YStd}
 }
 
 // predictParallelMinRows is the batch size below which the per-row forward
@@ -1025,35 +793,13 @@ func (m *Model) predictStandardized(xs *linalg.Matrix, pk *packed) []float64 {
 	return out
 }
 
-// rmseStandardized scores the per-epoch training loss through the pooled
-// vectorized inference path (forwardSample and forwardRows agree to float
-// rounding; this is measurement, not training math).
-func (m *Model) rmseStandardized(xs *linalg.Matrix, ys []float64, pk *packed) float64 {
-	pred := m.predictStandardized(xs, pk)
-	s := 0.0
-	for i := range ys {
-		d := (pred[i]-m.YMean)/m.YStd - ys[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(ys)))
-}
-
-func rmseSlices(pred, y []float64) float64 {
-	s := 0.0
-	for i := range y {
-		d := pred[i] - y[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(y)))
-}
-
 // Predict returns the prediction for one raw feature vector: the
 // PredictBatch path on a one-row block, so it matches PredictBatch's row
 // for the same input bitwise.
 func (m *Model) Predict(x []float64) float64 {
 	sc := m.getScratch()
-	xs := reshapeMat(&sc.xs, 1, len(x))
-	linalg.ScaleShiftInto(xs.Data, x, m.inputInvStd(), m.stdShift)
+	xs := nn.Reshape(&sc.xs, 1, len(x))
+	m.scale.Row(xs.Data, x, m.Mean, m.Std)
 	var out [1]float64
 	m.forwardRows(xs, 0, 1, out[:], m.layers(), sc)
 	m.putScratch(sc)
@@ -1065,93 +811,14 @@ func (m *Model) Predict(x []float64) float64 {
 // fresh matrix per call.
 func (m *Model) PredictBatch(x *linalg.Matrix) []float64 {
 	sc := m.getScratch()
-	xs := m.standardizeInto(&sc.xs, x)
+	xs := m.scale.Into(&sc.xs, x, m.Mean, m.Std)
 	out := m.predictStandardized(xs, m.layers())
 	m.putScratch(sc)
 	return out
 }
 
-// ExplainMask returns the average sparsemax attention mask across steps for
-// one raw input — TabNet's built-in notion of feature importance.
-func (m *Model) ExplainMask(x []float64) []float64 {
-	xs := make([]float64, len(x))
-	for j, v := range x {
-		xs[j] = (v - m.Mean[j]) / m.Std[j]
-	}
-	var caches []stepCache
-	m.forwardSample(xs, &caches)
-	out := make([]float64, m.NumFeatures)
-	for _, c := range caches[1:] {
-		for i, v := range c.mask {
-			out[i] += v / float64(m.Config.Steps)
-		}
-	}
-	return out
-}
-
-func (m *Model) cloneWeights() *Model {
-	cp := &Model{}
-	cd := func(d dense) dense {
-		return dense{In: d.In, Out: d.Out,
-			W: append([]float64(nil), d.W...), B: append([]float64(nil), d.B...)}
-	}
-	cp.Shared = cd(m.Shared)
-	cp.Out = cd(m.Out)
-	for s := range m.StepFC {
-		cp.StepFC = append(cp.StepFC, cd(m.StepFC[s]))
-		cp.AttFC = append(cp.AttFC, cd(m.AttFC[s]))
-	}
-	return cp
-}
-
-// adoptPrevious deep-copies prev's standardizer, target scaling, and
-// learned tensors into m as the warm-start seed. prev is never aliased: the
-// previous generation may still be serving predictions concurrently.
-func (m *Model) adoptPrevious(prev *Model) {
-	m.Mean = append([]float64(nil), prev.Mean...)
-	m.Std = append([]float64(nil), prev.Std...)
-	m.ConstantCols = append([]int(nil), prev.ConstantCols...)
-	m.YMean, m.YStd = prev.YMean, prev.YStd
-	cd := func(d dense) dense {
-		return dense{In: d.In, Out: d.Out,
-			W: append([]float64(nil), d.W...), B: append([]float64(nil), d.B...)}
-	}
-	m.Shared = cd(prev.Shared)
-	m.Out = cd(prev.Out)
-	m.StepFC = make([]dense, len(prev.StepFC))
-	m.AttFC = make([]dense, len(prev.AttFC))
-	for s := range prev.StepFC {
-		m.StepFC[s] = cd(prev.StepFC[s])
-		m.AttFC[s] = cd(prev.AttFC[s])
-	}
-}
-
-func (m *Model) restoreWeights(snap *Model) {
-	copy(m.Shared.W, snap.Shared.W)
-	copy(m.Shared.B, snap.Shared.B)
-	copy(m.Out.W, snap.Out.W)
-	copy(m.Out.B, snap.Out.B)
-	for s := range m.StepFC {
-		copy(m.StepFC[s].W, snap.StepFC[s].W)
-		copy(m.StepFC[s].B, snap.StepFC[s].B)
-		copy(m.AttFC[s].W, snap.AttFC[s].W)
-		copy(m.AttFC[s].B, snap.AttFC[s].B)
-	}
-}
-
 // Save gob-encodes the model.
-func (m *Model) Save(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(m); err != nil {
-		return fmt.Errorf("tabnet: encode model: %w", err)
-	}
-	return nil
-}
+func (m *Model) Save(w io.Writer) error { return nn.Save(w, "tabnet", m) }
 
 // Load decodes a model written by Save.
-func Load(r io.Reader) (*Model, error) {
-	var m Model
-	if err := gob.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("tabnet: decode model: %w", err)
-	}
-	return &m, nil
-}
+func Load(r io.Reader) (*Model, error) { return nn.Load[Model](r, "tabnet") }

