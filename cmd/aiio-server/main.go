@@ -278,8 +278,8 @@ func main() {
 			if err != nil {
 				return nil, 0, err
 			}
-			log.Printf("aiio-server: incremental retrain committed generation %d (%d new jobs)",
-				rep.Generation, rep.NewRecords)
+			log.Printf("aiio-server: incremental retrain committed generation %d (%d new jobs); epochs: %s",
+				rep.Generation, rep.NewRecords, fitEpochs(rep.Train))
 			return ens, rep.Generation, nil
 		}
 	}
@@ -354,4 +354,18 @@ func main() {
 			log.Printf("aiio-server: shutdown incomplete: %v", err)
 		}
 	}
+}
+
+// fitEpochs lists each model's epochs (boosting rounds for the trees) in a
+// training report, a "*" marking a warm fit that kept its seed:
+// "xgboost 19, lightgbm 15, catboost 90, mlp 10*, tabnet 10*".
+func fitEpochs(rep *core.TrainReport) string {
+	parts := make([]string, len(rep.Models))
+	for i, m := range rep.Models {
+		parts[i] = fmt.Sprintf("%s %d", m.Name, m.Epochs)
+		if m.SeedKept {
+			parts[i] += "*"
+		}
+	}
+	return strings.Join(parts, ", ")
 }

@@ -130,16 +130,17 @@ func TrainEnsemble(frame *features.Frame, opts TrainOptions) (*Ensemble, *TrainR
 // TrainEnsembleContext is TrainEnsemble with cooperative cancellation. The
 // selected models fit concurrently on the shared GOMAXPROCS worker pool
 // (each fit owns its rng and scratch and only reads the split and its warm
-// seed, so every model is bit-identical to a fit on its own); the ensemble
-// and report keep the order of opts.Models. ctx is checked before each fit
-// starts: once it is cancelled no further fit starts, the fits in flight
-// run to completion, and the call returns an error that wraps ctx's error
-// and names the first model, in model order, that never ran — never a
-// partial ensemble. A failed fit fails the call with the first error in model
-// order, and an unknown model name fails it before any fit starts. It also
-// refuses a frame carrying NaN/Inf features (see Frame.Validate) — corrupt
-// inputs must be quarantined or sanitized before training, never silently
-// fitted.
+// seed, so every model is bit-identical to a fit on its own), started
+// longest first in fitOrder so the slowest fit does not start last; the
+// ensemble and report keep the order of opts.Models. ctx is checked before
+// each fit starts: once it is cancelled no further fit starts, the fits in
+// flight run to completion, and the call returns an error that wraps ctx's
+// error and names the first model, in model order, that never ran — never
+// a partial ensemble. A failed fit fails the call with the first error in
+// model order, and an unknown model name fails it before any fit starts. It
+// also refuses a frame carrying NaN/Inf features (see Frame.Validate) —
+// corrupt inputs must be quarantined or sanitized before training, never
+// silently fitted.
 func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts TrainOptions) (*Ensemble, *TrainReport, error) {
 	if frame.Len() < 10 {
 		return nil, nil, fmt.Errorf("core: dataset too small (%d records)", frame.Len())
@@ -286,7 +287,9 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 	models := make([]Model, len(names))
 	reports := make([]ModelReport, len(names))
 	errs := make([]error, len(names))
-	ctxErr := parallel.EachCtx(ctx, len(names), 0, func(i int) {
+	order := startOrder(names)
+	ctxErr := parallel.EachCtx(ctx, len(order), 0, func(k int) {
+		i := order[k]
 		models[i], reports[i], errs[i] = fit(names[i])
 	})
 	for i, name := range names {
@@ -298,6 +301,23 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 		}
 	}
 	return &Ensemble{Models: models}, &TrainReport{Models: reports, TrainSize: train.Len(), EvalSize: eval.Len()}, nil
+}
+
+// fitOrder ranks the models by how long their fit takes, longest first:
+// the two networks, then the oblivious, leaf-wise and level-wise trees.
+var fitOrder = []string{NameTabNet, NameMLP, NameCatBoost, NameLightGBM, NameXGBoost}
+
+// startOrder returns the indices of names in the order their fits start:
+// fitOrder's.
+func startOrder(names []string) []int {
+	order := make([]int, len(names))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return slices.Index(fitOrder, names[a]) - slices.Index(fitOrder, names[b])
+	})
+	return order
 }
 
 // otherFamily is the warm-start fallback reason when the previous

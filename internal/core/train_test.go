@@ -64,21 +64,43 @@ func (c *cancelAfterFirstCheck) Err() error {
 	return nil
 }
 
+// TestTrainCancelledMidFitReturnsNoEnsemble cancels training while the one
+// fit that starts is in flight. The error must name the first model, in
+// model order, that never started. With all five models, the fit that
+// starts must be a network: the fits start longest first. In the reversed
+// order a network comes first, so the error names TabNet unless TabNet is
+// the fit that started.
 func TestTrainCancelledMidFitReturnsNoEnsemble(t *testing.T) {
 	frame, _, _ := fixture(t)
-	opts := DefaultTrainOptions()
-	opts.Fast = true
-	opts.Models = []string{NameXGBoost, NameLightGBM, NameCatBoost}
-	ctx := &cancelAfterFirstCheck{Context: context.Background()}
-	ens, report, err := TrainEnsembleContext(ctx, frame, opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want one wrapping context.Canceled", err)
-	}
-	if want := "training cancelled before " + NameLightGBM; !strings.Contains(err.Error(), want) {
-		t.Fatalf("err = %q, want it to name the first model that never ran (%q)", err, want)
-	}
-	if ens != nil || report != nil {
-		t.Fatalf("cancelled training returned a partial ensemble (%v, %v)", ens, report)
+	reversed := ModelNames()
+	slices.Reverse(reversed)
+	for _, models := range [][]string{
+		{NameXGBoost, NameLightGBM, NameCatBoost},
+		ModelNames(),
+		reversed,
+	} {
+		opts := DefaultTrainOptions()
+		opts.Fast = true
+		opts.Models = models
+		started := startOrder(models)[0]
+		if len(models) == len(ModelNames()) && models[started] != NameTabNet && models[started] != NameMLP {
+			t.Fatalf("%v: the fit that starts first is %s, want a network", models, models[started])
+		}
+		neverRan := 0
+		if started == 0 {
+			neverRan = 1
+		}
+		ctx := &cancelAfterFirstCheck{Context: context.Background()}
+		ens, report, err := TrainEnsembleContext(ctx, frame, opts)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: err = %v, want one wrapping context.Canceled", models, err)
+		}
+		if want := "training cancelled before " + models[neverRan]; !strings.Contains(err.Error(), want) {
+			t.Fatalf("%v: err = %q, want it to name the first model that never ran (%q)", models, err, want)
+		}
+		if ens != nil || report != nil {
+			t.Fatalf("%v: cancelled training returned a partial ensemble (%v, %v)", models, ens, report)
+		}
 	}
 }
 

@@ -52,20 +52,21 @@ func (d *Dense) Pack(w, bias []float64) {
 	copy(d.Bias, bias)
 }
 
-// SetRows fills WT from w, which holds in rows of Out values in WT's own
-// order without the padding (w[i*Out+o] is input i's weight to output o),
-// and makes in the layer's input count. in may be anything from 1 to the
-// In the layer was allocated with, so one allocation serves every
-// mini-batch size. Padding stays zero; Bias is left as it is.
-func (d *Dense) SetRows(w []float64, in int) {
-	if in <= 0 || in*d.OutPad > cap(d.WT) || len(w) < in*d.Out {
-		panic(fmt.Sprintf("linalg: Dense.SetRows %d rows from %d values into a %dx%d layer of capacity %d",
-			in, len(w), d.In, d.Out, cap(d.WT)/d.OutPad))
+// SetRows fills WT from w, whose rows hold Out values each in WT's own
+// order without the padding, stride apart (row i is w[i*stride:], and its
+// o-th value is input i's weight to output o), and makes in the layer's
+// input count. in may be anything from 1 to the In the layer was allocated
+// with, so one allocation serves every mini-batch size. Padding stays zero;
+// Bias is left as it is.
+func (d *Dense) SetRows(w []float64, stride, in int) {
+	if in <= 0 || in*d.OutPad > cap(d.WT) || stride < d.Out || len(w) < (in-1)*stride+d.Out {
+		panic(fmt.Sprintf("linalg: Dense.SetRows %d rows at stride %d from %d values into a %dx%d layer of capacity %d",
+			in, stride, len(w), d.In, d.Out, cap(d.WT)/d.OutPad))
 	}
 	d.In = in
 	d.WT = d.WT[:in*d.OutPad]
 	for i := 0; i < in; i++ {
-		copy(d.WT[i*d.OutPad:i*d.OutPad+d.Out], w[i*d.Out:(i+1)*d.Out])
+		copy(d.WT[i*d.OutPad:i*d.OutPad+d.Out], w[i*stride:i*stride+d.Out])
 	}
 }
 

@@ -96,8 +96,8 @@ func TestDenseKernelBodiesBitwise(t *testing.T) {
 
 // TestDenseSetRowsMatchesPack pins SetRows as Pack's untransposed twin: a
 // layer filled by SetRows from Wᵀ holds the same bits as one packed from W,
-// also after shrinking to fewer rows and growing back, and its padding
-// stays zero.
+// also from rows stored wider than Out and after shrinking to fewer rows and
+// growing back, and its padding stays zero.
 func TestDenseSetRowsMatchesPack(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const in, out = 13, 21
@@ -110,16 +110,27 @@ func TestDenseSetRowsMatchesPack(t *testing.T) {
 	}
 	packed := NewDense(in, out)
 	packed.Pack(w, make([]float64, out))
+	// wide holds the same rows at stride out+3, behind three leading values.
+	const stride = out + 3
+	wide := randVec(rng, 3+in*stride)
+	for i := 0; i < in; i++ {
+		copy(wide[3+i*stride:], wt[i*out:(i+1)*out])
+	}
 	d := NewDense(in, out)
 	for _, rows := range []int{in, 1, 5, in} {
-		d.SetRows(randVec(rng, rows*out), rows)
-		d.SetRows(wt, rows)
-		if d.In != rows || len(d.WT) != rows*d.OutPad {
-			t.Fatalf("SetRows(%d): In %d, len(WT) %d", rows, d.In, len(d.WT))
-		}
-		for k, v := range d.WT {
-			if math.Float64bits(v) != math.Float64bits(packed.WT[k]) {
-				t.Fatalf("SetRows(%d): WT[%d] = %v, Pack gives %v", rows, k, v, packed.WT[k])
+		for _, src := range []struct {
+			w      []float64
+			stride int
+		}{{wt, out}, {wide[3:], stride}} {
+			d.SetRows(randVec(rng, rows*out), out, rows)
+			d.SetRows(src.w, src.stride, rows)
+			if d.In != rows || len(d.WT) != rows*d.OutPad {
+				t.Fatalf("SetRows(%d, stride %d): In %d, len(WT) %d", rows, src.stride, d.In, len(d.WT))
+			}
+			for k, v := range d.WT {
+				if math.Float64bits(v) != math.Float64bits(packed.WT[k]) {
+					t.Fatalf("SetRows(%d, stride %d): WT[%d] = %v, Pack gives %v", rows, src.stride, k, v, packed.WT[k])
+				}
 			}
 		}
 	}

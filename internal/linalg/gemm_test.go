@@ -5,30 +5,7 @@ import (
 	"testing"
 )
 
-// The row-pass training primitives against naive loops. Tolerances follow
-// the kernels_test.go convention: the AVX2 build fuses multiply-adds and
-// pairs rank-1 terms, so agreement is to rounding.
-
-func TestAxpy2MatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 1, 3, 4, 7, 8, 9, 12, 15, 16, 45, 64, 100} {
-		x0 := make([]float64, n)
-		x1 := make([]float64, n)
-		y := make([]float64, n)
-		want := make([]float64, n)
-		a0, a1 := rng.NormFloat64(), rng.NormFloat64()
-		for i := range y {
-			x0[i], x1[i], y[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
-			want[i] = y[i] + a0*x0[i] + a1*x1[i]
-		}
-		Axpy2(a0, a1, x0, x1, y)
-		for i := range y {
-			if !relClose(y[i], want[i], 1e-12) {
-				t.Fatalf("n=%d y[%d]=%v want %v", n, i, y[i], want[i])
-			}
-		}
-	}
-}
+// The bias-gradient column reduction against a naive loop.
 
 func TestColSumsAccMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))

@@ -46,9 +46,6 @@ func dotAVX(a, b *float64, n int) float64
 func axpyAVX(alpha float64, x, y *float64, n int)
 
 //go:noescape
-func axpy2AVX(a0, a1 float64, x0, x1, y *float64, n int)
-
-//go:noescape
 func mulAVX(x, y *float64, n int)
 
 //go:noescape
@@ -124,7 +121,6 @@ func init() {
 	reluKernel = reluAVX
 	dotKernel = dotAVX
 	axpyKernel = axpyAVX
-	axpy2Kernel = axpy2AVX
 	mulKernel = mulAVX
 	mulAccKernel = mulAccAVX
 	subKernel = subAVX

@@ -708,72 +708,6 @@ axdone:
 	VZEROUPPER
 	RET
 
-// func axpy2AVX(a0, a1 float64, x0, x1, y *float64, n int)
-//
-// y[i] += a0*x0[i] + a1*x1[i] in one pass over y — the paired rank-1
-// update of TabNet's input gradients: two fused multiply-adds per
-// load/store of y, halving the y traffic of two Axpy calls. Per element
-// the a0 term is accumulated before the a1 term, matching the scalar
-// fallback; only the intermediate product rounding differs (fused).
-TEXT ·axpy2AVX(SB), NOSPLIT, $0-48
-	VBROADCASTSD a0+0(FP), Y0
-	VBROADCASTSD a1+8(FP), Y1
-	MOVQ         x0+16(FP), SI
-	MOVQ         x1+24(FP), BX
-	MOVQ         y+32(FP), DI
-	MOVQ         n+40(FP), DX
-
-	MOVQ DX, CX
-	SHRQ $3, CX
-	JZ   a2block4
-
-a2loop8:
-	VMOVUPD     (DI), Y2
-	VMOVUPD     32(DI), Y3
-	VFMADD231PD (SI), Y0, Y2
-	VFMADD231PD 32(SI), Y0, Y3
-	VFMADD231PD (BX), Y1, Y2
-	VFMADD231PD 32(BX), Y1, Y3
-	VMOVUPD     Y2, (DI)
-	VMOVUPD     Y3, 32(DI)
-	ADDQ $64, SI
-	ADDQ $64, BX
-	ADDQ $64, DI
-	DECQ CX
-	JNZ  a2loop8
-
-a2block4:
-	TESTQ $4, DX
-	JZ    a2tailsetup
-	VMOVUPD     (DI), Y2
-	VFMADD231PD (SI), Y0, Y2
-	VFMADD231PD (BX), Y1, Y2
-	VMOVUPD     Y2, (DI)
-	ADDQ $32, SI
-	ADDQ $32, BX
-	ADDQ $32, DI
-
-a2tailsetup:
-	ANDQ $3, DX
-	JZ   a2done
-
-a2tail:
-	VMOVSD      (DI), X2
-	VMOVSD      (SI), X3
-	VFMADD231SD X3, X0, X2
-	VMOVSD      (BX), X3
-	VFMADD231SD X3, X1, X2
-	VMOVSD      X2, (DI)
-	ADDQ $8, SI
-	ADDQ $8, BX
-	ADDQ $8, DI
-	DECQ DX
-	JNZ  a2tail
-
-a2done:
-	VZEROUPPER
-	RET
-
 // func mulAVX(x, y *float64, n int)
 //
 // x[i] *= y[i]. n is a multiple of 4 (the Go wrapper finishes the tail).

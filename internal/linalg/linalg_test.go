@@ -37,7 +37,7 @@ func TestMulMatchesManual(t *testing.T) {
 	b := FromRows([][]float64{{7, 8, 9}, {10, 11, 12}})
 	// A Dense whose rows are b's rows computes a·b (the MLP's dX = G·W).
 	d := NewDense(2, 3)
-	d.SetRows(b.Data, 2)
+	d.SetRows(b.Data, 3, 2)
 	got := make([]float64, 3*d.OutPad)
 	d.Forward(got, d.OutPad, a.Data, 2, 3)
 	want := FromRows([][]float64{{27, 30, 33}, {61, 68, 75}, {95, 106, 117}})
@@ -92,7 +92,8 @@ func TestPanicsOnShapeMismatch(t *testing.T) {
 		f()
 	}
 	check("Dense.Forward", func() { NewDense(3, 2).Forward(make([]float64, 8), 8, make([]float64, 5), 3, 2) })
-	check("Dense.SetRows", func() { NewDense(2, 3).SetRows(make([]float64, 9), 3) })
+	check("Dense.SetRows", func() { NewDense(2, 3).SetRows(make([]float64, 9), 3, 3) })
+	check("Dense.SetRows stride", func() { NewDense(2, 3).SetRows(make([]float64, 9), 2, 2) })
 	check("GemvT", func() { GemvT(make([]float64, 2), make([]float64, 6), 2, 3, []float64{1}, nil) })
 	check("Dot", func() { Dot([]float64{1}, []float64{1, 2}) })
 	check("FromRows", func() { FromRows([][]float64{{1}, {1, 2}}) })

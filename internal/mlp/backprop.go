@@ -29,9 +29,10 @@ import (
 // at its bias and adds its terms in increasing order, one fused
 // multiply-add each.
 // For the two backward products that is, bit for bit, the chain of the
-// paired-Axpy2 kernels they replace (from a zero start, a skipped zero
-// term and a fused zero term give the same bits); backprop_test.go keeps
-// those kernels as the oracles of TestDenseBackwardMatchesGemmOracles.
+// paired-Axpy kernels they replaced on FMA hardware (from a zero start, a
+// skipped zero term and a fused zero term give the same bits);
+// backprop_test.go keeps those kernels, written with math.FMA, as the
+// oracles of TestDenseBackwardMatchesGemmOracles.
 // The db column sums stay on ColSumsAcc.
 //
 // Equivalence with the scalar reference path (Config.ReferenceKernels): the
@@ -123,7 +124,7 @@ func newTrainScratch(m *Model, batch, inCols int, fwd []*linalg.Dense) *trainScr
 func (ts *trainScratch) pack(m *Model) {
 	packLayers(ts.fwd, m.Dense)
 	for l := 1; l < len(m.Dense); l++ {
-		ts.dx[l].SetRows(m.Dense[l].W, m.Dense[l].Out)
+		ts.dx[l].SetRows(m.Dense[l].W, m.Dense[l].In, m.Dense[l].Out)
 	}
 }
 
@@ -159,7 +160,7 @@ func (ts *trainScratch) denseBackward(l int, d *DenseState, x, g *linalg.Matrix,
 		}
 	}
 	dw := ts.dw[l]
-	dw.SetRows(x.Data, rows)
+	dw.SetRows(x.Data, x.Cols, rows)
 	out := ts.pad[:d.Out*dw.OutPad]
 	dw.Forward(out, dw.OutPad, gt, rows, d.Out)
 	unpad(gw, d.In, out, dw.OutPad, d.Out)

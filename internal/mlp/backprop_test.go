@@ -11,36 +11,22 @@ import (
 // gemmTA and gemm are the weight- and input-gradient kernels the mini-batch
 // backward ran before it moved onto linalg.Dense, kept as the bitwise
 // oracles of trainScratch.denseBackward. Both walk the summed dimension in
-// order, one fused multiply-add per nonzero term through linalg.Axpy2 (a
-// pair of terms per pass) or linalg.Axpy (a lone term), and skip zero
-// coefficients.
+// order, one fused multiply-add (math.FMA) per nonzero term, and skip zero
+// coefficients — the chain the old kernels built on FMA hardware — so the
+// check holds on every Dense.Forward body.
 
 // gemmTA accumulates dst += aᵀ·b for row-major a (m x p) and b (m x n),
 // writing into the row-major p x n dst: the weight gradient dW += Gᵀ·X.
 func gemmTA(dst, a, b []float64, m, p, n int) {
-	i := 0
-	for ; i+1 < m; i += 2 {
-		ar0 := a[i*p : i*p+p]
-		ar1 := a[(i+1)*p : (i+1)*p+p]
-		br0 := b[i*n : i*n+n]
-		br1 := b[(i+1)*n : (i+1)*n+n]
-		for o, g0 := range ar0 {
-			g1 := ar1[o]
-			drow := dst[o*n : o*n+n]
-			switch {
-			case g0 != 0 && g1 != 0:
-				linalg.Axpy2(g0, g1, br0, br1, drow)
-			case g0 != 0:
-				linalg.Axpy(g0, br0, drow)
-			case g1 != 0:
-				linalg.Axpy(g1, br1, drow)
-			}
-		}
-	}
-	if i < m {
+	for i := 0; i < m; i++ {
+		brow := b[i*n : i*n+n]
 		for o, g := range a[i*p : i*p+p] {
-			if g != 0 {
-				linalg.Axpy(g, b[i*n:i*n+n], dst[o*n:o*n+n])
+			if g == 0 {
+				continue
+			}
+			drow := dst[o*n : o*n+n]
+			for j, v := range brow {
+				drow[j] = math.FMA(g, v, drow[j])
 			}
 		}
 	}
@@ -51,27 +37,13 @@ func gemmTA(dst, a, b []float64, m, p, n int) {
 func gemm(dst, a, b []float64, m, k, n int) {
 	for i := 0; i < m; i++ {
 		drow := dst[i*n : i*n+n]
-		for j := range drow {
-			drow[j] = 0
-		}
-		arow := a[i*k : i*k+k]
-		o := 0
-		for ; o+1 < k; o += 2 {
-			g0, g1 := arow[o], arow[o+1]
-			br0 := b[o*n : o*n+n]
-			br1 := b[(o+1)*n : (o+1)*n+n]
-			switch {
-			case g0 != 0 && g1 != 0:
-				linalg.Axpy2(g0, g1, br0, br1, drow)
-			case g0 != 0:
-				linalg.Axpy(g0, br0, drow)
-			case g1 != 0:
-				linalg.Axpy(g1, br1, drow)
+		clear(drow)
+		for o, g := range a[i*k : i*k+k] {
+			if g == 0 {
+				continue
 			}
-		}
-		if o < k {
-			if g := arow[o]; g != 0 {
-				linalg.Axpy(g, b[o*n:o*n+n], drow)
+			for j, v := range b[o*n : o*n+n] {
+				drow[j] = math.FMA(g, v, drow[j])
 			}
 		}
 	}
@@ -89,8 +61,8 @@ func relClose(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*math.Max(1, math.Abs(b))
 }
 
-// oracleShapes covers odd and even sizes on both sides of the Axpy kernel's
-// 8-element threshold, with sparse coefficients for the zero skips.
+// oracleShapes covers odd and even sizes, with sparse coefficients for the
+// zero skips.
 var oracleShapes = [][3]int{{1, 1, 1}, {2, 3, 4}, {5, 4, 8}, {7, 9, 11}, {16, 45, 45}, {33, 8, 90}}
 
 func sparseCoefficients(rng *rand.Rand, n int) []float64 {
@@ -151,21 +123,6 @@ func TestGemmOracleMatchesNaive(t *testing.T) {
 	}
 }
 
-// axpyFused reports whether linalg.Axpy rounds y + a·x once, as a fused
-// multiply-add. The oracles' chains are fused only then; without FMA
-// hardware on amd64 they round twice and can differ from Dense.Forward in
-// the last bit.
-func axpyFused() bool {
-	a := 1 + 0x1p-30
-	x := make([]float64, 8)
-	y := make([]float64, 8)
-	for i := range x {
-		x[i], y[i] = a, -1
-	}
-	linalg.Axpy(a, x, y)
-	return y[0] == math.FMA(a, a, -1)
-}
-
 // TestDenseBackwardMatchesGemmOracles pins the backward contract: dW = Gᵀ·X
 // and dX = G·W on the packed Dense kernel are bitwise equal to the gemmTA
 // (from zero, as every mini-batch starts) and gemm oracles, on every layer
@@ -173,9 +130,6 @@ func axpyFused() bool {
 // four-row blocks and its 1–3 row tails. The gradient rows carry
 // ReLU-dead zeros and -0 entries, the inputs post-ReLU zeros.
 func TestDenseBackwardMatchesGemmOracles(t *testing.T) {
-	if !axpyFused() {
-		t.Skip("linalg.Axpy is not fused on this CPU, so the oracles round differently")
-	}
 	rng := rand.New(rand.NewSource(34))
 	m := &Model{Config: DefaultConfig()}
 	m.Dense, m.BN = newLayers(45, m.Config.Hidden)

@@ -656,6 +656,33 @@ func (m *Model) backwardSample(x []float64, caches []stepCache, gOut float64, g 
 // early-stopping baseline (see nn.Loop), so BestEpoch is -1 when no epoch
 // beats it.
 func TrainSeeded(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model) (*Model, error) {
+	newStep := (*Model).batchStep
+	if cfg.ReferenceKernels {
+		newStep = (*Model).referenceStep
+	}
+	return fit(cfg, x, y, evalX, evalY, prev, newStep)
+}
+
+// stepper returns the mini-batch step of a fit of m on the standardized rows
+// xs and targets ys: it accumulates the batch's gradients into g, a network
+// of m's shape.
+type stepper func(m, g *Model, xs *linalg.Matrix, ys []float64) func(batch []int)
+
+// referenceStep is the ReferenceKernels step: the allocating per-sample
+// forwardSample/backwardSample.
+func (m *Model) referenceStep(g *Model, xs *linalg.Matrix, ys []float64) func(batch []int) {
+	return func(batch []int) {
+		inv := 1 / float64(len(batch))
+		for _, i := range batch {
+			var caches []stepCache
+			pred := m.forwardSample(xs.Row(i), &caches)
+			m.backwardSample(xs.Row(i), caches, (pred-ys[i])*inv, g)
+		}
+	}
+}
+
+// fit is TrainSeeded with the mini-batch step newStep builds.
+func fit(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model, newStep stepper) (*Model, error) {
 	if err := nn.CheckTrainingSet("tabnet", x, y); err != nil {
 		return nil, err
 	}
@@ -699,31 +726,10 @@ func TrainSeeded(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix
 	// The gradients live in a network of m's shape, so params lists them
 	// index-aligned with m's.
 	g := newNet(cfg, x.Cols)
-	step := func(batch []int) {
-		inv := 1 / float64(len(batch))
-		for _, i := range batch {
-			var caches []stepCache
-			pred := m.forwardSample(xs.Row(i), &caches)
-			m.backwardSample(xs.Row(i), caches, (pred-ys[i])*inv, g)
-		}
-	}
-	if !cfg.ReferenceKernels {
-		// The fast path reuses one trainScratch (per-step caches, every
-		// backward temporary) for all samples of all epochs; only the
-		// reference path allocates per sample.
-		ts := m.newTrainScratch()
-		step = func(batch []int) {
-			inv := 1 / float64(len(batch))
-			for _, i := range batch {
-				pred := m.forwardTrain(xs.Row(i), ts)
-				m.backwardTrain(xs.Row(i), ts, (pred-ys[i])*inv, g)
-			}
-		}
-	}
 	loop := nn.Loop{
 		Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, EarlyStoppingRounds: cfg.EarlyStoppingRounds,
 		LearningRate: cfg.LearningRate, ScalarAdam: cfg.ReferenceKernels, Rng: rng,
-		Params: m.params(), Grads: g.params(), State: m.params(), Step: step,
+		Params: m.params(), Grads: g.params(), State: m.params(), Step: newStep(m, g, xs, ys),
 	}
 	if evalX != nil && evalX.Rows > 0 {
 		// Evaluations run on the packed inference kernel over the weights

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// The kernelized training path (forwardTrain/backwardTrain) must track the
+// The kernelized training path (forwardTrain/backwardBatch) must track the
 // scalar reference path (Config.ReferenceKernels) to FP-reassociation
 // accuracy. Training draws no RNG inside the batch loop, so with the same
 // seed both paths see the same shuffles; divergence is limited to rounding
-// from the fused GLU polynomial exp, FMA products, and paired input-gradient
-// accumulation, compounded through Adam. The documented training-parity
+// from the fused GLU polynomial exp and the dense kernels' fused
+// multiply-adds, compounded through Adam. The documented training-parity
 // tolerance is 1e-6 relative on predictions after a 5-epoch fit — the same
 // contract BENCH_training.json records for the end-to-end diagnose parity.
 const trainParityTol = 1e-6
