@@ -25,7 +25,6 @@ import (
 	"github.com/hpc-repro/aiio/internal/darshan"
 	"github.com/hpc-repro/aiio/internal/features"
 	"github.com/hpc-repro/aiio/internal/logdb"
-	"github.com/hpc-repro/aiio/internal/shap"
 	"github.com/hpc-repro/aiio/internal/tune"
 )
 
@@ -50,8 +49,8 @@ type (
 	TrainOptions = core.TrainOptions
 	// TrainReport summarizes training (per-model eval RMSE).
 	TrainReport = core.TrainReport
-	// DiagnoseOptions selects the explainer (SHAP, with SHAPMode choosing
-	// TreeSHAP or Kernel SHAP per model, or LIME) and its budgets.
+	// DiagnoseOptions selects the explainer (see Explainer) and its
+	// budgets.
 	DiagnoseOptions = core.DiagnoseOptions
 	// DatabaseConfig configures synthetic log-database generation.
 	DatabaseConfig = logdb.GenConfig
@@ -60,21 +59,20 @@ type (
 	// Recommendation is one automatic tuning suggestion with its
 	// model-predicted gain.
 	Recommendation = tune.Recommendation
-	// SHAPMode selects the Shapley estimator inside the SHAP interpreters
-	// (see DiagnoseOptions.SHAPMode).
-	SHAPMode = shap.Mode
+	// Explainer selects the diagnosis function DiagnoseOptions runs
+	// against every model.
+	Explainer = core.Explainer
 )
 
-// SHAP estimator modes for DiagnoseOptions.SHAPMode.
+// The explainers for DiagnoseOptions.Explainer.
 const (
-	// SHAPModeAuto routes tree-ensemble models through the exact TreeSHAP
-	// fast path and everything else through Kernel SHAP.
-	SHAPModeAuto = shap.ModeAuto
-	// SHAPModeKernel forces the model-agnostic Kernel SHAP estimator.
-	SHAPModeKernel = shap.ModeKernel
-	// SHAPModeTree forces exact TreeSHAP; non-tree models fail (and an
-	// ensemble degrades to its tree members).
-	SHAPModeTree = shap.ModeTree
+	// ExplainerAuto (the default) explains tree-ensemble models with the
+	// exact TreeSHAP and everything else with Kernel SHAP.
+	ExplainerAuto = core.ExplainerAuto
+	// ExplainerKernel forces the model-agnostic Kernel SHAP estimator.
+	ExplainerKernel = core.ExplainerKernel
+	// ExplainerLIME explains every model with LIME.
+	ExplainerLIME = core.ExplainerLIME
 )
 
 // The five performance-function names of the paper.
@@ -109,7 +107,7 @@ func Train(frame *Frame, opts TrainOptions) (*Ensemble, *TrainReport, error) {
 func DefaultTrainOptions() TrainOptions { return core.DefaultTrainOptions() }
 
 // DefaultDiagnoseOptions returns the default diagnosis configuration:
-// SHAPModeAuto, which explains the three tree models with exact TreeSHAP and
+// ExplainerAuto, which explains the three tree models with exact TreeSHAP and
 // the MLP and TabNet with Kernel SHAP.
 func DefaultDiagnoseOptions() DiagnoseOptions { return core.DefaultDiagnoseOptions() }
 

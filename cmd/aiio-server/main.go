@@ -82,16 +82,14 @@ import (
 	"github.com/hpc-repro/aiio/internal/drift"
 	"github.com/hpc-repro/aiio/internal/durable"
 	"github.com/hpc-repro/aiio/internal/joblog"
-	"github.com/hpc-repro/aiio/internal/shap"
 	"github.com/hpc-repro/aiio/internal/webservice"
 )
 
 func main() {
 	modelsDir := flag.String("models", "models", "model registry directory")
 	addr := flag.String("addr", ":8080", "listen address")
-	interp := flag.String("interpreter", "shap", "shap, treeshap or lime")
-	shapMode := flag.String("shap-mode", "auto",
-		"SHAP estimator: auto (exact TreeSHAP for tree models, Kernel SHAP otherwise), kernel, or tree")
+	explainer := flag.String("explainer", string(core.ExplainerAuto),
+		"diagnosis function: auto (exact TreeSHAP for tree models, Kernel SHAP otherwise), kernel (Kernel SHAP for every model) or lime")
 	parallel := flag.Int("parallel", 0, "diagnosis worker pool size (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 0,
 		"diagnosis result cache entries (0 = default 1024, negative disables)")
@@ -152,6 +150,21 @@ func main() {
 		"labeled jobs the post-promotion watch covers before a promotion is judged safe (0 = default 200)")
 	flag.Parse()
 
+	// A mistyped option fails here, not on the first diagnosis or retrain.
+	opts := core.DefaultDiagnoseOptions()
+	var err error
+	if opts.Explainer, err = core.ParseExplainer(*explainer); err != nil {
+		log.Fatalf("aiio-server: -explainer: %v", err)
+	}
+	opts.Parallelism = *parallel
+	var trainModels []string
+	if *retrainModels != "" {
+		trainModels = strings.Split(*retrainModels, ",")
+		if err := core.CheckModels(trainModels); err != nil {
+			log.Fatalf("aiio-server: -retrain-models: %v", err)
+		}
+	}
+
 	// One AIIO_CRASH hook on every store the server opens: the CI lifecycle
 	// drill kills the process mid-promotion at a named durable step.
 	crashHook, err := durable.HookFromEnv()
@@ -171,15 +184,6 @@ func main() {
 		log.Printf("aiio-server: WARNING: serving fallback generation %d — newest generation failed verification",
 			rep.Generation)
 	}
-
-	opts := core.DefaultDiagnoseOptions()
-	opts.Interpreter = core.Interpreter(*interp)
-	mode, err := shap.ParseMode(*shapMode)
-	if err != nil {
-		log.Fatalf("aiio-server: %v", err)
-	}
-	opts.SHAPMode = mode
-	opts.Parallelism = *parallel
 
 	ws := webservice.NewServer(ens, opts)
 	ws.RequestTimeout = *requestTimeout
@@ -241,9 +245,7 @@ func main() {
 		topts.Fast = *retrainFast
 		topts.WarmStart = *retrainWarm
 		topts.WarmBudgetFrac = *retrainWarmBudget
-		if *retrainModels != "" {
-			topts.Models = strings.Split(*retrainModels, ",")
-		}
+		topts.Models = trainModels
 		incOpts := core.IncrementalOptions{
 			MiniBatch: *retrainMinibatch,
 			Window:    *retrainWindow,

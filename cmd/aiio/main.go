@@ -2,8 +2,8 @@
 //
 //	aiio gen-db    -jobs 3000 -seed 1 -o db.darshan
 //	aiio train     -db db.darshan -models models/ [-fast] [-lenient]
-//	aiio diagnose  -models models/ -log job.darshan [-top 9] [-interpreter shap|lime] [-shap-mode auto|kernel|tree] [-timeout 30s]
-//	aiio experiment -id all [-fast] [-shap-mode auto|kernel|tree] (table1|table2|table3|fig1|fig4..fig17)
+//	aiio diagnose  -models models/ -log job.darshan [-top 9] [-explainer auto|kernel|lime] [-timeout 30s]
+//	aiio experiment -id all [-fast] [-explainer auto|kernel|lime] (table1|table2|table3|fig1|fig4..fig17)
 //	aiio ingest    -joblog-dir joblog (-db db.darshan | -gen N) [-server URL] [-batch 256]
 //	aiio retrain   -joblog-dir joblog -models models/ [-minibatch 512] [-window 20000] [-fast]
 //	aiio joblog    -dir joblog [-compact]
@@ -30,7 +30,6 @@ import (
 	"github.com/hpc-repro/aiio/internal/logdb"
 	"github.com/hpc-repro/aiio/internal/report"
 	"github.com/hpc-repro/aiio/internal/rules"
-	"github.com/hpc-repro/aiio/internal/shap"
 	"github.com/hpc-repro/aiio/internal/tune"
 )
 
@@ -222,14 +221,15 @@ func loadRegistry(dir string) (*core.Ensemble, []report.Advisory, error) {
 	return ens, advs, nil
 }
 
+// explainerUsage documents the -explainer flag of diagnose and experiment.
+const explainerUsage = "diagnosis function: auto (exact TreeSHAP for tree models, Kernel SHAP otherwise), kernel (Kernel SHAP for every model) or lime"
+
 func cmdDiagnose(args []string) error {
 	fs := flag.NewFlagSet("diagnose", flag.ExitOnError)
 	modelsDir := fs.String("models", "models", "model registry directory")
 	logPath := fs.String("log", "", "Darshan text log to diagnose (further logs may follow as positional arguments)")
 	top := fs.Int("top", 9, "factors to display")
-	interp := fs.String("interpreter", "shap", "shap, treeshap or lime")
-	shapMode := fs.String("shap-mode", "auto",
-		"SHAP estimator: auto (exact TreeSHAP for tree models, Kernel SHAP otherwise), kernel, or tree")
+	explainer := fs.String("explainer", string(core.ExplainerAuto), explainerUsage)
 	parallel := fs.Int("parallel", 0, "diagnosis worker pool size (0 = GOMAXPROCS)")
 	advise := fs.Bool("advise", false, "print tuning recommendations with model-predicted gains")
 	withRules := fs.Bool("rules", false, "also print static-rule (Drishti-style) findings")
@@ -261,12 +261,9 @@ func cmdDiagnose(args []string) error {
 		}
 	}
 	opts := core.DefaultDiagnoseOptions()
-	opts.Interpreter = core.Interpreter(*interp)
-	mode, err := shap.ParseMode(*shapMode)
-	if err != nil {
+	if opts.Explainer, err = core.ParseExplainer(*explainer); err != nil {
 		return fmt.Errorf("diagnose: %w", err)
 	}
-	opts.SHAPMode = mode
 	opts.Parallelism = *parallel
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -384,17 +381,15 @@ func cmdExperiment(args []string) error {
 	id := fs.String("id", "all", "experiment id: all, table1..3, fig1, fig4..fig17, "+
 		"classification, advisor, mpiio, rules, pdp, cross-platform, treeshap, unseen")
 	fast := fs.Bool("fast", true, "reduced-scale run")
-	shapMode := fs.String("shap-mode", "auto",
-		"SHAP estimator for the experiments: auto, kernel, or tree")
+	explainer := fs.String("explainer", string(core.ExplainerAuto), explainerUsage)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, err := shap.ParseMode(*shapMode)
-	if err != nil {
+	e := experiments.NewEnv(*fast)
+	var err error
+	if e.DiagOpts.Explainer, err = core.ParseExplainer(*explainer); err != nil {
 		return fmt.Errorf("experiment: %w", err)
 	}
-	e := experiments.NewEnv(*fast)
-	e.DiagOpts.SHAPMode = mode
 	w := os.Stdout
 	run := map[string]func() error{
 		"table1": func() error { _, err := experiments.RunTable1(e, w); return err },

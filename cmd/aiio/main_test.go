@@ -46,8 +46,8 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("diagnose: %v", err)
 	}
 	if err := cmdDiagnose([]string{"-models", models, "-log", logPath,
-		"-interpreter", "treeshap"}); err != nil {
-		t.Fatalf("diagnose treeshap: %v", err)
+		"-explainer", "kernel"}); err != nil {
+		t.Fatalf("diagnose kernel: %v", err)
 	}
 }
 

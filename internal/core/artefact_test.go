@@ -8,7 +8,9 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/hpc-repro/aiio/internal/mlp"
 	"github.com/hpc-repro/aiio/internal/nn"
+	"github.com/hpc-repro/aiio/internal/tabnet"
 )
 
 // TestNetArtefactsDecode loads an MLP and a TabNet artefact written by Save
@@ -43,9 +45,9 @@ func TestNetArtefactsDecode(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got nn.Standardizer
-			if n, ok := MLPModel(m); ok {
+			if n, ok := inner[*mlp.Model](m); ok {
 				got = nn.Standardizer{Mean: n.Mean, Std: n.Std, ConstantCols: n.ConstantCols, YMean: n.YMean, YStd: n.YStd}
-			} else if n, ok := TabNetModel(m); ok {
+			} else if n, ok := inner[*tabnet.Model](m); ok {
 				got = nn.Standardizer{Mean: n.Mean, Std: n.Std, ConstantCols: n.ConstantCols, YMean: n.YMean, YStd: n.YStd}
 			}
 			if !reflect.DeepEqual(got, want.Standardizer) {

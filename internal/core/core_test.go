@@ -9,7 +9,6 @@ import (
 	"github.com/hpc-repro/aiio/internal/features"
 	"github.com/hpc-repro/aiio/internal/iosim"
 	"github.com/hpc-repro/aiio/internal/logdb"
-	"github.com/hpc-repro/aiio/internal/shap"
 	"github.com/hpc-repro/aiio/internal/workload"
 )
 
@@ -225,7 +224,7 @@ func TestDiagnoseWithLIME(t *testing.T) {
 	_, ens, _ := fixture(t)
 	rec := slowJob(t)
 	opts := DefaultDiagnoseOptions()
-	opts.Interpreter = InterpreterLIME
+	opts.Explainer = ExplainerLIME
 	opts.LIME.NSamples = 800
 	diag, err := ens.Diagnose(rec, opts)
 	if err != nil {
@@ -267,12 +266,12 @@ func TestRegistryRoundTrip(t *testing.T) {
 func TestGBDTIntrospection(t *testing.T) {
 	_, ens, _ := fixture(t)
 	xgb := ens.Model(NameXGBoost)
-	train, eval, ok := GBDTLossCurves(xgb)
-	if !ok || len(train) == 0 || len(eval) == 0 {
+	g, ok := TreeModel(xgb)
+	if !ok || len(g.TrainLoss) == 0 || len(g.EvalLoss) == 0 {
 		t.Error("no loss curves from the XGBoost-variant model (Fig. 16 input)")
 	}
-	if _, _, ok := GBDTLossCurves(ens.Model(NameMLP)); ok {
-		t.Error("MLP reported GBDT loss curves")
+	if _, ok := TreeModel(ens.Model(NameMLP)); ok {
+		t.Error("MLP reported a tree ensemble")
 	}
 }
 
@@ -283,9 +282,9 @@ func TestDiagnoseErrors(t *testing.T) {
 	}
 	_, ens, _ := fixture(t)
 	bad := DefaultDiagnoseOptions()
-	bad.Interpreter = "magic"
+	bad.Explainer = "magic"
 	if _, err := ens.Diagnose(&darshan.Record{}, bad); err == nil {
-		t.Error("unknown interpreter accepted")
+		t.Error("unknown explainer accepted")
 	}
 	if _, _, err := TrainEnsemble(&features.Frame{X: nil, Y: nil}, DefaultTrainOptions()); err == nil {
 		t.Error("TrainEnsemble accepted tiny frame")
@@ -330,7 +329,7 @@ func TestDiagnoseWithTreeSHAP(t *testing.T) {
 	_, ens, _ := fixture(t)
 	rec := slowJob(t)
 	opts := fastDiagOpts()
-	opts.Interpreter = InterpreterTreeSHAP
+	opts.Explainer = ExplainerAuto
 	diag, err := ens.Diagnose(rec, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +348,7 @@ func TestDiagnoseWithTreeSHAP(t *testing.T) {
 	}
 	// TreeSHAP and Kernel SHAP (sampled) must broadly agree on the GBDTs.
 	kopts := fastDiagOpts()
-	kopts.SHAPMode = shap.ModeKernel
+	kopts.Explainer = ExplainerKernel
 	kdiag, err := ens.Diagnose(rec, kopts)
 	if err != nil {
 		t.Fatal(err)

@@ -14,40 +14,43 @@ import (
 	"github.com/hpc-repro/aiio/internal/shap"
 )
 
-// Interpreter selects the AI interpretation technology behind the diagnosis
-// function. The paper supports both but merges results only within one
+// Explainer selects the diagnosis function run against every model. The
+// paper supports SHAP and LIME but merges results only within one
 // technology (their scales differ).
-type Interpreter string
+type Explainer string
 
-// The supported interpreters.
+// The supported explainers.
 const (
-	// InterpreterSHAP runs Kernel SHAP against every model (the paper's
-	// model-agnostic default).
-	InterpreterSHAP Interpreter = "shap"
-	// InterpreterTreeSHAP uses the exact closed-form TreeSHAP for the
-	// boosted-tree models and Kernel SHAP for the neural ones — the hybrid
-	// the shap package applies automatically. Identical semantics (zero
-	// background, interventional), exact values, much faster on trees.
-	InterpreterTreeSHAP Interpreter = "treeshap"
-	// InterpreterLIME runs LIME; its scale differs from SHAP and results
-	// are never merged across interpreters (Section 3.3).
-	InterpreterLIME Interpreter = "lime"
+	// ExplainerAuto (the zero value and the default) explains the
+	// boosted-tree models with the exact closed-form TreeSHAP and the neural
+	// ones with Kernel SHAP. Both use the zero background and the
+	// interventional semantics, so the values are Kernel SHAP's, exact and
+	// much faster on trees.
+	ExplainerAuto Explainer = "auto"
+	// ExplainerKernel runs Kernel SHAP against every model (the paper's
+	// uniform model-agnostic setup).
+	ExplainerKernel Explainer = "kernel"
+	// ExplainerLIME runs LIME against every model.
+	ExplainerLIME Explainer = "lime"
 )
+
+// ParseExplainer validates an -explainer flag value; the empty string
+// means ExplainerAuto.
+func ParseExplainer(s string) (Explainer, error) {
+	switch x := Explainer(s); x {
+	case "":
+		return ExplainerAuto, nil
+	case ExplainerAuto, ExplainerKernel, ExplainerLIME:
+		return x, nil
+	}
+	return "", fmt.Errorf("core: unknown explainer %q (want auto, kernel or lime)", s)
+}
 
 // DiagnoseOptions configures a diagnosis.
 type DiagnoseOptions struct {
-	Interpreter Interpreter
-	// SHAPMode selects the estimator per model under the SHAP interpreters
-	// (the -shap-mode flag): shap.ModeAuto routes the boosted-tree models to
-	// the exact TreeSHAP fast path and the neural ones to Kernel SHAP;
-	// shap.ModeKernel forces Kernel SHAP everywhere (the paper's uniform
-	// setup); shap.ModeTree requires the tree path, so a neural model's
-	// diagnosis fails and the merge degrades to the tree survivors. Empty
-	// derives the mode from Interpreter: InterpreterSHAP → kernel,
-	// InterpreterTreeSHAP → auto.
-	SHAPMode shap.Mode
-	SHAP     shap.Config
-	LIME     lime.Config
+	Explainer Explainer
+	SHAP      shap.Config
+	LIME      lime.Config
 	// Parallelism bounds the diagnosis worker pool: the concurrent
 	// per-model explanations inside Diagnose and the per-job workers of
 	// DiagnoseBatch. 0 (the default) means runtime.GOMAXPROCS(0); 1 forces
@@ -57,16 +60,15 @@ type DiagnoseOptions struct {
 	Parallelism int
 }
 
-// DefaultDiagnoseOptions uses SHAP with automatic estimator selection:
-// exact TreeSHAP for the three boosted-tree models, Kernel SHAP (the shap
-// package's auto budget) for MLP and TabNet. Set SHAPMode to shap.ModeKernel
-// for the paper's uniform model-agnostic setup.
+// DefaultDiagnoseOptions uses ExplainerAuto: exact TreeSHAP for the three
+// boosted-tree models, Kernel SHAP (the shap package's auto budget) for MLP
+// and TabNet. Set Explainer to ExplainerKernel for the paper's uniform
+// model-agnostic setup.
 func DefaultDiagnoseOptions() DiagnoseOptions {
 	return DiagnoseOptions{
-		Interpreter: InterpreterSHAP,
-		SHAPMode:    shap.ModeAuto,
-		SHAP:        shap.DefaultConfig(),
-		LIME:        lime.DefaultConfig(),
+		Explainer: ExplainerAuto,
+		SHAP:      shap.DefaultConfig(),
+		LIME:      lime.DefaultConfig(),
 	}
 }
 
@@ -160,33 +162,21 @@ func (e *Ensemble) DiagnoseContext(ctx context.Context, rec *darshan.Record, opt
 type modelExplainer func(ctx context.Context, x []float64) (ModelDiagnosis, error)
 
 // explainers validates opts and builds the diagnosis function of every model,
-// in model order, once for a whole Diagnose or DiagnoseBatch call. A model
-// the options cannot explain (a neural model under shap.ModeTree) gets an
-// explainer that reports that error, which marks the model skipped like any
-// other per-model failure.
+// in model order, once for a whole Diagnose or DiagnoseBatch call.
 func (e *Ensemble) explainers(opts DiagnoseOptions) ([]modelExplainer, error) {
 	if len(e.Models) == 0 {
 		return nil, fmt.Errorf("core: ensemble has no models")
 	}
-	if opts.Interpreter == "" {
-		opts.Interpreter = InterpreterSHAP
-	}
-	switch opts.Interpreter {
-	case InterpreterSHAP, InterpreterTreeSHAP, InterpreterLIME:
-	default:
-		return nil, fmt.Errorf("core: unknown interpreter %q", opts.Interpreter)
-	}
-	switch opts.SHAPMode {
-	case "", shap.ModeAuto, shap.ModeKernel, shap.ModeTree:
-	default:
-		return nil, fmt.Errorf("core: unknown shap mode %q (want auto, kernel or tree)", opts.SHAPMode)
+	kind, err := ParseExplainer(string(opts.Explainer))
+	if err != nil {
+		return nil, err
 	}
 	explain := make([]modelExplainer, len(e.Models))
 	for i, m := range e.Models {
-		if opts.Interpreter == InterpreterLIME {
+		if kind == ExplainerLIME {
 			explain[i] = limeExplainer(m, opts.LIME)
 		} else {
-			explain[i] = shapExplainer(m, opts)
+			explain[i] = shapExplainer(m, kind, opts.SHAP)
 		}
 	}
 	return explain, nil
@@ -278,20 +268,16 @@ func (e *Ensemble) diagnose(ctx context.Context, rec *darshan.Record, explain []
 }
 
 // shapExplainer builds one model's SHAP diagnosis function. The estimator
-// comes from the shap.ForModel dispatcher: the effective mode is
-// opts.SHAPMode, or — when unset — kernel under InterpreterSHAP and auto
-// under InterpreterTreeSHAP (the historical meanings of the two interpreter
-// values). The zero background is AIIO's Section 3.3 filter.
-func shapExplainer(m Model, opts DiagnoseOptions) modelExplainer {
-	mode := opts.SHAPMode
-	if mode == "" {
+// comes from the shap.ForModel dispatcher: TreeSHAP for a tree model under
+// ExplainerAuto, Kernel SHAP otherwise. The zero background is AIIO's
+// Section 3.3 filter.
+func shapExplainer(m Model, kind Explainer, cfg shap.Config) modelExplainer {
+	mode := shap.ModeAuto
+	if kind == ExplainerKernel {
 		mode = shap.ModeKernel
-		if opts.Interpreter == InterpreterTreeSHAP {
-			mode = shap.ModeAuto
-		}
 	}
 	tree, _ := TreeModel(m)
-	att, err := shap.ForModel(m.PredictBatch, tree, nil, mode, opts.SHAP)
+	att, err := shap.ForModel(m.PredictBatch, tree, nil, mode, cfg)
 	if err != nil {
 		return func(context.Context, []float64) (ModelDiagnosis, error) { return ModelDiagnosis{}, err }
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/hpc-repro/aiio/internal/darshan"
-	"github.com/hpc-repro/aiio/internal/shap"
 )
 
 // assertDiagnosisBitwiseEqual fails unless every numeric field of two
@@ -51,35 +50,32 @@ func assertDiagnosisBitwiseEqual(t *testing.T, label string, seq, par *Diagnosis
 
 // TestDiagnoseParallelDeterminism asserts that the parallel per-model path
 // produces bitwise-identical output to the sequential path for every
-// interpreter: each model's explainer is independently seeded and slot i of
+// explainer: each model's explainer is independently seeded and slot i of
 // PerModel is owned by exactly one worker, so no reduction order depends on
 // scheduling.
 func TestDiagnoseParallelDeterminism(t *testing.T) {
 	_, ens, _ := fixture(t)
 	rec := slowJob(t)
 
-	for _, interp := range []Interpreter{InterpreterSHAP, InterpreterTreeSHAP, InterpreterLIME} {
+	for _, explainer := range []Explainer{ExplainerKernel, ExplainerAuto, ExplainerLIME} {
 		opts := fastDiagOpts()
-		opts.Interpreter = interp
-		if interp == InterpreterSHAP {
-			opts.SHAPMode = shap.ModeKernel // uniform Kernel SHAP, not auto
-		}
+		opts.Explainer = explainer
 
 		seqOpts := opts
 		seqOpts.Parallelism = 1
 		seq, err := ens.Diagnose(rec, seqOpts)
 		if err != nil {
-			t.Fatalf("%s: sequential: %v", interp, err)
+			t.Fatalf("%s: sequential: %v", explainer, err)
 		}
 		for _, workers := range []int{2, 4, 16} {
 			parOpts := opts
 			parOpts.Parallelism = workers
 			par, err := ens.Diagnose(rec, parOpts)
 			if err != nil {
-				t.Fatalf("%s: parallel(%d): %v", interp, workers, err)
+				t.Fatalf("%s: parallel(%d): %v", explainer, workers, err)
 			}
 			assertDiagnosisBitwiseEqual(t,
-				string(interp)+"/workers="+strconv.Itoa(workers), seq, par)
+				string(explainer)+"/workers="+strconv.Itoa(workers), seq, par)
 		}
 	}
 }
@@ -126,9 +122,9 @@ func TestDiagnoseBatchEmptyAndErrors(t *testing.T) {
 		t.Errorf("empty batch: got (%v, %v)", out, err)
 	}
 	opts := fastDiagOpts()
-	opts.Interpreter = "nonsense"
+	opts.Explainer = "nonsense"
 	if _, err := ens.DiagnoseBatch([]*darshan.Record{slowJob(t)}, opts); err == nil {
-		t.Error("unknown interpreter did not error")
+		t.Error("unknown explainer did not error")
 	}
 	empty := &Ensemble{}
 	if _, err := empty.DiagnoseBatch([]*darshan.Record{slowJob(t)}, fastDiagOpts()); err == nil {

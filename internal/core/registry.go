@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -241,8 +242,17 @@ type GenerationExtra struct {
 // the final renames land, loads keep seeing the previous generation.
 func (s *Store) Save(e *Ensemble) (uint64, error) { return s.SaveDetailed(e, nil) }
 
-// SaveDetailed is Save with generation provenance attached.
+// SaveDetailed is Save with generation provenance attached. Each model is
+// written to a file named after it, so an ensemble in which two models
+// share a name is refused before any file is written.
 func (s *Store) SaveDetailed(e *Ensemble, extra *GenerationExtra) (uint64, error) {
+	names := make([]string, 0, len(e.Models))
+	for _, m := range e.Models {
+		if slices.Contains(names, m.Name()) {
+			return 0, fmt.Errorf("core: two models named %q", m.Name())
+		}
+		names = append(names, m.Name())
+	}
 	return s.commit(0, func(tmpDir string, man *GenerationManifest) error {
 		for _, m := range e.Models {
 			file := m.Name() + ".gob"

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/hpc-repro/aiio/internal/darshan"
-	"github.com/hpc-repro/aiio/internal/shap"
 )
 
 // sparseJob builds a record with few non-zero counters, so its transformed
@@ -44,9 +43,9 @@ func TestSHAPModeAutoMatchesExactKernel(t *testing.T) {
 	}
 
 	auto := DefaultDiagnoseOptions()
-	auto.SHAPMode = shap.ModeAuto
+	auto.Explainer = ExplainerAuto
 	kernel := DefaultDiagnoseOptions()
-	kernel.SHAPMode = shap.ModeKernel
+	kernel.Explainer = ExplainerKernel
 
 	da, err := ens.Diagnose(rec, auto)
 	if err != nil {
@@ -76,94 +75,34 @@ func TestSHAPModeAutoMatchesExactKernel(t *testing.T) {
 	}
 }
 
-// TestSHAPModeTreeDegradesNeuralModels: forcing the tree estimator fails the
-// two neural models and merges over the three GBDT survivors.
-func TestSHAPModeTreeDegradesNeuralModels(t *testing.T) {
-	_, ens, _ := fixture(t)
-	opts := fastDiagOpts()
-	opts.SHAPMode = shap.ModeTree
-	d, err := ens.Diagnose(slowJob(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Degraded {
-		t.Fatal("tree mode on a mixed ensemble must degrade")
-	}
-	skipped := d.SkippedModels()
-	if len(skipped) != 2 {
-		t.Fatalf("skipped %v, want the two neural models", skipped)
-	}
-	for _, name := range []string{NameMLP, NameTabNet} {
-		found := false
-		for _, s := range skipped {
-			if s == name {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s not skipped under tree mode: %v", name, skipped)
-		}
-	}
-	for i := range d.PerModel {
-		md := &d.PerModel[i]
-		if ens.Models[i].Kind() == "gbdt" && md.Failed() {
-			t.Errorf("tree model %s failed under tree mode: %s", md.Name, md.Err)
-		}
-	}
-}
-
-// TestSHAPModeUnknownRejected: an invalid mode fails fast, before any model
-// work.
+// TestSHAPModeUnknownRejected: an invalid explainer fails fast, before any
+// model work.
 func TestSHAPModeUnknownRejected(t *testing.T) {
 	_, ens, _ := fixture(t)
 	opts := fastDiagOpts()
-	opts.SHAPMode = "fourier"
+	opts.Explainer = "fourier"
 	if _, err := ens.Diagnose(slowJob(t), opts); err == nil {
-		t.Fatal("unknown shap mode accepted")
+		t.Fatal("unknown explainer accepted")
 	}
 }
 
-// TestSHAPModeEmptyDerivesFromInterpreter: the legacy interpreter values
-// keep their historical meaning when SHAPMode is unset — InterpreterSHAP is
-// uniform Kernel SHAP, InterpreterTreeSHAP is the auto hybrid.
-func TestSHAPModeEmptyDerivesFromInterpreter(t *testing.T) {
-	_, ens, _ := fixture(t)
-	rec := sparseJob()
-
-	legacyKernel := fastDiagOpts()
-	legacyKernel.Interpreter = InterpreterSHAP
-	legacyKernel.SHAPMode = ""
-	explicitKernel := fastDiagOpts()
-	explicitKernel.SHAPMode = shap.ModeKernel
-
-	legacyAuto := fastDiagOpts()
-	legacyAuto.Interpreter = InterpreterTreeSHAP
-	legacyAuto.SHAPMode = ""
-	explicitAuto := fastDiagOpts()
-	explicitAuto.SHAPMode = shap.ModeAuto
-
-	for _, pair := range []struct {
-		name string
-		a, b DiagnoseOptions
-	}{
-		{"kernel", legacyKernel, explicitKernel},
-		{"auto", legacyAuto, explicitAuto},
+// TestParseExplainer: the three flag values parse to themselves, the empty
+// string to auto, and anything else (the removed tree mode too) is refused.
+func TestParseExplainer(t *testing.T) {
+	for s, want := range map[string]Explainer{
+		"":       ExplainerAuto,
+		"auto":   ExplainerAuto,
+		"kernel": ExplainerKernel,
+		"lime":   ExplainerLIME,
 	} {
-		da, err := ens.Diagnose(rec, pair.a)
-		if err != nil {
-			t.Fatal(err)
+		got, err := ParseExplainer(s)
+		if err != nil || got != want {
+			t.Errorf("ParseExplainer(%q) = %v, %v; want %v", s, got, err, want)
 		}
-		db, err := ens.Diagnose(rec, pair.b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range da.PerModel {
-			for j := range da.PerModel[i].Contributions {
-				if da.PerModel[i].Contributions[j] != db.PerModel[i].Contributions[j] {
-					t.Fatalf("%s: legacy and explicit dispatch differ on %s phi[%d]",
-						pair.name, da.PerModel[i].Name, j)
-				}
-			}
+	}
+	for _, s := range []string{"fourier", "tree", "shap", "treeshap"} {
+		if _, err := ParseExplainer(s); err == nil {
+			t.Errorf("ParseExplainer accepted %q", s)
 		}
 	}
 }

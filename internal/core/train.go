@@ -9,10 +9,7 @@ import (
 
 	"github.com/hpc-repro/aiio/internal/darshan"
 	"github.com/hpc-repro/aiio/internal/features"
-	"github.com/hpc-repro/aiio/internal/gbdt"
-	"github.com/hpc-repro/aiio/internal/mlp"
 	"github.com/hpc-repro/aiio/internal/parallel"
-	"github.com/hpc-repro/aiio/internal/tabnet"
 )
 
 // logConstantCols names the counters whose training variance was zero. The
@@ -131,16 +128,16 @@ func TrainEnsemble(frame *features.Frame, opts TrainOptions) (*Ensemble, *TrainR
 // selected models fit concurrently on the shared GOMAXPROCS worker pool
 // (each fit owns its rng and scratch and only reads the split and its warm
 // seed, so every model is bit-identical to a fit on its own), started
-// longest first in fitOrder so the slowest fit does not start last; the
-// ensemble and report keep the order of opts.Models. ctx is checked before
-// each fit starts: once it is cancelled no further fit starts, the fits in
-// flight run to completion, and the call returns an error that wraps ctx's
-// error and names the first model, in model order, that never ran — never
-// a partial ensemble. A failed fit fails the call with the first error in
-// model order, and an unknown model name fails it before any fit starts. It
-// also refuses a frame carrying NaN/Inf features (see Frame.Validate) —
-// corrupt inputs must be quarantined or sanitized before training, never
-// silently fitted.
+// longest first in the order of the family table so the slowest fit does
+// not start last; the ensemble and report keep the order of opts.Models.
+// ctx is checked before each fit starts: once it is cancelled no further
+// fit starts, the fits in flight run to completion, and the call returns an
+// error that wraps ctx's error and names the first model, in model order,
+// that never ran — never a partial ensemble. A failed fit fails the call
+// with the first error in model order, and an unknown or repeated model
+// name fails it before any fit starts. It also refuses a frame carrying
+// NaN/Inf features (see Frame.Validate) — corrupt inputs must be
+// quarantined or sanitized before training, never silently fitted.
 func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts TrainOptions) (*Ensemble, *TrainReport, error) {
 	if frame.Len() < 10 {
 		return nil, nil, fmt.Errorf("core: dataset too small (%d records)", frame.Len())
@@ -155,25 +152,10 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 	if len(names) == 0 {
 		names = ModelNames()
 	}
-	for _, name := range names {
-		if !slices.Contains(ModelNames(), name) {
-			return nil, nil, fmt.Errorf("core: unknown model name %q", name)
-		}
+	if err := CheckModels(names); err != nil {
+		return nil, nil, err
 	}
 	train, eval := frame.Split(opts.Seed, opts.SplitFrac)
-
-	gbdtRounds := 300
-	nnEpochs := 200
-	if opts.Fast {
-		gbdtRounds = 60
-		nnEpochs = 30
-	}
-	if opts.GBDTRounds > 0 {
-		gbdtRounds = opts.GBDTRounds
-	}
-	if opts.NNEpochs > 0 {
-		nnEpochs = opts.NNEpochs
-	}
 
 	warmFrac := opts.WarmBudgetFrac
 	if warmFrac <= 0 {
@@ -202,81 +184,24 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 
 	// fit trains and scores one model. It runs concurrently with the other
 	// models' fits, so it only reads the shared state above.
-	fit := func(name string) (Model, ModelReport, error) {
-		var model Model
-		warmUsed := false
-		warmFallback := ""
-		epochs, seedKept := 0, false
-		switch name {
-		case NameXGBoost, NameLightGBM, NameCatBoost:
-			variant := gbdt.LevelWise
-			if name == NameLightGBM {
-				variant = gbdt.LeafWise
-			} else if name == NameCatBoost {
-				variant = gbdt.Oblivious
-			}
-			cfg := gbdt.DefaultConfig(variant)
-			cfg.Rounds = gbdtRounds
-			cfg.Seed = opts.Seed
-			var seed *gbdt.WarmSeed
-			seedTrees := 0
-			if pm, why := prior(name); pm != nil {
-				if g, ok := TreeModel(pm); ok {
-					var reason string
-					if seed, reason = gbdt.CheckWarmStart(g, cfg, train.X, train.Y); seed != nil {
-						cfg.Rounds = scaleBudget(gbdtRounds)
-						seedTrees = len(g.Trees)
-					} else {
-						warmFallback = reason
-					}
-				} else {
-					warmFallback = otherFamily
-				}
-			} else {
-				warmFallback = why
-			}
-			var m *gbdt.Model
-			var err error
-			if seed != nil {
-				warmUsed = true
-				m, err = gbdt.TrainSeeded(cfg, train.X, train.Y, eval.X, eval.Y, seed)
-			} else {
-				m, err = gbdt.Train(cfg, train.X, train.Y, eval.X, eval.Y)
-			}
-			if err != nil {
-				return nil, ModelReport{}, fmt.Errorf("core: train %s: %w", name, err)
-			}
-			// Early stopping keeps trees 0..BestIteration; a warm fit that
-			// never improved keeps only the seed's.
-			epochs, seedKept = len(m.EvalLoss), warmUsed && m.BestIteration < seedTrees
-			model = &gbdtModel{name: name, m: m}
-		case NameMLP, NameTabNet:
-			family := mlpFamily
-			if name == NameTabNet {
-				family = tabnetFamily
-			}
-			net := family(opts, train, eval)
-			budget := nnEpochs
-			var seed Model
-			if pm, why := prior(name); pm == nil {
-				warmFallback = why
-			} else if ok, reason := net.gate(pm); !ok {
-				warmFallback = reason
-			} else {
-				seed, warmUsed, budget = pm, true, scaleBudget(nnEpochs)
-			}
-			m, constantCols, ran, best, err := net.fit(budget, seed)
-			if err != nil {
-				return nil, ModelReport{}, fmt.Errorf("core: train %s: %w", name, err)
-			}
-			logConstantCols(name, constantCols)
-			model, epochs, seedKept = m, ran, best < 0
-		default:
-			return nil, ModelReport{}, fmt.Errorf("core: unknown model name %q", name)
+	fit := func(f *family) (Model, ModelReport, error) {
+		fr := f.bind(opts, train, eval)
+		budget, warmUsed, warmFallback := fr.budget, false, ""
+		var seed Model
+		if pm, why := prior(f.name); pm == nil {
+			warmFallback = why
+		} else if ok, reason := fr.gate(pm); !ok {
+			warmFallback = reason
+		} else {
+			seed, warmUsed, budget = pm, true, scaleBudget(fr.budget)
 		}
-		return model, ModelReport{
-			Name:           name,
-			PredictionRMSE: features.RMSE(model.PredictBatch(eval.X), eval.Y),
+		p, epochs, seedKept, err := fr.fit(budget, seed)
+		if err != nil {
+			return nil, ModelReport{}, fmt.Errorf("core: train %s: %w", f.name, err)
+		}
+		return &model{p, f.name, f.kind}, ModelReport{
+			Name:           f.name,
+			PredictionRMSE: features.RMSE(p.PredictBatch(eval.X), eval.Y),
 			WarmStart:      warmUsed,
 			WarmFallback:   warmFallback,
 			Epochs:         epochs,
@@ -290,7 +215,7 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 	order := startOrder(names)
 	ctxErr := parallel.EachCtx(ctx, len(order), 0, func(k int) {
 		i := order[k]
-		models[i], reports[i], errs[i] = fit(names[i])
+		models[i], reports[i], errs[i] = fit(&families[familyIndex(names[i])])
 	})
 	for i, name := range names {
 		if errs[i] != nil {
@@ -303,84 +228,30 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 	return &Ensemble{Models: models}, &TrainReport{Models: reports, TrainSize: train.Len(), EvalSize: eval.Len()}, nil
 }
 
-// fitOrder ranks the models by how long their fit takes, longest first:
-// the two networks, then the oblivious, leaf-wise and level-wise trees.
-var fitOrder = []string{NameTabNet, NameMLP, NameCatBoost, NameLightGBM, NameXGBoost}
-
 // startOrder returns the indices of names in the order their fits start:
-// fitOrder's.
+// the family table's.
 func startOrder(names []string) []int {
 	order := make([]int, len(names))
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortStableFunc(order, func(a, b int) int {
-		return slices.Index(fitOrder, names[a]) - slices.Index(fitOrder, names[b])
+		return familyIndex(names[a]) - familyIndex(names[b])
 	})
 	return order
 }
 
-// otherFamily is the warm-start fallback reason when the previous
-// generation's model of a name is of another family.
-const otherFamily = "previous model is a different family"
+// rounds and epochs are the cold budgets of the tree and network families.
+func (o TrainOptions) rounds() int { return coldBudget(o.GBDTRounds, o.Fast, 60, 300) }
+func (o TrainOptions) epochs() int { return coldBudget(o.NNEpochs, o.Fast, 30, 200) }
 
-// netFamily is one network family's side of the net path in
-// TrainEnsembleContext, bound to the call's options and split. The path runs
-// gate once on the previous generation's model, then fit: seeded from it
-// on the reduced budget when the gate accepts it, cold otherwise.
-type netFamily struct {
-	// gate is the family's CanWarmStart for prev, false with a reason also
-	// when prev is of another family.
-	gate func(prev Model) (bool, string)
-	// fit trains for epochs, seeded from prev when it is non-nil. It
-	// returns the model, its constant input columns, the epochs it ran and
-	// the epoch whose weights it kept (-1: the seed's).
-	fit func(epochs int, prev Model) (m Model, constantCols []int, ran, best int, err error)
-}
-
-func mlpFamily(opts TrainOptions, train, eval *features.Frame) netFamily {
-	cfg := mlp.DefaultConfig()
-	cfg.Seed, cfg.ReferenceKernels = opts.Seed, opts.ReferenceKernels
-	if opts.Fast {
-		cfg.Hidden = []int{45, 24, 12}
+// coldBudget is override when it is set, else the Fast or the full default.
+func coldBudget(override int, fast bool, fastDefault, fullDefault int) int {
+	switch {
+	case override > 0:
+		return override
+	case fast:
+		return fastDefault
 	}
-	return netFamily{
-		gate: func(prev Model) (bool, string) {
-			if n, ok := MLPModel(prev); ok {
-				return mlp.CanWarmStart(n, cfg, train.X, train.Y)
-			}
-			return false, otherFamily
-		},
-		fit: func(epochs int, prev Model) (Model, []int, int, int, error) {
-			seed, _ := MLPModel(prev)
-			cfg.Epochs = epochs
-			m, err := mlp.TrainSeeded(cfg, train.X, train.Y, eval.X, eval.Y, seed)
-			if err != nil {
-				return nil, nil, 0, 0, err
-			}
-			return &mlpModel{m: m}, m.ConstantCols, len(m.EvalLoss), m.BestEpoch, nil
-		},
-	}
-}
-
-func tabnetFamily(opts TrainOptions, train, eval *features.Frame) netFamily {
-	cfg := tabnet.DefaultConfig()
-	cfg.Seed, cfg.ReferenceKernels = opts.Seed, opts.ReferenceKernels
-	return netFamily{
-		gate: func(prev Model) (bool, string) {
-			if n, ok := TabNetModel(prev); ok {
-				return tabnet.CanWarmStart(n, cfg, train.X, train.Y)
-			}
-			return false, otherFamily
-		},
-		fit: func(epochs int, prev Model) (Model, []int, int, int, error) {
-			seed, _ := TabNetModel(prev)
-			cfg.Epochs = epochs
-			m, err := tabnet.TrainSeeded(cfg, train.X, train.Y, eval.X, eval.Y, seed)
-			if err != nil {
-				return nil, nil, 0, 0, err
-			}
-			return &tabnetModel{m: m}, m.ConstantCols, len(m.EvalLoss), m.BestEpoch, nil
-		},
-	}
+	return fullDefault
 }

@@ -104,22 +104,40 @@ func TestTrainCancelledMidFitReturnsNoEnsemble(t *testing.T) {
 	}
 }
 
+// TestTrainUnknownModelNameFails: an unknown name, or a name given twice,
+// is refused before any fit starts (the context is never consulted), and
+// CheckModels refuses the same lists.
 func TestTrainUnknownModelNameFails(t *testing.T) {
 	frame, _, _ := fixture(t)
-	for _, models := range [][]string{
-		{"bogus", NameXGBoost, NameCatBoost},
-		{NameXGBoost, "bogus", NameCatBoost},
-		{NameXGBoost, NameCatBoost, "bogus"},
+	for _, tc := range []struct {
+		models []string
+		want   string
+	}{
+		{[]string{"bogus", NameXGBoost, NameCatBoost}, `unknown model name "bogus"`},
+		{[]string{NameXGBoost, "bogus", NameCatBoost}, `unknown model name "bogus"`},
+		{[]string{NameXGBoost, NameCatBoost, "bogus"}, `unknown model name "bogus"`},
+		{[]string{NameMLP, NameMLP}, `model name "mlp" given twice`},
+		{[]string{NameXGBoost, NameCatBoost, NameXGBoost}, `model name "xgboost" given twice`},
 	} {
 		opts := DefaultTrainOptions()
 		opts.Fast = true
-		opts.Models = models
-		ens, report, err := TrainEnsemble(frame, opts)
-		if err == nil || !strings.Contains(err.Error(), `unknown model name "bogus"`) {
-			t.Fatalf("%v: err = %v, want unknown model name", models, err)
+		opts.Models = tc.models
+		ctx := &cancelAfterFirstCheck{Context: context.Background()}
+		ens, report, err := TrainEnsembleContext(ctx, frame, opts)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%v: err = %v, want %s", tc.models, err, tc.want)
 		}
 		if ens != nil || report != nil {
-			t.Fatalf("%v: failed training returned a partial ensemble", models)
+			t.Fatalf("%v: failed training returned a partial ensemble", tc.models)
 		}
+		if n := ctx.calls.Load(); n != 0 {
+			t.Fatalf("%v: context checked %d times, want no fit started", tc.models, n)
+		}
+		if CheckModels(tc.models) == nil {
+			t.Fatalf("%v: CheckModels accepted the list", tc.models)
+		}
+	}
+	if err := CheckModels(ModelNames()); err != nil {
+		t.Fatalf("CheckModels(all five) = %v", err)
 	}
 }

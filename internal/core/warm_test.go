@@ -83,9 +83,9 @@ func TestTrainReportEpochsAndSeedKept(t *testing.T) {
 		if g, ok := TreeModel(m); ok {
 			seed, _ := TreeModel(prev.Model(r.Name))
 			epochs, budget, kept = len(g.EvalLoss), 18, len(g.Trees) == len(seed.Trees)
-		} else if n, ok := MLPModel(m); ok {
+		} else if n, ok := inner[*mlp.Model](m); ok {
 			epochs, budget, kept = len(n.EvalLoss), 9, n.BestEpoch == -1
-		} else if n, ok := TabNetModel(m); ok {
+		} else if n, ok := inner[*tabnet.Model](m); ok {
 			epochs, budget, kept = len(n.EvalLoss), 9, n.BestEpoch == -1
 		}
 		if r.Epochs != epochs || r.SeedKept != kept || r.Epochs < 1 || r.Epochs > budget {
@@ -196,7 +196,7 @@ func TestDiagnoseParityReferenceKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &Ensemble{Models: []Model{&mlpModel{m: mm}, &tabnetModel{m: tm}}}
+		return &Ensemble{Models: []Model{&model{mm, NameMLP, kindMLP}, &model{tm, NameTabNet, kindTabNet}}}
 	}
 	fast, ref := mk(false), mk(true)
 

@@ -194,11 +194,12 @@ func RunFigure16(e *Env, w io.Writer) (*Figure16Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	train, eval, ok := core.GBDTLossCurves(ens.Model(core.NameXGBoost))
+	g, ok := core.TreeModel(ens.Model(core.NameXGBoost))
 	if !ok {
 		return nil, fmt.Errorf("experiments: xgboost model exposes no loss curves")
 	}
-	res := &Figure16Result{TrainLoss: train, EvalLoss: eval}
+	eval := g.EvalLoss
+	res := &Figure16Result{TrainLoss: g.TrainLoss, EvalLoss: eval}
 	fprintHeader(w, "Figure 16: XGBoost training loss (RMSE) by iteration")
 	report.LineChart(w, "eval RMSE", eval, 12, 64)
 	report.KV(w, "iterations", "%d", len(eval))

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"github.com/hpc-repro/aiio/internal/core"
-	"github.com/hpc-repro/aiio/internal/shap"
 	"github.com/hpc-repro/aiio/internal/webservice"
 )
 
@@ -129,7 +128,7 @@ func benchColdFlood(b *testing.B, shared bool) {
 	// bottlenecks on HTTP parsing; the kernel pass is where collapsed
 	// ensemble passes show their real value.
 	opts := core.DefaultDiagnoseOptions()
-	opts.SHAPMode = shap.ModeKernel
+	opts.Explainer = core.ExplainerKernel
 	const clients = 64
 	// Client c posts under /c/<c>/. Shared, every prefix reaches the same
 	// server; otherwise each reaches its own, whose single-flight group

@@ -21,7 +21,7 @@ type Attributor interface {
 // Mode selects which estimator ForModel returns.
 type Mode string
 
-// The explainer-selection modes of the -shap-mode flag.
+// The estimator-selection modes.
 const (
 	// ModeAuto routes tree ensembles to the exact TreeSHAP fast path and
 	// everything else to Kernel SHAP — the shap package's automatic
@@ -30,23 +30,7 @@ const (
 	// ModeKernel forces the model-agnostic Kernel SHAP estimator for every
 	// model (the paper's uniform setup).
 	ModeKernel Mode = "kernel"
-	// ModeTree requires the exact tree path; ForModel errors for a model
-	// with no tree structure, which a degraded-capable caller records as
-	// that model's failure.
-	ModeTree Mode = "tree"
 )
-
-// ParseMode validates a -shap-mode flag value. The empty string means
-// ModeAuto.
-func ParseMode(s string) (Mode, error) {
-	switch Mode(s) {
-	case "":
-		return ModeAuto, nil
-	case ModeAuto, ModeKernel, ModeTree:
-		return Mode(s), nil
-	}
-	return "", fmt.Errorf("shap: unknown mode %q (want auto, kernel or tree)", s)
-}
 
 // ForModel returns the estimator the mode selects for one model. tree is
 // the model's boosted ensemble when it has one (nil for neural models); f
@@ -61,11 +45,6 @@ func ForModel(f PredictFunc, tree *gbdt.Model, background []float64, mode Mode, 
 		return New(f, background, cfg), nil
 	case ModeKernel:
 		return New(f, background, cfg), nil
-	case ModeTree:
-		if tree == nil {
-			return nil, fmt.Errorf("shap: mode %q requires a tree ensemble, model has none", mode)
-		}
-		return NewTreeBackground(tree, background), nil
 	}
 	return nil, fmt.Errorf("shap: unknown mode %q", mode)
 }

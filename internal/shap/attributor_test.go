@@ -8,30 +8,13 @@ import (
 	"testing"
 )
 
-func TestParseMode(t *testing.T) {
-	for s, want := range map[string]Mode{
-		"":       ModeAuto,
-		"auto":   ModeAuto,
-		"kernel": ModeKernel,
-		"tree":   ModeTree,
-	} {
-		got, err := ParseMode(s)
-		if err != nil || got != want {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseMode("fourier"); err == nil {
-		t.Error("ParseMode accepted an unknown mode")
-	}
-}
-
 func TestForModelDispatch(t *testing.T) {
 	m, _ := trainSmallGBDT(t, 300, 5, 8, 9)
 	cfg := DefaultConfig()
 
-	// Tree model: auto and tree pick the exact tree path, kernel the
-	// model-agnostic one.
-	for mode, wantTree := range map[Mode]bool{ModeAuto: true, ModeTree: true, ModeKernel: false, "": true} {
+	// Tree model: auto picks the exact tree path, kernel the model-agnostic
+	// one.
+	for mode, wantTree := range map[Mode]bool{ModeAuto: true, ModeKernel: false, "": true} {
 		att, err := ForModel(m.PredictBatch, m, nil, mode, cfg)
 		if err != nil {
 			t.Fatalf("mode %q: %v", mode, err)
@@ -42,7 +25,7 @@ func TestForModelDispatch(t *testing.T) {
 		}
 	}
 
-	// Neural (no tree structure): auto falls back to kernel, tree errors.
+	// Neural (no tree structure): auto falls back to kernel.
 	f := linearF(1, []float64{1, 2, 3, 4, 5})
 	att, err := ForModel(f, nil, nil, ModeAuto, cfg)
 	if err != nil {
@@ -50,9 +33,6 @@ func TestForModelDispatch(t *testing.T) {
 	}
 	if _, isKernel := att.(*Explainer); !isKernel {
 		t.Error("auto on a non-tree model must pick the kernel explainer")
-	}
-	if _, err := ForModel(f, nil, nil, ModeTree, cfg); err == nil {
-		t.Error("tree mode on a non-tree model must error")
 	}
 	if _, err := ForModel(f, nil, nil, "fourier", cfg); err == nil {
 		t.Error("unknown mode must error")

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -20,7 +21,9 @@ import (
 	"github.com/hpc-repro/aiio/internal/core"
 	"github.com/hpc-repro/aiio/internal/darshan"
 	"github.com/hpc-repro/aiio/internal/faults"
+	"github.com/hpc-repro/aiio/internal/features"
 	"github.com/hpc-repro/aiio/internal/linalg"
+	"github.com/hpc-repro/aiio/internal/logdb"
 	"github.com/hpc-repro/aiio/internal/mlp"
 	"github.com/hpc-repro/aiio/internal/tune"
 )
@@ -455,6 +458,53 @@ func TestUploadPersistsGenerationViaStore(t *testing.T) {
 	}
 	if got := ws.GenerationReport(); got == nil || got.Generation != 2 {
 		t.Fatalf("server generation report = %+v, want generation 2", got)
+	}
+}
+
+// TestUploadUnderNewNameKeepsBothModels uploads a valid MLP under a new
+// name beside the served one. The upload must keep the name it was given:
+// two models named after their kind would be written to one file, and the
+// generation just committed would fail its own checksum on the next load.
+func TestUploadUnderNewNameKeepsBothModels(t *testing.T) {
+	opts := core.DefaultTrainOptions()
+	opts.Fast = true
+	opts.Models = []string{core.NameLightGBM, core.NameMLP}
+	ens, _, err := core.TrainEnsemble(features.Build(logdb.Generate(logdb.GenConfig{Jobs: 300, Seed: 41})), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := core.OpenStore(t.TempDir())
+	if _, err := st.Save(ens); err != nil {
+		t.Fatal(err)
+	}
+	ws := NewServer(ens, fastOpts())
+	ws.Store = st
+	srv := httptest.NewServer(ws.Handler())
+	defer srv.Close()
+
+	var buf bytes.Buffer
+	if err := ens.Model(core.NameMLP).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Client().Post(srv.URL+"/api/v1/models?name=mlp-v2&kind=mlp", "application/octet-stream", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload = %d (%s)", resp.StatusCode, body)
+	}
+	loaded, _, err := st.Load()
+	if err != nil {
+		t.Fatalf("store load after the upload: %v", err)
+	}
+	var names []string
+	for _, m := range loaded.Models {
+		names = append(names, m.Name())
+	}
+	if len(names) != 3 || !slices.Contains(names, core.NameMLP) || !slices.Contains(names, "mlp-v2") {
+		t.Fatalf("store serves %v, want lightgbm, mlp and mlp-v2", names)
 	}
 }
 
