@@ -57,8 +57,9 @@ type BreakerConfig struct {
 	// Cooldown is how long the breaker stays open before admitting a
 	// half-open probe (DefaultBreakerCooldown when <= 0).
 	Cooldown time.Duration
-	// Now is the clock, for tests; nil means time.Now.
-	Now func() time.Time
+
+	// now is the clock, time.Now unless a test of this package sets it.
+	now func() time.Time
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -68,8 +69,8 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = DefaultBreakerCooldown
 	}
-	if c.Now == nil {
-		c.Now = time.Now
+	if c.now == nil {
+		c.now = time.Now
 	}
 	return c
 }
@@ -102,7 +103,7 @@ func (b *Breaker) Allow() bool {
 	case StateClosed:
 		return true
 	case StateOpen:
-		if b.cfg.Now().Sub(b.openedAt) < b.cfg.Cooldown {
+		if b.cfg.now().Sub(b.openedAt) < b.cfg.Cooldown {
 			return false
 		}
 		b.state = StateHalfOpen
@@ -137,7 +138,7 @@ func (b *Breaker) Failure() {
 	b.consecFails++
 	if b.state == StateHalfOpen || b.consecFails >= b.cfg.Threshold {
 		b.state = StateOpen
-		b.openedAt = b.cfg.Now()
+		b.openedAt = b.cfg.now()
 		b.probing = false
 	}
 }
@@ -157,7 +158,7 @@ func (b *Breaker) State() BreakerState {
 func (b *Breaker) Open() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.state == StateOpen && b.cfg.Now().Sub(b.openedAt) < b.cfg.Cooldown
+	return b.state == StateOpen && b.cfg.now().Sub(b.openedAt) < b.cfg.Cooldown
 }
 
 // BreakerSet holds one breaker per model name, built lazily from a

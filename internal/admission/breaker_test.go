@@ -30,7 +30,7 @@ func (c *fakeClock) advance(d time.Duration) {
 
 func testBreaker(threshold int, cooldown time.Duration) (*Breaker, *fakeClock) {
 	clk := newFakeClock()
-	return NewBreaker(BreakerConfig{Threshold: threshold, Cooldown: cooldown, Now: clk.now}), clk
+	return NewBreaker(BreakerConfig{Threshold: threshold, Cooldown: cooldown, now: clk.now}), clk
 }
 
 func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
@@ -119,7 +119,7 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 
 func TestBreakerSetAllOpenAndStates(t *testing.T) {
 	clk := newFakeClock()
-	s := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Minute, Now: clk.now})
+	s := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Minute, now: clk.now})
 	if s.AllOpen([]string{"m1", "m2"}) {
 		t.Fatal("AllOpen true for fresh (closed) breakers")
 	}

@@ -16,11 +16,10 @@ import (
 
 // HDBSCANConfig mirrors the common library parameters.
 type HDBSCANConfig struct {
-	// MinClusterSize is the smallest cluster the condensed tree keeps.
+	// MinClusterSize is the smallest cluster the condensed tree keeps. It
+	// is also the k used for core distances: the library's min_samples
+	// default.
 	MinClusterSize int
-	// MinSamples is the k used for core distances; defaults to
-	// MinClusterSize when zero.
-	MinSamples int
 }
 
 // Noise is the label of points not assigned to any cluster.
@@ -34,9 +33,6 @@ func HDBSCAN(x *linalg.Matrix, cfg HDBSCANConfig) []int {
 	if cfg.MinClusterSize < 2 {
 		cfg.MinClusterSize = 2
 	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = cfg.MinClusterSize
-	}
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = Noise
@@ -49,7 +45,7 @@ func HDBSCAN(x *linalg.Matrix, cfg HDBSCANConfig) []int {
 	}
 
 	dist := pairwiseDistances(x)
-	core := coreDistances(dist, n, cfg.MinSamples)
+	core := coreDistances(dist, n, cfg.MinClusterSize)
 	edges := mstEdges(dist, core, n)
 	sort.Slice(edges, func(i, j int) bool { return edges[i].w < edges[j].w })
 
@@ -131,7 +127,7 @@ func pairwiseDistances(x *linalg.Matrix) []float64 {
 	return d
 }
 
-// coreDistances returns each point's distance to its MinSamples-th nearest
+// coreDistances returns each point's distance to its k-th nearest
 // neighbour.
 func coreDistances(dist []float64, n, k int) []float64 {
 	if k >= n {

@@ -181,7 +181,7 @@ func gbdtFitter(variant gbdt.Variant) func(TrainOptions, *features.Frame, *featu
 
 func mlpFitter(opts TrainOptions, train, eval *features.Frame) fitter {
 	cfg := mlp.DefaultConfig()
-	cfg.Seed, cfg.ReferenceKernels = opts.Seed, opts.ReferenceKernels
+	cfg.Seed = opts.Seed
 	if opts.Fast {
 		cfg.Hidden = []int{45, 24, 12}
 	}
@@ -208,7 +208,7 @@ func mlpFitter(opts TrainOptions, train, eval *features.Frame) fitter {
 
 func tabnetFitter(opts TrainOptions, train, eval *features.Frame) fitter {
 	cfg := tabnet.DefaultConfig()
-	cfg.Seed, cfg.ReferenceKernels = opts.Seed, opts.ReferenceKernels
+	cfg.Seed = opts.Seed
 	return fitter{
 		budget: opts.epochs(),
 		gate: func(prev Model) (bool, string) {

@@ -114,3 +114,21 @@ func TestSaveRefusesRepeatedName(t *testing.T) {
 		t.Fatalf("store directory after the refused save: %v, %v", entries, err)
 	}
 }
+
+// TestSaveRefusesPathInModelName: a model's name becomes its file name in
+// the generation directory, so a name that is not a plain file name is
+// refused before anything is written.
+func TestSaveRefusesPathInModelName(t *testing.T) {
+	_, ens, _ := fixture(t)
+	inner := ens.Model(NameXGBoost).(*model)
+	for _, name := range []string{"../../evil", "..", ".", "a/b", `a\b`, ""} {
+		dir := t.TempDir()
+		hostile := &model{inner.predictor, name, inner.kind}
+		if _, err := OpenStore(dir).Save(&Ensemble{Models: []Model{hostile}}); err == nil {
+			t.Fatalf("a model named %q was saved", name)
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+			t.Fatalf("store directory after refusing %q: %v, %v", name, entries, err)
+		}
+	}
+}

@@ -180,9 +180,9 @@ func RunIncremental(ctx context.Context, jl JobBacklog, store *Store, opts Incre
 	// generation so the reduced budget only has to absorb the new window.
 	// A store with no loadable generation (first run, or every generation
 	// corrupt) degrades to a cold start rather than failing the cycle.
-	if opts.Train.WarmStart && opts.Train.WarmFrom == nil && store != nil {
+	if opts.Train.WarmStart && opts.Train.warmFrom == nil && store != nil {
 		if prev, _, err := store.Load(); err == nil {
-			opts.Train.WarmFrom = prev
+			opts.Train.warmFrom = prev
 		}
 	}
 

@@ -248,6 +248,9 @@ func (s *Store) Save(e *Ensemble) (uint64, error) { return s.SaveDetailed(e, nil
 func (s *Store) SaveDetailed(e *Ensemble, extra *GenerationExtra) (uint64, error) {
 	names := make([]string, 0, len(e.Models))
 	for _, m := range e.Models {
+		if err := CheckModelName(m.Name()); err != nil {
+			return 0, err
+		}
 		if slices.Contains(names, m.Name()) {
 			return 0, fmt.Errorf("core: two models named %q", m.Name())
 		}
@@ -279,6 +282,23 @@ func (s *Store) SaveDetailed(e *Ensemble, extra *GenerationExtra) (uint64, error
 		}
 		return nil
 	})
+}
+
+// CheckModelName refuses a model name that is not a plain file name. The
+// registry stores a model as <name>.gob in its generation's directory, so
+// an empty name, "." or "..", or a name holding a path separator would put
+// the file somewhere else.
+func CheckModelName(name string) error {
+	if !plainFileName(name) {
+		return fmt.Errorf("core: model name %q is not a plain file name", name)
+	}
+	return nil
+}
+
+// plainFileName reports whether name names a file in a directory rather
+// than a path out of it.
+func plainFileName(name string) bool {
+	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, `/\`)
 }
 
 // commit is the one write path of Save and ImportGeneration. Under saveMu
@@ -591,7 +611,7 @@ func (s *Store) Reference(gen uint64) ([]byte, error) {
 	if man.ReferenceFile == "" {
 		return nil, nil
 	}
-	if strings.ContainsAny(man.ReferenceFile, "/\\") {
+	if !plainFileName(man.ReferenceFile) {
 		return nil, fmt.Errorf("core: generation %d: hostile reference file name %q", gen, man.ReferenceFile)
 	}
 	data, err := os.ReadFile(filepath.Join(s.dir, generationsDir, genDirName(gen), man.ReferenceFile))
@@ -680,7 +700,7 @@ func (s *Store) ImportGeneration(man *GenerationManifest, fetch func(file string
 // fetchVerified streams one replicated model file into dir, fsyncs it, and
 // fails on any checksum mismatch against the manifest entry.
 func fetchVerified(dir string, entry ManifestEntry, fetch func(file string) (io.ReadCloser, error)) error {
-	if entry.File == "" || strings.ContainsAny(entry.File, "/\\") || entry.File == "." || entry.File == ".." {
+	if !plainFileName(entry.File) {
 		return fmt.Errorf("core: import: model %s has hostile file name %q", entry.Name, entry.File)
 	}
 	src, err := fetch(entry.File)

@@ -40,28 +40,25 @@ type TrainOptions struct {
 	Seed int64
 	// Fast shrinks the budgets (rounds/epochs) for tests and examples.
 	Fast bool
-	// GBDTRounds / NNEpochs override the budgets when > 0.
-	GBDTRounds int
-	NNEpochs   int
-	// ReferenceKernels routes the net families' training through the
-	// original per-row scalar loops instead of the vectorized kernel path
-	// (the equivalence mode mirroring gbdt's DisableHistSubtraction) — for
-	// parity tests and as the before-side baseline in training benchmarks.
-	ReferenceKernels bool
-	// WarmStart seeds each model from its counterpart in WarmFrom (the
-	// previous generation) on a WarmBudgetFrac-scaled budget, per family:
-	// gbdt continues boosting from the prior trees, mlp/tabnet start from
-	// the prior tensors. A model whose family-level CanWarmStart gate
-	// rejects the seed (schema change, architecture change, input or
-	// bin-edge drift) falls back to a full-budget cold fit; the per-model
-	// report records the decision.
+	// WarmStart seeds each model from its counterpart in the previous
+	// generation (RunIncremental loads it from the store) on a
+	// WarmBudgetFrac-scaled budget, per family: gbdt continues boosting
+	// from the prior trees, mlp/tabnet start from the prior tensors. A
+	// model whose family-level CanWarmStart gate rejects the seed (schema
+	// change, architecture change, input or bin-edge drift) falls back to
+	// a full-budget cold fit; the per-model report records the decision.
 	WarmStart bool
-	// WarmFrom is the previous ensemble to warm from; nil disables warm
-	// starting even when WarmStart is set.
-	WarmFrom *Ensemble
 	// WarmBudgetFrac scales the rounds/epochs budget of warm-started
 	// models; <= 0 means DefaultWarmBudgetFrac.
 	WarmBudgetFrac float64
+
+	// warmFrom is the previous ensemble to warm from; nil disables warm
+	// starting even when WarmStart is set.
+	warmFrom *Ensemble
+	// gbdtRounds and nnEpochs override the cold budgets when > 0: a
+	// benchmark's full-topology fit on a cut budget, which Fast cannot
+	// give because it also shrinks the MLP.
+	gbdtRounds, nnEpochs int
 }
 
 // DefaultWarmBudgetFrac is the fraction of the cold budget a warm-started
@@ -172,10 +169,10 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 	// prior returns the previous generation's model of this name when warm
 	// starting is requested, plus the fallback reason when there is none.
 	prior := func(name string) (Model, string) {
-		if !opts.WarmStart || opts.WarmFrom == nil {
+		if !opts.WarmStart || opts.warmFrom == nil {
 			return nil, ""
 		}
-		pm := opts.WarmFrom.Model(name)
+		pm := opts.warmFrom.Model(name)
 		if pm == nil {
 			return nil, "no previous model of this name"
 		}
@@ -242,8 +239,8 @@ func startOrder(names []string) []int {
 }
 
 // rounds and epochs are the cold budgets of the tree and network families.
-func (o TrainOptions) rounds() int { return coldBudget(o.GBDTRounds, o.Fast, 60, 300) }
-func (o TrainOptions) epochs() int { return coldBudget(o.NNEpochs, o.Fast, 30, 200) }
+func (o TrainOptions) rounds() int { return coldBudget(o.gbdtRounds, o.Fast, 60, 300) }
+func (o TrainOptions) epochs() int { return coldBudget(o.nnEpochs, o.Fast, 30, 200) }
 
 // coldBudget is override when it is set, else the Fast or the full default.
 func coldBudget(override int, fast bool, fastDefault, fullDefault int) int {

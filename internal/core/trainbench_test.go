@@ -16,19 +16,19 @@ import (
 )
 
 // Training-path benchmarks behind BENCH_training.json: the per-family cold
-// fit (with the pre-kernelization reference path as the baseline subbench
-// for the net families) and the full incremental retrain cycle cold vs
-// warm. Early stopping is disabled so every iteration does identical work
-// and allocs/op is a steady-state number, not an early-exit artifact.
+// fit and the full incremental retrain cycle cold vs warm. The net
+// families' pre-kernelization reference paths are benchmarked beside their
+// kernel paths in the mlp and tabnet packages. Early stopping is disabled
+// so every iteration does identical work and allocs/op is a steady-state
+// number, not an early-exit artifact.
 
 // BenchmarkTrainPerFamily measures one cold fit per model family on the
 // 900-job fixture frame: the trees at the Fast round budget, the nets at
 // their full cold topology (the paper's 6-layer MLP, default TabNet) with
 // the epoch budget cut so an iteration stays CI-sized — per-epoch cost is
-// what the kernels change, so the ratio is budget-independent. The
-// mlp/reference and tabnet/reference subbenches run the same fit through
-// Config.ReferenceKernels — the original per-row scalar loops — so the
-// kernel-path speedup is one benchstat comparison away.
+// what the kernels change, so the ratio is budget-independent. The mlp
+// and tabnet packages' BenchmarkTrainPerFamily run the same two fits beside
+// their reference paths.
 func BenchmarkTrainPerFamily(b *testing.B) {
 	frame, _, _ := fixture(b)
 	train, eval := frame.Split(1, 0.75)
@@ -52,52 +52,30 @@ func BenchmarkTrainPerFamily(b *testing.B) {
 			}
 		})
 	}
-	mlpCfg := func(ref bool) mlp.Config {
+	b.Run("mlp", func(b *testing.B) {
 		cfg := mlp.DefaultConfig()
 		cfg.Epochs = 15
 		cfg.EarlyStoppingRounds = 0
-		cfg.ReferenceKernels = ref
-		return cfg
-	}
-	for _, ref := range []bool{false, true} {
-		name := "mlp"
-		if ref {
-			name = "mlp-reference"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := mlpCfg(ref)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := mlp.Train(cfg, train.X, train.Y, eval.X, eval.Y); err != nil {
-					b.Fatal(err)
-				}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := mlp.Train(cfg, train.X, train.Y, eval.X, eval.Y); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
-	tabCfg := func(ref bool) tabnet.Config {
+		}
+	})
+	b.Run("tabnet", func(b *testing.B) {
 		cfg := tabnet.DefaultConfig()
 		cfg.Epochs = 10
 		cfg.EarlyStoppingRounds = 0
-		cfg.ReferenceKernels = ref
-		return cfg
-	}
-	for _, ref := range []bool{false, true} {
-		name := "tabnet"
-		if ref {
-			name = "tabnet-reference"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := tabCfg(ref)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tabnet.TrainSeeded(cfg, train.X, train.Y, eval.X, eval.Y, nil); err != nil {
-					b.Fatal(err)
-				}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := tabnet.TrainSeeded(cfg, train.X, train.Y, eval.X, eval.Y, nil); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // copyTree recursively copies the directory tree at src into dst (which
@@ -165,10 +143,8 @@ func benchFill(b *testing.B, jl *joblog.Store, lo, hi int) {
 
 // BenchmarkRunIncremental measures one full retrain cycle — drain the
 // backlog, blend the window, train, validate, commit a generation — on a
-// gbdt+mlp ensemble in three modes: cold-reference (scalar training loops,
-// no warm start — the pre-kernelization baseline), cold (kernelized), and
-// warm (kernelized + seeded from the previous generation on the reduced
-// budget). A priming cycle incorporates the first 300 jobs and commits the
+// gbdt+mlp ensemble in two modes: cold, and warm (seeded from the previous
+// generation on the reduced budget). A priming cycle incorporates the first 300 jobs and commits the
 // generation the warm mode seeds from; the resulting joblog and model store
 // are snapshotted, and every measured iteration restores both (outside the
 // timer) before ingesting the same fresh 300-job backlog. Each iteration
@@ -177,7 +153,7 @@ func benchFill(b *testing.B, jl *joblog.Store, lo, hi int) {
 // window reservoir's full-log scan grows with total ingested history, so
 // ns/op would scale with b.N instead of measuring the retrain cost.
 func BenchmarkRunIncremental(b *testing.B) {
-	for _, mode := range []string{"cold-reference", "cold", "warm"} {
+	for _, mode := range []string{"cold", "warm"} {
 		b.Run(mode, func(b *testing.B) {
 			warm := mode == "warm"
 			logDir := b.TempDir()
@@ -194,12 +170,11 @@ func BenchmarkRunIncremental(b *testing.B) {
 				MiniBatch: 64,
 				Window:    300,
 				Train: TrainOptions{
-					Models:           []string{NameXGBoost, NameMLP},
-					GBDTRounds:       60,
-					NNEpochs:         30,
-					Seed:             1,
-					WarmStart:        warm,
-					ReferenceKernels: mode == "cold-reference",
+					Models:     []string{NameXGBoost, NameMLP},
+					gbdtRounds: 60,
+					nnEpochs:   30,
+					Seed:       1,
+					WarmStart:  warm,
 				},
 			}
 			benchFill(b, jl, 0, 300)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"github.com/hpc-repro/aiio/internal/features"
@@ -24,7 +23,7 @@ func TestEnsembleWarmStartHoldsQualityOnReducedBudget(t *testing.T) {
 	opts := DefaultTrainOptions()
 	opts.Fast = true
 	opts.WarmStart = true
-	opts.WarmFrom = prev
+	opts.warmFrom = prev
 	_, warmReport, err := TrainEnsemble(frame, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +67,7 @@ func TestTrainReportEpochsAndSeedKept(t *testing.T) {
 	opts := DefaultTrainOptions()
 	opts.Fast = true
 	opts.WarmStart = true
-	opts.WarmFrom = prev
+	opts.warmFrom = prev
 	warm, report, err := TrainEnsemble(features.Build(logdb.Generate(logdb.GenConfig{Jobs: 900, Seed: 23})), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +107,7 @@ func TestEnsembleWarmStartDriftFallsBackCold(t *testing.T) {
 	opts := DefaultTrainOptions()
 	opts.Fast = true
 	opts.WarmStart = true
-	opts.WarmFrom = prev
+	opts.warmFrom = prev
 	opts.Models = []string{NameXGBoost, NameMLP, NameTabNet}
 	_, report, err := TrainEnsemble(shifted, opts)
 	if err != nil {
@@ -159,69 +158,4 @@ func TestRunIncrementalWarmStartsFromStore(t *testing.T) {
 		t.Errorf("second cycle did not warm start from generation %d (fallback: %q)",
 			rep1.Generation, rep2.Train.Models[0].WarmFallback)
 	}
-}
-
-// diagParityTol is the end-to-end tolerance between ensembles trained by
-// the kernelized and reference training paths: the training-time parity
-// (1e-6 on predictions, see the per-family train_parity tests) composes
-// with SHAP's masked re-evaluations, so merged diagnosis outputs are
-// compared at 1e-4 relative.
-const diagParityTol = 1e-4
-
-// TestDiagnoseParityReferenceKernels is the end-to-end guard: two ensembles
-// trained identically except for Config.ReferenceKernels must produce the
-// same diagnosis (predictions and per-counter contributions) for the same
-// job, within diagParityTol.
-func TestDiagnoseParityReferenceKernels(t *testing.T) {
-	frame, _, _ := fixture(t)
-	train, eval := frame.Split(1, 0.5)
-
-	mk := func(ref bool) *Ensemble {
-		mcfg := mlp.DefaultConfig()
-		mcfg.Hidden = []int{45, 24, 12}
-		mcfg.Epochs = 8
-		mcfg.EarlyStoppingRounds = 0
-		mcfg.Seed = 1
-		mcfg.ReferenceKernels = ref
-		mm, err := mlp.Train(mcfg, train.X, train.Y, eval.X, eval.Y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tcfg := tabnet.DefaultConfig()
-		tcfg.Epochs = 5
-		tcfg.EarlyStoppingRounds = 0
-		tcfg.Seed = 1
-		tcfg.ReferenceKernels = ref
-		tm, err := tabnet.TrainSeeded(tcfg, train.X, train.Y, eval.X, eval.Y, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &Ensemble{Models: []Model{&model{mm, NameMLP, kindMLP}, &model{tm, NameTabNet, kindTabNet}}}
-	}
-	fast, ref := mk(false), mk(true)
-
-	rec := slowJob(t)
-	df, err := fast.Diagnose(rec, fastDiagOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dr, err := ref.Diagnose(rec, fastDiagOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	close := func(what string, a, b float64) {
-		t.Helper()
-		if math.Abs(a-b) > diagParityTol*math.Max(1, math.Abs(b)) {
-			t.Errorf("%s diverged: fast=%v ref=%v", what, a, b)
-		}
-	}
-	for i := range dr.PerModel {
-		pf, pr := df.PerModel[i], dr.PerModel[i]
-		close(pr.Name+" prediction", pf.Predicted, pr.Predicted)
-		for j := range pr.Contributions {
-			close(pr.Name+" contribution", pf.Contributions[j], pr.Contributions[j])
-		}
-	}
-	close("closest prediction", df.Closest.Predicted, dr.Closest.Predicted)
-	close("average prediction", df.Average.Predicted, dr.Average.Predicted)
 }

@@ -26,18 +26,16 @@ type GateConfig struct {
 	// 0.10: retrains on fresh-but-similar data jitter a few percent, and
 	// blocking those forever would freeze the fleet on a stale model).
 	Tolerance float64
-	// MinHoldout is the smallest holdout the verdict is trusted on
-	// (default 20). A smaller slice waives the gate — availability over
-	// strictness; the post-promotion watch still guards the promotion.
-	MinHoldout int
 }
+
+// minHoldout is the smallest holdout the verdict is trusted on. A smaller
+// slice waives the gate — availability over strictness; the post-promotion
+// watch still guards the promotion.
+const minHoldout = 20
 
 func (c GateConfig) withDefaults() GateConfig {
 	if c.Tolerance == 0 {
 		c.Tolerance = 0.10
-	}
-	if c.MinHoldout == 0 {
-		c.MinHoldout = 20
 	}
 	return c
 }
@@ -59,10 +57,10 @@ func Gate(cfg GateConfig, serving func() *core.Ensemble) func(cand *core.Ensembl
 			v.Reason = "no serving ensemble to beat; gate waived"
 			return v, nil
 		}
-		if len(holdout) < cfg.MinHoldout {
+		if len(holdout) < minHoldout {
 			v.Passed = true
 			v.Reason = fmt.Sprintf("holdout %d below minimum %d; gate waived (post-promotion watch still guards)",
-				len(holdout), cfg.MinHoldout)
+				len(holdout), minHoldout)
 			return v, nil
 		}
 		v.CandidateRMSE = EvalRMSE(cand, holdout)

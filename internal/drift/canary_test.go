@@ -40,7 +40,7 @@ func TestGateWaivedWithoutIncumbent(t *testing.T) {
 
 func TestGateWaivedOnSmallHoldout(t *testing.T) {
 	serving := constEnsemble(features.Transform(50))
-	gate := drift.Gate(drift.GateConfig{MinHoldout: 20}, func() *core.Ensemble { return serving })
+	gate := drift.Gate(drift.GateConfig{}, func() *core.Ensemble { return serving })
 	// A terrible candidate still passes on 5 held-out jobs: too few to judge.
 	v, err := gate(constEnsemble(99), flatJobs(5, 50))
 	if err != nil || !v.Passed {

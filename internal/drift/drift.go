@@ -126,20 +126,16 @@ type Config struct {
 	// keeps the current and previous buckets, so PSI always reflects the
 	// most recent Window..2×Window jobs and old traffic ages out.
 	Window int
-	// ErrorWindow is the rolling prediction-error ring size (default 256).
-	ErrorWindow int
 	// ErrorRatio is the rolling-RMSE / baseline-RMSE ratio at which
 	// prediction error counts as drifted (default 1.5; negative disables).
 	ErrorRatio float64
 	// MinErrors is how many labeled predictions the ring must hold before
 	// the error ratio is trusted (default 50).
 	MinErrors int
-	// SelfArm: a monitor with no persisted reference (legacy generation,
-	// first boot) freezes its own first SelfArm observations as the
-	// reference instead of staying blind forever (default 2×MinSamples;
-	// negative disables).
-	SelfArm int
 }
+
+// errorWindow is the rolling prediction-error ring size.
+const errorWindow = 256
 
 func (c Config) withDefaults() Config {
 	if c.PSIThreshold == 0 {
@@ -151,17 +147,11 @@ func (c Config) withDefaults() Config {
 	if c.Window == 0 {
 		c.Window = 2000
 	}
-	if c.ErrorWindow == 0 {
-		c.ErrorWindow = 256
-	}
 	if c.ErrorRatio == 0 {
 		c.ErrorRatio = 1.5
 	}
 	if c.MinErrors == 0 {
 		c.MinErrors = 50
-	}
-	if c.SelfArm == 0 {
-		c.SelfArm = 2 * c.MinSamples
 	}
 	return c
 }
@@ -191,7 +181,7 @@ type Monitor struct {
 // armed yet.
 func New(cfg Config) *Monitor {
 	c := cfg.withDefaults()
-	return &Monitor{cfg: c, errs: make([]float64, c.ErrorWindow)}
+	return &Monitor{cfg: c, errs: make([]float64, errorWindow)}
 }
 
 // SetReference arms (or re-arms) the monitor against a snapshot and resets
@@ -227,10 +217,11 @@ func (m *Monitor) Observe(rec *darshan.Record) {
 		m.cur[j][bucket(v)]++
 	}
 	m.curN++
-	// Self-arm: with no persisted reference, freeze the first SelfArm jobs
-	// as the baseline so drift relative to "what this deployment first
-	// saw" is still detectable.
-	if !m.armed && m.cfg.SelfArm > 0 && m.curN >= m.cfg.SelfArm {
+	// Self-arm: with no persisted reference (legacy generation, first
+	// boot), freeze the first 2×MinSamples jobs as the baseline so drift
+	// relative to "what this deployment first saw" is still detectable
+	// instead of the monitor staying blind forever.
+	if selfArm := 2 * m.cfg.MinSamples; !m.armed && selfArm > 0 && m.curN >= selfArm {
 		ref := &Reference{Jobs: m.curN}
 		ref.Counters = m.cur
 		m.ref = ref

@@ -121,7 +121,7 @@ func TestErrorTrackerIgnoresNonFinite(t *testing.T) {
 }
 
 func TestSelfArmThenTrip(t *testing.T) {
-	m := drift.New(drift.Config{MinSamples: 50, SelfArm: 100})
+	m := drift.New(drift.Config{MinSamples: 50})
 	normal := jobs(t, 100, 1)
 	for _, rec := range normal {
 		m.Observe(rec)
@@ -194,7 +194,7 @@ func TestReferenceRoundTrip(t *testing.T) {
 }
 
 func TestMonitorConcurrentUse(t *testing.T) {
-	m := drift.New(drift.Config{MinSamples: 50, Window: 100, SelfArm: 60})
+	m := drift.New(drift.Config{MinSamples: 50, Window: 100})
 	recs := jobs(t, 200, 1)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

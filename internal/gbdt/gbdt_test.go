@@ -410,6 +410,14 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
+// buildWithoutSubtraction grows the round's tree with every child
+// histogram built from its samples: the ablation of the parent-minus-sibling
+// trick (LightGBM/XGBoost's key histogram optimization).
+func buildWithoutSubtraction(tr *trainer, m *Model) *Tree {
+	tr.noSubtract = true
+	return tr.buildTree(m)
+}
+
 func TestHistSubtractionEquivalence(t *testing.T) {
 	// The parent-minus-sibling histogram trick must not change what the
 	// trees learn (up to float rounding in tie-breaks): eval RMSE with and
@@ -426,8 +434,7 @@ func TestHistSubtractionEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.DisableHistSubtraction = true
-		slow, err := Train(cfg, xTr, yTr, xEv, yEv)
+		slow, err := train(cfg, xTr, yTr, xEv, yEv, nil, nil, buildWithoutSubtraction)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,12 +67,7 @@ type Config struct {
 	// EarlyStoppingRounds stops training when the eval RMSE has not
 	// improved for this many rounds (the paper uses 10). Zero disables.
 	EarlyStoppingRounds int
-	// DisableHistSubtraction turns off the parent−sibling histogram trick
-	// (LightGBM/XGBoost's key histogram optimization) and rebuilds every
-	// node's histogram from its samples. Exists for the equivalence test
-	// and the ablation benchmark; results are identical either way.
-	DisableHistSubtraction bool
-	Seed                   int64
+	Seed                int64
 }
 
 // DefaultConfig returns library-default-like hyperparameters for a variant.
@@ -192,6 +187,10 @@ type trainer struct {
 	// levelGain is buildOblivious's per-(slot, bin) candidate total,
 	// reused across levels and trees.
 	levelGain []float64
+	// noSubtract makes childHists build both children from their samples:
+	// the ablation of the histogram-subtraction trick, which a test's
+	// builder sets before it grows a tree (see train's build).
+	noSubtract bool
 }
 
 // Train fits a boosted ensemble on x/y. evalX/evalY form the held-out set
@@ -571,11 +570,11 @@ func subtractHist(dst, parent, sibling *histogram) {
 
 // childHists produces the two child histograms of a split at mid, building
 // the smaller side directly and deriving the larger by subtraction (unless
-// disabled, in which case both are built directly).
+// noSubtract is set, in which case both are built directly).
 func (tr *trainer) childHists(parent *histogram, lo, mid, hi int) (left, right *histogram) {
 	left = tr.newHistogram()
 	right = tr.newHistogram()
-	if tr.cfg.DisableHistSubtraction || parent == nil {
+	if tr.noSubtract || parent == nil {
 		tr.buildHist(left, lo, mid)
 		tr.buildHist(right, mid, hi)
 		return left, right

@@ -26,12 +26,12 @@ import (
 //
 //  1. the active segment is sealed, so the input set is immutable
 //  2. frames are streamed off the sealed segments and collected into
-//     chunks of at most ChunkRecords, each sorted by (job hash, seq) and
+//     chunks of at most chunkRecords, each sorted by (job hash, seq) and
 //     written to a temp run file — memory never holds more than one chunk
 //  3. the runs are merged through a min-heap; the first frame per job
 //     hash (the lowest sequence number — the original append, not a
 //     replay) survives, later ones are dropped
-//  4. merged frames stream into fresh segments (rotated at SegmentBytes,
+//  4. merged frames stream into fresh segments (rotated at segmentBytes,
 //     fsynced, renamed from temp), the manifest flips atomically to list
 //     exactly the new set, and only then are the old segments deleted
 //
@@ -42,8 +42,9 @@ import (
 // before cleanup leaves superseded old segments the next Open removes.
 // In every window the set of unique records is preserved exactly.
 
-// DefaultChunkRecords bounds a compaction chunk when Options.ChunkRecords
-// is zero: ~64k records ≈ 30 MiB of payload, regardless of store size.
+// DefaultChunkRecords bounds a compaction chunk unless a test's Options
+// sets chunkRecords: ~64k records ≈ 30 MiB of payload, regardless of store
+// size.
 const DefaultChunkRecords = 64 << 10
 
 // CompactStats reports one compaction.
@@ -85,7 +86,7 @@ func (s *Store) Compact() (*CompactStats, error) {
 	if len(s.man.Sealed) == 0 {
 		return stats, nil
 	}
-	chunkMax := s.opts.ChunkRecords
+	chunkMax := s.opts.chunkRecords
 	if chunkMax <= 0 {
 		chunkMax = DefaultChunkRecords
 	}
@@ -306,7 +307,7 @@ func (cw *compactWriter) write(frame []byte) error {
 	}
 	cw.bytes += int64(len(frame))
 	cw.frames++
-	if cw.bytes >= cw.s.opts.SegmentBytes {
+	if cw.bytes >= cw.s.opts.segmentBytes {
 		return cw.seal()
 	}
 	return nil

@@ -19,7 +19,7 @@ import (
 // verifyExactlyOnce reopens dir and checks the acked set against a scan.
 func verifyExactlyOnce(t *testing.T, dir string, acked map[int64]bool, label string) *Store {
 	t.Helper()
-	s, err := Open(dir, Options{SegmentBytes: 1024})
+	s, err := Open(dir, Options{segmentBytes: 1024})
 	if err != nil {
 		t.Fatalf("%s: reopen after crash: %v", label, err)
 	}
@@ -51,7 +51,7 @@ func TestCrashSweepAppendRotate(t *testing.T) {
 		// Tiny segments force rotations mid-sweep, so the crash point
 		// walks through seal-sync and seal-manifest as well as the
 		// append/sync steps.
-		s, err := Open(dir, Options{SegmentBytes: 1024})
+		s, err := Open(dir, Options{segmentBytes: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestCrashSweepAckedRetryIdempotent(t *testing.T) {
 	const jobs = 25
 	for n := 0; ; n++ {
 		dir := t.TempDir()
-		s, err := Open(dir, Options{SegmentBytes: 1024})
+		s, err := Open(dir, Options{segmentBytes: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestCrashSweepAckedRetryIdempotent(t *testing.T) {
 			}
 		}
 		// Retry: reopen and re-send everything.
-		re, err := Open(dir, Options{SegmentBytes: 1024})
+		re, err := Open(dir, Options{segmentBytes: 1024})
 		if err != nil {
 			t.Fatalf("n=%d: reopen: %v", n, err)
 		}
@@ -152,7 +152,7 @@ func TestCrashSweepCompact(t *testing.T) {
 	const jobs = 40
 	for n := 0; ; n++ {
 		dir := t.TempDir()
-		s, err := Open(dir, Options{SegmentBytes: 1024, ChunkRecords: 8})
+		s, err := Open(dir, Options{segmentBytes: 1024, chunkRecords: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestCrashSweepCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 		appendRawDuplicate(t, dir, 500, testRecord(1), 90)
-		s, err = Open(dir, Options{SegmentBytes: 1024, ChunkRecords: 8})
+		s, err = Open(dir, Options{segmentBytes: 1024, chunkRecords: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

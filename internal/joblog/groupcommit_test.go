@@ -67,7 +67,7 @@ func TestConcurrentAppendSyncExactlyOnce(t *testing.T) {
 	const writers, perWriter = 8, 25
 	dir := t.TempDir()
 	// Tiny segments so rotations interleave with in-flight group commits.
-	s := mustOpen(t, dir, Options{SegmentBytes: 2048})
+	s := mustOpen(t, dir, Options{segmentBytes: 2048})
 
 	var mu sync.Mutex
 	acked := make(map[int64]bool)
@@ -132,7 +132,7 @@ func TestGroupCommitAckAfterFsyncCrash(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				rec := testRecord(w*perWriter + i)
 				if _, err := s.Append(rec); err != nil {
-					// Append can also trip the hook via SyncEvery/seal paths;
+					// Append can also trip the hook via syncEvery/seal paths;
 					// an un-acked record is simply not in the acked set.
 					failed.Add(1)
 					continue

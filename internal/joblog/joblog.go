@@ -62,8 +62,8 @@ const (
 	segmentExt    = ".wal"
 	tmpPrefix     = durable.TmpPrefix
 
-	// DefaultSegmentBytes is the rotation threshold when Options.SegmentBytes
-	// is zero.
+	// DefaultSegmentBytes is the rotation threshold unless a test's Options
+	// sets segmentBytes.
 	DefaultSegmentBytes = 8 << 20
 )
 
@@ -99,19 +99,21 @@ type manifest struct {
 	LastCompactionUnix int64         `json:"last_compaction_unix,omitempty"`
 }
 
-// Options tunes a store. The zero value is production-ready.
+// Options tunes a store. The zero value is what every binary opens with;
+// the fields are unexported because only this package's tests (small
+// segments, tiny compaction chunks, per-append syncs) set them.
 type Options struct {
-	// SegmentBytes is the size at which the active segment is sealed and a
+	// segmentBytes is the size at which the active segment is sealed and a
 	// new one opened (DefaultSegmentBytes when 0). Sealing fsyncs the
 	// segment and commits it — with its SHA-256 — to the manifest.
-	SegmentBytes int64
-	// SyncEvery, when > 0, fsyncs the active segment automatically after
+	segmentBytes int64
+	// syncEvery, when > 0, fsyncs the active segment automatically after
 	// every N appends. Regardless of its value, Sync must be called before
 	// acknowledging a batch: only synced records are durable.
-	SyncEvery int
-	// ChunkRecords bounds how many records a compaction sorts in memory at
+	syncEvery int
+	// chunkRecords bounds how many records a compaction sorts in memory at
 	// once (DefaultChunkRecords when 0).
-	ChunkRecords int
+	chunkRecords int
 }
 
 // RecoveryReport says what Open had to repair.
@@ -186,8 +188,8 @@ type Store struct {
 // manifest checksums, torn tails are truncated, corrupt records are
 // quarantined, and the dedup index is rebuilt.
 func Open(dir string, opts Options) (*Store, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = DefaultSegmentBytes
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = DefaultSegmentBytes
 	}
 	s := &Store{
 		dir:     dir,
@@ -564,7 +566,7 @@ func (s *Store) QuarantineNote(reason string) error {
 }
 
 // Append stages one record in the active segment. The record is NOT
-// durable until Sync returns (or the SyncEvery policy fires); callers must
+// durable until Sync returns (or the syncEvery policy fires); callers must
 // not acknowledge it before then. Appending a job whose hash is already
 // present is a no-op reported as Duplicate — retries are idempotent. The
 // hash is a 128-bit truncated SHA-256 (see hashKey in codec.go), so two
@@ -596,12 +598,12 @@ func (s *Store) Append(rec *darshan.Record) (AppendResult, error) {
 	s.activeBytes += int64(len(frame))
 	s.appendSeq++
 	res := AppendResult{Seq: seq}
-	if s.opts.SyncEvery > 0 && s.appendSeq-s.durableSeq >= uint64(s.opts.SyncEvery) {
+	if s.opts.syncEvery > 0 && s.appendSeq-s.durableSeq >= uint64(s.opts.syncEvery) {
 		if err := s.syncLocked(); err != nil {
 			return res, err
 		}
 	}
-	if s.activeBytes >= s.opts.SegmentBytes {
+	if s.activeBytes >= s.opts.segmentBytes {
 		if err := s.sealLocked(); err != nil {
 			return res, err
 		}

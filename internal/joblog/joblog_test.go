@@ -124,7 +124,7 @@ func TestDuplicateAppendsAreIdempotent(t *testing.T) {
 
 func TestRotationSealsSegments(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{SegmentBytes: 2048})
+	s := mustOpen(t, dir, Options{segmentBytes: 2048})
 	const n = 60
 	for i := 0; i < n; i++ {
 		if _, err := s.Append(testRecord(i)); err != nil {
@@ -141,7 +141,7 @@ func TestRotationSealsSegments(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := mustOpen(t, dir, Options{SegmentBytes: 2048})
+	s2 := mustOpen(t, dir, Options{segmentBytes: 2048})
 	counts, recs := collect(t, s2)
 	if len(recs) != n || len(counts) != n {
 		t.Fatalf("after reopen: %d records (%d unique), want %d", len(recs), len(counts), n)
@@ -258,7 +258,7 @@ func TestPhysicalDuplicatesMaskedThenCompacted(t *testing.T) {
 
 func TestCompactionBoundedChunksManyRuns(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{SegmentBytes: 4096, ChunkRecords: 16})
+	s := mustOpen(t, dir, Options{segmentBytes: 4096, chunkRecords: 16})
 	const n = 150
 	for i := 0; i < n; i++ {
 		if _, err := s.Append(testRecord(i)); err != nil {
@@ -314,13 +314,13 @@ func TestQuarantineRecordPersists(t *testing.T) {
 
 func TestSyncEveryPolicy(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{SyncEvery: 1})
+	s := mustOpen(t, dir, Options{syncEvery: 1})
 	for i := 0; i < 5; i++ {
 		if _, err := s.Append(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// With SyncEvery=1 every append is already durable: a reopen without
+	// With syncEvery=1 every append is already durable: a reopen without
 	// Close (a crash) must still see all five.
 	s2 := mustOpen(t, dir, Options{})
 	counts, _ := collect(t, s2)

@@ -233,7 +233,7 @@ func TestPendingCounterTracksCursor(t *testing.T) {
 // with a missing-file error).
 func TestScanBlocksCompactCleanup(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{SegmentBytes: 2048})
+	s := mustOpen(t, dir, Options{segmentBytes: 2048})
 	const n = 60
 	for i := 0; i < n; i++ {
 		if _, err := s.Append(testRecord(i)); err != nil {

@@ -26,9 +26,6 @@ import (
 type Config struct {
 	// NSamples is the number of perturbations.
 	NSamples int
-	// KernelWidth is the locality kernel width on the binary
-	// interpretable space; the default follows LIME's sqrt(M)·0.75 rule.
-	KernelWidth float64
 	// Ridge regularizes the local linear fit.
 	Ridge float64
 	Seed  int64
@@ -107,10 +104,9 @@ func (e *Explainer) ExplainContext(ctx context.Context, x []float64) (Explanatio
 	}
 
 	rng := rand.New(rand.NewSource(e.cfg.Seed))
-	width := e.cfg.KernelWidth
-	if width <= 0 {
-		width = math.Sqrt(float64(m)) * 0.75
-	}
+	// The locality kernel width on the binary interpretable space follows
+	// LIME's sqrt(M)·0.75 rule.
+	width := math.Sqrt(float64(m)) * 0.75
 
 	n := e.cfg.NSamples
 	// Row 0 is the unperturbed instance (all features on), as in the LIME

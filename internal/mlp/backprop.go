@@ -35,9 +35,10 @@ import (
 // oracles of TestDenseBackwardMatchesGemmOracles.
 // The db column sums stay on ColSumsAcc.
 //
-// Equivalence with the scalar reference path (Config.ReferenceKernels): the
-// same gradients up to FP reassociation — the kernels fuse multiply-adds,
-// so per-element sums associate differently. RNG consumption is identical
+// Equivalence with the scalar reference path (referenceStep in
+// reference_test.go, run through the fit seam): the same gradients up to
+// FP reassociation — the kernels fuse multiply-adds, so per-element sums
+// associate differently. RNG consumption is identical
 // by construction: the dropout loop below draws one rng.Float64 per
 // activation element in the same order as the reference loop, keeping the
 // epoch shuffles of the two paths aligned so parity tests see FP drift
@@ -239,9 +240,10 @@ func bnBackwardInto(bn *BNState, xhat, g *linalg.Matrix, invStd []float64,
 	}
 }
 
-// trainStepFast is the blocked forward/backward pass: the same math as
-// trainStep over the batch rows batch (indices into xs/ys), with gradients
-// accumulated into the same-shaped layers of grads.
+// trainStepFast is the blocked forward/backward pass: the same math as the
+// reference trainStep (reference_test.go) over the batch rows batch
+// (indices into xs/ys), with gradients accumulated into the same-shaped
+// layers of grads.
 func (m *Model) trainStepFast(ts *trainScratch, batch []int, xs *linalg.Matrix, ys []float64, grads *Model, rng *rand.Rand) {
 	ts.pack(m)
 	rows := len(batch)

@@ -2,17 +2,20 @@ package mlp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+
+	"github.com/hpc-repro/aiio/internal/linalg"
 )
 
-// The blocked training path (trainStepFast) must track the scalar reference
-// path (Config.ReferenceKernels) to FP-reassociation accuracy. Both paths
-// consume the rng identically (one dropout draw per element), so with the
-// same seed they see the same shuffles and the same dropout masks; the only
-// divergence is rounding from paired rows and fused multiply-adds, which
-// compounds through Adam over epochs. The documented training-parity
-// tolerance is 1e-6 relative on predictions after a 5-epoch fit — the same
-// contract BENCH_training.json records for the end-to-end diagnose parity.
+// The blocked training path (batchStep) must track the scalar reference
+// path (referenceStep, reference_test.go) to FP-reassociation accuracy.
+// Both paths consume the rng identically (one dropout draw per element), so
+// with the same seed they see the same shuffles and the same dropout masks;
+// the only divergence is rounding from paired rows and fused multiply-adds,
+// which compounds through Adam over epochs. The documented training-parity
+// tolerance is 1e-6 relative on predictions after a 5-epoch fit, on plain
+// rows and on the zeroed-counter rows Kernel SHAP evaluates.
 const trainParityTol = 1e-6
 
 func trainBothPaths(t *testing.T, cfg Config, epochs int) (fast, ref *Model) {
@@ -22,17 +25,47 @@ func trainBothPaths(t *testing.T, cfg Config, epochs int) (fast, ref *Model) {
 	cfg.Epochs = epochs
 	cfg.EarlyStoppingRounds = 0
 
-	cfg.ReferenceKernels = false
 	fast, err := Train(cfg, x, y, ex, ey)
 	if err != nil {
 		t.Fatalf("fast train: %v", err)
 	}
-	cfg.ReferenceKernels = true
-	ref, err = Train(cfg, x, y, ex, ey)
+	ref, err = fit(cfg, x, y, ex, ey, nil, referenceStep)
 	if err != nil {
 		t.Fatalf("reference train: %v", err)
 	}
 	return fast, ref
+}
+
+// zeroedSubsets returns a copy of x in which each row has a random subset
+// of its counters set to zero: the coalition rows Kernel SHAP feeds a model,
+// absent counters taking the zero baseline.
+func zeroedSubsets(x *linalg.Matrix, seed int64) *linalg.Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	z := linalg.NewMatrix(x.Rows, x.Cols)
+	for i, v := range x.Data {
+		if rng.Intn(2) == 0 {
+			z.Data[i] = v
+		}
+	}
+	return z
+}
+
+// requirePredictionsClose fails unless fast and ref predict every row of x,
+// and of its zeroed-subset copy, within trainParityTol.
+func requirePredictionsClose(t *testing.T, fast, ref *Model, x *linalg.Matrix) {
+	t.Helper()
+	for _, rows := range []struct {
+		name string
+		x    *linalg.Matrix
+	}{{"row", x}, {"zeroed-subset row", zeroedSubsets(x, 37)}} {
+		pf, pr := fast.PredictBatch(rows.x), ref.PredictBatch(rows.x)
+		for i := range pf {
+			if rel := math.Abs(pf[i]-pr[i]) / math.Max(1, math.Abs(pr[i])); rel > trainParityTol {
+				t.Fatalf("%s %d diverged: fast=%v ref=%v rel=%.3g (tol %g)",
+					rows.name, i, pf[i], pr[i], rel, trainParityTol)
+			}
+		}
+	}
 }
 
 func TestTrainFastMatchesReference(t *testing.T) {
@@ -40,15 +73,7 @@ func TestTrainFastMatchesReference(t *testing.T) {
 	fast, ref := trainBothPaths(t, cfg, 5)
 
 	px, _ := synth(200, 5, 33)
-	pf := fast.PredictBatch(px)
-	pr := ref.PredictBatch(px)
-	for i := range pf {
-		rel := math.Abs(pf[i]-pr[i]) / math.Max(1, math.Abs(pr[i]))
-		if rel > trainParityTol {
-			t.Fatalf("prediction %d diverged: fast=%v ref=%v rel=%.3g (tol %g)",
-				i, pf[i], pr[i], rel, trainParityTol)
-		}
-	}
+	requirePredictionsClose(t, fast, ref, px)
 	// The learned tensors themselves must agree too, not just their
 	// composition into predictions.
 	for li := range fast.Dense {
@@ -68,13 +93,7 @@ func TestTrainFastMatchesReferenceWithoutDropout(t *testing.T) {
 	cfg.Dropout = 0
 	fast, ref := trainBothPaths(t, cfg, 5)
 	px, _ := synth(100, 5, 34)
-	pf := fast.PredictBatch(px)
-	pr := ref.PredictBatch(px)
-	for i := range pf {
-		if math.Abs(pf[i]-pr[i]) > trainParityTol*math.Max(1, math.Abs(pr[i])) {
-			t.Fatalf("prediction %d diverged: fast=%v ref=%v", i, pf[i], pr[i])
-		}
-	}
+	requirePredictionsClose(t, fast, ref, px)
 }
 
 func TestTrainFastConvergesLikeReference(t *testing.T) {
@@ -87,8 +106,7 @@ func TestTrainFastConvergesLikeReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ReferenceKernels = true
-	ref, err := Train(cfg, x, y, ex, ey)
+	ref, err := fit(cfg, x, y, ex, ey, nil, referenceStep)
 	if err != nil {
 		t.Fatal(err)
 	}

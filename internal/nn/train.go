@@ -32,9 +32,6 @@ func CheckTrainingSet(family string, x *linalg.Matrix, y []float64) error {
 type Loop struct {
 	Epochs, BatchSize, EarlyStoppingRounds int
 	LearningRate                           float64
-	// ScalarAdam applies Adam as the textbook scalar loop instead of the
-	// vectorized linalg.AdamStep: the families' ReferenceKernels mode.
-	ScalarAdam bool
 	// Rng shuffles the training rows each epoch. It is the family's fit
 	// rng, so the step may draw from it too (dropout).
 	Rng *rand.Rand
@@ -77,7 +74,7 @@ func (l *Loop) Run(rows int, evalY []float64, seeded bool) (evalLoss []float64, 
 				clear(g)
 			}
 			l.Step(order[lo:min(lo+l.BatchSize, rows)])
-			opt.step(l.Params, l.Grads, l.LearningRate, l.ScalarAdam)
+			opt.step(l.Params, l.Grads, l.LearningRate)
 		}
 		if l.Eval == nil {
 			bestEpoch = epoch
@@ -115,25 +112,15 @@ func newAdam(params [][]float64) *adam {
 	return a
 }
 
-// step applies one Adam update to every tensor. The vectorized path runs
-// linalg.AdamStep; scalar keeps the textbook loop (with the bias-correction
-// divisions) as the equivalence-mode baseline.
-func (a *adam) step(params, grads [][]float64, lr float64, scalar bool) {
+// step applies one Adam update to every tensor through linalg.AdamStep,
+// whose oracle is the textbook scalar loop of TestAdamStepMatchesNaive.
+func (a *adam) step(params, grads [][]float64, lr float64) {
 	a.t++
 	b1, b2, eps := 0.9, 0.999, 1e-8
 	c1 := 1 - math.Pow(b1, float64(a.t))
 	c2 := 1 - math.Pow(b2, float64(a.t))
 	for k, w := range params {
-		g, m, v := grads[k], a.m[k], a.v[k]
-		if !scalar {
-			linalg.AdamStep(w, m, v, g, b1, b2, c1, c2, lr, eps)
-			continue
-		}
-		for i := range w {
-			m[i] = b1*m[i] + (1-b1)*g[i]
-			v[i] = b2*v[i] + (1-b2)*g[i]*g[i]
-			w[i] -= lr * (m[i] / c1) / (math.Sqrt(v[i]/c2) + eps)
-		}
+		linalg.AdamStep(w, a.m[k], a.v[k], grads[k], b1, b2, c1, c2, lr, eps)
 	}
 }
 

@@ -38,7 +38,7 @@ import (
 // backprop_test.go keeps such a backward, written with math.FMA, as the
 // bitwise oracle of TestBatchStepMatchesOracle and TestTrainMatchesOracle.
 //
-// Equivalence with the reference path (Config.ReferenceKernels,
+// Equivalence with the reference path (referenceStep in reference_test.go,
 // forwardSample/backwardSample): identical math up to FP reassociation and
 // the fused-GLU polynomial exp (~1e-13 relative); train_parity_test.go pins
 // the drift after several epochs. Training draws no RNG inside the batch
@@ -211,9 +211,10 @@ func maskBackward(raw, gxm, x []float64, sup []int32, prior []float64) {
 	}
 }
 
-// forwardTrain is forwardSample on the trainScratch: same step math, zero
-// allocations, kernel dense products, with the backward state recorded in
-// row b of the scratch's slabs. It returns the prediction.
+// forwardTrain is the reference forwardSample (reference_test.go) on the
+// trainScratch: same step math, zero allocations, kernel dense products,
+// with the backward state recorded in row b of the scratch's slabs. It
+// returns the prediction.
 func (m *Model) forwardTrain(x []float64, ts *trainScratch, b int) float64 {
 	steps := m.Config.Steps
 	d := m.Config.DecisionDim

@@ -43,12 +43,6 @@ type Config struct {
 	// EarlyStoppingRounds stops training when the eval RMSE stalls.
 	EarlyStoppingRounds int
 	Seed                int64
-	// ReferenceKernels routes training through the original allocating
-	// per-sample forward/backward (forwardSample/backwardSample) instead of
-	// the scratch-slab kernel path. The two paths compute the same gradients
-	// up to FP reassociation; the flag exists for equivalence tests, in the
-	// spirit of gbdt's DisableHistSubtraction.
-	ReferenceKernels bool
 }
 
 // DefaultConfig mirrors pytorch-tabnet's defaults at a small scale.
@@ -82,33 +76,6 @@ func (d *dense) heInit(rng *rand.Rand) {
 	for i := range d.W {
 		d.W[i] = rng.NormFloat64() * scale
 	}
-}
-
-func (d *dense) forward(x []float64) []float64 {
-	out := make([]float64, d.Out)
-	for o := 0; o < d.Out; o++ {
-		out[o] = linalg.Dot(d.W[o*d.In:(o+1)*d.In], x) + d.B[o]
-	}
-	return out
-}
-
-// backward accumulates gradients into gw/gb and returns dL/dx.
-func (d *dense) backward(x, gout, gw, gb []float64) []float64 {
-	gin := make([]float64, d.In)
-	for o := 0; o < d.Out; o++ {
-		g := gout[o]
-		if g == 0 {
-			continue
-		}
-		gb[o] += g
-		w := d.W[o*d.In : (o+1)*d.In]
-		gwRow := gw[o*d.In : (o+1)*d.In]
-		for j := range gin {
-			gwRow[j] += g * x[j]
-			gin[j] += g * w[j]
-		}
-	}
-	return gin
 }
 
 // Model is a trained TabNet regressor.
@@ -145,29 +112,24 @@ type Model struct {
 	scratch sync.Pool
 }
 
-// sparsemaxTau returns the threshold tau of the sparsemax projection of v
-// (Martins & Astudillo), using cand as candidate scratch (grown as needed;
-// the grown slice is returned). Only entries greater than max(v)-1 can be
-// in the support: a position passing the cumulative guard satisfies
-// z > (cum-1)/(i+1) >= max(v)-1, and every earlier position in descending
-// order holds a larger value still, so scanning just the filtered,
-// descending candidates visits the same prefix sums — and produces the
-// same tau — as scanning the full sorted input. The candidate set is
-// typically a handful of entries, so a branchy insertion sort beats the
-// former interface-dispatched sort.Sort by a wide margin; sparsemax was
+// sparsemaxTauScaled returns the threshold tau of the sparsemax projection
+// of v (Martins & Astudillo), using cand as candidate scratch (grown as
+// needed; the grown slice is returned). Only entries greater than
+// max(v)-1 can be in the support: a position passing the cumulative guard
+// satisfies z > (cum-1)/(i+1) >= max(v)-1, and every earlier position in
+// descending order holds a larger value still, so scanning just the
+// filtered, descending candidates visits the same prefix sums — and
+// produces the same tau — as scanning the full sorted input. The candidate
+// set is typically a handful of entries, so a branchy insertion sort beats
+// the former interface-dispatched sort.Sort by a wide margin; sparsemax was
 // the hottest single call in the batch-diagnosis profile.
-func sparsemaxTau(v, cand []float64) (float64, []float64) {
-	tau, cand, _ := sparsemaxTauScaled(v, nil, cand, nil)
-	return tau, cand
-}
-
-// sparsemaxTauScaled is sparsemaxTau with an optional fused elementwise
-// pre-scale: when scale is non-nil it first sets v[i] *= scale[i] (the
-// attention-prior product of the TabNet step) during the max scan, saving
-// a separate pass over the logits in the hot loop. It also records the
-// candidate indices in idx (ascending scan order, unlike the descending
-// value-sorted cand), so the caller can restrict its support walk to the
-// candidate superset instead of rescanning all features.
+//
+// When scale is non-nil it first sets v[i] *= scale[i] (the attention-prior
+// product of the TabNet step) during the max scan, saving a separate pass
+// over the logits in the hot loop. It also records the candidate indices
+// in idx (ascending scan order, unlike the descending value-sorted cand),
+// so the caller can restrict its support walk to the candidate superset
+// instead of rescanning all features.
 func sparsemaxTauScaled(v, scale, cand []float64, idx []int32) (float64, []float64, []int32) {
 	var vmax float64
 	if scale != nil {
@@ -224,141 +186,7 @@ func sparsemaxTauScaled(v, scale, cand []float64, idx []int32) (float64, []float
 	return tau, cand, idx
 }
 
-// sparsemax projects v onto the probability simplex. It returns the
-// projection and the support mask.
-func sparsemax(v []float64) (out []float64, support []bool) {
-	tau, _ := sparsemaxTau(v, make([]float64, 0, len(v)))
-	out = make([]float64, len(v))
-	support = make([]bool, len(v))
-	for i, x := range v {
-		if x > tau {
-			out[i] = x - tau
-			support[i] = true
-		}
-	}
-	return out, support
-}
-
-// sparsemaxBackward maps the output gradient through the projection.
-func sparsemaxBackward(g []float64, support []bool) []float64 {
-	sum, cnt := 0.0, 0
-	for i, s := range support {
-		if s {
-			sum += g[i]
-			cnt++
-		}
-	}
-	out := make([]float64, len(g))
-	if cnt == 0 {
-		return out
-	}
-	mean := sum / float64(cnt)
-	for i, s := range support {
-		if s {
-			out[i] = g[i] - mean
-		}
-	}
-	return out
-}
-
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
-// glu splits z into halves (u, v) and returns u ⊙ σ(v).
-func glu(z []float64) []float64 {
-	h := len(z) / 2
-	out := make([]float64, h)
-	for i := 0; i < h; i++ {
-		out[i] = z[i] * sigmoid(z[h+i])
-	}
-	return out
-}
-
-// gluBackward maps the output gradient back to z's gradient.
-func gluBackward(z, gout []float64) []float64 {
-	h := len(z) / 2
-	gz := make([]float64, len(z))
-	for i := 0; i < h; i++ {
-		s := sigmoid(z[h+i])
-		gz[i] = gout[i] * s
-		gz[h+i] = gout[i] * z[i] * s * (1 - s)
-	}
-	return gz
-}
-
-// stepCache holds per-step forward state for backprop.
-type stepCache struct {
-	prior    []float64
-	support  []bool
-	xm       []float64
-	sharedZ  []float64
-	sharedH  []float64
-	stepZ    []float64
-	h        []float64
-	dPreRelu []float64
-	a        []float64
-}
-
-// forwardSample runs the network on one standardized sample. When caches is
-// non-nil, intermediate state is recorded for backprop.
-func (m *Model) forwardSample(x []float64, caches *[]stepCache) float64 {
-	d := m.Config.DecisionDim
-	h := d + m.Config.AttentionDim
-
-	// Step 0: unmasked pass provides the initial attention features.
-	z0 := m.Shared.forward(x)
-	h0 := glu(z0)
-	a := h0[d:h]
-	agg := make([]float64, d)
-
-	prior := make([]float64, m.NumFeatures)
-	for i := range prior {
-		prior[i] = 1
-	}
-	if caches != nil {
-		*caches = append(*caches, stepCache{sharedZ: z0, sharedH: h0, a: a, xm: x})
-	}
-
-	for s := 0; s < m.Config.Steps; s++ {
-		logitsRaw := m.AttFC[s].forward(a)
-		logits := make([]float64, m.NumFeatures)
-		for i := range logits {
-			logits[i] = logitsRaw[i] * prior[i]
-		}
-		mask, support := sparsemax(logits)
-		xm := make([]float64, m.NumFeatures)
-		for i := range xm {
-			xm[i] = mask[i] * x[i]
-		}
-		z := m.Shared.forward(xm)
-		hShared := glu(z)
-		z2 := m.StepFC[s].forward(hShared)
-		hs := glu(z2)
-		dPre := hs[:d]
-		if caches != nil {
-			*caches = append(*caches, stepCache{
-				prior:   append([]float64(nil), prior...),
-				support: support,
-				xm:      xm, sharedZ: z, sharedH: hShared,
-				stepZ: z2, h: hs, dPreRelu: append([]float64(nil), dPre...),
-				a: hs[d:h],
-			})
-		}
-		for i := 0; i < d; i++ {
-			if dPre[i] > 0 {
-				agg[i] += dPre[i]
-			}
-		}
-		a = hs[d:h]
-		for i := range prior {
-			prior[i] *= m.Config.Gamma - mask[i]
-		}
-	}
-	out := m.Out.forward(agg)
-	if caches != nil {
-		(*caches)[0].dPreRelu = agg // stash aggregate in the step-0 cache
-	}
-	return out[0]
-}
 
 // packed holds a model's dense layers in the linalg.Dense inference layout.
 // The shared layer's WT is also the In × OutPad transpose of Shared.W that
@@ -481,17 +309,18 @@ func gluInto(out, z []float64) {
 
 // forwardRows is the cache-free forward pass over rows lo..hi of the
 // standardized block xs, the hot path of batch diagnosis, writing
-// target-scale predictions into out (len hi-lo). It differs from
-// forwardSample in three ways: all intermediates live in the worker's
-// scratch (zero steady-state allocations); dense layers run on the packed
-// linalg.Dense kernel — the initial shared pass as one call over the whole
-// range, then the step loop walking four rows in lockstep so each per-step
-// layer is one call per four rows; and the masked shared pass exploits
-// sparsemax sparsity — the mask typically keeps a handful of the features,
-// so x·Wᵀ collapses to a few contiguous axpys over rows of the packed
-// shared weights. Outputs agree with forwardSample to float rounding (see
-// the parity tests), not bitwise: summation orders differ. Each prediction
-// is bitwise independent of lo, hi and where its row falls in a block.
+// target-scale predictions into out (len hi-lo). It differs from the
+// reference forwardSample (reference_test.go) in three ways: all
+// intermediates live in the worker's scratch (zero steady-state
+// allocations); dense layers run on the packed linalg.Dense kernel — the
+// initial shared pass as one call over the whole range, then the step loop
+// walking four rows in lockstep so each per-step layer is one call per four
+// rows; and the masked shared pass exploits sparsemax sparsity — the mask
+// typically keeps a handful of the features, so x·Wᵀ collapses to a few
+// contiguous axpys over rows of the packed shared weights. Outputs agree
+// with forwardSample to float rounding (see the parity tests), not bitwise:
+// summation orders differ. Each prediction is bitwise independent of lo, hi
+// and where its row falls in a block.
 func (m *Model) forwardRows(xs *linalg.Matrix, lo, hi int, out []float64, pk *packed, sc *infScratch) {
 	n, cols := hi-lo, xs.Cols
 	m.bind(sc, pk)
@@ -596,58 +425,6 @@ func (m *Model) stepFinish(rs *rowState) {
 	copy(rs.a, rs.hs[d:h])
 }
 
-// backwardSample backpropagates dL/dout for one sample through the cached
-// forward state, accumulating into the same-shaped layers of g.
-func (m *Model) backwardSample(x []float64, caches []stepCache, gOut float64, g *Model) {
-	d := m.Config.DecisionDim
-	agg := caches[0].dPreRelu // aggregate stashed by forwardSample
-
-	// Output layer.
-	gAgg := m.Out.backward(agg, []float64{gOut}, g.Out.W, g.Out.B)
-
-	// gA accumulates the gradient flowing into the attention features of
-	// each earlier step (used by the next step's attentive transformer).
-	gANext := make([]float64, m.Config.AttentionDim)
-
-	for s := m.Config.Steps - 1; s >= 0; s-- {
-		c := caches[s+1]
-		// Gradient into this step's transformer output hs = [d | a].
-		gh := make([]float64, d+m.Config.AttentionDim)
-		for i := 0; i < d; i++ {
-			if c.dPreRelu[i] > 0 {
-				gh[i] = gAgg[i]
-			}
-		}
-		copy(gh[d:], gANext)
-
-		gz2 := gluBackward(c.stepZ, gh)
-		ghShared := m.StepFC[s].backward(c.sharedH, gz2, g.StepFC[s].W, g.StepFC[s].B)
-		gz := gluBackward(c.sharedZ, ghShared)
-		gxm := m.Shared.backward(c.xm, gz, g.Shared.W, g.Shared.B)
-
-		// xm = mask ⊙ x → gradient to the mask.
-		gMask := make([]float64, m.NumFeatures)
-		for i := range gMask {
-			gMask[i] = gxm[i] * x[i]
-		}
-		gLogits := sparsemaxBackward(gMask, c.support)
-		// logits = raw * prior (prior treated as constant).
-		gRaw := make([]float64, m.NumFeatures)
-		for i := range gRaw {
-			gRaw[i] = gLogits[i] * c.prior[i]
-		}
-		prevA := caches[s].a
-		gANext = m.AttFC[s].backward(prevA, gRaw, g.AttFC[s].W, g.AttFC[s].B)
-	}
-
-	// Step 0 attention features came from the unmasked shared pass.
-	c0 := caches[0]
-	gh0 := make([]float64, d+m.Config.AttentionDim)
-	copy(gh0[d:], gANext)
-	gz0 := gluBackward(c0.sharedZ, gh0)
-	m.Shared.backward(x, gz0, g.Shared.W, g.Shared.B)
-}
-
 // TrainSeeded fits the model with Adam and eval-based early stopping (evalX
 // may be nil to train the full epoch budget). A nil prev trains cold; a
 // non-nil prev, which must have passed CanWarmStart for cfg on x/y, is
@@ -656,30 +433,13 @@ func (m *Model) backwardSample(x []float64, caches []stepCache, gOut float64, g 
 // early-stopping baseline (see nn.Loop), so BestEpoch is -1 when no epoch
 // beats it.
 func TrainSeeded(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model) (*Model, error) {
-	newStep := (*Model).batchStep
-	if cfg.ReferenceKernels {
-		newStep = (*Model).referenceStep
-	}
-	return fit(cfg, x, y, evalX, evalY, prev, newStep)
+	return fit(cfg, x, y, evalX, evalY, prev, (*Model).batchStep)
 }
 
 // stepper returns the mini-batch step of a fit of m on the standardized rows
 // xs and targets ys: it accumulates the batch's gradients into g, a network
 // of m's shape.
 type stepper func(m, g *Model, xs *linalg.Matrix, ys []float64) func(batch []int)
-
-// referenceStep is the ReferenceKernels step: the allocating per-sample
-// forwardSample/backwardSample.
-func (m *Model) referenceStep(g *Model, xs *linalg.Matrix, ys []float64) func(batch []int) {
-	return func(batch []int) {
-		inv := 1 / float64(len(batch))
-		for _, i := range batch {
-			var caches []stepCache
-			pred := m.forwardSample(xs.Row(i), &caches)
-			m.backwardSample(xs.Row(i), caches, (pred-ys[i])*inv, g)
-		}
-	}
-}
 
 // fit is TrainSeeded with the mini-batch step newStep builds.
 func fit(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model, newStep stepper) (*Model, error) {
@@ -728,7 +488,7 @@ func fit(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY 
 	g := newNet(cfg, x.Cols)
 	loop := nn.Loop{
 		Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, EarlyStoppingRounds: cfg.EarlyStoppingRounds,
-		LearningRate: cfg.LearningRate, ScalarAdam: cfg.ReferenceKernels, Rng: rng,
+		LearningRate: cfg.LearningRate, Rng: rng,
 		Params: m.params(), Grads: g.params(), State: m.params(), Step: newStep(m, g, xs, ys),
 	}
 	if evalX != nil && evalX.Rows > 0 {

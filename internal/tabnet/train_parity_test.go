@@ -2,17 +2,21 @@ package tabnet
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+
+	"github.com/hpc-repro/aiio/internal/linalg"
 )
 
 // The kernelized training path (forwardTrain/backwardBatch) must track the
-// scalar reference path (Config.ReferenceKernels) to FP-reassociation
-// accuracy. Training draws no RNG inside the batch loop, so with the same
-// seed both paths see the same shuffles; divergence is limited to rounding
-// from the fused GLU polynomial exp and the dense kernels' fused
-// multiply-adds, compounded through Adam. The documented training-parity
-// tolerance is 1e-6 relative on predictions after a 5-epoch fit — the same
-// contract BENCH_training.json records for the end-to-end diagnose parity.
+// scalar reference path (referenceStep, reference_test.go) to
+// FP-reassociation accuracy. Training draws no RNG inside the batch loop,
+// so with the same seed both paths see the same shuffles; divergence is
+// limited to rounding from the fused GLU polynomial exp and the dense
+// kernels' fused multiply-adds, compounded through Adam. The documented
+// training-parity tolerance is 1e-6 relative on predictions after a
+// 5-epoch fit, on plain rows and on the zeroed-counter rows Kernel SHAP
+// evaluates.
 const trainParityTol = 1e-6
 
 func trainBothPaths(t *testing.T, cfg Config, epochs int) (fast, ref *Model) {
@@ -22,17 +26,29 @@ func trainBothPaths(t *testing.T, cfg Config, epochs int) (fast, ref *Model) {
 	cfg.Epochs = epochs
 	cfg.EarlyStoppingRounds = 0
 
-	cfg.ReferenceKernels = false
 	fast, err := Train(cfg, x, y, ex, ey)
 	if err != nil {
 		t.Fatalf("fast train: %v", err)
 	}
-	cfg.ReferenceKernels = true
-	ref, err = Train(cfg, x, y, ex, ey)
+	ref, err = fit(cfg, x, y, ex, ey, nil, (*Model).referenceStep)
 	if err != nil {
 		t.Fatalf("reference train: %v", err)
 	}
 	return fast, ref
+}
+
+// zeroedSubsets returns a copy of x in which each row has a random subset
+// of its counters set to zero: the coalition rows Kernel SHAP feeds a model,
+// absent counters taking the zero baseline.
+func zeroedSubsets(x *linalg.Matrix, seed int64) *linalg.Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	z := linalg.NewMatrix(x.Rows, x.Cols)
+	for i, v := range x.Data {
+		if rng.Intn(2) == 0 {
+			z.Data[i] = v
+		}
+	}
+	return z
 }
 
 func TestTrainFastMatchesReference(t *testing.T) {
@@ -40,13 +56,16 @@ func TestTrainFastMatchesReference(t *testing.T) {
 	fast, ref := trainBothPaths(t, cfg, 5)
 
 	px, _ := synth(150, 8, 53)
-	pf := fast.PredictBatch(px)
-	pr := ref.PredictBatch(px)
-	for i := range pf {
-		rel := math.Abs(pf[i]-pr[i]) / math.Max(1, math.Abs(pr[i]))
-		if rel > trainParityTol {
-			t.Fatalf("prediction %d diverged: fast=%v ref=%v rel=%.3g (tol %g)",
-				i, pf[i], pr[i], rel, trainParityTol)
+	for _, rows := range []struct {
+		name string
+		x    *linalg.Matrix
+	}{{"row", px}, {"zeroed-subset row", zeroedSubsets(px, 37)}} {
+		pf, pr := fast.PredictBatch(rows.x), ref.PredictBatch(rows.x)
+		for i := range pf {
+			if rel := math.Abs(pf[i]-pr[i]) / math.Max(1, math.Abs(pr[i])); rel > trainParityTol {
+				t.Fatalf("%s %d diverged: fast=%v ref=%v rel=%.3g (tol %g)",
+					rows.name, i, pf[i], pr[i], rel, trainParityTol)
+			}
 		}
 	}
 	// The learned tensors themselves must agree too, not just their
@@ -79,8 +98,7 @@ func TestTrainFastConvergesLikeReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ReferenceKernels = true
-	ref, err := Train(cfg, x, y, ex, ey)
+	ref, err := fit(cfg, x, y, ex, ey, nil, (*Model).referenceStep)
 	if err != nil {
 		t.Fatal(err)
 	}

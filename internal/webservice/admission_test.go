@@ -8,11 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -173,25 +174,11 @@ func TestDrainShedsAndReadyzGoesRed(t *testing.T) {
 	}
 }
 
-// breakerClock builds a BreakerSet on a controllable (race-safe) clock;
-// advance moves it forward.
-func breakerClock(threshold int, cooldown time.Duration) (set *admission.BreakerSet, advance func(time.Duration)) {
-	var mu sync.Mutex
-	now := time.Date(2023, 6, 1, 0, 0, 0, 0, time.UTC)
-	set = admission.NewBreakerSet(admission.BreakerConfig{
-		Threshold: threshold,
-		Cooldown:  cooldown,
-		Now: func() time.Time {
-			mu.Lock()
-			defer mu.Unlock()
-			return now
-		},
-	})
-	return set, func(d time.Duration) {
-		mu.Lock()
-		defer mu.Unlock()
-		now = now.Add(d)
-	}
+// breakerSet builds a BreakerSet on the real clock. A test's cooldown is
+// long enough that an open breaker stays open for the whole test, or so
+// short (a nanosecond) that it has always elapsed.
+func breakerSet(threshold int, cooldown time.Duration) *admission.BreakerSet {
+	return admission.NewBreakerSet(admission.BreakerConfig{Threshold: threshold, Cooldown: cooldown})
 }
 
 func TestBreakerTakesFailingModelOutOfRotation(t *testing.T) {
@@ -204,7 +191,7 @@ func TestBreakerTakesFailingModelOutOfRotation(t *testing.T) {
 
 	ws := NewServer(ens, fastOpts())
 	ws.CacheSize = -1 // isolate breaker behavior from the cache
-	set, advance := breakerClock(2, time.Minute)
+	set := breakerSet(2, time.Minute)
 	ws.Breakers = set
 	srv := httptest.NewServer(ws.Handler())
 	defer srv.Close()
@@ -257,16 +244,25 @@ func TestBreakerTakesFailingModelOutOfRotation(t *testing.T) {
 		t.Fatalf("response models %+v lack the breaker-open casualty", d.Models)
 	}
 	// After the cooldown the breaker probes; the model still panics, so
-	// it reopens after the single probe call.
-	advance(time.Minute)
+	// it reopens after the single probe call. A second server's breakers
+	// have a cooldown that has always elapsed, the bad model's opened up
+	// front by the two failures the requests above charged.
+	probeSet := breakerSet(2, time.Nanosecond)
+	probeSet.For(badName).Failure()
+	probeSet.For(badName).Failure()
+	probe := NewServer(ens, fastOpts())
+	probe.CacheSize = -1
+	probe.Breakers = probeSet
+	psrv := httptest.NewServer(probe.Handler())
+	defer psrv.Close()
 	callsBefore = bad.Calls()
-	if status, body, _ = postLog(t, srv.Client(), srv.URL+"/api/v1/diagnose", rec); status != http.StatusOK {
+	if status, body, _ = postLog(t, psrv.Client(), psrv.URL+"/api/v1/diagnose", rec); status != http.StatusOK {
 		t.Fatalf("probe request = %d (%s)", status, body)
 	}
 	if bad.Calls() == callsBefore {
 		t.Fatal("half-open breaker never probed the model")
 	}
-	if got := set.For(badName).State(); got != admission.StateOpen {
+	if got := probeSet.For(badName).State(); got != admission.StateOpen {
 		t.Fatalf("breaker = %v after failed probe, want open again", got)
 	}
 }
@@ -280,7 +276,7 @@ func TestAllBreakersOpenAnswers503AndClientStopsRetrying(t *testing.T) {
 	}
 	ws := NewServer(ens, fastOpts())
 	ws.CacheSize = -1
-	set, _ := breakerClock(1, time.Minute)
+	set := breakerSet(1, time.Minute)
 	ws.Breakers = set
 
 	var requests atomic.Int64
@@ -407,6 +403,65 @@ func TestUploadHotSwapRollbackOnInvalidModel(t *testing.T) {
 	status, dbody, _ := postLog(t, srv.Client(), srv.URL+"/api/v1/diagnose", testRecord())
 	if status != http.StatusOK {
 		t.Fatalf("diagnose after rolled-back upload = %d (%s)", status, dbody)
+	}
+}
+
+// TestUploadRefusesPathInModelName: the registry writes an uploaded model
+// to <name>.gob in the new generation's directory, so a name that walks out
+// of it is refused with 400 before the body is decoded, and nothing is
+// written outside generations/.
+func TestUploadRefusesPathInModelName(t *testing.T) {
+	dir := t.TempDir()
+	ens := ensemble(t)
+	st := core.OpenStore(dir)
+	if _, err := st.Save(ens); err != nil {
+		t.Fatal(err)
+	}
+	ws := NewServer(ens, fastOpts())
+	ws.Store = st
+	ws.SetGeneration(&core.LoadReport{Generation: 1})
+	srv := httptest.NewServer(ws.Handler())
+	defer srv.Close()
+
+	var gob bytes.Buffer
+	if err := ens.Models[0].Save(&gob); err != nil {
+		t.Fatal(err)
+	}
+	outside := func() []string {
+		var files []string
+		err := filepath.WalkDir(filepath.Dir(dir), func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			if !strings.HasPrefix(path, filepath.Join(dir, "generations")+string(filepath.Separator)) {
+				files = append(files, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	before := outside()
+	for _, name := range []string{"../../evil", "../evil", "..", "a/b", `a\b`} {
+		resp, err := srv.Client().Post(
+			srv.URL+"/api/v1/models?name="+url.QueryEscape(name)+"&kind="+ens.Models[0].Kind(),
+			"application/octet-stream", bytes.NewReader(gob.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("upload named %q = %d (%s), want 400", name, resp.StatusCode, body)
+		}
+	}
+	if after := outside(); !slices.Equal(after, before) {
+		t.Fatalf("files outside generations/ went from %v to %v", before, after)
+	}
+	if gens, err := st.Generations(); err != nil || len(gens) != 1 {
+		t.Fatalf("generations after the refused uploads: %v, %v", gens, err)
 	}
 }
 

@@ -303,7 +303,7 @@ func TestPostPromotionErrorSpikeRollsBack(t *testing.T) {
 	storeDir := t.TempDir()
 	store := core.OpenStore(storeDir)
 	s.Store = store
-	s.Drift = drift.New(drift.Config{MinSamples: 10_000, ErrorWindow: 64})
+	s.Drift = drift.New(drift.Config{MinSamples: 10_000})
 	s.RollbackRatio = 2
 	s.RollbackWatch = 40
 	s.RetrainThreshold = 0

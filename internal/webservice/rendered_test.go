@@ -355,7 +355,7 @@ func TestIncompleteReplyNeverFrozen(t *testing.T) {
 	})
 	t.Run("breaker open", func(t *testing.T) {
 		s := NewServer(faults.Break(ensemble(t), 0, &faults.FaultyModel{PanicOn: true}), fastOpts())
-		s.Breakers, _ = breakerClock(1, time.Hour)
+		s.Breakers = breakerSet(1, time.Hour)
 		advised := countAdvise(s)
 		h := s.Handler()
 		for i := int64(1); i <= 4; i++ {

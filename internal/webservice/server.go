@@ -557,6 +557,10 @@ func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "name and kind query parameters required")
 		return
 	}
+	if err := core.CheckModelName(name); err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	m, err := core.LoadModel(name, kind, http.MaxBytesReader(w, r.Body, 4*s.maxBody()))
 	if err != nil {
 		var tooBig *http.MaxBytesError

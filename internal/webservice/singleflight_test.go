@@ -503,7 +503,7 @@ func TestHTMLFormHonoursBreakersAndCache(t *testing.T) {
 			return n
 		}
 		s := NewServer(ens, fastOpts())
-		s.Breakers, _ = breakerClock(1, time.Minute)
+		s.Breakers = breakerSet(1, time.Minute)
 		h := s.Handler()
 		if r := postForm(h, log); r.status != http.StatusInternalServerError {
 			t.Fatalf("form post with every model failing: HTTP %d, want 500: %s", r.status, r.body)
@@ -538,7 +538,7 @@ func TestHTMLFormHonoursBreakersAndCache(t *testing.T) {
 func TestBatchChargesBreakersPerDiagnosis(t *testing.T) {
 	ens := faults.Break(ensemble(t), 0, &faults.FaultyModel{PanicOn: true})
 	s := NewServer(ens, fastOpts())
-	set, _ := breakerClock(2, time.Minute)
+	set := breakerSet(2, time.Minute)
 	s.Breakers = set
 	r := postBatch(s.Handler(), datasetBytes(t, coalesceRecord(12), coalesceRecord(13)))
 	if r.status != http.StatusOK {

@@ -42,8 +42,6 @@ type Syncer struct {
 	Peers []string
 	// Interval paces Run's sweep (DefaultSyncInterval when <= 0).
 	Interval time.Duration
-	// HTTP performs the fetches (http.DefaultClient when nil).
-	HTTP *http.Client
 	// Current reports the serving generation and fingerprint (the
 	// Server's GenerationReport). Required.
 	Current func() (gen uint64, fingerprint string)
@@ -53,13 +51,6 @@ type Syncer struct {
 	OnAdopt func(ens *core.Ensemble, gen uint64, fingerprint string) error
 	// Logf, when set, narrates adoptions and fetch failures.
 	Logf func(format string, args ...any)
-}
-
-func (sy *Syncer) client() *http.Client {
-	if sy.HTTP != nil {
-		return sy.HTTP
-	}
-	return http.DefaultClient
 }
 
 func (sy *Syncer) logf(format string, args ...any) {
@@ -190,7 +181,7 @@ func (sy *Syncer) fetchFile(ctx context.Context, peer string, gen uint64, file s
 	if err != nil {
 		return nil, err
 	}
-	resp, err := sy.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +197,7 @@ func (sy *Syncer) getJSON(ctx context.Context, u string, into any) error {
 	if err != nil {
 		return err
 	}
-	resp, err := sy.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
