@@ -78,7 +78,6 @@ import (
 
 	"github.com/hpc-repro/aiio/internal/admission"
 	"github.com/hpc-repro/aiio/internal/core"
-	"github.com/hpc-repro/aiio/internal/darshan"
 	"github.com/hpc-repro/aiio/internal/drift"
 	"github.com/hpc-repro/aiio/internal/durable"
 	"github.com/hpc-repro/aiio/internal/joblog"
@@ -164,6 +163,16 @@ func main() {
 			log.Fatalf("aiio-server: -retrain-models: %v", err)
 		}
 	}
+	driftCfg := drift.Config{
+		PSIThreshold: *driftPSI,
+		MinSamples:   *driftMinSamples,
+		Window:       *driftWindow,
+		ErrorRatio:   *driftErrorRatio,
+		MinErrors:    *driftMinErrors,
+	}
+	if err := driftCfg.Check(); err != nil {
+		log.Fatalf("aiio-server: -drift-min-samples/-drift-window: %v", err)
+	}
 
 	// One AIIO_CRASH hook on every store the server opens: the CI lifecycle
 	// drill kills the process mid-promotion at a named durable step.
@@ -190,7 +199,6 @@ func main() {
 	ws.MaxBody = *maxBody
 	ws.CacheSize = *cacheSize
 	ws.Store = store
-	ws.SetGeneration(rep)
 	ws.Admission = admission.NewController(admission.Config{
 		MaxInflight: *maxInflight,
 		QueueDepth:  *queueDepth,
@@ -207,26 +215,9 @@ func main() {
 		})
 	}
 	if *driftPSI > 0 {
-		ws.Drift = drift.New(drift.Config{
-			PSIThreshold: *driftPSI,
-			MinSamples:   *driftMinSamples,
-			Window:       *driftWindow,
-			ErrorRatio:   *driftErrorRatio,
-			MinErrors:    *driftMinErrors,
-		})
+		ws.Drift = drift.New(driftCfg)
 		ws.RollbackRatio = *rollbackRatio
 		ws.RollbackWatch = *rollbackWatch
-		// Re-arm against the serving generation's persisted reference so a
-		// restart resumes watching the same world the generation was trained
-		// in; with no persisted reference the monitor self-arms from live
-		// traffic.
-		if data, err := store.Reference(rep.Generation); err == nil && data != nil {
-			if ref, perr := drift.ParseReference(data); perr == nil {
-				ws.Drift.SetReference(ref)
-				log.Printf("aiio-server: drift monitor armed from generation %d reference (%d jobs)",
-					rep.Generation, ref.Jobs)
-			}
-		}
 	}
 	if *joblogDir != "" {
 		jl, err := joblog.Open(*joblogDir, joblog.Options{})
@@ -258,14 +249,7 @@ func main() {
 			// training set, so the monitor always judges the serving world.
 			incOpts.Holdout = *canaryHoldout
 			incOpts.Gate = drift.Gate(drift.GateConfig{Tolerance: *canaryTolerance}, ws.ServingEnsemble)
-			incOpts.Reference = func(training []*darshan.Record, verdict *core.CanaryRecord) []byte {
-				ref := drift.BuildReference(training)
-				if verdict != nil {
-					ref.BaselineRMSE = verdict.CandidateRMSE
-				}
-				data, _ := ref.Marshal()
-				return data
-			}
+			incOpts.Reference = drift.Sidecar
 		}
 		ws.Retrainer = func(ctx context.Context) (*core.Ensemble, uint64, error) {
 			rep, err := core.RunIncremental(ctx, jl, store, incOpts)
@@ -276,7 +260,8 @@ func main() {
 				}
 				return nil, 0, err
 			}
-			ens, _, err := store.Load()
+			// What this cycle committed, not what CURRENT names by now.
+			ens, _, err := store.LoadGeneration(rep.Generation)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -290,6 +275,17 @@ func main() {
 			Threshold: *breakerThreshold,
 			Cooldown:  *breakerCooldown,
 		})
+	}
+	// Boot is the first generation transition: with a persisted drift
+	// reference it re-arms the monitor (without, it self-arms from traffic).
+	if err := ws.AdoptGeneration(ens, rep); err != nil {
+		log.Fatalf("aiio-server: generation %d: %v", rep.Generation, err)
+	}
+	if ws.Drift != nil {
+		if st := ws.Drift.Snapshot(); st.Armed {
+			log.Printf("aiio-server: drift monitor armed from generation %d reference (%d jobs)",
+				rep.Generation, st.ReferenceJobs)
+		}
 	}
 	srv := &http.Server{
 		Addr:              *addr,

@@ -83,6 +83,19 @@ func Gate(cfg GateConfig, serving func() *core.Ensemble) func(cand *core.Ensembl
 	}
 }
 
+// Sidecar is a core.IncrementalOptions.Reference: the drift reference an
+// admitted generation is committed with, sketched from its training set and
+// carrying the gate's held-out candidate RMSE as the baseline the
+// post-promotion watch compares serving error against.
+func Sidecar(training []*darshan.Record, verdict *core.CanaryRecord) []byte {
+	ref := BuildReference(training)
+	if verdict != nil {
+		ref.BaselineRMSE = verdict.CandidateRMSE
+	}
+	data, _ := ref.Marshal()
+	return data
+}
+
 // EvalRMSE measures an ensemble's mean-prediction RMSE over recs in the
 // transformed domain (the Average Method merge, Eq. 7, without the SHAP
 // work). A model that panics or returns a non-finite value poisons the

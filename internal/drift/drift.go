@@ -177,6 +177,18 @@ type Monitor struct {
 	armed bool
 }
 
+// Check refuses a configuration whose monitor could never self-arm: it
+// freezes its first 2×MinSamples live jobs as the reference, but the live
+// window rotates every Window jobs, so MinSamples must not exceed Window/2
+// (both after defaults).
+func (c Config) Check() error {
+	if d := c.withDefaults(); 2*d.MinSamples > d.Window {
+		return fmt.Errorf("drift: MinSamples %d exceeds Window/2 = %d: the live window rotates before it holds the 2×MinSamples jobs self-arming needs, so the monitor would never arm",
+			d.MinSamples, d.Window/2)
+	}
+	return nil
+}
+
 // New returns a monitor with cfg (zero fields defaulted) and no reference
 // armed yet.
 func New(cfg Config) *Monitor {
@@ -220,7 +232,8 @@ func (m *Monitor) Observe(rec *darshan.Record) {
 	// Self-arm: with no persisted reference (legacy generation, first
 	// boot), freeze the first 2×MinSamples jobs as the baseline so drift
 	// relative to "what this deployment first saw" is still detectable
-	// instead of the monitor staying blind forever.
+	// instead of the monitor staying blind forever. The window below
+	// rotates at Window jobs, so this needs MinSamples ≤ Window/2 (Check).
 	if selfArm := 2 * m.cfg.MinSamples; !m.armed && selfArm > 0 && m.curN >= selfArm {
 		ref := &Reference{Jobs: m.curN}
 		ref.Counters = m.cur

@@ -144,6 +144,47 @@ func TestSelfArmThenTrip(t *testing.T) {
 	}
 }
 
+// TestSelfArmNeedsHalfAWindow pins Config.Check's boundary: at MinSamples =
+// Window/2 the monitor self-arms on the Window-th job, and one more sample
+// is refused, because that monitor's live window rotates before it ever
+// holds the 2×MinSamples jobs self-arming needs.
+func TestSelfArmNeedsHalfAWindow(t *testing.T) {
+	const window = 100
+	edge := drift.Config{MinSamples: window / 2, Window: window}
+	if err := edge.Check(); err != nil {
+		t.Fatalf("MinSamples = Window/2 refused: %v", err)
+	}
+	m := drift.New(edge)
+	for i, rec := range jobs(t, window, 1) {
+		if m.Snapshot().Armed {
+			t.Fatalf("armed after %d jobs, want %d", i, window)
+		}
+		m.Observe(rec)
+	}
+	if !m.Snapshot().Armed {
+		t.Fatalf("MinSamples = Window/2 did not self-arm after %d jobs", window)
+	}
+
+	over := drift.Config{MinSamples: window/2 + 1, Window: window}
+	if err := over.Check(); err == nil {
+		t.Fatal("MinSamples = Window/2 + 1 accepted")
+	}
+	m = drift.New(over)
+	for _, rec := range jobs(t, 5*window, 1) {
+		m.Observe(rec)
+	}
+	if m.Snapshot().Armed {
+		t.Fatal("the refused pair armed after all")
+	}
+	// The same rule holds after defaults (Window 2000).
+	if err := (drift.Config{MinSamples: 1500}).Check(); err == nil {
+		t.Fatal("MinSamples 1500 with the default Window accepted")
+	}
+	if err := (drift.Config{}).Check(); err != nil {
+		t.Fatalf("the defaults refused: %v", err)
+	}
+}
+
 func TestWindowRotationAgesOutOldTraffic(t *testing.T) {
 	ref := jobs(t, 200, 1)
 	// A 100-job window against a 200-job reference carries sampling noise

@@ -516,6 +516,43 @@ func TestUploadPersistsGenerationViaStore(t *testing.T) {
 	}
 }
 
+// TestUploadRefusedWhenCommitFails: with a Store wired in, an upload is
+// committed before it serves, so a set the registry cannot commit — one no
+// restart would load — never goes live.
+func TestUploadRefusedWhenCommitFails(t *testing.T) {
+	ens := ensemble(t)
+	ws := NewServer(ens, fastOpts())
+	blocker := filepath.Join(t.TempDir(), "models")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil { // a file where the registry directory belongs
+		t.Fatal(err)
+	}
+	ws.Store = core.OpenStore(blocker)
+	srv := httptest.NewServer(ws.Handler())
+	defer srv.Close()
+	_, _, versionBefore := ws.snapshot()
+
+	var buf bytes.Buffer
+	if err := ens.Models[0].Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Client().Post(srv.URL+"/api/v1/models?name=extra&kind="+ens.Models[0].Kind(),
+		"application/octet-stream", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var e struct {
+		RolledBack bool `json:"rolled_back"`
+	}
+	if resp.StatusCode != http.StatusInternalServerError || json.Unmarshal(body, &e) != nil || !e.RolledBack {
+		t.Fatalf("uncommittable upload = %d (%s), want 500 rolled_back", resp.StatusCode, body)
+	}
+	if serving, _, v := ws.snapshot(); v != versionBefore || serving.Model("extra") != nil {
+		t.Fatalf("uncommittable upload went live (version %d -> %d)", versionBefore, v)
+	}
+}
+
 // TestUploadUnderNewNameKeepsBothModels uploads a valid MLP under a new
 // name beside the served one. The upload must keep the name it was given:
 // two models named after their kind would be written to one file, and the

@@ -77,6 +77,58 @@ func TestConcurrentUploadAndDiagnose(t *testing.T) {
 	}
 }
 
+// TestConcurrentUploadsKeepBothModels races two uploads of distinct names.
+// Each builds its candidate from the set serving at the time, so both must
+// survive — in memory and in the generation the registry commits last —
+// only if reading the set, committing and installing are one step.
+func TestConcurrentUploadsKeepBothModels(t *testing.T) {
+	base := ensemble(t)
+	s := NewServer(&core.Ensemble{Models: append([]core.Model(nil), base.Models...)}, fastOpts())
+	s.Store = core.OpenStore(t.TempDir())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	var gob bytes.Buffer
+	if err := base.Model(core.NameLightGBM).Save(&gob); err != nil {
+		t.Fatal(err)
+	}
+
+	names := []string{"left", "right"}
+	start := make(chan struct{})
+	errc := make(chan error, len(names))
+	var wg sync.WaitGroup
+	for _, name := range names {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			<-start
+			errc <- NewClient(srv.URL).UploadModel(name, "gbdt", bytes.NewReader(gob.Bytes()))
+		}(name)
+	}
+	close(start)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	committed, _, err := s.Store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for where, ens := range map[string]*core.Ensemble{"serving": s.ServingEnsemble(), "committed": committed} {
+		if len(ens.Models) != len(base.Models)+len(names) {
+			t.Errorf("%s set has %d models, want %d", where, len(ens.Models), len(base.Models)+len(names))
+		}
+		for _, name := range names {
+			if ens.Model(name) == nil {
+				t.Errorf("%s set lost the upload %q", where, name)
+			}
+		}
+	}
+}
+
 // TestUploadRejectsMismatchedFeatureDimension uploads a structurally valid
 // model trained on the wrong feature count and expects a 400, not a model
 // swap that would panic the next diagnosis.

@@ -1,6 +1,7 @@
 package webservice
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -45,20 +46,13 @@ func lifecycleServer(t *testing.T, cfg drift.Config, holdout, window int) (*Serv
 			Window:    window,
 			Holdout:   holdout,
 			Gate:      gate,
-			Reference: func(training []*darshan.Record, verdict *core.CanaryRecord) []byte {
-				ref := drift.BuildReference(training)
-				if verdict != nil {
-					ref.BaselineRMSE = verdict.CandidateRMSE
-				}
-				data, _ := ref.Marshal()
-				return data
-			},
-			Train: core.TrainOptions{Models: []string{core.NameLightGBM}, Fast: true, Seed: 1},
+			Reference: drift.Sidecar,
+			Train:     core.TrainOptions{Models: []string{core.NameLightGBM}, Fast: true, Seed: 1},
 		})
 		if err != nil {
 			return nil, 0, err
 		}
-		ens, _, err := store.Load()
+		ens, _, err := store.LoadGeneration(rep.Generation)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -402,6 +396,146 @@ func TestPostPromotionErrorSpikeRollsBack(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no rollback-watch advisory: %+v", diag.Advisories)
+	}
+}
+
+// TestTransitionSupersedesPromotionWatch: an auto-promotion arms the
+// rollback watch, then a peer adoption or a model upload replaces the
+// generation under watch. That transition must clear the watch, take the
+// canary provenance from the new generation's manifest and empty the error
+// ring, so the superseded watch can never roll the new generation back.
+func TestTransitionSupersedesPromotionWatch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// transition replaces the serving generation and returns the new
+		// generation and its manifest's canary verdict.
+		transition func(t *testing.T, s *Server, srv *httptest.Server, good *core.Ensemble) (uint64, *core.CanaryRecord)
+	}{
+		{"adopt", func(t *testing.T, s *Server, srv *httptest.Server, good *core.Ensemble) (uint64, *core.CanaryRecord) {
+			verdict := &core.CanaryRecord{Passed: true, HoldoutJobs: 64, Reason: "admitted on the peer"}
+			gen, err := s.Store.SaveDetailed(good, &core.GenerationExtra{Canary: verdict})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ens, man, err := s.Store.LoadGeneration(gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AdoptGeneration(ens, &core.LoadReport{Generation: gen, Fingerprint: man.Fingerprint()}); err != nil {
+				t.Fatal(err)
+			}
+			return gen, verdict
+		}},
+		{"upload", func(t *testing.T, s *Server, srv *httptest.Server, good *core.Ensemble) (uint64, *core.CanaryRecord) {
+			var gob bytes.Buffer
+			if err := good.Model(core.NameLightGBM).Save(&gob); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := srv.Client().Post(srv.URL+"/api/v1/models?name="+core.NameLightGBM+"&kind=gbdt",
+				"application/octet-stream", &gob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var out struct {
+				Generation uint64 `json:"generation"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != 200 {
+				t.Fatalf("upload: HTTP %d, %v", resp.StatusCode, err)
+			}
+			return out.Generation, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jl, err := joblog.Open(t.TempDir(), joblog.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			good := ensemble(t)
+			s := NewServer(good, fastOpts())
+			s.JobLog = jl
+			storeDir := t.TempDir()
+			s.Store = core.OpenStore(storeDir)
+			s.Drift = drift.New(drift.Config{MinSamples: 10_000})
+			s.RollbackRatio = 2
+			s.RollbackWatch = 200 // judged from 25 labeled jobs on
+			gen1, err := s.Store.Save(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AdoptGeneration(good, s.storeReport(gen1)); err != nil {
+				t.Fatal(err)
+			}
+			s.Drift.SetReference(drift.BuildReference(genRecords(t, 100)))
+			srv := httptest.NewServer(s.Handler())
+			defer srv.Close()
+			client := NewClient(srv.URL)
+			batch := 0
+			ingest := func(n int) {
+				t.Helper()
+				recs := genRecords(t, n)
+				for _, rec := range recs {
+					rec.JobID += int64(30_000_000 + batch*1000)
+				}
+				batch++
+				if _, err := client.Ingest(recs); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Baseline under generation 1, then a confidently wrong
+			// auto-promotion and ten of its labeled jobs: the watch is armed
+			// and the ring holds the bad generation's errors, short of a
+			// verdict.
+			ingest(30)
+			bad := &core.Ensemble{Models: []core.Model{&faults.ConstantModel{Value: -5}}}
+			s.Retrainer = func(ctx context.Context) (*core.Ensemble, uint64, error) {
+				gen, err := s.Store.SaveDetailed(bad, &core.GenerationExtra{
+					Canary: &core.CanaryRecord{Passed: true, Reason: "waived in test"},
+				})
+				return bad, gen, err
+			}
+			if !s.TriggerRetrain() {
+				t.Fatal("trigger refused")
+			}
+			waitRetrainIdle(t, s)
+			promoted := s.GenerationReport().Generation
+			ingest(10)
+			if lc := s.lifecycleSnapshot(); !lc.WatchArmed || lc.Rollbacks != 0 {
+				t.Fatalf("after the promotion: %+v, want an armed watch and no rollback", lc)
+			}
+
+			gen, verdict := tc.transition(t, s, srv, good)
+			lc := s.lifecycleSnapshot()
+			if lc.WatchArmed {
+				t.Error("the promotion watch outlived the generation it watched")
+			}
+			if (lc.ServingCanary == nil) != (verdict == nil) || (verdict != nil && *lc.ServingCanary != *verdict) {
+				t.Errorf("serving canary %+v, want generation %d's %+v", lc.ServingCanary, gen, verdict)
+			}
+			if _, n := s.Drift.RollingRMSE(); n != 0 {
+				t.Errorf("error ring holds %d samples of the replaced generation", n)
+			}
+
+			// A rollback the watch fired just before the transition lands
+			// after it: the generation it judged no longer serves.
+			s.rollback(&promotionWatch{fromGen: promoted, prevGen: gen1, baseline: 0.1}, 1, 50)
+			for i := 0; i < 6; i++ {
+				ingest(10)
+			}
+			for i := 0; i < 20 && s.lifecycleSnapshot().Rollbacks == 0; i++ {
+				time.Sleep(10 * time.Millisecond) // room for a (wrong) background rollback
+			}
+			if lc := s.lifecycleSnapshot(); lc.Rollbacks != 0 {
+				t.Fatalf("generation %d rolled back %d -> %d: %s", gen, lc.LastRollbackFrom, lc.LastRollbackTo, lc.LastRollbackReason)
+			}
+			if rep := s.GenerationReport(); rep.Generation != gen {
+				t.Errorf("serving generation %d, want %d", rep.Generation, gen)
+			}
+			if cur, _ := core.OpenStore(storeDir).CurrentGeneration(); cur != gen {
+				t.Errorf("CURRENT names generation %d, want %d", cur, gen)
+			}
+		})
 	}
 }
 

@@ -152,9 +152,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // TriggerRetrain starts one background incremental retraining cycle unless
 // one is already running (single-flight: the running cycle drains the same
 // backlog, so a second would only duplicate work). It reports whether a
-// cycle was started. The committed ensemble goes live through the same
-// validated hot-swap as a model upload: probe every model, swap under the
-// lock, bump the version, purge the cache.
+// cycle was started. The committed ensemble goes live through install, like
+// a model upload, and is the one transition that arms the post-promotion
+// rollback watch.
 func (s *Server) TriggerRetrain() bool {
 	if s.Retrainer == nil || !s.retrainBusy.CompareAndSwap(false, true) {
 		return false
@@ -166,12 +166,6 @@ func (s *Server) TriggerRetrain() bool {
 			st.FinishedUnix = time.Now().Unix()
 			s.retrainState.Store(st)
 		}()
-		// Remember the incumbent: it is the post-promotion watch's rollback
-		// target if the promotion regresses.
-		var prevGen uint64
-		if rep := s.genReport.Load(); rep != nil {
-			prevGen = rep.Generation
-		}
 		ens, gen, err := s.Retrainer(context.Background())
 		if err != nil {
 			// A canary-blocked candidate is a lifecycle decision, not a
@@ -184,18 +178,16 @@ func (s *Server) TriggerRetrain() bool {
 			st.Err = err.Error()
 			return
 		}
-		// AdoptGeneration probes the whole candidate set before it serves
-		// traffic — the trainer validates too, but the swap is the last
-		// line of defense — and stamps the generation fingerprint so
-		// replication peers see the retrain.
-		if aerr := s.AdoptGeneration(ens, s.storeReport(gen)); aerr != nil {
-			st.Err = fmt.Sprintf("retrained set swap rolled back: %v", aerr)
+		// install probes the set once more (the swap is the last line of
+		// defense) and stamps its fingerprint so replication peers see it.
+		s.lifecycleMu.Lock()
+		err = s.install(ens, s.storeReport(gen), true)
+		s.lifecycleMu.Unlock()
+		if err != nil {
+			st.Err = fmt.Sprintf("retrained set swap rolled back: %v", err)
 			return
 		}
 		st.Generation = gen
-		// Re-arm the drift monitor against the new generation's reference
-		// and start the post-promotion rollback watch.
-		s.afterPromotion(prevGen, gen)
 	}()
 	return true
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"time"
 
 	"github.com/hpc-repro/aiio/internal/core"
@@ -19,12 +20,13 @@ import (
 // cannot beat the serving ensemble on held-out jobs is never committed),
 // and a promotion arms a post-promotion watch: if rolling prediction error
 // spikes past the pre-promotion baseline, the server rolls back to the
-// previous generation through the registry's CURRENT pointer and the same
-// validated hot-swap path a promotion uses. Every decision leaves
+// previous generation through the registry's CURRENT pointer and install,
+// the one transition every swap of the serving set goes through (see the
+// "Generation transitions" table in DESIGN.md §14). Every decision leaves
 // provenance — which counters drifted, which gate passed, what the watch
 // saw — on /api/v1/drift, /healthz, and in diagnosis advisories.
 
-// promotionWatch is armed after each auto-promotion: it compares rolling
+// promotionWatch is armed by each auto-promotion: it compares rolling
 // serving error against the pre-promotion baseline for the next budget
 // labeled jobs and rolls back on a spike.
 type promotionWatch struct {
@@ -71,6 +73,9 @@ type lifecycleStatus struct {
 	LastRollbackReason string `json:"last_rollback_reason,omitempty"`
 	// WatchArmed mirrors whether a post-promotion watch is live.
 	WatchArmed bool `json:"watch_armed"`
+	// watch is the live post-promotion rollback watch (nil between
+	// promotions); install stores it, checkWatch spends it.
+	watch *promotionWatch
 }
 
 // lifecycleSnapshot returns a copy of the decision history.
@@ -78,7 +83,7 @@ func (s *Server) lifecycleSnapshot() lifecycleStatus {
 	s.lifecycleMu.Lock()
 	defer s.lifecycleMu.Unlock()
 	st := s.lifecycle
-	st.WatchArmed = s.watch.Load() != nil
+	st.WatchArmed = st.watch != nil
 	return st
 }
 
@@ -140,40 +145,69 @@ func (s *Server) noteCanaryBlocked(v *core.CanaryRecord) {
 	s.lifecycle.LastBlockedUnix = time.Now().Unix()
 }
 
-// afterPromotion runs once a retrained generation has been adopted into
-// the serving path: re-arm the drift monitor against the new generation's
-// persisted reference snapshot, reset the error ring so the watch judges
-// only the new model, record the admitting verdict, and arm the
-// post-promotion rollback watch against the pre-promotion baseline.
-func (s *Server) afterPromotion(prevGen, gen uint64) {
-	if s.Drift == nil {
-		return
+// install makes ens, described by rep, the serving model set. Boot, upload,
+// auto-promotion, peer adoption and rollback all go through it, so each
+// consequence of a swap happens once, in one order, and no lifecycle state
+// outlives the generation it describes. A set failing its probe is refused
+// and the old set keeps serving. watch arms the post-promotion rollback
+// watch (auto-promotion only); every other transition clears it. The
+// caller holds lifecycleMu, which serializes transitions.
+func (s *Server) install(ens *core.Ensemble, rep *core.LoadReport, watch bool) error {
+	for _, m := range ens.Models {
+		if err := probeModel(m); err != nil {
+			return fmt.Errorf("webservice: model %s failed validation, swap refused: %w", m.Name(), err)
+		}
 	}
-	// The pre-promotion baseline: what serving error looked like under the
-	// old generation, captured before the ring resets.
-	prevRMSE, prevN := s.Drift.RollingRMSE()
-
+	// The generation's sidecars: the gate verdict that admitted it and the
+	// drift reference sketched from its training set.
 	var verdict *core.CanaryRecord
 	var ref *drift.Reference
-	if s.Store != nil {
-		if man, err := s.Store.Manifest(gen); err == nil {
+	if s.Store != nil && rep != nil {
+		if man, err := s.Store.Manifest(rep.Generation); err == nil {
 			verdict = man.Canary
 		}
-		if data, err := s.Store.Reference(gen); err == nil && data != nil {
+		if data, err := s.Store.Reference(rep.Generation); err == nil && data != nil {
 			ref, _ = drift.ParseReference(data)
 		}
 	}
-	if ref != nil {
-		s.Drift.SetReference(ref)
+	prev := s.genReport.Load()
+
+	s.mu.Lock()
+	old := s.ens.Models
+	s.ens = ens
+	// Bump the version so in-flight requests keyed against the old set can
+	// never hit, and purge the entries outright.
+	s.version++
+	if c := s.diagnosisCache(); c != nil {
+		c.purge()
 	}
-	s.Drift.ResetErrors()
-
-	s.lifecycleMu.Lock()
+	s.mu.Unlock()
+	s.SetGeneration(rep)
+	// A fresh (validated) model deserves a closed breaker; a model that
+	// keeps serving keeps its breaker's history.
+	if s.Breakers != nil {
+		for _, m := range ens.Models {
+			if !slices.Contains(old, m) {
+				s.Breakers.For(m.Name()).Success()
+			}
+		}
+	}
+	// The pre-transition serving error, captured before the ring resets, is
+	// the watch's preferred baseline.
+	prevRMSE, prevN := 0.0, 0
+	if s.Drift != nil {
+		prevRMSE, prevN = s.Drift.RollingRMSE()
+		if ref != nil {
+			s.Drift.SetReference(ref)
+		}
+		s.Drift.ResetErrors()
+	}
 	s.lifecycle.ServingCanary = verdict
-	s.lifecycleMu.Unlock()
+	s.lifecycle.watch = nil
 
-	if s.RollbackRatio <= 0 || prevGen == 0 || prevGen == gen {
-		return
+	if !watch || s.Drift == nil || s.Store == nil || s.RollbackRatio <= 0 ||
+		prev == nil || prev.Generation == 0 || prev.Generation == rep.Generation {
+		return nil
 	}
 	// Baseline preference: measured pre-promotion serving error when the
 	// ring held enough samples; else the candidate's own held-out RMSE;
@@ -187,32 +221,30 @@ func (s *Server) afterPromotion(prevGen, gen uint64) {
 	case ref != nil && ref.BaselineRMSE > 0:
 		baseline = ref.BaselineRMSE
 	default:
-		return
+		return nil
 	}
 	budget := s.RollbackWatch
 	if budget <= 0 {
 		budget = 200
 	}
-	minObs := budget / 8
-	if minObs < 10 {
-		minObs = 10
-	}
-	s.watch.Store(&promotionWatch{
-		fromGen:  gen,
-		prevGen:  prevGen,
+	s.lifecycle.watch = &promotionWatch{
+		fromGen:  rep.Generation,
+		prevGen:  prev.Generation,
 		baseline: baseline,
 		ratio:    s.RollbackRatio,
 		budget:   budget,
-		minObs:   minObs,
-	})
+		minObs:   max(budget/8, 10),
+	}
+	return nil
 }
 
 // checkWatch evaluates the post-promotion watch against the rolling error.
 // A spike past baseline×ratio disarms the watch and rolls back in the
-// background (single consumer via CompareAndSwap — concurrent ingests
-// race here); surviving the budget disarms it quietly.
+// background; surviving the budget disarms it quietly.
 func (s *Server) checkWatch() {
-	w := s.watch.Load()
+	s.lifecycleMu.Lock()
+	defer s.lifecycleMu.Unlock()
+	w := s.lifecycle.watch
 	if w == nil {
 		return
 	}
@@ -221,52 +253,45 @@ func (s *Server) checkWatch() {
 		return
 	}
 	if rmse >= w.baseline*w.ratio {
-		if s.watch.CompareAndSwap(w, nil) {
-			go s.rollback(w, rmse, n)
-		}
-		return
-	}
-	if n >= w.budget {
-		s.watch.CompareAndSwap(w, nil)
+		s.lifecycle.watch = nil
+		go s.rollback(w, rmse, n)
+	} else if n >= w.budget {
+		s.lifecycle.watch = nil
 	}
 }
 
-// rollback demotes a regressing promotion: flip the registry's CURRENT
-// back to the previous generation (so a restart loads the known-good set
-// — the regressing generation's files stay on disk for the operator),
-// hot-swap the previous models back in through the same validated adopt
-// path a promotion uses, and re-arm the drift monitor against the restored
-// generation's reference.
+// rollback demotes a regressing promotion, provided the generation under
+// watch still serves (a transition since then superseded the verdict):
+// flip the registry's CURRENT back to the previous generation (so a restart
+// loads the known-good set — the regressing generation's files stay on
+// disk for the operator), then install the previous set. Only a watch
+// armed with a Store wired in fires it.
 func (s *Server) rollback(w *promotionWatch, rmse float64, n int) {
 	reason := fmt.Sprintf("rolling RMSE %.4f over %d labeled jobs is %.1fx the pre-promotion baseline %.4f",
 		rmse, n, rmse/w.baseline, w.baseline)
-	if s.Store == nil {
+	s.lifecycleMu.Lock()
+	if rep := s.genReport.Load(); rep == nil || rep.Generation != w.fromGen {
+		s.lifecycleMu.Unlock()
 		return
 	}
-	ens, man, err := s.Store.LoadGeneration(w.prevGen)
-	if err != nil {
-		s.noteRollback(w, 0, reason+fmt.Sprintf(" (rollback FAILED: %v)", err))
-		return
-	}
-	// Durable first: even if the process dies mid-rollback, the next boot
-	// serves the good generation.
-	if err := s.Store.SetCurrent(w.prevGen); err != nil {
-		reason += fmt.Sprintf(" (CURRENT flip failed: %v)", err)
-	}
-	rep := &core.LoadReport{Generation: w.prevGen, Fingerprint: man.Fingerprint(), FellBack: true}
-	if err := s.AdoptGeneration(ens, rep); err != nil {
-		s.noteRollback(w, 0, reason+fmt.Sprintf(" (hot-swap FAILED: %v)", err))
-		return
-	}
-	if s.Drift != nil {
-		if data, err := s.Store.Reference(w.prevGen); err == nil && data != nil {
-			if ref, perr := drift.ParseReference(data); perr == nil {
-				s.Drift.SetReference(ref)
-			}
+	var to uint64
+	if ens, man, err := s.Store.LoadGeneration(w.prevGen); err != nil {
+		reason += fmt.Sprintf(" (rollback FAILED: %v)", err)
+	} else {
+		// Durable first: even if the process dies mid-rollback, the next
+		// boot serves the good generation.
+		if err := s.Store.SetCurrent(w.prevGen); err != nil {
+			reason += fmt.Sprintf(" (CURRENT flip failed: %v)", err)
 		}
-		s.Drift.ResetErrors()
+		rep := &core.LoadReport{Generation: w.prevGen, Fingerprint: man.Fingerprint(), FellBack: true}
+		if err := s.install(ens, rep, false); err != nil {
+			reason += fmt.Sprintf(" (hot-swap FAILED: %v)", err)
+		} else {
+			to = w.prevGen
+		}
 	}
-	s.noteRollback(w, w.prevGen, reason)
+	s.lifecycleMu.Unlock()
+	s.noteRollback(w, to, reason)
 }
 
 func (s *Server) noteRollback(w *promotionWatch, to uint64, reason string) {
@@ -277,8 +302,6 @@ func (s *Server) noteRollback(w *promotionWatch, to uint64, reason string) {
 	s.lifecycle.LastRollbackTo = to
 	s.lifecycle.LastRollbackUnix = time.Now().Unix()
 	s.lifecycle.LastRollbackReason = reason
-	// The admitting verdict no longer describes what serves.
-	s.lifecycle.ServingCanary = nil
 }
 
 // DriftResponse is the JSON body of GET /api/v1/drift.

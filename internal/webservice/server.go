@@ -17,6 +17,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -166,9 +167,8 @@ type Server struct {
 	// diagnosis (see singleflight.go).
 	flights flightGroup
 
-	// watch is the live post-promotion rollback watch (nil between
-	// promotions); lifecycleMu guards the lifecycle decision history.
-	watch       atomic.Pointer[promotionWatch]
+	// lifecycleMu serializes generation transitions (see install) and
+	// guards the lifecycle state and decision history.
 	lifecycleMu sync.Mutex
 	lifecycle   lifecycleStatus
 
@@ -195,7 +195,7 @@ type Server struct {
 	mu   sync.RWMutex
 	ens  *core.Ensemble
 	opts core.DiagnoseOptions
-	// version counts model-set generations: it starts at 1 and each upload
+	// version counts model-set generations: it starts at 1 and each install
 	// increments it, so cache keys from older ensembles can never match.
 	version uint64
 	// advise produces tuning recommendations for a finished diagnosis; a
@@ -544,12 +544,12 @@ func (s *Server) GenerationReport() *core.LoadReport { return s.genReport.Load()
 
 // handleModelUpload accepts a pre-trained model (?name=...&kind=gbdt|mlp|tabnet
 // with the gob body) as a validated hot-swap: the candidate model set —
-// current set with the upload swapped in — is smoke-predicted on a probe
-// vector first, and only a fully valid set goes live under a version
-// bump. A failed validation rolls back automatically: the old set keeps
-// serving untouched and the client gets a structured error saying so.
-// With a Store wired in, the accepted set is also persisted as a new
-// registry generation so the swap survives a restart.
+// current set with the upload swapped in — goes live through install, which
+// probes every model first. A failed validation rolls back automatically:
+// the old set keeps serving untouched and the client gets a structured
+// error saying so. With a Store wired in, the candidate is committed as a
+// new registry generation before it serves, so the swap survives a restart
+// and what serves is always a generation a restart would load.
 func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	kind := r.URL.Query().Get("kind")
@@ -581,58 +581,39 @@ func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.mu.Lock()
-	// Build the candidate set: a fresh slice (in-flight snapshots keep
-	// the old backing array) with the upload swapped in or appended.
-	candidate := append([]core.Model(nil), s.ens.Models...)
-	replaced := false
-	for i, existing := range candidate {
-		if existing.Name() == name {
-			candidate[i] = m
-			replaced = true
-			break
-		}
+	// Holding lifecycleMu from reading the serving set to installing the
+	// candidate keeps a concurrent upload, promotion or adoption from
+	// landing in between and being lost.
+	s.lifecycleMu.Lock()
+	defer s.lifecycleMu.Unlock()
+	candidate := s.ServingEnsemble() // a fresh slice: in-flight snapshots keep theirs
+	i := slices.IndexFunc(candidate.Models, func(x core.Model) bool { return x.Name() == name })
+	replaced := i >= 0
+	if replaced {
+		candidate.Models[i] = m
+	} else {
+		candidate.Models = append(candidate.Models, m)
 	}
-	if !replaced {
-		candidate = append(candidate, m)
-	}
-	// Smoke-predict the whole candidate set. If any member fails, the
-	// swap is rolled back before it ever happened: s.ens is untouched.
-	for _, cm := range candidate {
-		if err := probeModel(cm); err != nil {
-			s.mu.Unlock()
-			writeJSON(w, http.StatusBadRequest, map[string]any{
-				"error": fmt.Sprintf("candidate model set failed validation at %s: %v; upload rolled back",
-					cm.Name(), err),
+	body := map[string]any{"name": name, "replaced": replaced}
+	rep := s.genReport.Load()
+	if s.Store != nil {
+		gen, err := s.Store.Save(candidate)
+		if err != nil {
+			writeJSON(w, http.StatusInternalServerError, map[string]any{
+				"error":       fmt.Sprintf("persist upload: %v; upload rolled back", err),
 				"rolled_back": true,
 			})
 			return
 		}
+		body["generation"] = gen
+		rep = s.storeReport(gen)
 	}
-	s.ens.Models = candidate
-	// The new model invalidates every cached diagnosis: bump the version so
-	// in-flight requests keyed against the old set can never hit, and purge
-	// the entries outright.
-	s.version++
-	if c := s.diagnosisCache(); c != nil {
-		c.purge()
-	}
-	persist := &core.Ensemble{Models: candidate}
-	s.mu.Unlock()
-	// A fresh (validated) model deserves a closed breaker.
-	if s.Breakers != nil {
-		s.Breakers.For(name).Success()
-	}
-	body := map[string]any{"name": name, "replaced": replaced}
-	// Persist the accepted set outside the lock; a persist failure keeps
-	// the hot-swap live (it already validated) and is surfaced instead.
-	if s.Store != nil {
-		if gen, err := s.Store.Save(persist); err != nil {
-			body["persist_error"] = err.Error()
-		} else {
-			body["generation"] = gen
-			s.SetGeneration(s.storeReport(gen))
-		}
+	if err := s.install(candidate, rep, false); err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]any{
+			"error":       fmt.Sprintf("candidate model set: %v; upload rolled back", err),
+			"rolled_back": true,
+		})
+		return
 	}
 	writeJSON(w, http.StatusOK, body)
 }
@@ -975,34 +956,14 @@ func stampGeneration(w http.ResponseWriter, rep *core.LoadReport) {
 	}
 }
 
-// AdoptGeneration hot-swaps a replicated (or freshly committed) model set
-// into the serving path with the same safeguards as a model upload: every
-// model is probe-validated first, and a failure leaves the old set serving
-// untouched. On success the version bumps (invalidating every cached
-// diagnosis), the cache is purged, the generation report goes live on
-// /readyz and the response headers, and each model's breaker is reset the
-// way a validated upload's is.
+// AdoptGeneration hot-swaps a replicated (or freshly loaded) model set into
+// the serving path through install: every model is probe-validated first,
+// and a failure leaves the old set serving untouched. The server binary
+// boots through it too.
 func (s *Server) AdoptGeneration(ens *core.Ensemble, rep *core.LoadReport) error {
-	for _, m := range ens.Models {
-		if err := probeModel(m); err != nil {
-			return fmt.Errorf("webservice: adopt generation %d: model %s failed validation, swap refused: %w",
-				rep.Generation, m.Name(), err)
-		}
-	}
-	s.mu.Lock()
-	s.ens = ens
-	s.version++
-	if c := s.diagnosisCache(); c != nil {
-		c.purge()
-	}
-	s.mu.Unlock()
-	s.SetGeneration(rep)
-	if s.Breakers != nil {
-		for _, m := range ens.Models {
-			s.Breakers.For(m.Name()).Success()
-		}
-	}
-	return nil
+	s.lifecycleMu.Lock()
+	defer s.lifecycleMu.Unlock()
+	return s.install(ens, rep, false)
 }
 
 // GenerationSummary is the JSON body of GET /api/v1/generations: the
