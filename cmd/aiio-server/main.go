@@ -20,9 +20,7 @@
 //	POST /api/v1/diagnose/batch    stream of logs -> JSON diagnosis array
 //	POST /api/v1/jobs              stream of logs -> durable job log ingest
 //	                               (with -joblog-dir; fsync before ack,
-//	                               deduplicated so retries are idempotent;
-//	                               -retrain-after N triggers a background
-//	                               incremental retrain + validated hot-swap)
+//	                               deduplicated so retries are idempotent)
 //	GET  /api/v1/drift             drift monitor status + lifecycle decision
 //	                               history (with -drift-psi)
 //	GET  /api/v1/generations       replication handshake: registry + serving
@@ -31,16 +29,11 @@
 //	     .../{id}/files/{file}     raw model bytes (SHA-256-verified by the
 //	                               pulling peer before hot-swap)
 //
-// With -drift-psi, every durably ingested job feeds a drift monitor: a
-// distribution shift (per-counter PSI against the serving generation's
-// reference snapshot) or a rolling prediction-error spike triggers the same
-// single-flight retrain the backlog threshold does. The retrain is
-// canary-gated (-canary-holdout): a candidate that cannot match the serving
-// ensemble on held-out jobs is never committed. With -rollback-ratio, each
-// auto-promotion is watched; if serving error spikes past the pre-promotion
-// baseline, the server rolls back to the previous generation durably
-// (registry CURRENT) and in memory (validated hot-swap). Every decision is
-// visible on GET /api/v1/drift, /healthz, and as diagnosis advisories.
+// With -drift-psi, every durably ingested job feeds a drift monitor whose
+// trip starts a canary-gated retrain (-canary-holdout), and with
+// -rollback-ratio each promotion is watched and rolled back on an error
+// spike; internal/lifecycle decides all three. Every decision is visible
+// on GET /api/v1/drift, /healthz, and as diagnosis advisories.
 //
 // With -peers, the server pulls newer model generations from its peer
 // replicas every -sync-interval and hot-swaps them after verification, so
@@ -81,6 +74,7 @@ import (
 	"github.com/hpc-repro/aiio/internal/drift"
 	"github.com/hpc-repro/aiio/internal/durable"
 	"github.com/hpc-repro/aiio/internal/joblog"
+	"github.com/hpc-repro/aiio/internal/lifecycle"
 	"github.com/hpc-repro/aiio/internal/webservice"
 )
 
@@ -145,8 +139,8 @@ func main() {
 		"fraction a candidate's holdout RMSE may exceed the serving ensemble's before the gate blocks it (0 = default 0.10)")
 	rollbackRatio := flag.Float64("rollback-ratio", 0,
 		"post-promotion rolling RMSE at or over this multiple of the pre-promotion baseline rolls back to the previous generation (0 disables)")
-	rollbackWatch := flag.Int("rollback-watch", 0,
-		"labeled jobs the post-promotion watch covers before a promotion is judged safe (0 = default 200)")
+	rollbackWatch := flag.Int("rollback-watch", lifecycle.DefaultRollbackWatch,
+		"labeled jobs the post-promotion watch covers before a promotion is judged safe")
 	flag.Parse()
 
 	// A mistyped option fails here, not on the first diagnosis or retrain.
@@ -199,6 +193,8 @@ func main() {
 	ws.MaxBody = *maxBody
 	ws.CacheSize = *cacheSize
 	ws.Store = store
+	ws.SetLifecycle(lifecycle.Config{
+		RetrainThreshold: *retrainAfter, RollbackRatio: *rollbackRatio, RollbackWatch: *rollbackWatch})
 	ws.Admission = admission.NewController(admission.Config{
 		MaxInflight: *maxInflight,
 		QueueDepth:  *queueDepth,
@@ -216,8 +212,6 @@ func main() {
 	}
 	if *driftPSI > 0 {
 		ws.Drift = drift.New(driftCfg)
-		ws.RollbackRatio = *rollbackRatio
-		ws.RollbackWatch = *rollbackWatch
 	}
 	if *joblogDir != "" {
 		jl, err := joblog.Open(*joblogDir, joblog.Options{})
@@ -231,7 +225,6 @@ func main() {
 				rec.TornBytes, rec.Quarantined, rec.ResealedSegments)
 		}
 		ws.JobLog = jl
-		ws.RetrainThreshold = *retrainAfter
 		topts := core.DefaultTrainOptions()
 		topts.Fast = *retrainFast
 		topts.WarmStart = *retrainWarm
@@ -254,10 +247,7 @@ func main() {
 		ws.Retrainer = func(ctx context.Context) (*core.Ensemble, uint64, error) {
 			rep, err := core.RunIncremental(ctx, jl, store, incOpts)
 			if err != nil {
-				var blocked *core.CanaryBlockedError
-				if errors.As(err, &blocked) && blocked.Verdict != nil {
-					log.Printf("aiio-server: canary gate blocked retrained candidate: %s", blocked.Verdict.Reason)
-				}
+				log.Printf("aiio-server: incremental retrain: %v", err)
 				return nil, 0, err
 			}
 			// What this cycle committed, not what CURRENT names by now.
@@ -303,21 +293,7 @@ func main() {
 				peerList = append(peerList, strings.TrimRight(p, "/"))
 			}
 		}
-		sy := &webservice.Syncer{
-			Store:    store,
-			Peers:    peerList,
-			Interval: *syncInterval,
-			Current: func() (uint64, string) {
-				if rep := ws.GenerationReport(); rep != nil {
-					return rep.Generation, rep.Fingerprint
-				}
-				return 0, ""
-			},
-			OnAdopt: func(ens *core.Ensemble, gen uint64, fp string) error {
-				return ws.AdoptGeneration(ens, &core.LoadReport{Generation: gen, Fingerprint: fp})
-			},
-			Logf: log.Printf,
-		}
+		sy := &webservice.Syncer{Server: ws, Peers: peerList, Interval: *syncInterval, Logf: log.Printf}
 		go sy.Run(ctx)
 		log.Printf("aiio-server: replicating model generations from %d peer(s) every %s",
 			len(peerList), *syncInterval)

@@ -188,27 +188,31 @@ func (s *BreakerSet) For(name string) *Breaker {
 }
 
 // AllOpen reports whether every one of the given models is currently
-// hard-refused (Open). False for an empty name list.
+// hard-refused (Open). A model no request has touched yet has no breaker
+// and counts as closed; nothing is built. False for an empty name list.
 func (s *BreakerSet) AllOpen(names []string) bool {
-	if len(names) == 0 {
-		return false
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, n := range names {
-		if !s.For(n).Open() {
+		if b := s.breakers[n]; b == nil || !b.Open() {
 			return false
 		}
 	}
-	return true
+	return len(names) > 0
 }
 
-// States snapshots every breaker's state by model name (for /readyz and
-// logs).
-func (s *BreakerSet) States() map[string]string {
+// States snapshots the state of each named model's breaker (for /readyz,
+// /healthz and logs); an untouched model reads "closed" and gets no
+// breaker built.
+func (s *BreakerSet) States(names []string) map[string]string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]string, len(s.breakers))
-	for name, b := range s.breakers {
-		out[name] = b.State().String()
+	out := make(map[string]string, len(names))
+	for _, n := range names {
+		out[n] = StateClosed.String()
+		if b := s.breakers[n]; b != nil {
+			out[n] = b.State().String()
+		}
 	}
 	return out
 }

@@ -134,7 +134,7 @@ func TestBreakerSetAllOpenAndStates(t *testing.T) {
 	if s.AllOpen(nil) {
 		t.Fatal("AllOpen true for an empty model list")
 	}
-	states := s.States()
+	states := s.States([]string{"m1", "m2"})
 	if states["m1"] != "open" || states["m2"] != "open" {
 		t.Fatalf("states = %v, want both open", states)
 	}

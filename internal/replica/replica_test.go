@@ -101,16 +101,7 @@ func newReplica(t testing.TB, dir string, models *core.Ensemble) *testReplica {
 // syncerFor wires a replica's generation syncer against peers.
 func syncerFor(r *testReplica, peers ...string) *webservice.Syncer {
 	return &webservice.Syncer{
-		Store: r.Store,
-		Peers: peers,
-		Current: func() (uint64, string) {
-			if rep := r.WS.GenerationReport(); rep != nil {
-				return rep.Generation, rep.Fingerprint
-			}
-			return 0, ""
-		},
-		OnAdopt: func(ens *core.Ensemble, gen uint64, fp string) error {
-			return r.WS.AdoptGeneration(ens, &core.LoadReport{Generation: gen, Fingerprint: fp})
-		},
+		Server: r.WS,
+		Peers:  peers,
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -322,6 +323,45 @@ func TestAllBreakersOpenAnswers503AndClientStopsRetrying(t *testing.T) {
 	}
 	if got := requests.Load(); got != 1 {
 		t.Fatalf("client sent %d requests against an open breaker, want exactly 1", got)
+	}
+}
+
+// TestReadyzListsEveryServingBreaker: right after boot, before any model
+// has served or failed, /readyz and /healthz list one closed breaker for
+// each of the six serving models — not just the ones some path touched.
+func TestReadyzListsEveryServingBreaker(t *testing.T) {
+	ens := &core.Ensemble{}
+	for i := 1; i <= 6; i++ {
+		ens.Models = append(ens.Models, &faults.ConstantModel{Value: 1, ModelName: fmt.Sprintf("m%d", i)})
+	}
+	ws := NewServer(ens, fastOpts())
+	ws.Breakers = breakerSet(5, time.Minute)
+	if err := ws.AdoptGeneration(ens, &core.LoadReport{Generation: 1}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(ws.Handler())
+	defer srv.Close()
+	for _, path := range []string{"/readyz", "/healthz"} {
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Breakers map[string]string `json:"breakers"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d, %v", path, resp.StatusCode, err)
+		}
+		if len(body.Breakers) != len(ens.Models) {
+			t.Errorf("%s lists breakers %v, want all %d serving models", path, body.Breakers, len(ens.Models))
+		}
+		for _, m := range ens.Models {
+			if got := body.Breakers[m.Name()]; got != "closed" {
+				t.Errorf("%s: breaker %s = %q, want closed", path, m.Name(), got)
+			}
+		}
 	}
 }
 

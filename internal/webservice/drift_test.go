@@ -18,6 +18,7 @@ import (
 	"github.com/hpc-repro/aiio/internal/drift"
 	"github.com/hpc-repro/aiio/internal/faults"
 	"github.com/hpc-repro/aiio/internal/joblog"
+	"github.com/hpc-repro/aiio/internal/lifecycle"
 )
 
 // End-to-end tests of the self-healing lifecycle (DESIGN.md §14): drift
@@ -99,7 +100,7 @@ func TestDriftTripRunsCanaryGatedRetrain(t *testing.T) {
 	// sampling noise on the noisiest counter; 0.5 separates the real 1000x
 	// shift (PSI >> 1) from that noise.
 	s, jl, _ := lifecycleServer(t, drift.Config{MinSamples: 100, Window: 400, PSIThreshold: 0.5}, 20, 256)
-	s.RetrainThreshold = 0 // only drift may trigger
+	s.SetLifecycle(lifecycle.Config{}) // only drift may trigger
 	s.Drift.SetReference(drift.BuildReference(genRecords(t, 200)))
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -125,7 +126,7 @@ func TestDriftTripRunsCanaryGatedRetrain(t *testing.T) {
 		t.Fatalf("1000x shift: %+v, want drift trip + trigger", resp)
 	}
 	waitRetrainIdle(t, s)
-	rs := s.retrainState.Load()
+	rs := s.lifecycleSnapshot().LastRetrain
 	if rs == nil || rs.Err != "" {
 		t.Fatalf("drift-triggered retrain failed: %+v", rs)
 	}
@@ -185,7 +186,7 @@ func TestPoisonedRetrainBlockedByCanary(t *testing.T) {
 		MinErrors:  30,
 		ErrorRatio: 1.5,
 	}, 20, 16)
-	s.RetrainThreshold = 0
+	s.SetLifecycle(lifecycle.Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	client := NewClient(srv.URL)
@@ -240,7 +241,7 @@ func TestPoisonedRetrainBlockedByCanary(t *testing.T) {
 
 	// The gate must have blocked: no promotion, version unchanged, verdict
 	// recorded, backlog parked so the trigger cannot loop.
-	rs := s.retrainState.Load()
+	rs := s.lifecycleSnapshot().LastRetrain
 	if rs == nil || !strings.Contains(rs.Err, "canary") {
 		t.Fatalf("retrain state = %+v, want a canary block", rs)
 	}
@@ -298,9 +299,7 @@ func TestPostPromotionErrorSpikeRollsBack(t *testing.T) {
 	store := core.OpenStore(storeDir)
 	s.Store = store
 	s.Drift = drift.New(drift.Config{MinSamples: 10_000})
-	s.RollbackRatio = 2
-	s.RollbackWatch = 40
-	s.RetrainThreshold = 0
+	s.SetLifecycle(lifecycle.Config{RollbackRatio: 2, RollbackWatch: 40})
 
 	gen1, err := store.Save(good)
 	if err != nil {
@@ -457,8 +456,7 @@ func TestTransitionSupersedesPromotionWatch(t *testing.T) {
 			storeDir := t.TempDir()
 			s.Store = core.OpenStore(storeDir)
 			s.Drift = drift.New(drift.Config{MinSamples: 10_000})
-			s.RollbackRatio = 2
-			s.RollbackWatch = 200 // judged from 25 labeled jobs on
+			s.SetLifecycle(lifecycle.Config{RollbackRatio: 2, RollbackWatch: 200}) // judged from 25 labeled jobs on
 			gen1, err := s.Store.Save(good)
 			if err != nil {
 				t.Fatal(err)
@@ -499,7 +497,6 @@ func TestTransitionSupersedesPromotionWatch(t *testing.T) {
 				t.Fatal("trigger refused")
 			}
 			waitRetrainIdle(t, s)
-			promoted := s.GenerationReport().Generation
 			ingest(10)
 			if lc := s.lifecycleSnapshot(); !lc.WatchArmed || lc.Rollbacks != 0 {
 				t.Fatalf("after the promotion: %+v, want an armed watch and no rollback", lc)
@@ -517,9 +514,11 @@ func TestTransitionSupersedesPromotionWatch(t *testing.T) {
 				t.Errorf("error ring holds %d samples of the replaced generation", n)
 			}
 
-			// A rollback the watch fired just before the transition lands
-			// after it: the generation it judged no longer serves.
-			s.rollback(&promotionWatch{fromGen: promoted, prevGen: gen1, baseline: 0.1}, 1, 50)
+			// A spike the superseded watch would have judged lands after the
+			// transition: the generation it watched no longer serves.
+			s.lifecycleMu.Lock()
+			s.step(lifecycle.ErrorSample{RMSE: 1, N: 50})
+			s.lifecycleMu.Unlock()
 			for i := 0; i < 6; i++ {
 				ingest(10)
 			}

@@ -1,14 +1,13 @@
 package webservice
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
-	"github.com/hpc-repro/aiio/internal/core"
 	"github.com/hpc-repro/aiio/internal/darshan"
+	"github.com/hpc-repro/aiio/internal/drift"
+	"github.com/hpc-repro/aiio/internal/lifecycle"
 )
 
 // Streaming job ingest: POST /api/v1/jobs accepts Darshan text logs (one or
@@ -46,13 +45,6 @@ type IngestResponse struct {
 	// the backlog threshold) started the background cycle.
 	DriftTripped          bool `json:"drift_tripped,omitempty"`
 	DriftRetrainTriggered bool `json:"drift_retrain_triggered,omitempty"`
-}
-
-// retrainStatus is the last background cycle's outcome, for /healthz.
-type retrainStatus struct {
-	Generation   uint64
-	FinishedUnix int64
-	Err          string
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -125,69 +117,22 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// that are truly in the training log shape the monitor's view of the
 	// world. Duplicates (client retries) are skipped so a retry storm
 	// cannot fake a distribution shift.
-	if s.Drift != nil && len(observed) > 0 {
-		ens, _, _ := s.snapshot()
-		for _, rec := range observed {
-			s.observeIngest(ens, rec)
-		}
-	}
-	if s.RetrainThreshold > 0 && resp.Pending >= s.RetrainThreshold {
-		resp.RetrainTriggered = s.TriggerRetrain()
-	}
-	// A tripped drift detector triggers the same single-flight retrain the
-	// backlog threshold does — the canary gate inside the retrainer decides
-	// whether the result actually promotes.
-	if s.Drift != nil && !resp.RetrainTriggered {
+	var trip *drift.Status
+	if s.Drift != nil {
+		s.observeIngest(observed)
 		if tripped, st := s.Drift.Tripped(); tripped {
-			resp.DriftTripped = true
-			if s.Retrainer != nil && s.TriggerRetrain() {
-				resp.DriftRetrainTriggered = true
-				s.noteDriftTrigger(st)
-			}
+			trip = st
 		}
 	}
-	writeJSON(w, http.StatusOK, &resp)
-}
-
-// TriggerRetrain starts one background incremental retraining cycle unless
-// one is already running (single-flight: the running cycle drains the same
-// backlog, so a second would only duplicate work). It reports whether a
-// cycle was started. The committed ensemble goes live through install, like
-// a model upload, and is the one transition that arms the post-promotion
-// rollback watch.
-func (s *Server) TriggerRetrain() bool {
-	if s.Retrainer == nil || !s.retrainBusy.CompareAndSwap(false, true) {
-		return false
-	}
-	go func() {
-		defer s.retrainBusy.Store(false)
-		st := &retrainStatus{}
-		defer func() {
-			st.FinishedUnix = time.Now().Unix()
-			s.retrainState.Store(st)
-		}()
-		ens, gen, err := s.Retrainer(context.Background())
-		if err != nil {
-			// A canary-blocked candidate is a lifecycle decision, not a
-			// failure: the gate judged the retrain worse than the serving
-			// set and refused it. Record the losing verdict as provenance.
-			var blocked *core.CanaryBlockedError
-			if errors.As(err, &blocked) {
-				s.noteCanaryBlocked(blocked.Verdict)
-			}
-			st.Err = err.Error()
-			return
-		}
-		// install probes the set once more (the swap is the last line of
-		// defense) and stamps its fingerprint so replication peers see it.
+	if s.Retrainer != nil {
 		s.lifecycleMu.Lock()
-		err = s.install(ens, s.storeReport(gen), true)
-		s.lifecycleMu.Unlock()
-		if err != nil {
-			st.Err = fmt.Sprintf("retrained set swap rolled back: %v", err)
-			return
+		for _, c := range s.step(lifecycle.Ingested{Pending: resp.Pending, Trip: trip, Unix: time.Now().Unix()}) {
+			if c, ok := c.(lifecycle.StartRetrain); ok {
+				resp.RetrainTriggered, resp.DriftRetrainTriggered = !c.Drift, c.Drift
+			}
 		}
-		st.Generation = gen
-	}()
-	return true
+		s.lifecycleMu.Unlock()
+	}
+	resp.DriftTripped = trip != nil && !resp.RetrainTriggered
+	writeJSON(w, http.StatusOK, &resp)
 }

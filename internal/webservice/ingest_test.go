@@ -13,6 +13,7 @@ import (
 	"github.com/hpc-repro/aiio/internal/core"
 	"github.com/hpc-repro/aiio/internal/darshan"
 	"github.com/hpc-repro/aiio/internal/joblog"
+	"github.com/hpc-repro/aiio/internal/lifecycle"
 	"github.com/hpc-repro/aiio/internal/logdb"
 )
 
@@ -178,7 +179,7 @@ func TestIngestTriggersRetrainAndHotSwap(t *testing.T) {
 	s, jl := ingestServer(t)
 	store := core.OpenStore(t.TempDir())
 	s.Store = store
-	s.RetrainThreshold = 10
+	s.SetLifecycle(lifecycle.Config{RetrainThreshold: 10})
 	s.Retrainer = func(ctx context.Context) (*core.Ensemble, uint64, error) {
 		rep, err := core.RunIncremental(ctx, jl, store, core.IncrementalOptions{
 			MiniBatch: 8,
@@ -213,7 +214,7 @@ func TestIngestTriggersRetrainAndHotSwap(t *testing.T) {
 	if !s.RetrainIdle() {
 		t.Fatal("retraining did not finish in time")
 	}
-	rs := s.retrainState.Load()
+	rs := s.lifecycleSnapshot().LastRetrain
 	if rs == nil || rs.Err != "" {
 		t.Fatalf("retrain state: %+v", rs)
 	}
@@ -245,7 +246,7 @@ func TestIngestTriggersRetrainAndHotSwap(t *testing.T) {
 	for !s.RetrainIdle() && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if rs2 := s.retrainState.Load(); rs2 == nil || rs2.Err == "" {
+	if rs2 := s.lifecycleSnapshot().LastRetrain; rs2 == nil || rs2.Err == "" {
 		t.Fatalf("failed cycle not surfaced: %+v", rs2)
 	}
 	if _, _, v2 := s.snapshot(); v2 != v1 {
@@ -291,4 +292,16 @@ func TestHealthzReportsJoblog(t *testing.T) {
 }
 
 // RetrainIdle reports whether no background retraining cycle is running.
-func (s *Server) RetrainIdle() bool { return !s.retrainBusy.Load() }
+func (s *Server) RetrainIdle() bool { return !s.lifecycleSnapshot().Retraining }
+
+// TriggerRetrain starts a background retrain the way an ingest whose
+// backlog reaches the threshold does, unless one is running, and reports
+// whether it started one.
+func (s *Server) TriggerRetrain() bool {
+	s.lifecycleMu.Lock()
+	defer s.lifecycleMu.Unlock()
+	cfg := s.lc.Config
+	defer func() { s.lc.Config = cfg }()
+	s.lc.Config.RetrainThreshold = 1
+	return len(s.step(lifecycle.Ingested{Pending: 1})) > 0
+}

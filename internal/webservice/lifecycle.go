@@ -1,6 +1,7 @@
 package webservice
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"net/http"
@@ -11,95 +12,68 @@ import (
 	"github.com/hpc-repro/aiio/internal/darshan"
 	"github.com/hpc-repro/aiio/internal/drift"
 	"github.com/hpc-repro/aiio/internal/features"
+	"github.com/hpc-repro/aiio/internal/lifecycle"
 )
 
-// The self-healing model lifecycle (DESIGN.md §14). The drift monitor
-// watches every ingested job; when a detector trips, the ingest path
-// triggers the same single-flight retrain a backlog threshold does. The
-// retrain is canary-gated inside core.RunIncremental (a candidate that
-// cannot beat the serving ensemble on held-out jobs is never committed),
-// and a promotion arms a post-promotion watch: if rolling prediction error
-// spikes past the pre-promotion baseline, the server rolls back to the
-// previous generation through the registry's CURRENT pointer and install,
-// the one transition every swap of the serving set goes through (see the
-// "Generation transitions" table in DESIGN.md §14). Every decision leaves
-// provenance — which counters drifted, which gate passed, what the watch
-// saw — on /api/v1/drift, /healthz, and in diagnosis advisories.
+// The imperative shell of the self-healing model lifecycle (DESIGN.md §14):
+// what happens is stepped through the lifecycle.Machine under lifecycleMu,
+// and step carries out its commands. Every swap of the serving set goes
+// through install, and every decision leaves provenance on /api/v1/drift,
+// /healthz and in diagnosis advisories.
 
-// promotionWatch is armed by each auto-promotion: it compares rolling
-// serving error against the pre-promotion baseline for the next budget
-// labeled jobs and rolls back on a spike.
-type promotionWatch struct {
-	// fromGen is the freshly promoted generation under watch; prevGen is
-	// the rollback target (what served before the promotion).
-	fromGen uint64
-	prevGen uint64
-	// baseline is the pre-promotion error level; ratio is the spike
-	// multiplier that triggers rollback.
-	baseline float64
-	ratio    float64
-	// budget is how many labeled jobs the watch covers before the
-	// promotion is judged safe; minObs is the smallest rolling sample a
-	// verdict may rest on.
-	budget int
-	minObs int
-}
-
-// lifecycleStatus aggregates the lifecycle's decision history for
-// /healthz, /api/v1/drift, and advisories. Guarded by Server.lifecycleMu.
-type lifecycleStatus struct {
-	// DriftRetrains counts retrains triggered by a drift trip (as opposed
-	// to the backlog threshold).
-	DriftRetrains uint64 `json:"drift_retrains"`
-	// LastTrippedBy / LastTrippedCounters are the provenance of the most
-	// recent drift trigger.
-	LastTrippedBy       string               `json:"last_tripped_by,omitempty"`
-	LastTrippedCounters []drift.CounterDrift `json:"last_tripped_counters,omitempty"`
-	LastTrippedUnix     int64                `json:"last_tripped_unix,omitempty"`
-	// ServingCanary is the gate verdict that admitted the serving
-	// generation (nil when it was not auto-promoted).
-	ServingCanary *core.CanaryRecord `json:"serving_canary,omitempty"`
-	// CanaryBlocked counts candidates the gate refused; LastBlocked is the
-	// most recent losing verdict.
-	CanaryBlocked   uint64             `json:"canary_blocked"`
-	LastBlocked     *core.CanaryRecord `json:"last_blocked,omitempty"`
-	LastBlockedUnix int64              `json:"last_blocked_unix,omitempty"`
-	// Rollbacks counts automatic demotions; the Last* fields describe the
-	// most recent one.
-	Rollbacks          uint64 `json:"rollbacks"`
-	LastRollbackFrom   uint64 `json:"last_rollback_from,omitempty"`
-	LastRollbackTo     uint64 `json:"last_rollback_to,omitempty"`
-	LastRollbackUnix   int64  `json:"last_rollback_unix,omitempty"`
-	LastRollbackReason string `json:"last_rollback_reason,omitempty"`
-	// WatchArmed mirrors whether a post-promotion watch is live.
-	WatchArmed bool `json:"watch_armed"`
-	// watch is the live post-promotion rollback watch (nil between
-	// promotions); install stores it, checkWatch spends it.
-	watch *promotionWatch
-}
+// SetLifecycle sets the lifecycle's thresholds; call it before serving.
+func (s *Server) SetLifecycle(cfg lifecycle.Config) { s.lc.Config = cfg }
 
 // lifecycleSnapshot returns a copy of the decision history.
-func (s *Server) lifecycleSnapshot() lifecycleStatus {
+func (s *Server) lifecycleSnapshot() lifecycle.Status {
 	s.lifecycleMu.Lock()
 	defer s.lifecycleMu.Unlock()
-	st := s.lifecycle
-	st.WatchArmed = st.watch != nil
-	return st
+	return s.lc.Status()
 }
 
-// observeIngest feeds one durably accepted record into the drift monitor:
-// its counters into the distribution sketches and — every ingested job is
-// labeled with its measured performance — its prediction error into the
-// rolling tracker. It then gives the post-promotion watch a chance to act.
-func (s *Server) observeIngest(ens *core.Ensemble, rec *darshan.Record) {
-	if s.Drift == nil {
-		return
+// step feeds ev to the lifecycle machine, carries out the commands it
+// returns, and returns them. The caller holds lifecycleMu.
+func (s *Server) step(ev lifecycle.Event) []lifecycle.Command {
+	cmds := s.lc.Step(ev)
+	for _, c := range cmds {
+		switch c := c.(type) {
+		case lifecycle.StartRetrain:
+			go func() {
+				ens, gen, err := s.Retrainer(context.Background())
+				s.lifecycleMu.Lock()
+				defer s.lifecycleMu.Unlock()
+				s.step(lifecycle.RetrainDone{Ensemble: ens, Generation: gen, Err: err, Unix: time.Now().Unix()})
+			}()
+		case lifecycle.Promote:
+			// install probes the set once more (the swap is the last line of
+			// defense) and stamps its fingerprint so replication peers see it.
+			if err := s.install(c.Ensemble, s.storeReport(c.Generation)); err != nil {
+				err = fmt.Errorf("retrained set swap rolled back: %v", err)
+				s.step(lifecycle.RetrainDone{Err: err, Unix: time.Now().Unix()})
+			}
+		case lifecycle.Rollback:
+			s.rollback(c)
+		}
 	}
-	s.Drift.Observe(rec)
-	if pred, ok := safeMeanPredict(ens, rec); ok {
-		s.Drift.ObserveError(pred, features.Transform(features.Sanitize(rec.PerfMiBps)))
+	return cmds
+}
+
+// observeIngest feeds durably accepted records into the drift monitor:
+// counters into the distribution sketches and — every ingested job is
+// labeled with its measured performance — the prediction error into the
+// rolling ring, stepped as one labeled sample per record.
+func (s *Server) observeIngest(recs []*darshan.Record) {
+	ens, _, _ := s.snapshot()
+	for _, rec := range recs {
+		s.Drift.Observe(rec)
+		if pred, ok := safeMeanPredict(ens, rec); ok {
+			s.Drift.ObserveError(pred, features.Transform(features.Sanitize(rec.PerfMiBps)))
+		}
+		s.lifecycleMu.Lock()
+		rmse, n := s.Drift.RollingRMSE()
+		s.step(lifecycle.ErrorSample{RMSE: rmse, N: n})
+		s.lifecycleMu.Unlock()
 	}
-	s.checkWatch()
 }
 
 // safeMeanPredict is the Average Method prediction (transformed domain)
@@ -126,33 +100,13 @@ func safeMeanPredict(ens *core.Ensemble, rec *darshan.Record) (pred float64, ok 
 	return sum / float64(len(ens.Models)), true
 }
 
-// noteDriftTrigger records the provenance of a drift-triggered retrain.
-func (s *Server) noteDriftTrigger(st *drift.Status) {
-	s.lifecycleMu.Lock()
-	defer s.lifecycleMu.Unlock()
-	s.lifecycle.DriftRetrains++
-	s.lifecycle.LastTrippedBy = st.TrippedBy
-	s.lifecycle.LastTrippedCounters = st.Drifted
-	s.lifecycle.LastTrippedUnix = time.Now().Unix()
-}
-
-// noteCanaryBlocked records a gate refusal (surfaced by TriggerRetrain).
-func (s *Server) noteCanaryBlocked(v *core.CanaryRecord) {
-	s.lifecycleMu.Lock()
-	defer s.lifecycleMu.Unlock()
-	s.lifecycle.CanaryBlocked++
-	s.lifecycle.LastBlocked = v
-	s.lifecycle.LastBlockedUnix = time.Now().Unix()
-}
-
 // install makes ens, described by rep, the serving model set. Boot, upload,
 // auto-promotion, peer adoption and rollback all go through it, so each
 // consequence of a swap happens once, in one order, and no lifecycle state
 // outlives the generation it describes. A set failing its probe is refused
-// and the old set keeps serving. watch arms the post-promotion rollback
-// watch (auto-promotion only); every other transition clears it. The
-// caller holds lifecycleMu, which serializes transitions.
-func (s *Server) install(ens *core.Ensemble, rep *core.LoadReport, watch bool) error {
+// and the old set keeps serving. The caller holds lifecycleMu, which
+// serializes transitions.
+func (s *Server) install(ens *core.Ensemble, rep *core.LoadReport) error {
 	for _, m := range ens.Models {
 		if err := probeModel(m); err != nil {
 			return fmt.Errorf("webservice: model %s failed validation, swap refused: %w", m.Name(), err)
@@ -160,17 +114,18 @@ func (s *Server) install(ens *core.Ensemble, rep *core.LoadReport, watch bool) e
 	}
 	// The generation's sidecars: the gate verdict that admitted it and the
 	// drift reference sketched from its training set.
-	var verdict *core.CanaryRecord
-	var ref *drift.Reference
+	ev := lifecycle.Installed{Watchable: s.Drift != nil && s.Store != nil}
+	if rep != nil {
+		ev.Generation = rep.Generation
+	}
 	if s.Store != nil && rep != nil {
 		if man, err := s.Store.Manifest(rep.Generation); err == nil {
-			verdict = man.Canary
+			ev.Canary = man.Canary
 		}
 		if data, err := s.Store.Reference(rep.Generation); err == nil && data != nil {
-			ref, _ = drift.ParseReference(data)
+			ev.Reference, _ = drift.ParseReference(data)
 		}
 	}
-	prev := s.genReport.Load()
 
 	s.mu.Lock()
 	old := s.ens.Models
@@ -192,116 +147,39 @@ func (s *Server) install(ens *core.Ensemble, rep *core.LoadReport, watch bool) e
 			}
 		}
 	}
-	// The pre-transition serving error, captured before the ring resets, is
-	// the watch's preferred baseline.
-	prevRMSE, prevN := 0.0, 0
+	// The pre-transition serving error, read before the ring resets, is the
+	// watch's preferred baseline.
 	if s.Drift != nil {
-		prevRMSE, prevN = s.Drift.RollingRMSE()
-		if ref != nil {
-			s.Drift.SetReference(ref)
+		ev.RingRMSE, ev.RingN = s.Drift.RollingRMSE()
+		if ev.Reference != nil {
+			s.Drift.SetReference(ev.Reference)
 		}
 		s.Drift.ResetErrors()
 	}
-	s.lifecycle.ServingCanary = verdict
-	s.lifecycle.watch = nil
-
-	if !watch || s.Drift == nil || s.Store == nil || s.RollbackRatio <= 0 ||
-		prev == nil || prev.Generation == 0 || prev.Generation == rep.Generation {
-		return nil
-	}
-	// Baseline preference: measured pre-promotion serving error when the
-	// ring held enough samples; else the candidate's own held-out RMSE;
-	// else the reference's recorded baseline. No baseline, no watch.
-	baseline := 0.0
-	switch {
-	case prevN >= 20 && prevRMSE > 0:
-		baseline = prevRMSE
-	case verdict != nil && verdict.CandidateRMSE > 0:
-		baseline = verdict.CandidateRMSE
-	case ref != nil && ref.BaselineRMSE > 0:
-		baseline = ref.BaselineRMSE
-	default:
-		return nil
-	}
-	budget := s.RollbackWatch
-	if budget <= 0 {
-		budget = 200
-	}
-	s.lifecycle.watch = &promotionWatch{
-		fromGen:  rep.Generation,
-		prevGen:  prev.Generation,
-		baseline: baseline,
-		ratio:    s.RollbackRatio,
-		budget:   budget,
-		minObs:   max(budget/8, 10),
-	}
+	s.step(ev)
 	return nil
 }
 
-// checkWatch evaluates the post-promotion watch against the rolling error.
-// A spike past baseline×ratio disarms the watch and rolls back in the
-// background; surviving the budget disarms it quietly.
-func (s *Server) checkWatch() {
-	s.lifecycleMu.Lock()
-	defer s.lifecycleMu.Unlock()
-	w := s.lifecycle.watch
-	if w == nil {
-		return
-	}
-	rmse, n := s.Drift.RollingRMSE()
-	if n < w.minObs {
-		return
-	}
-	if rmse >= w.baseline*w.ratio {
-		s.lifecycle.watch = nil
-		go s.rollback(w, rmse, n)
-	} else if n >= w.budget {
-		s.lifecycle.watch = nil
-	}
-}
-
-// rollback demotes a regressing promotion, provided the generation under
-// watch still serves (a transition since then superseded the verdict):
-// flip the registry's CURRENT back to the previous generation (so a restart
-// loads the known-good set — the regressing generation's files stay on
-// disk for the operator), then install the previous set. Only a watch
-// armed with a Store wired in fires it.
-func (s *Server) rollback(w *promotionWatch, rmse float64, n int) {
-	reason := fmt.Sprintf("rolling RMSE %.4f over %d labeled jobs is %.1fx the pre-promotion baseline %.4f",
-		rmse, n, rmse/w.baseline, w.baseline)
-	s.lifecycleMu.Lock()
-	if rep := s.genReport.Load(); rep == nil || rep.Generation != w.fromGen {
-		s.lifecycleMu.Unlock()
-		return
-	}
-	var to uint64
-	if ens, man, err := s.Store.LoadGeneration(w.prevGen); err != nil {
+// rollback carries out a Rollback, durable first: it flips the registry's
+// CURRENT back, so even a crash mid-rollback boots the known-good set (the
+// regressing generation's files stay on disk for the operator), then
+// installs that set. The caller holds lifecycleMu.
+func (s *Server) rollback(c lifecycle.Rollback) {
+	reason, to := c.Reason, uint64(0)
+	if ens, man, err := s.Store.LoadGeneration(c.To); err != nil {
 		reason += fmt.Sprintf(" (rollback FAILED: %v)", err)
 	} else {
-		// Durable first: even if the process dies mid-rollback, the next
-		// boot serves the good generation.
-		if err := s.Store.SetCurrent(w.prevGen); err != nil {
+		if err := s.Store.SetCurrent(c.To); err != nil {
 			reason += fmt.Sprintf(" (CURRENT flip failed: %v)", err)
 		}
-		rep := &core.LoadReport{Generation: w.prevGen, Fingerprint: man.Fingerprint(), FellBack: true}
-		if err := s.install(ens, rep, false); err != nil {
+		rep := &core.LoadReport{Generation: c.To, Fingerprint: man.Fingerprint(), FellBack: true}
+		if err := s.install(ens, rep); err != nil {
 			reason += fmt.Sprintf(" (hot-swap FAILED: %v)", err)
 		} else {
-			to = w.prevGen
+			to = c.To
 		}
 	}
-	s.lifecycleMu.Unlock()
-	s.noteRollback(w, to, reason)
-}
-
-func (s *Server) noteRollback(w *promotionWatch, to uint64, reason string) {
-	s.lifecycleMu.Lock()
-	defer s.lifecycleMu.Unlock()
-	s.lifecycle.Rollbacks++
-	s.lifecycle.LastRollbackFrom = w.fromGen
-	s.lifecycle.LastRollbackTo = to
-	s.lifecycle.LastRollbackUnix = time.Now().Unix()
-	s.lifecycle.LastRollbackReason = reason
+	s.step(lifecycle.RolledBack{From: c.From, To: to, Reason: reason, Unix: time.Now().Unix()})
 }
 
 // DriftResponse is the JSON body of GET /api/v1/drift.
@@ -310,7 +188,7 @@ type DriftResponse struct {
 	// drifted counter, rolling error).
 	Status *drift.Status `json:"status"`
 	// Lifecycle is the decision history (triggers, verdicts, rollbacks).
-	Lifecycle lifecycleStatus `json:"lifecycle"`
+	Lifecycle lifecycle.Status `json:"lifecycle"`
 }
 
 // handleDrift answers GET /api/v1/drift. 501 without a monitor: drift

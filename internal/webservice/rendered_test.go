@@ -20,6 +20,7 @@ import (
 	"github.com/hpc-repro/aiio/internal/darshan"
 	"github.com/hpc-repro/aiio/internal/drift"
 	"github.com/hpc-repro/aiio/internal/faults"
+	"github.com/hpc-repro/aiio/internal/lifecycle"
 	"github.com/hpc-repro/aiio/internal/tune"
 )
 
@@ -219,7 +220,9 @@ func TestModelSwapInvalidatesFrozenEntry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.rollback(&promotionWatch{fromGen: served, prevGen: gen, baseline: 1}, 3, 50)
+			s.lifecycleMu.Lock()
+			s.rollback(lifecycle.Rollback{From: served, To: gen})
+			s.lifecycleMu.Unlock()
 			return gen, 1
 		}},
 	} {
@@ -275,7 +278,9 @@ func TestAdvisoriesStayFreshOnFrozenEntry(t *testing.T) {
 		t.Fatalf("rollback advisory before any rollback: %s", before.body)
 	}
 
-	s.noteRollback(&promotionWatch{fromGen: 3, prevGen: 2}, 2, "rolling RMSE tripled")
+	s.lifecycleMu.Lock()
+	s.step(lifecycle.RolledBack{From: 3, To: 2, Reason: "rolling RMSE tripled"})
+	s.lifecycleMu.Unlock()
 	runs := advised.Load()
 	after := post(h, log)
 	if advised.Load() != runs {

@@ -29,6 +29,7 @@ import (
 	"github.com/hpc-repro/aiio/internal/darshan"
 	"github.com/hpc-repro/aiio/internal/drift"
 	"github.com/hpc-repro/aiio/internal/joblog"
+	"github.com/hpc-repro/aiio/internal/lifecycle"
 	"github.com/hpc-repro/aiio/internal/parallel"
 	"github.com/hpc-repro/aiio/internal/tune"
 )
@@ -134,14 +135,10 @@ type Server struct {
 	// into the durable WAL, deduplicated by job hash so client retries are
 	// idempotent. Set before the first request.
 	JobLog *joblog.Store
-	// RetrainThreshold, when > 0 with a JobLog and Retrainer wired in,
-	// triggers a background incremental retrain once the ingest backlog
-	// reaches this many jobs.
-	RetrainThreshold int
 	// Retrainer runs one incremental retraining cycle (typically
 	// core.RunIncremental against the JobLog and Store) and returns the
-	// freshly committed ensemble and its generation. Invoked single-flight
-	// from ingest; also reachable via TriggerRetrain.
+	// freshly committed ensemble and its generation. The lifecycle machine
+	// starts it from ingest, one cycle at a time (see SetLifecycle).
 	Retrainer func(ctx context.Context) (*core.Ensemble, uint64, error)
 	// CoalesceWindow is ignored.
 	//
@@ -150,33 +147,18 @@ type Server struct {
 	CoalesceWindow time.Duration
 	// Drift, when non-nil, streams every durably ingested job through
 	// bounded-memory distribution sketches and rolling prediction-error
-	// tracking; a tripped detector triggers the same single-flight retrain
-	// a backlog threshold does, canary-gated before promotion. Set before
-	// the first request. See lifecycle.go and internal/drift.
+	// tracking, which the lifecycle machine judges. Set before the first
+	// request. See lifecycle.go and internal/drift.
 	Drift *drift.Monitor
-	// RollbackRatio, when > 0 with Drift wired in, arms a post-promotion
-	// watch after each auto-promoted retrain: rolling serving error
-	// reaching RollbackRatio × the pre-promotion baseline rolls the swap
-	// back to the previous generation automatically.
-	RollbackRatio float64
-	// RollbackWatch is how many labeled jobs the post-promotion watch
-	// covers before the promotion is judged safe (default 200).
-	RollbackWatch int
 
 	// flights collapses concurrent identical cache misses into one
 	// diagnosis (see singleflight.go).
 	flights flightGroup
 
 	// lifecycleMu serializes generation transitions (see install) and
-	// guards the lifecycle state and decision history.
+	// guards the lifecycle machine, which decides them.
 	lifecycleMu sync.Mutex
-	lifecycle   lifecycleStatus
-
-	// retrainBusy makes retraining single-flight: a trigger while one cycle
-	// is running is a no-op (the running cycle drains the same backlog).
-	retrainBusy atomic.Bool
-	// retrainState mirrors the last cycle's outcome for /healthz.
-	retrainState atomic.Pointer[retrainStatus]
+	lc          lifecycle.Machine
 
 	// genReport mirrors the registry load report for /readyz (which
 	// generation is serving, whether it was a fallback); set with
@@ -403,7 +385,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		body["reasons"] = reasons
 	}
 	if s.Breakers != nil {
-		body["breakers"] = s.Breakers.States()
+		body["breakers"] = s.Breakers.States(names)
 	}
 	if s.Admission != nil {
 		body["admission"] = s.Admission.Stats()
@@ -456,6 +438,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	// batches counts flights run, fused the requests they answered.
 	batches, fused := s.flights.stats()
 	body["coalesce"] = map[string]any{"batches": batches, "fused": fused}
+	lc := s.lifecycleSnapshot()
 	if s.JobLog != nil {
 		st := s.JobLog.Stats()
 		body["joblog"] = map[string]any{
@@ -468,22 +451,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"last_compaction_unix": st.LastCompactionUnix,
 			"pending_retrain":      st.Pending,
 		}
-		retrain := map[string]any{"busy": s.retrainBusy.Load()}
-		if rs := s.retrainState.Load(); rs != nil {
-			retrain["last_generation"] = rs.Generation
-			retrain["last_unix"] = rs.FinishedUnix
-			if rs.Err != "" {
-				retrain["last_error"] = rs.Err
-			}
-		}
-		body["retrain"] = retrain
+		body["retrain"] = struct {
+			Busy bool `json:"busy"`
+			*lifecycle.RetrainOutcome
+		}{lc.Retraining, lc.LastRetrain}
 	}
 	if s.Breakers != nil {
-		body["breakers"] = s.Breakers.States()
+		body["breakers"] = s.Breakers.States(s.modelNames())
 	}
 	if s.Drift != nil {
 		st := s.Drift.Snapshot()
-		lc := s.lifecycleSnapshot()
 		body["drift"] = map[string]any{
 			"armed":          st.Armed,
 			"tripped":        st.Tripped,
@@ -608,7 +585,7 @@ func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 		body["generation"] = gen
 		rep = s.storeReport(gen)
 	}
-	if err := s.install(candidate, rep, false); err != nil {
+	if err := s.install(candidate, rep); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]any{
 			"error":       fmt.Sprintf("candidate model set: %v; upload rolled back", err),
 			"rolled_back": true,
@@ -701,7 +678,7 @@ func (s *Server) writeBreakerOpen(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(admission.DefaultRetryAfter.Seconds()))))
 	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 		"error":    "every model's circuit breaker is open",
-		"breakers": s.Breakers.States(),
+		"breakers": s.Breakers.States(s.modelNames()),
 	})
 }
 
@@ -963,7 +940,7 @@ func stampGeneration(w http.ResponseWriter, rep *core.LoadReport) {
 func (s *Server) AdoptGeneration(ens *core.Ensemble, rep *core.LoadReport) error {
 	s.lifecycleMu.Lock()
 	defer s.lifecycleMu.Unlock()
-	return s.install(ens, rep, false)
+	return s.install(ens, rep)
 }
 
 // GenerationSummary is the JSON body of GET /api/v1/generations: the

@@ -86,9 +86,14 @@ type flightGroup struct {
 // do returns key's diagnosis: from cache when a finished flight already
 // filled it, by joining the flight running for key, or by starting one that
 // calls run. run fills the cache itself, before the flight leaves the group.
-// When ctx dies first, do returns at once with ctx's error.
+// When ctx dies first, do returns at once with ctx's error; a ctx already
+// dead on arrival starts or joins nothing, so it cannot take the answer of
+// a flight that happens to finish first.
 func (g *flightGroup) do(ctx context.Context, key string, cache *diagCache,
 	run func(ctx context.Context) flightResult) flightResult {
+	if err := ctx.Err(); err != nil {
+		return flightResult{err: err}
+	}
 	g.mu.Lock()
 	f, ok := g.flights[key]
 	if !ok {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/hpc-repro/aiio/internal/core"
+	"github.com/hpc-repro/aiio/internal/lifecycle"
 )
 
 // DefaultSyncInterval paces the background generation-replication sweep.
@@ -17,38 +18,22 @@ const DefaultSyncInterval = 5 * time.Second
 
 // Syncer pulls committed model-registry generations from peer replicas —
 // the client half of the GET /api/v1/generations protocol this package
-// serves — and hands fully verified sets to OnAdopt for hot-swap.
+// serves — and hot-swaps fully verified sets into its Server.
 // Replication is pull-based and leaderless: every replica polls every peer,
-// and the adoption rule below makes the fleet converge on the newest content
-// no matter which replica an upload or retrain landed on.
-//
-// A generation is adopted from a peer iff
-//
-//	peerGen > localGen and the content fingerprints differ, or
-//	peerGen == localGen and the peer's fingerprint sorts strictly higher
-//
-// The first clause is ordinary catch-up (a fingerprint match at a higher
-// number means the peer renumbered identical content — nothing to fetch).
-// The second breaks the split-brain tie when two replicas committed
-// different content under the same number: both sides pick the
-// lexicographically higher fingerprint, so they converge instead of
-// ping-ponging. ImportGeneration commits the fetched set under
-// max(localNext, peerGen), so numbers converge along with content.
+// and the adoption rule (lifecycle.ShouldAdopt) makes the fleet converge on
+// the newest content no matter which replica an upload or retrain landed
+// on. ImportGeneration commits the fetched set under max(localNext,
+// peerGen), so numbers converge along with content.
 type Syncer struct {
-	// Store is the local model registry the fetched generations land in.
-	Store *core.Store
+	// Server is the local replica: the fetched generations land in its
+	// Store, and each is adopted through its AdoptGeneration (a refused
+	// swap leaves the import on disk and the old set serving). Required.
+	Server *Server
 	// Peers are the other replicas' base URLs (the local replica may be
 	// included; it is skipped by the fingerprint match).
 	Peers []string
 	// Interval paces Run's sweep (DefaultSyncInterval when <= 0).
 	Interval time.Duration
-	// Current reports the serving generation and fingerprint (the
-	// Server's GenerationReport). Required.
-	Current func() (gen uint64, fingerprint string)
-	// OnAdopt receives each imported-and-reloaded generation for hot-swap
-	// (the Server's AdoptGeneration seam). An error refuses the swap;
-	// the import stays on disk but the old set keeps serving. Required.
-	OnAdopt func(ens *core.Ensemble, gen uint64, fingerprint string) error
 	// Logf, when set, narrates adoptions and fetch failures.
 	Logf func(format string, args ...any)
 }
@@ -85,8 +70,8 @@ func (sy *Syncer) Run(ctx context.Context) {
 // skipped, not fatal: replication must keep working while part of the
 // fleet is down.
 func (sy *Syncer) SyncOnce(ctx context.Context) (adopted bool, err error) {
-	if sy.Store == nil || sy.Current == nil || sy.OnAdopt == nil {
-		return false, fmt.Errorf("webservice: syncer missing Store, Current, or OnAdopt")
+	if sy.Server == nil || sy.Server.Store == nil {
+		return false, fmt.Errorf("webservice: syncer needs a Server with a Store")
 	}
 	var firstErr error
 	for _, peer := range sy.Peers {
@@ -97,8 +82,11 @@ func (sy *Syncer) SyncOnce(ctx context.Context) (adopted bool, err error) {
 			}
 			continue
 		}
-		localGen, localFp := sy.Current()
-		if !shouldAdopt(localGen, localFp, sum.Generation, sum.Fingerprint) {
+		var local core.LoadReport
+		if rep := sy.Server.GenerationReport(); rep != nil {
+			local = *rep
+		}
+		if !lifecycle.ShouldAdopt(local.Generation, local.Fingerprint, sum.Generation, sum.Fingerprint) {
 			continue
 		}
 		if aerr := sy.adopt(ctx, peer, sum); aerr != nil {
@@ -110,19 +98,6 @@ func (sy *Syncer) SyncOnce(ctx context.Context) (adopted bool, err error) {
 		return true, nil
 	}
 	return false, firstErr
-}
-
-// shouldAdopt is the convergence rule (see the Syncer doc).
-func shouldAdopt(localGen uint64, localFp string, peerGen uint64, peerFp string) bool {
-	if peerFp == "" || peerFp == localFp {
-		// No content identity (legacy checksumless peer) or identical
-		// content: nothing to replicate.
-		return false
-	}
-	if peerGen > localGen {
-		return true
-	}
-	return peerGen == localGen && peerFp > localFp
 }
 
 // adopt fetches one peer generation — manifest, then every model file,
@@ -141,7 +116,7 @@ func (sy *Syncer) adopt(ctx context.Context, peer string, sum GenerationSummary)
 		// manifest fetch; the next sweep sees the settled state.
 		return fmt.Errorf("manifest fingerprint %.12s does not match advertised %.12s (peer mid-commit?)", fp, sum.Fingerprint)
 	}
-	gen, err := sy.Store.ImportGeneration(man, func(file string) (io.ReadCloser, error) {
+	gen, err := sy.Server.Store.ImportGeneration(man, func(file string) (io.ReadCloser, error) {
 		return sy.fetchFile(ctx, peer, sum.Generation, file)
 	})
 	if err != nil {
@@ -149,12 +124,12 @@ func (sy *Syncer) adopt(ctx context.Context, peer string, sum GenerationSummary)
 	}
 	// Reload from the local committed copy — never from transfer buffers —
 	// so what serves is exactly what was verified onto disk.
-	ens, localMan, err := sy.Store.LoadGeneration(gen)
+	ens, localMan, err := sy.Server.Store.LoadGeneration(gen)
 	if err != nil {
 		return fmt.Errorf("reload imported generation %d: %w", gen, err)
 	}
 	fp := localMan.Fingerprint()
-	if err := sy.OnAdopt(ens, gen, fp); err != nil {
+	if err := sy.Server.AdoptGeneration(ens, &core.LoadReport{Generation: gen, Fingerprint: fp}); err != nil {
 		return err
 	}
 	sy.logf("replica sync: adopted generation %d (fingerprint %.12s) from %s", gen, fp, peer)

@@ -45,17 +45,8 @@ func newReplica(t testing.TB, dir string, models *core.Ensemble) *testReplica {
 // syncerFor wires a pull syncer for one replica against peers.
 func syncerFor(r *testReplica, peers ...string) *Syncer {
 	return &Syncer{
-		Store: r.Store,
-		Peers: peers,
-		Current: func() (uint64, string) {
-			if rep := r.WS.GenerationReport(); rep != nil {
-				return rep.Generation, rep.Fingerprint
-			}
-			return 0, ""
-		},
-		OnAdopt: func(ens *core.Ensemble, gen uint64, fp string) error {
-			return r.WS.AdoptGeneration(ens, &core.LoadReport{Generation: gen, Fingerprint: fp})
-		},
+		Server: r.WS,
+		Peers:  peers,
 	}
 }
 
@@ -244,35 +235,5 @@ func TestSyncSkipsUnreachablePeers(t *testing.T) {
 	}
 	if fp := follower.WS.GenerationReport().Fingerprint; fp != rep.Fingerprint {
 		t.Fatal("follower did not converge on the live peer's content")
-	}
-}
-
-func TestShouldAdoptRule(t *testing.T) {
-	cases := []struct {
-		name     string
-		localGen uint64
-		localFp  string
-		peerGen  uint64
-		peerFp   string
-		want     bool
-	}{
-		{"newer content", 1, "aaa", 2, "bbb", true},
-		{"newer number same content", 1, "aaa", 2, "aaa", false},
-		{"same gen higher fp wins tie", 3, "aaa", 3, "bbb", true},
-		{"same gen lower fp stays", 3, "bbb", 3, "aaa", false},
-		{"older peer", 3, "aaa", 2, "bbb", false},
-		{"checksumless peer", 1, "aaa", 5, "", false},
-	}
-	for _, c := range cases {
-		if got := shouldAdopt(c.localGen, c.localFp, c.peerGen, c.peerFp); got != c.want {
-			t.Errorf("%s: shouldAdopt=%v, want %v", c.name, got, c.want)
-		}
-	}
-	// Split-brain symmetry: with equal generations and different content,
-	// exactly one side adopts — the fleet converges instead of ping-ponging.
-	a := shouldAdopt(3, "aaa", 3, "bbb")
-	b := shouldAdopt(3, "bbb", 3, "aaa")
-	if a == b {
-		t.Errorf("tie-break not antisymmetric: both sides adopt=%v", a)
 	}
 }
