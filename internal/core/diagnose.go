@@ -267,17 +267,25 @@ func (e *Ensemble) diagnose(ctx context.Context, rec *darshan.Record, explain []
 	return d, nil
 }
 
-// shapExplainer builds one model's SHAP diagnosis function. The estimator
-// comes from the shap.ForModel dispatcher: TreeSHAP for a tree model under
-// ExplainerAuto, Kernel SHAP otherwise. The zero background is AIIO's
-// Section 3.3 filter.
+// shapExplainer builds one model's SHAP diagnosis function. A network gets
+// Kernel SHAP with its coalition batches on its float32 predictor and Base
+// and FX on PredictBatch (DESIGN.md §8); every other model gets the
+// estimator the shap.ForModel dispatcher picks: TreeSHAP for a tree model
+// under ExplainerAuto, Kernel SHAP on PredictBatch otherwise. The zero
+// background is AIIO's Section 3.3 filter.
 func shapExplainer(m Model, kind Explainer, cfg shap.Config) modelExplainer {
 	mode := shap.ModeAuto
 	if kind == ExplainerKernel {
 		mode = shap.ModeKernel
 	}
 	tree, _ := TreeModel(m)
-	att, err := shap.ForModel(m.PredictBatch, tree, nil, mode, cfg)
+	var att shap.Attributor
+	var err error
+	if coalitions, ok := Float32Predictor(m); ok {
+		att = shap.NewCoalitions(m.PredictBatch, coalitions, nil, cfg)
+	} else {
+		att, err = shap.ForModel(m.PredictBatch, tree, nil, mode, cfg)
+	}
 	if err != nil {
 		return func(context.Context, []float64) (ModelDiagnosis, error) { return ModelDiagnosis{}, err }
 	}

@@ -9,6 +9,7 @@ import (
 	"github.com/hpc-repro/aiio/internal/gbdt"
 	"github.com/hpc-repro/aiio/internal/linalg"
 	"github.com/hpc-repro/aiio/internal/mlp"
+	"github.com/hpc-repro/aiio/internal/shap"
 	"github.com/hpc-repro/aiio/internal/tabnet"
 )
 
@@ -123,6 +124,24 @@ func inner[T predictor](m Model) (T, bool) {
 	return t, ok
 }
 
+// Float32Predictor returns the float32 batch predictor of a network (mlp
+// or tabnet PredictBatch32), the one a diagnosis runs Kernel SHAP's
+// coalition batches through (DESIGN.md §8); ok is false for the tree
+// models and for any Model not built by this package.
+func Float32Predictor(m Model) (f shap.PredictFunc, ok bool) {
+	a, ok := m.(*model)
+	if !ok {
+		return nil, false
+	}
+	p, ok := a.predictor.(interface {
+		PredictBatch32(x *linalg.Matrix) []float64
+	})
+	if !ok {
+		return nil, false
+	}
+	return p.PredictBatch32, true
+}
+
 // TreeModel exposes the underlying boosted ensemble of a GBDT-backed model
 // for the TreeSHAP fast path and its loss curves; ok is false for the
 // neural models.
@@ -139,9 +158,19 @@ type fitter struct {
 	// also when prev is of another family.
 	gate func(prev Model) (ok bool, reason string)
 	// fit trains for budget rounds or epochs, seeded from prev when it is
-	// non-nil (prev has passed gate). It returns the model, the rounds or
-	// epochs it ran, and whether a warm fit kept its seed unchanged.
-	fit func(budget int, prev Model) (m predictor, ran int, seedKept bool, err error)
+	// non-nil (prev has passed gate).
+	fit func(budget int, prev Model) (fitted, error)
+}
+
+// fitted is one finished fit: the model, the rounds or epochs it ran,
+// whether a warm fit kept its seed unchanged, and the model's eval RMSE —
+// the fit's own best eval score, which is linalg.RMSE of its PredictBatch
+// on the eval split bit for bit, so nothing re-predicts the split.
+type fitted struct {
+	m        predictor
+	ran      int
+	seedKept bool
+	evalRMSE float64
 }
 
 // otherFamily is the warm-start fallback reason when the previous
@@ -164,16 +193,16 @@ func gbdtFitter(variant gbdt.Variant) func(TrainOptions, *features.Frame, *featu
 				seed, reason = gbdt.CheckWarmStart(g, cfg, train.X, train.Y)
 				return seed != nil, reason
 			},
-			fit: func(rounds int, prev Model) (predictor, int, bool, error) {
+			fit: func(rounds int, prev Model) (fitted, error) {
 				cfg.Rounds = rounds
 				m, err := gbdt.TrainSeeded(cfg, train.X, train.Y, eval.X, eval.Y, seed)
 				if err != nil {
-					return nil, 0, false, err
+					return fitted{}, err
 				}
 				// Early stopping keeps trees 0..BestIteration; a warm fit
 				// that never improved keeps only the seed's.
 				g, warm := TreeModel(prev)
-				return m, len(m.EvalLoss), warm && m.BestIteration < len(g.Trees), nil
+				return fitted{m, len(m.EvalLoss), warm && m.BestIteration < len(g.Trees), m.BestEval}, nil
 			},
 		}
 	}
@@ -193,15 +222,15 @@ func mlpFitter(opts TrainOptions, train, eval *features.Frame) fitter {
 			}
 			return false, otherFamily
 		},
-		fit: func(epochs int, prev Model) (predictor, int, bool, error) {
+		fit: func(epochs int, prev Model) (fitted, error) {
 			seed, _ := inner[*mlp.Model](prev)
 			cfg.Epochs = epochs
 			m, err := mlp.TrainSeeded(cfg, train.X, train.Y, eval.X, eval.Y, seed)
 			if err != nil {
-				return nil, 0, false, err
+				return fitted{}, err
 			}
 			logConstantCols(NameMLP, m.ConstantCols)
-			return m, len(m.EvalLoss), m.BestEpoch < 0, nil
+			return fitted{m, len(m.EvalLoss), m.BestEpoch < 0, m.BestEval}, nil
 		},
 	}
 }
@@ -217,15 +246,15 @@ func tabnetFitter(opts TrainOptions, train, eval *features.Frame) fitter {
 			}
 			return false, otherFamily
 		},
-		fit: func(epochs int, prev Model) (predictor, int, bool, error) {
+		fit: func(epochs int, prev Model) (fitted, error) {
 			seed, _ := inner[*tabnet.Model](prev)
 			cfg.Epochs = epochs
 			m, err := tabnet.TrainSeeded(cfg, train.X, train.Y, eval.X, eval.Y, seed)
 			if err != nil {
-				return nil, 0, false, err
+				return fitted{}, err
 			}
 			logConstantCols(NameTabNet, m.ConstantCols)
-			return m, len(m.EvalLoss), m.BestEpoch < 0, nil
+			return fitted{m, len(m.EvalLoss), m.BestEpoch < 0, m.BestEval}, nil
 		},
 	}
 }

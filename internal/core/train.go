@@ -192,17 +192,17 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 		} else {
 			seed, warmUsed, budget = pm, true, scaleBudget(fr.budget)
 		}
-		p, epochs, seedKept, err := fr.fit(budget, seed)
+		fit, err := fr.fit(budget, seed)
 		if err != nil {
 			return nil, ModelReport{}, fmt.Errorf("core: train %s: %w", f.name, err)
 		}
-		return &model{p, f.name, f.kind}, ModelReport{
+		return &model{fit.m, f.name, f.kind}, ModelReport{
 			Name:           f.name,
-			PredictionRMSE: features.RMSE(p.PredictBatch(eval.X), eval.Y),
+			PredictionRMSE: fit.evalRMSE,
 			WarmStart:      warmUsed,
 			WarmFallback:   warmFallback,
-			Epochs:         epochs,
-			SeedKept:       seedKept,
+			Epochs:         fit.ran,
+			SeedKept:       fit.seedKept,
 		}, nil
 	}
 

@@ -8,6 +8,10 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"github.com/hpc-repro/aiio/internal/features"
+	"github.com/hpc-repro/aiio/internal/linalg"
+	"github.com/hpc-repro/aiio/internal/logdb"
 )
 
 // TestConcurrentFitsMatchSequential pins the concurrent ensemble fit to the
@@ -140,4 +144,54 @@ func TestTrainUnknownModelNameFails(t *testing.T) {
 	if err := CheckModels(ModelNames()); err != nil {
 		t.Fatalf("CheckModels(all five) = %v", err)
 	}
+}
+
+// TestPredictionRMSEIsTheFitsBestEval pins ModelReport.PredictionRMSE, which
+// each fit reports from its own best eval score instead of re-predicting
+// the eval split, to that re-prediction bit for bit: linalg.RMSE of the
+// returned model's PredictBatch on the eval split, for all five families,
+// on a cold fit, a warm fit on a fresh window, and a warm fit on the cold
+// fit's own data (where seeds tend to be kept).
+func TestPredictionRMSEIsTheFitsBestEval(t *testing.T) {
+	coldFrame, prev, coldReport := fixture(t)
+	opts := DefaultTrainOptions()
+	opts.Fast = true
+	check := func(what string, frame *features.Frame, ens *Ensemble, rep *TrainReport) {
+		_, eval := frame.Split(opts.Seed, opts.SplitFrac)
+		for i, r := range rep.Models {
+			want := linalg.RMSE(ens.Models[i].PredictBatch(eval.X), eval.Y)
+			if math.Float64bits(r.PredictionRMSE) != math.Float64bits(want) {
+				t.Errorf("%s %s (warm %v, seed kept %v): PredictionRMSE %v, re-predicted %v",
+					what, r.Name, r.WarmStart, r.SeedKept, r.PredictionRMSE, want)
+			}
+		}
+	}
+	check("cold", coldFrame, prev, coldReport)
+
+	warmOpts := opts
+	warmOpts.WarmStart = true
+	warmOpts.warmFrom = prev
+	kept := 0
+	for _, w := range []struct {
+		what  string
+		frame *features.Frame
+	}{
+		{"warm", features.Build(logdb.Generate(logdb.GenConfig{Jobs: 900, Seed: 23}))},
+		{"warm on the same data", coldFrame},
+	} {
+		ens, rep, err := TrainEnsemble(w.frame, warmOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rep.Models {
+			if !r.WarmStart {
+				t.Fatalf("%s: %s did not warm start: %s", w.what, r.Name, r.WarmFallback)
+			}
+			if r.SeedKept {
+				kept++
+			}
+		}
+		check(w.what, w.frame, ens, rep)
+	}
+	t.Logf("%d warm fits kept their seed", kept)
 }

@@ -213,7 +213,7 @@ func RunAblationPDP(e *Env, w io.Writer) (*PDPResult, error) {
 	for i := 0; i < eval.Len(); i++ {
 		pred[i] = lin.Predict(eval.X.Row(i))
 	}
-	res.LinearRMSE = features.RMSE(pred, eval.Y)
+	res.LinearRMSE = linalg.RMSE(pred, eval.Y)
 	for _, m := range rep.Models {
 		if m.Name == core.NameLightGBM {
 			res.GBDTRMSE = m.PredictionRMSE
@@ -279,7 +279,7 @@ func RunAblationCrossPlatform(e *Env, w io.Writer) (*CrossPlatformResult, error)
 		// Closest-style oracle would hide the effect; use the best single
 		// model (LightGBM) as the paper's per-system model.
 		model := ens.Model(core.NameLightGBM)
-		return features.RMSE(model.PredictBatch(f.X), f.Y)
+		return linalg.RMSE(model.PredictBatch(f.X), f.Y)
 	}
 	res.HomeRMSE = evalRMSE(homeEval)
 	res.AwayRMSE = evalRMSE(away)
@@ -523,7 +523,7 @@ func RunExtensionMPIIO(e *Env, w io.Writer) (*MPIIOResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		return features.RMSE(m.PredictBatch(evX), evY), nil
+		return linalg.RMSE(m.PredictBatch(evX), evY), nil
 	}
 
 	res := &MPIIOResult{Jobs: jobs}
@@ -601,8 +601,8 @@ func RunAblationUnseenApp(e *Env, w io.Writer) (*UnseenAppResult, error) {
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		return features.RMSE(m.PredictBatch(eval.X), eval.Y),
-			features.RMSE(m.PredictBatch(unseen.X), unseen.Y),
+		return linalg.RMSE(m.PredictBatch(eval.X), eval.Y),
+			linalg.RMSE(m.PredictBatch(unseen.X), unseen.Y),
 			len(m.EvalLoss), nil
 	}
 	if res.InDistES, res.UnseenES, res.EpochsES, err = trainMLP(true); err != nil {

@@ -135,19 +135,3 @@ func (f *Frame) Split(seed int64, frac float64) (train, eval *Frame) {
 	cut := int(float64(f.Len()) * frac)
 	return f.Subset(idx[:cut]), f.Subset(idx[cut:])
 }
-
-// RMSE implements Eq. 3 over parallel prediction/target slices.
-func RMSE(pred, y []float64) float64 {
-	if len(pred) != len(y) {
-		panic(fmt.Sprintf("features: RMSE length mismatch %d vs %d", len(pred), len(y)))
-	}
-	if len(y) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range y {
-		d := pred[i] - y[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(y)))
-}

@@ -111,22 +111,6 @@ func TestSplitIsPartition(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	if RMSE(nil, nil) != 0 {
-		t.Error("empty RMSE should be 0")
-	}
-	got := RMSE([]float64{1, 2}, []float64{1, 4})
-	if math.Abs(got-math.Sqrt(2)) > 1e-12 {
-		t.Errorf("RMSE = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("RMSE accepted mismatched lengths")
-		}
-	}()
-	RMSE([]float64{1}, []float64{1, 2})
-}
-
 func TestSanitizeClampsHostileValues(t *testing.T) {
 	cases := []struct{ in, want float64 }{
 		{math.NaN(), 0},

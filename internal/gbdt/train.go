@@ -107,6 +107,10 @@ type Model struct {
 	Base float64
 	// BestIteration is the tree count selected by early stopping.
 	BestIteration int
+	// BestEval is the eval RMSE of the trees the model keeps, the score
+	// early stopping chose them by: linalg.RMSE of PredictBatch on the eval
+	// set, bit for bit. Zero when the fit had no eval set.
+	BestEval float64
 	// TrainLoss and EvalLoss record the per-round RMSE curves (the paper's
 	// Fig. 16 plots the eval curve for XGBoost).
 	TrainLoss []float64
@@ -296,7 +300,7 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 	bestIter := nPrev - 1 // cold: -1, immediately beaten by round 0
 	sinceBest := 0
 	if prev != nil && evalPred != nil {
-		bestEval = rmse(evalPred, evalY)
+		bestEval = linalg.RMSE(evalPred, evalY)
 	}
 
 	for round := 0; round < cfg.Rounds; round++ {
@@ -317,7 +321,7 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 				tr.pred[i] += tree.predictBinned(tr.cols, i)
 			}
 		})
-		m.TrainLoss = append(m.TrainLoss, rmse(tr.pred, y))
+		m.TrainLoss = append(m.TrainLoss, linalg.RMSE(tr.pred, y))
 
 		if evalPred != nil {
 			parallelFor(len(evalPred), func(lo, hi int) {
@@ -325,7 +329,7 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 					evalPred[i] += tree.predictBinned(evalCols, i)
 				}
 			})
-			e := rmse(evalPred, evalY)
+			e := linalg.RMSE(evalPred, evalY)
 			m.EvalLoss = append(m.EvalLoss, e)
 			if e < bestEval-1e-12 {
 				bestEval = e
@@ -344,16 +348,10 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 
 	m.BestIteration = bestIter
 	m.Trees = m.Trees[:bestIter+1]
-	return m, nil
-}
-
-func rmse(pred, y []float64) float64 {
-	s := 0.0
-	for i := range y {
-		d := pred[i] - y[i]
-		s += d * d
+	if evalPred != nil {
+		m.BestEval = bestEval
 	}
-	return math.Sqrt(s / float64(len(y)))
+	return m, nil
 }
 
 // sampleRows selects the current tree's training rows: GOSS for LeafWise,

@@ -107,7 +107,7 @@ func TestWarmStartContinuesBoosting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coldRMSE := rmse(prev.PredictBatch(xe), ye)
+			coldRMSE := linalg.RMSE(prev.PredictBatch(xe), ye)
 
 			// Fresh window from the same distribution: continued boosting on a
 			// quarter of the budget must hold the cold-fit quality line.
@@ -126,7 +126,7 @@ func TestWarmStartContinuesBoosting(t *testing.T) {
 					t.Fatalf("warm tree %d is not the prior tree (prefix must be shared)", i)
 				}
 			}
-			warmRMSE := rmse(warm.PredictBatch(xe), ye)
+			warmRMSE := linalg.RMSE(warm.PredictBatch(xe), ye)
 			if warmRMSE > coldRMSE*1.15+0.05 {
 				t.Fatalf("warm start on 1/4 budget did not hold the line: warm RMSE %v vs cold %v", warmRMSE, coldRMSE)
 			}
@@ -146,7 +146,7 @@ func TestWarmStartNeverWorseThanSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedRMSE := rmse(prev.PredictBatch(xe), ye)
+	seedRMSE := linalg.RMSE(prev.PredictBatch(xe), ye)
 
 	// A hostile continuation (few rounds, huge learning rate) must be
 	// trimmed back to the seed trees by the eval baseline.
@@ -159,7 +159,7 @@ func TestWarmStartNeverWorseThanSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmRMSE := rmse(warm.PredictBatch(xe), ye)
+	warmRMSE := linalg.RMSE(warm.PredictBatch(xe), ye)
 	if warmRMSE > seedRMSE*1.01+1e-9 {
 		t.Fatalf("diverging warm run shipped worse trees than its seed: %v vs %v (%d trees, seed %d)",
 			warmRMSE, seedRMSE, len(warm.Trees), len(prev.Trees))

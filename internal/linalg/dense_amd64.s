@@ -226,3 +226,217 @@ dyloop:
 
 	VZEROUPPER
 	RET
+
+// The float32 bodies of Dense32.Forward: the same four-row blocks, row
+// addressing and per-output FMA chains as the float64 bodies above, at
+// twice the lanes per register. OutPad is a multiple of 16 (one cache line
+// of float32), and element offsets scale by 4 bytes.
+
+// func dense32ZMM(dst, x, wt, bias *float32, in, outPad, blocks, xStep, xPair, dstStep, dstPair int)
+//
+// AVX-512 body: a tile is 4 rows × 32 outputs in eight zmm accumulators,
+// two weight loads and four VBROADCASTSS per input. A trailing 16-output
+// column block (outPad ≡ 16 mod 32) runs as a 4 × 16 tile.
+TEXT ·dense32ZMM(SB), NOSPLIT, $0-88
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ outPad+40(FP), R12
+	SHLQ $2, R12             // weight row stride, bytes
+	MOVQ blocks+48(FP), R13
+	MOVQ xStep+56(FP), R8
+	SHLQ $2, R8
+	MOVQ xPair+64(FP), R9
+	SHLQ $2, R9
+	MOVQ dstStep+72(FP), R10
+	SHLQ $2, R10
+	MOVQ dstPair+80(FP), R11
+	SHLQ $2, R11
+
+sz32block:
+	XORQ AX, AX              // output column offset, bytes
+
+sz32tile32:
+	LEAQ 128(AX), BX
+	CMPQ BX, R12
+	JGT  sz32tile16          // fewer than 32 columns left
+
+	MOVQ    bias+24(FP), BX
+	VMOVUPS (BX)(AX*1), Z0
+	VMOVUPS 64(BX)(AX*1), Z1
+	VMOVAPS Z0, Z2
+	VMOVAPS Z1, Z3
+	VMOVAPS Z0, Z4
+	VMOVAPS Z1, Z5
+	VMOVAPS Z0, Z6
+	VMOVAPS Z1, Z7
+
+	MOVQ wt+16(FP), BX
+	ADDQ AX, BX              // weights of this column block, input 0
+	MOVQ SI, CX              // row pair A
+	LEAQ (SI)(R9*1), DX      // row pair B
+	MOVQ in+32(FP), R14
+
+sz32loop32:
+	VMOVUPS      (BX), Z16
+	VMOVUPS      64(BX), Z17
+	VBROADCASTSS (CX), Z18
+	VBROADCASTSS (CX)(R8*1), Z19
+	VBROADCASTSS (DX), Z20
+	VBROADCASTSS (DX)(R8*1), Z21
+	VFMADD231PS  Z16, Z18, Z0
+	VFMADD231PS  Z17, Z18, Z1
+	VFMADD231PS  Z16, Z19, Z2
+	VFMADD231PS  Z17, Z19, Z3
+	VFMADD231PS  Z16, Z20, Z4
+	VFMADD231PS  Z17, Z20, Z5
+	VFMADD231PS  Z16, Z21, Z6
+	VFMADD231PS  Z17, Z21, Z7
+	ADDQ         R12, BX
+	ADDQ         $4, CX
+	ADDQ         $4, DX
+	DECQ         R14
+	JNZ          sz32loop32
+
+	LEAQ    (DI)(AX*1), CX
+	VMOVUPS Z0, (CX)
+	VMOVUPS Z1, 64(CX)
+	VMOVUPS Z2, (CX)(R10*1)
+	VMOVUPS Z3, 64(CX)(R10*1)
+	ADDQ    R11, CX
+	VMOVUPS Z4, (CX)
+	VMOVUPS Z5, 64(CX)
+	VMOVUPS Z6, (CX)(R10*1)
+	VMOVUPS Z7, 64(CX)(R10*1)
+	ADDQ    $128, AX
+	JMP     sz32tile32
+
+sz32tile16:
+	CMPQ AX, R12
+	JGE  sz32next            // no columns left
+
+	MOVQ    bias+24(FP), BX
+	VMOVUPS (BX)(AX*1), Z0
+	VMOVAPS Z0, Z2
+	VMOVAPS Z0, Z4
+	VMOVAPS Z0, Z6
+
+	MOVQ wt+16(FP), BX
+	ADDQ AX, BX
+	MOVQ SI, CX
+	LEAQ (SI)(R9*1), DX
+	MOVQ in+32(FP), R14
+
+sz32loop16:
+	VMOVUPS      (BX), Z16
+	VBROADCASTSS (CX), Z18
+	VBROADCASTSS (CX)(R8*1), Z19
+	VBROADCASTSS (DX), Z20
+	VBROADCASTSS (DX)(R8*1), Z21
+	VFMADD231PS  Z16, Z18, Z0
+	VFMADD231PS  Z16, Z19, Z2
+	VFMADD231PS  Z16, Z20, Z4
+	VFMADD231PS  Z16, Z21, Z6
+	ADDQ         R12, BX
+	ADDQ         $4, CX
+	ADDQ         $4, DX
+	DECQ         R14
+	JNZ          sz32loop16
+
+	LEAQ    (DI)(AX*1), CX
+	VMOVUPS Z0, (CX)
+	VMOVUPS Z2, (CX)(R10*1)
+	ADDQ    R11, CX
+	VMOVUPS Z4, (CX)
+	VMOVUPS Z6, (CX)(R10*1)
+
+sz32next:
+	LEAQ (SI)(R9*2), SI      // next block of four rows
+	LEAQ (DI)(R11*2), DI
+	DECQ R13
+	JNZ  sz32block
+
+	VZEROUPPER
+	RET
+
+// func dense32YMM(dst, x, wt, bias *float32, in, outPad, blocks, xStep, xPair, dstStep, dstPair int)
+//
+// AVX2 body: a tile is 4 rows × 16 outputs in eight ymm accumulators, two
+// weight loads and four broadcasts per input. outPad is a multiple of 16,
+// so there is no column remainder.
+TEXT ·dense32YMM(SB), NOSPLIT, $0-88
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ outPad+40(FP), R12
+	SHLQ $2, R12
+	MOVQ blocks+48(FP), R13
+	MOVQ xStep+56(FP), R8
+	SHLQ $2, R8
+	MOVQ xPair+64(FP), R9
+	SHLQ $2, R9
+	MOVQ dstStep+72(FP), R10
+	SHLQ $2, R10
+	MOVQ dstPair+80(FP), R11
+	SHLQ $2, R11
+
+sy32block:
+	XORQ AX, AX
+
+sy32tile:
+	MOVQ    bias+24(FP), BX
+	VMOVUPS (BX)(AX*1), Y0
+	VMOVUPS 32(BX)(AX*1), Y1
+	VMOVAPS Y0, Y2
+	VMOVAPS Y1, Y3
+	VMOVAPS Y0, Y4
+	VMOVAPS Y1, Y5
+	VMOVAPS Y0, Y6
+	VMOVAPS Y1, Y7
+
+	MOVQ wt+16(FP), BX
+	ADDQ AX, BX
+	MOVQ SI, CX
+	LEAQ (SI)(R9*1), DX
+	MOVQ in+32(FP), R14
+
+sy32loop:
+	VMOVUPS      (BX), Y8
+	VMOVUPS      32(BX), Y9
+	VBROADCASTSS (CX), Y10
+	VBROADCASTSS (CX)(R8*1), Y11
+	VBROADCASTSS (DX), Y12
+	VBROADCASTSS (DX)(R8*1), Y13
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y9, Y10, Y1
+	VFMADD231PS  Y8, Y11, Y2
+	VFMADD231PS  Y9, Y11, Y3
+	VFMADD231PS  Y8, Y12, Y4
+	VFMADD231PS  Y9, Y12, Y5
+	VFMADD231PS  Y8, Y13, Y6
+	VFMADD231PS  Y9, Y13, Y7
+	ADDQ         R12, BX
+	ADDQ         $4, CX
+	ADDQ         $4, DX
+	DECQ         R14
+	JNZ          sy32loop
+
+	LEAQ    (DI)(AX*1), CX
+	VMOVUPS Y0, (CX)
+	VMOVUPS Y1, 32(CX)
+	VMOVUPS Y2, (CX)(R10*1)
+	VMOVUPS Y3, 32(CX)(R10*1)
+	ADDQ    R11, CX
+	VMOVUPS Y4, (CX)
+	VMOVUPS Y5, 32(CX)
+	VMOVUPS Y6, (CX)(R10*1)
+	VMOVUPS Y7, 32(CX)(R10*1)
+	ADDQ    $64, AX
+	CMPQ    AX, R12
+	JLT     sy32tile
+
+	LEAQ (SI)(R9*2), SI
+	LEAQ (DI)(R11*2), DI
+	DECQ R13
+	JNZ  sy32block
+
+	VZEROUPPER
+	RET

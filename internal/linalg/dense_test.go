@@ -137,21 +137,26 @@ func TestDenseSetRowsMatchesPack(t *testing.T) {
 }
 
 // BenchmarkDenseForward runs the default MLP's seven layers (45 → 90 → 89 →
-// 69 → 49 → 29 → 9 → 1) over a 256-row block on every body this CPU has.
-// ns/row is the figure to compare.
+// 69 → 49 → 29 → 9 → 1) over a 256-row block on every body this CPU has,
+// float64 and float32. ns/row is the figure to compare.
 func BenchmarkDenseForward(b *testing.B) {
+	benchDenseForward(b, denseBodies, randVec)
+	benchDenseForward(b, dense32Bodies, randVec32)
+}
+
+func benchDenseForward[T Float](b *testing.B, bodies []denseBody[T], draw func(*rand.Rand, int) []T) {
 	dims := []int{45, 90, 89, 69, 49, 29, 9, 1}
 	const rows = 256
 	rng := rand.New(rand.NewSource(31))
-	layers := make([]*Dense, len(dims)-1)
+	layers := make([]*DenseOf[T], len(dims)-1)
 	for l := range layers {
 		in, out := dims[l], dims[l+1]
-		layers[l] = NewDense(in, out)
+		layers[l] = NewDenseOf[T](in, out)
 		layers[l].Pack(randVec(rng, in*out), randVec(rng, out))
 	}
-	x := randVec(rng, rows*dims[0])
-	bufs := [2][]float64{make([]float64, rows*96), make([]float64, rows*96)}
-	for _, body := range denseBodies {
+	x := draw(rng, rows*dims[0])
+	bufs := [2][]T{make([]T, rows*96), make([]T, rows*96)}
+	for _, body := range bodies {
 		b.Run(body.name, func(b *testing.B) {
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {

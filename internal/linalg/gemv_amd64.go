@@ -15,6 +15,35 @@ func denseZMM(dst, x, wt, bias *float64, in, outPad, blocks, xStep, xPair, dstSt
 //go:noescape
 func denseYMM(dst, x, wt, bias *float64, in, outPad, blocks, xStep, xPair, dstStep, dstPair int)
 
+// dense32ZMM and dense32YMM are the AVX-512 and AVX2 bodies of
+// Dense32.Forward (dense_amd64.s).
+//
+//go:noescape
+func dense32ZMM(dst, x, wt, bias *float32, in, outPad, blocks, xStep, xPair, dstStep, dstPair int)
+
+//go:noescape
+func dense32YMM(dst, x, wt, bias *float32, in, outPad, blocks, xStep, xPair, dstStep, dstPair int)
+
+// The float32 vector kernels (kernels32_amd64.s).
+//
+//go:noescape
+func glu32RowsAVX(dst, u, v *float32, n, rows, dstStride, srcStride int)
+
+//go:noescape
+func scaleShiftInto32AVX(dst *float32, x, scale, shift *float64, n int)
+
+//go:noescape
+func scaleMaxMask32AVX(v, scale *float32, n int) (vmax float32, mask uint64)
+
+//go:noescape
+func scale32AVX(alpha float32, x *float32, n int)
+
+//go:noescape
+func relu32AVX(x *float32, n int)
+
+//go:noescape
+func axpy32AVX(alpha float32, x, y *float32, n int)
+
 //go:noescape
 func gemvTAVX(dst, w, x *float64, inDim, outDim int, bias *float64)
 
@@ -72,10 +101,11 @@ func adamStepAVX(w, m, v, grad *float64, n int, b1, q1, b2, q2, invC1, invC2, lr
 //go:noescape
 func dropoutApplyAVX(x, mask, u *float64, keep, invKeep float64, n int)
 
-// init installs the AVX2+FMA micro-kernels when the CPU and OS support
-// them (AVX2 + FMA3 instruction sets, YMM state enabled via XGETBV), and
-// on top of them the AVX-512 Dense.Forward body when the CPU has AVX512F
-// and the OS saves the opmask and all 32 ZMM registers (XCR0 bits 5–7).
+// init installs the AVX2+FMA micro-kernels, float64 and float32, when the
+// CPU and OS support them (AVX2 + FMA3 instruction sets, YMM state enabled
+// via XGETBV), and on top of them the AVX-512 Dense.Forward bodies when the
+// CPU has AVX512F and the OS saves the opmask and all 32 ZMM registers
+// (XCR0 bits 5–7).
 // Without support, the kernel pointers stay nil and the portable scalar
 // paths run.
 func init() {
@@ -106,11 +136,14 @@ func init() {
 	if b7&avx2 == 0 {
 		return
 	}
-	denseBodies = append(denseBodies, denseBody{name: "ymm", run: blocked(denseYMM)})
+	denseBodies = append(denseBodies, denseBody[float64]{name: "ymm", run: blocked(denseYMM)})
+	dense32Bodies = append(dense32Bodies, denseBody[float32]{name: "ymm32", run: blocked(dense32YMM)})
 	if b7&avx512f != 0 && xcr0&xcr0AVX512 == xcr0AVX512 {
-		denseBodies = append(denseBodies, denseBody{name: "zmm", run: blocked(denseZMM)})
+		denseBodies = append(denseBodies, denseBody[float64]{name: "zmm", run: blocked(denseZMM)})
+		dense32Bodies = append(dense32Bodies, denseBody[float32]{name: "zmm32", run: blocked(dense32ZMM)})
 	}
 	denseKernel = denseBodies[len(denseBodies)-1]
+	dense32Kernel = dense32Bodies[len(dense32Bodies)-1]
 	gemvTKernel = gemvTAVX
 	gluKernel = gluAVX
 	scaleShiftReLUKernel = scaleShiftReLUAVX
@@ -130,4 +163,10 @@ func init() {
 	bnBackApplyKernel = bnBackApplyAVX
 	adamStepKernel = adamStepAVX
 	dropoutApplyKernel = dropoutApplyAVX
+	glu32Kernel = glu32RowsAVX
+	scaleShiftInto32Kernel = scaleShiftInto32AVX
+	scaleMaxMask32Kernel = scaleMaxMask32AVX
+	scale32Kernel = scale32AVX
+	relu32Kernel = relu32AVX
+	axpy32Kernel = axpy32AVX
 }

@@ -189,3 +189,19 @@ func TestWeightedRidgeShrinks(t *testing.T) {
 		t.Errorf("ridge did not shrink: λ=100 gives %v vs %v", big[0], small[0])
 	}
 }
+
+func TestRMSE(t *testing.T) {
+	if RMSE(nil, nil) != 0 {
+		t.Error("empty RMSE should be 0")
+	}
+	got := RMSE([]float64{1, 2}, []float64{1, 4})
+	if math.Abs(got-math.Sqrt(2)) > 1e-12 {
+		t.Errorf("RMSE = %v", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("RMSE accepted mismatched lengths")
+		}
+	}()
+	RMSE([]float64{1}, []float64{1, 2})
+}

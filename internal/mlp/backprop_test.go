@@ -137,7 +137,7 @@ func TestDenseBackwardMatchesGemmOracles(t *testing.T) {
 		heInit(&m.Dense[l], rng)
 		m.Dense[l].B = randSlice(rng, m.Dense[l].Out)
 	}
-	ts := newTrainScratch(m, 64, 45, packLayers(nil, m.Dense))
+	ts := newTrainScratch(m, 64, 45, packLayers[float64](nil, m.Dense))
 	ts.pack(m)
 
 	for _, rows := range []int{64, 5, 3, 2, 1} {

@@ -80,38 +80,86 @@ type Model struct {
 	YMean        float64      // target centering
 	YStd         float64
 	// EvalLoss records the eval RMSE after each epoch; BestEpoch is the
-	// epoch whose weights the model holds (-1: a warm fit's seed).
+	// epoch whose weights the model holds (-1: a warm fit's seed), and
+	// BestEval their eval RMSE, the score early stopping chose them by:
+	// linalg.RMSE of PredictBatch on the eval set, bit for bit (0 without
+	// an eval set).
 	EvalLoss  []float64
 	BestEpoch int
+	BestEval  float64
 
 	// scale standardizes inputs against Mean and Std.
 	scale nn.Scaler
-	// packed holds the dense layers in the linalg.Dense inference layout,
-	// built once on first use: a trained model's weights never change.
-	// Training never reads it — it packs the current weights into layers
-	// of its own (see TrainSeeded).
-	packOnce sync.Once
-	packed   []*linalg.Dense
-	// scratch pools per-worker forward buffers so batch inference reuses
-	// activation matrices instead of allocating per dense layer per shard.
+	// f64 and f32 are the float64 and float32 inference paths: the dense
+	// layers packed in that precision, built once on first use (a trained
+	// model's weights never change), and a pool of per-worker forward
+	// buffers. Training never reads them — it packs the current weights
+	// into layers of its own (see TrainSeeded).
+	f64 inference[float64]
+	f32 inference[float32]
+}
+
+// inference is one precision's packed layers and forward-buffer pool.
+type inference[T linalg.Float] struct {
+	once    sync.Once
+	layers  []*linalg.DenseOf[T]
 	scratch sync.Pool
 }
 
-// layers returns the model's packed inference layers, building them on the
-// first call.
-func (m *Model) layers() []*linalg.Dense {
-	m.packOnce.Do(func() { m.packed = packLayers(nil, m.Dense) })
-	return m.packed
+// ready returns in's packed layers, building them from m on the first
+// call: from m.Dense, or on the float32 path from m's folded layers (see
+// foldsBN).
+func ready[T linalg.Float](m *Model, in *inference[T]) []*linalg.DenseOf[T] {
+	in.once.Do(func() {
+		ds := m.Dense
+		if foldsBN[T]() {
+			ds = m.foldedDense()
+		}
+		in.layers = packLayers(in.layers, ds)
+	})
+	return in.layers
 }
 
-// packLayers packs ds into the linalg.Dense layout, reusing dst's layers
-// when it already holds them (training re-packs into the same storage after
-// every Adam step).
-func packLayers(dst []*linalg.Dense, ds []DenseState) []*linalg.Dense {
+// foldsBN reports whether the T path folds each eval-mode batch norm into
+// the dense layer before it, so its forward pass is dense layers and ReLUs
+// only. The float32 path does: folding rounds differently from applying
+// the batch norm after the layer, which that path's precision absorbs. The
+// float64 path keeps the batch norm separate, and with it every float64
+// result's bits.
+func foldsBN[T linalg.Float]() bool {
+	var zero T
+	_, ok := any(zero).(float32)
+	return ok
+}
+
+// foldedDense returns m's dense layers with each hidden batch norm folded
+// into the layer before it: row j of W and b scaled by s_j =
+// gamma_j/sqrt(var_j+1e-5), and b_j shifted by beta_j - mean_j·s_j.
+func (m *Model) foldedDense() []DenseState {
+	ds := append([]DenseState(nil), m.Dense...)
+	for l := 1; l < len(m.Config.Hidden); l++ {
+		bn, d := &m.BN[l-1], m.Dense[l]
+		f := DenseState{In: d.In, Out: d.Out, W: make([]float64, len(d.W)), B: make([]float64, d.Out)}
+		for j := 0; j < d.Out; j++ {
+			s := bn.Gamma[j] / math.Sqrt(bn.Var[j]+1e-5)
+			for i, w := range d.W[j*d.In : (j+1)*d.In] {
+				f.W[j*d.In+i] = w * s
+			}
+			f.B[j] = d.B[j]*s + (bn.Beta[j] - bn.Mean[j]*s)
+		}
+		ds[l] = f
+	}
+	return ds
+}
+
+// packLayers packs ds into the linalg.Dense layout of element type T,
+// reusing dst's layers when it already holds them (training re-packs into
+// the same storage after every Adam step).
+func packLayers[T linalg.Float](dst []*linalg.DenseOf[T], ds []DenseState) []*linalg.DenseOf[T] {
 	if len(dst) != len(ds) {
-		dst = make([]*linalg.Dense, len(ds))
+		dst = make([]*linalg.DenseOf[T], len(ds))
 		for l := range ds {
-			dst[l] = linalg.NewDense(ds[l].In, ds[l].Out)
+			dst[l] = linalg.NewDenseOf[T](ds[l].In, ds[l].Out)
 		}
 	}
 	for l := range ds {
@@ -120,23 +168,21 @@ func packLayers(dst []*linalg.Dense, ds []DenseState) []*linalg.Dense {
 	return dst
 }
 
-// fwdScratch is one worker's reusable forward-pass state: the standardized
-// input block, two ping-pong activation blocks (rows × a layer's OutPad),
-// and the per-call fused BN scale/shift vectors.
-type fwdScratch struct {
-	xs           linalg.Matrix
-	ping, pong   []float64
-	scale, shift []float64
+// fwdScratch is one worker's reusable forward-pass state in element type
+// T: the standardized input block, two ping-pong activation blocks (rows ×
+// a layer's OutPad), and the per-call fused BN scale/shift vectors.
+type fwdScratch[T linalg.Float] struct {
+	xs           []T
+	ping, pong   []T
+	scale, shift []T
 }
 
-func (m *Model) getScratch() *fwdScratch {
-	if s, ok := m.scratch.Get().(*fwdScratch); ok {
+func getScratch[T linalg.Float](in *inference[T]) *fwdScratch[T] {
+	if s, ok := in.scratch.Get().(*fwdScratch[T]); ok {
 		return s
 	}
-	return &fwdScratch{}
+	return &fwdScratch[T]{}
 }
-
-func (m *Model) putScratch(s *fwdScratch) { m.scratch.Put(s) }
 
 // Train fits the network on x/y with eval-based early stopping. evalX may be
 // nil to train the full epoch budget.
@@ -214,7 +260,7 @@ func fit(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY 
 	// is first asked for a prediction. The batched step runs its forward
 	// products on it, re-packing it before every mini-batch, and every
 	// evaluation re-packs it, so both read the weights as they are then.
-	layers := packLayers(nil, m.Dense)
+	layers := packLayers[float64](nil, m.Dense)
 	loop := nn.Loop{
 		Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, EarlyStoppingRounds: cfg.EarlyStoppingRounds,
 		LearningRate: cfg.LearningRate, Rng: rng,
@@ -227,7 +273,7 @@ func fit(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY 
 			return m.predictStandardized(evalXS, layers)
 		}
 	}
-	m.EvalLoss, m.BestEpoch = loop.Run(x.Rows, evalY, prev != nil)
+	m.EvalLoss, m.BestEpoch, m.BestEval = loop.Run(x.Rows, evalY, prev != nil)
 	return m, nil
 }
 
@@ -294,35 +340,35 @@ func (m *Model) standardizer() nn.Standardizer {
 	return nn.Standardizer{Mean: m.Mean, Std: m.Std, ConstantCols: m.ConstantCols, YMean: m.YMean, YStd: m.YStd}
 }
 
-// predictStandardized runs inference on already-standardized inputs with
-// the given packed layers, returning predictions in the original target
-// scale.
+// predictStandardized runs float64 inference on already-standardized
+// inputs with the given packed layers, returning predictions in the
+// original target scale.
 func (m *Model) predictStandardized(xs *linalg.Matrix, layers []*linalg.Dense) []float64 {
 	out := make([]float64, xs.Rows)
-	sc := m.getScratch()
-	m.forwardStandardized(xs, out, sc, layers)
-	m.putScratch(sc)
+	sc := getScratch(&m.f64)
+	forward(m, xs.Data, xs.Cols, xs.Rows, out, sc, layers)
+	m.f64.scratch.Put(sc)
 	return out
 }
 
-// forwardStandardized runs the eval forward pass over the standardized
-// block xs using one worker's scratch buffers, writing target-scale
-// predictions into out (len(out) == xs.Rows). Every dense layer is one
-// linalg.Dense.Forward call over the whole block; activations ping-pong
-// between the two scratch blocks, each row OutPad wide, so the pass
-// allocates nothing in steady state. Each output is bitwise independent of
-// the block's size and of its row's position in it. xs is not modified.
-func (m *Model) forwardStandardized(xs *linalg.Matrix, out []float64, sc *fwdScratch, layers []*linalg.Dense) {
+// forward runs the eval forward pass in element type T over the
+// standardized rows × cols block xs using one worker's scratch buffers,
+// writing target-scale predictions into out (len(out) == rows). Every dense
+// layer is one linalg.Dense.Forward call over the whole block; activations
+// ping-pong between the two scratch blocks, each row OutPad wide, so the
+// pass allocates nothing in steady state. Each output is bitwise
+// independent of the block's size and of its row's position in it. xs is
+// not modified.
+func forward[T linalg.Float](m *Model, xs []T, cols, rows int, out []float64, sc *fwdScratch[T], layers []*linalg.DenseOf[T]) {
 	nHidden := len(m.Config.Hidden)
-	rows := xs.Rows
-	h, stride := xs.Data, xs.Cols
-	bufs := [2]*[]float64{&sc.ping, &sc.pong}
+	h, stride := xs, cols
+	bufs := [2]*[]T{&sc.ping, &sc.pong}
 	for l, d := range layers {
 		// Rows run sequentially here: callers already shard batches across
 		// the worker pool.
 		n := rows * d.OutPad
 		if buf := bufs[l&1]; cap(*buf) < n {
-			*buf = make([]float64, n)
+			*buf = make([]T, n)
 		}
 		dst := (*bufs[l&1])[:n]
 		d.Forward(dst, d.OutPad, h, stride, rows)
@@ -330,20 +376,20 @@ func (m *Model) forwardStandardized(xs *linalg.Matrix, out []float64, sc *fwdScr
 		if l == nHidden {
 			break
 		}
-		if l > 0 {
+		if l > 0 && !foldsBN[T]() {
 			// Fold eval-mode BN into one scale/shift pair per column, then
 			// apply it fused with the ReLU in a single pass over each row.
 			bn := &m.BN[l-1]
 			if cap(sc.scale) < bn.Dim {
-				sc.scale = make([]float64, bn.Dim)
-				sc.shift = make([]float64, bn.Dim)
+				sc.scale = make([]T, bn.Dim)
+				sc.shift = make([]T, bn.Dim)
 			}
 			scale := sc.scale[:bn.Dim]
 			shift := sc.shift[:bn.Dim]
 			for j := 0; j < bn.Dim; j++ {
 				s := bn.Gamma[j] / math.Sqrt(bn.Var[j]+1e-5)
-				scale[j] = s
-				shift[j] = bn.Beta[j] - bn.Mean[j]*s
+				scale[j] = T(s)
+				shift[j] = T(bn.Beta[j] - bn.Mean[j]*s)
 			}
 			for i := 0; i < rows; i++ {
 				linalg.ScaleShiftReLU(h[i*stride:i*stride+d.Out], scale, shift)
@@ -355,20 +401,17 @@ func (m *Model) forwardStandardized(xs *linalg.Matrix, out []float64, sc *fwdScr
 		}
 	}
 	for i := range out {
-		out[i] = h[i*stride]*m.YStd + m.YMean
+		out[i] = float64(h[i*stride])*m.YStd + m.YMean
 	}
 }
 
-// Predict returns the prediction for one raw feature vector. It sits on
-// the per-job advisory path, so the 1-row input and activation matrices
-// come from the model's scratch pool instead of fresh allocations.
+// Predict returns the prediction for one raw feature vector: the
+// PredictBatch path on a one-row block, so it matches PredictBatch's row
+// for the same input bitwise. It sits on the per-job advisory path, so the
+// buffers come from the model's scratch pool.
 func (m *Model) Predict(x []float64) float64 {
-	sc := m.getScratch()
-	xs := nn.Reshape(&sc.xs, 1, len(x))
-	m.scale.Row(xs.Data, x, m.Mean, m.Std)
 	var out [1]float64
-	m.forwardStandardized(xs, out[:], sc, m.layers())
-	m.putScratch(sc)
+	predictRows(m, &m.f64, &linalg.Matrix{Rows: 1, Cols: len(x), Data: x}, out[:])
 	return out[0]
 }
 
@@ -376,29 +419,50 @@ func (m *Model) Predict(x []float64) float64 {
 // pass across cores costs more than the dense products it saves.
 const predictParallelMinRows = 64
 
-// PredictBatch predicts every row of x, sharding large batches (SHAP
-// coalition matrices, evaluation frames) across the bounded worker pool.
+// PredictBatch predicts every row of x in float64, sharding large batches
+// (evaluation frames, LIME perturbations) across the bounded worker pool.
 // Rows are independent at inference time (batch norm uses running
 // statistics), so every row is bitwise identical to Predict on it, however
 // the batch is sharded.
 func (m *Model) PredictBatch(x *linalg.Matrix) []float64 {
 	out := make([]float64, x.Rows)
-	layers := m.layers()
+	predictBatch(m, &m.f64, x, out)
+	return out
+}
+
+// PredictBatch32 is PredictBatch computed in float32: standardization
+// rounds each input to float32, and every layer, batch norm and ReLU runs
+// on float32 weights and activations; only the target rescale returns to
+// float64. It is Kernel SHAP's coalition-batch predictor (DESIGN.md §8) and
+// serves no prediction. Rows are as independent as PredictBatch's, so each
+// value is bitwise independent of the batch and of its sharding.
+func (m *Model) PredictBatch32(x *linalg.Matrix) []float64 {
+	out := make([]float64, x.Rows)
+	predictBatch(m, &m.f32, x, out)
+	return out
+}
+
+// predictBatch writes the predictions of every row of x in element type T
+// into out, sharding batches of predictParallelMinRows rows or more.
+func predictBatch[T linalg.Float](m *Model, in *inference[T], x *linalg.Matrix, out []float64) {
 	if x.Rows < predictParallelMinRows {
-		sc := m.getScratch()
-		xs := m.scale.Into(&sc.xs, x, m.Mean, m.Std)
-		m.forwardStandardized(xs, out, sc, layers)
-		m.putScratch(sc)
-		return out
+		predictRows(m, in, x, out)
+		return
 	}
 	parallel.For(x.Rows, 0, func(lo, hi int) {
-		sc := m.getScratch()
 		sub := &linalg.Matrix{Rows: hi - lo, Cols: x.Cols, Data: x.Data[lo*x.Cols : hi*x.Cols]}
-		xs := m.scale.Into(&sc.xs, sub, m.Mean, m.Std)
-		m.forwardStandardized(xs, out[lo:hi], sc, layers)
-		m.putScratch(sc)
+		predictRows(m, in, sub, out[lo:hi])
 	})
-	return out
+}
+
+// predictRows standardizes x into one worker's scratch and runs the
+// forward pass over it on the calling goroutine.
+func predictRows[T linalg.Float](m *Model, in *inference[T], x *linalg.Matrix, out []float64) {
+	layers := ready(m, in)
+	sc := getScratch(in)
+	sc.xs = nn.Standardize(&m.scale, sc.xs, x, m.Mean, m.Std)
+	forward(m, sc.xs, x.Cols, x.Rows, out, sc, layers)
+	in.scratch.Put(sc)
 }
 
 // Save gob-encodes the model.

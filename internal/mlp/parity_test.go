@@ -9,7 +9,7 @@ import (
 
 // referencePredict replays the pre-flattening inference path — per-layer
 // denseForward, eval-mode batch norm via bnForwardEval, scalar ReLU —
-// against which the fused forwardStandardized hot path must agree.
+// against which the fused forward hot path must agree.
 func referencePredict(m *Model, x *linalg.Matrix) []float64 {
 	xs := linalg.NewMatrix(x.Rows, x.Cols)
 	for i := 0; i < x.Rows; i++ {

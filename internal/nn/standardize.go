@@ -167,22 +167,30 @@ func (c *Scaler) coeffs(mean, std []float64) (inv, shift []float64) {
 	return c.inv, c.shift
 }
 
-// Row writes the standardized row x into dst: (v-mean)/std computed as
-// v*inv + shift, one fused multiply-add per element.
-func (c *Scaler) Row(dst, x, mean, std []float64) {
-	inv, shift := c.coeffs(mean, std)
-	linalg.ScaleShiftInto(dst, x, inv, shift)
-}
-
 // Into writes the standardized rows of x into dst, resized as needed, and
 // returns it.
 func (c *Scaler) Into(dst, x *linalg.Matrix, mean, std []float64) *linalg.Matrix {
-	inv, shift := c.coeffs(mean, std)
 	out := Reshape(dst, x.Rows, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		linalg.ScaleShiftInto(out.Row(i), x.Row(i), inv, shift)
-	}
+	Standardize(c, out.Data, x, mean, std)
 	return out
+}
+
+// Standardize writes the standardized rows of x, row-major, into dst
+// (reallocated when too small) in element type T and returns it:
+// (v-mean)/std computed as v*inv + shift, one fused multiply-add per
+// element in float64, rounded once to T. It is how the networks' float32
+// path reads float64 inputs.
+func Standardize[T linalg.Float](c *Scaler, dst []T, x *linalg.Matrix, mean, std []float64) []T {
+	inv, shift := c.coeffs(mean, std)
+	n := x.Rows * x.Cols
+	if cap(dst) < n {
+		dst = make([]T, n)
+	}
+	dst = dst[:n]
+	for i := 0; i < x.Rows; i++ {
+		linalg.ScaleShiftInto(dst[i*x.Cols:(i+1)*x.Cols], x.Row(i), inv, shift)
+	}
+	return dst
 }
 
 // Reshape resizes m to rows x cols, reusing its backing array when large

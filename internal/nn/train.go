@@ -49,17 +49,18 @@ type Loop struct {
 }
 
 // Run trains on rows training rows and returns the eval RMSE against evalY
-// after each epoch and the epoch whose weights the fit ends with. A seeded
-// fit scores its starting weights before the first epoch and keeps them
-// (best epoch -1) unless an epoch beats them. Without Eval the best epoch
-// is the last.
-func (l *Loop) Run(rows int, evalY []float64, seeded bool) (evalLoss []float64, bestEpoch int) {
+// after each epoch, the epoch whose weights the fit ends with, and their
+// eval RMSE. A seeded fit scores its starting weights before the first
+// epoch and keeps them (best epoch -1, best eval their score) unless an
+// epoch beats them. Without Eval the best epoch is the last and the best
+// eval 0.
+func (l *Loop) Run(rows int, evalY []float64, seeded bool) (evalLoss []float64, bestEpoch int, bestEval float64) {
 	opt := newAdam(l.Params)
 	best := math.Inf(1)
 	sinceBest := 0
 	var snapshot [][]float64
 	if seeded && l.Eval != nil {
-		best = rmse(l.Eval(), evalY)
+		best = linalg.RMSE(l.Eval(), evalY)
 		bestEpoch = -1
 		snapshot = clone(l.State)
 	}
@@ -80,7 +81,7 @@ func (l *Loop) Run(rows int, evalY []float64, seeded bool) (evalLoss []float64, 
 			bestEpoch = epoch
 			continue
 		}
-		e := rmse(l.Eval(), evalY)
+		e := linalg.RMSE(l.Eval(), evalY)
 		evalLoss = append(evalLoss, e)
 		if e < best-1e-12 {
 			best, bestEpoch, sinceBest = e, epoch, 0
@@ -94,7 +95,10 @@ func (l *Loop) Run(rows int, evalY []float64, seeded bool) (evalLoss []float64, 
 	if snapshot != nil {
 		Copy(l.State, snapshot)
 	}
-	return evalLoss, bestEpoch
+	if l.Eval == nil {
+		best = 0
+	}
+	return evalLoss, bestEpoch, best
 }
 
 // adam is the optimizer state of an ordered tensor list.
@@ -122,16 +126,6 @@ func (a *adam) step(params, grads [][]float64, lr float64) {
 	for k, w := range params {
 		linalg.AdamStep(w, a.m[k], a.v[k], grads[k], b1, b2, c1, c2, lr, eps)
 	}
-}
-
-// rmse is the root-mean-square difference of pred and y.
-func rmse(pred, y []float64) float64 {
-	s := 0.0
-	for i := range y {
-		d := pred[i] - y[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(y)))
 }
 
 // clone deep-copies a tensor list.

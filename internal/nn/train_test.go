@@ -31,7 +31,7 @@ func line(w0, lr float64, epochs, rounds int, seeded bool) (w float64, evalLoss 
 			return pred
 		},
 	}
-	evalLoss, best = l.Run(len(xs), ys, seeded)
+	evalLoss, best, _ = l.Run(len(xs), ys, seeded)
 	return param[0], evalLoss, best
 }
 

@@ -92,7 +92,11 @@ func (e *Explanation) AdditivityError() float64 {
 // number of goroutines and the steady-state allocations of an Explain are
 // the returned Phi slice and the model's own output batches.
 type Explainer struct {
-	f          PredictFunc
+	// f evaluates the background and the input: Base and FX.
+	f PredictFunc
+	// coalitions evaluates the coalition batches; f unless the explainer
+	// was built by NewCoalitions.
+	coalitions PredictFunc
 	background []float64
 	cfg        Config
 }
@@ -121,16 +125,27 @@ func growF(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// New creates an explainer. AIIO initializes the background filter to zero
-// (Section 3.3); pass nil for an all-zero background of the input's size.
+// New creates an explainer that evaluates every row through f. AIIO
+// initializes the background filter to zero (Section 3.3); pass nil for an
+// all-zero background of the input's size.
 func New(f PredictFunc, background []float64, cfg Config) *Explainer {
+	return NewCoalitions(f, f, background, cfg)
+}
+
+// NewCoalitions creates an explainer that evaluates the background and the
+// input through f and every coalition batch through coalitions: the
+// networks' float32 predictor (DESIGN.md §8). Base and FX, and so the
+// prediction a diagnosis reports and the sum its contributions add up to,
+// are f's; only the coalition values that apportion FX − Base among the
+// counters come from coalitions.
+func NewCoalitions(f, coalitions PredictFunc, background []float64, cfg Config) *Explainer {
 	if cfg.MaxExact <= 0 {
 		cfg.MaxExact = DefaultConfig().MaxExact
 	}
 	if cfg.Ridge <= 0 {
 		cfg.Ridge = DefaultConfig().Ridge
 	}
-	return &Explainer{f: f, background: background, cfg: cfg}
+	return &Explainer{f: f, coalitions: coalitions, background: background, cfg: cfg}
 }
 
 // Explain computes the SHAP values of x.
@@ -258,10 +273,15 @@ func (e *Explainer) exact(ctx context.Context, sc *scratch, x, bg []float64, act
 			row[j] = x[j]
 		}
 	}
-	vals, err := EvalChunked(ctx, e.f, inputs)
+	vals, err := EvalChunked(ctx, e.coalitions, inputs)
 	if err != nil {
 		return err
 	}
+	// The empty and the full coalition are the background and x, whose
+	// values f gave as Base and FX. Taking those keeps Σ φ = FX − Base
+	// exact when coalitions computes in lower precision, and changes
+	// nothing when it is f (every model predicts rows independently).
+	vals[0], vals[n-1] = out.Base, out.FX
 
 	// Precompute |S|!(M-|S|-1)!/M! per coalition size.
 	weight := growF(sc.sizeW, m)
@@ -355,7 +375,7 @@ func (e *Explainer) sampled(ctx context.Context, sc *scratch, x, bg []float64, a
 			}
 		}
 	}
-	vals, err := EvalChunked(ctx, e.f, inputs)
+	vals, err := EvalChunked(ctx, e.coalitions, inputs)
 	if err != nil {
 		return err
 	}

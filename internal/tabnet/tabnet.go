@@ -98,18 +98,20 @@ type Model struct {
 	// Out maps aggregated decisions N_d -> 1.
 	Out dense
 	// EvalLoss records the eval RMSE after each epoch; BestEpoch is the
-	// epoch whose weights the model holds (-1: a warm fit's seed).
+	// epoch whose weights the model holds (-1: a warm fit's seed), and
+	// BestEval their eval RMSE, the score early stopping chose them by:
+	// linalg.RMSE of PredictBatch on the eval set, bit for bit (0 without
+	// an eval set).
 	EvalLoss  []float64
 	BestEpoch int
+	BestEval  float64
 
 	// scale standardizes inputs against Mean and Std.
 	scale nn.Scaler
-	// packed holds the dense layers in the linalg.Dense inference layout,
-	// built once on first use (see layers).
-	packOnce sync.Once
-	packed   *packed
-	// scratch pools per-worker inference buffers (see infScratch).
-	scratch sync.Pool
+	// f64 and f32 are the float64 and float32 inference paths (see
+	// inference).
+	f64 inference[float64]
+	f32 inference[float32]
 }
 
 // sparsemaxTauScaled returns the threshold tau of the sparsemax projection
@@ -130,11 +132,16 @@ type Model struct {
 // in idx (ascending scan order, unlike the descending value-sorted cand),
 // so the caller can restrict its support walk to the candidate superset
 // instead of rescanning all features.
-func sparsemaxTauScaled(v, scale, cand []float64, idx []int32) (float64, []float64, []int32) {
-	var vmax float64
-	if scale != nil {
+func sparsemaxTauScaled[T linalg.Float](v, scale, cand []T, idx []int32) (T, []T, []int32) {
+	var vmax T
+	var mask uint64
+	fused := scale != nil && len(v) <= 64
+	switch {
+	case fused:
+		vmax, mask = linalg.ScaleMaxMask(v, scale)
+	case scale != nil:
 		vmax = linalg.ScaleMax(v, scale)
-	} else {
+	default:
 		vmax = v[0]
 		for _, x := range v[1:] {
 			if x > vmax {
@@ -146,9 +153,12 @@ func sparsemaxTauScaled(v, scale, cand []float64, idx []int32) (float64, []float
 	cand = cand[:0]
 	idx = idx[:0]
 	if len(v) <= 64 {
+		if !fused {
+			mask = linalg.MaskGreater(v, lim)
+		}
 		// One vector compare yields the candidate set as a bitmask; only
 		// the (few) set bits are visited, in ascending index order.
-		for m := linalg.MaskGreater(v, lim); m != 0; m &= m - 1 {
+		for m := mask; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
 			x := v[i]
 			idx = append(idx, int32(i))
@@ -174,11 +184,10 @@ func sparsemaxTauScaled(v, scale, cand []float64, idx []int32) (float64, []float
 			}
 		}
 	}
-	cum := 0.0
-	var tau float64
+	var cum, tau T
 	for i, x := range cand {
 		cum += x
-		t := (cum - 1) / float64(i+1)
+		t := (cum - 1) / T(i+1)
 		if x > t {
 			tau = t
 		}
@@ -188,23 +197,32 @@ func sparsemaxTauScaled(v, scale, cand []float64, idx []int32) (float64, []float
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// packed holds a model's dense layers in the linalg.Dense inference layout.
-// The shared layer's WT is also the In × OutPad transpose of Shared.W that
-// the masked shared pass walks one selected feature at a time (Row(i)), so
-// the shared weights exist once in the inference layout.
-type packed struct {
-	shared    *linalg.Dense
-	att, step []*linalg.Dense
+// packed holds a model's inference weights in element type T: its dense
+// layers in the linalg.Dense layout and the output layer's weights. The
+// shared layer's WT is also the In × OutPad transpose of Shared.W that the
+// masked shared pass walks one selected feature at a time (Row(i)), and its
+// Bias the pass's starting value, so the shared weights exist once in the
+// inference layout.
+type packed[T linalg.Float] struct {
+	shared    *linalg.DenseOf[T]
+	att, step []*linalg.DenseOf[T]
+	outW      []T
+	outB      T
+	ones      []T // NumFeatures ones: every row's starting attention prior
 }
 
-// pack packs the current weights into pk's layers, allocating them when pk
+// pack packs m's current weights into pk's layers, allocating them when pk
 // is nil, and returns pk.
-func (m *Model) pack(pk *packed) *packed {
+func pack[T linalg.Float](m *Model, pk *packed[T]) *packed[T] {
 	if pk == nil {
-		pk = &packed{shared: linalg.NewDense(m.Shared.In, m.Shared.Out)}
+		pk = &packed[T]{shared: linalg.NewDenseOf[T](m.Shared.In, m.Shared.Out), outW: make([]T, len(m.Out.W)),
+			ones: make([]T, m.NumFeatures)}
+		for i := range pk.ones {
+			pk.ones[i] = 1
+		}
 		for s := range m.StepFC {
-			pk.att = append(pk.att, linalg.NewDense(m.AttFC[s].In, m.AttFC[s].Out))
-			pk.step = append(pk.step, linalg.NewDense(m.StepFC[s].In, m.StepFC[s].Out))
+			pk.att = append(pk.att, linalg.NewDenseOf[T](m.AttFC[s].In, m.AttFC[s].Out))
+			pk.step = append(pk.step, linalg.NewDenseOf[T](m.StepFC[s].In, m.StepFC[s].Out))
 		}
 	}
 	pk.shared.Pack(m.Shared.W, m.Shared.B)
@@ -212,62 +230,73 @@ func (m *Model) pack(pk *packed) *packed {
 		pk.att[s].Pack(m.AttFC[s].W, m.AttFC[s].B)
 		pk.step[s].Pack(m.StepFC[s].W, m.StepFC[s].B)
 	}
+	for i, w := range m.Out.W {
+		pk.outW[i] = T(w)
+	}
+	pk.outB = T(m.Out.B[0])
 	return pk
 }
 
-// layers returns the model's packed inference layers, building them on the
-// first call: a trained model's weights never change. Training never reads
-// them — its evaluations re-pack the current weights into their own layers
-// (see TrainSeeded).
-func (m *Model) layers() *packed {
-	m.packOnce.Do(func() { m.packed = m.pack(nil) })
-	return m.packed
+// inference is one precision's packed weights, built once on first use (a
+// trained model's weights never change), and its pool of per-worker
+// inference buffers (see infScratch). Training never reads it — its
+// evaluations re-pack the current weights into their own layers (see
+// TrainSeeded).
+type inference[T linalg.Float] struct {
+	once    sync.Once
+	packed  *packed[T]
+	scratch sync.Pool
 }
 
-// rowState is one row's step-loop state. logits, a, hb and z2 are views of
-// the row's slot in its scratch's four-row blocks, which the packed
+// ready returns in's packed weights, building them from m on the first
+// call.
+func ready[T linalg.Float](m *Model, in *inference[T]) *packed[T] {
+	in.once.Do(func() { in.packed = pack(m, in.packed) })
+	return in.packed
+}
+
+// rowState is one row's step-loop state. logits, a, z, hb, z2 and hs are
+// views of the row's slot in its scratch's four-row blocks, which the packed
 // per-step layers read and write for every row of a block in one call; the
 // rest is the row's own.
-type rowState struct {
-	logits   []float64 // attention logits (AttFC output), NumFeatures
-	a        []float64 // attention features (AttFC input)
-	hb       []float64 // H shared GLU output (StepFC input)
-	z2       []float64 // 2H step pre-activation (StepFC output)
-	z        []float64 // 2H masked shared-pass pre-activation
-	hs       []float64 // H step GLU output
-	agg      []float64 // aggregated decisions
-	prior    []float64
-	cand     []float64 // sparsemax candidate buffer (descending values)
-	candIdx  []int32   // sparsemax candidate indices, ascending
-	sup      []int32   // sparsemax support indices, ascending
-	supPrior []float64 // decayed prior values for the support indices
+type rowState[T linalg.Float] struct {
+	logits   []T // attention logits (AttFC output), NumFeatures
+	a        []T // attention features (AttFC input)
+	z        []T // 2H masked shared-pass pre-activation
+	hb       []T // H shared GLU output (StepFC input)
+	z2       []T // 2H step pre-activation (StepFC output)
+	hs       []T // H step GLU output
+	agg      []T // aggregated decisions
+	prior    []T
+	cand     []T     // sparsemax candidate buffer (descending values)
+	candIdx  []int32 // sparsemax candidate indices, ascending
+	sup      []int32 // sparsemax support indices, ascending
+	supPrior []T     // decayed prior values for the support indices
 }
 
 // infScratch is one worker's reusable inference state: the standardized
 // input block (Predict and PredictBatch), the initial shared-pass outputs of
 // a shard, the four-row blocks behind the rows' layer inputs and outputs,
 // and the four rows' own state.
-type infScratch struct {
-	xs                linalg.Matrix
-	z0                []float64 // rows × shared.OutPad
-	logits, a, hb, z2 []float64 // four rows each, strided per layer
-	rows              [4]rowState
+type infScratch[T linalg.Float] struct {
+	xs                       []T
+	z0                       []T // rows × shared.OutPad
+	logits, a, z, hb, z2, hs []T // four rows each, strided per layer
+	rows                     [4]rowState[T]
 }
 
-func (m *Model) getScratch() *infScratch {
-	if s, ok := m.scratch.Get().(*infScratch); ok {
+func getScratch[T linalg.Float](in *inference[T]) *infScratch[T] {
+	if s, ok := in.scratch.Get().(*infScratch[T]); ok {
 		return s
 	}
-	return &infScratch{}
+	return &infScratch[T]{}
 }
-
-func (m *Model) putScratch(s *infScratch) { m.scratch.Put(s) }
 
 // resize returns *p with length n, reusing its backing array when large
 // enough. Contents are unspecified after the call.
-func resize(p *[]float64, n int) []float64 {
+func resize[T any](p *[]T, n int) []T {
 	if cap(*p) < n {
-		*p = make([]float64, n)
+		*p = make([]T, n)
 	}
 	*p = (*p)[:n]
 	return *p
@@ -275,26 +304,30 @@ func resize(p *[]float64, n int) []float64 {
 
 // bind sizes sc for the packed layers pk and points each row slot's views
 // into the four-row blocks: row k of a block sits at k times the stride of
-// the layer that reads (a, hb) or writes (logits, z2) it.
-func (m *Model) bind(sc *infScratch, pk *packed) {
+// the layer that reads (a, hb) or writes (logits, z, z2) it, or h for the
+// step GLU output hs.
+func bind[T linalg.Float](m *Model, sc *infScratch[T], pk *packed[T]) {
 	nf, d, na := m.NumFeatures, m.Config.DecisionDim, m.Config.AttentionDim
 	h := d + na
 	var ls, zs int
 	if len(pk.att) > 0 {
 		ls, zs = pk.att[0].OutPad, pk.step[0].OutPad
 	}
+	ss := pk.shared.OutPad
 	logits := resize(&sc.logits, 4*ls)
 	a := resize(&sc.a, 4*na)
+	z := resize(&sc.z, 4*ss)
 	hb := resize(&sc.hb, 4*h)
 	z2 := resize(&sc.z2, 4*zs)
+	hs := resize(&sc.hs, 4*h)
 	for k := range sc.rows {
 		rs := &sc.rows[k]
 		rs.logits = logits[k*ls : k*ls+nf]
 		rs.a = a[k*na : (k+1)*na]
+		rs.z = z[k*ss : k*ss+2*h]
 		rs.hb = hb[k*h : (k+1)*h]
 		rs.z2 = z2[k*zs : k*zs+2*h]
-		resize(&rs.z, 2*h)
-		resize(&rs.hs, h)
+		rs.hs = hs[k*h : (k+1)*h]
 		resize(&rs.agg, d)
 		resize(&rs.prior, nf)
 	}
@@ -307,91 +340,91 @@ func gluInto(out, z []float64) {
 	linalg.GLUInto(out, z[:h], z[h:])
 }
 
-// forwardRows is the cache-free forward pass over rows lo..hi of the
-// standardized block xs, the hot path of batch diagnosis, writing
-// target-scale predictions into out (len hi-lo). It differs from the
-// reference forwardSample (reference_test.go) in three ways: all
-// intermediates live in the worker's scratch (zero steady-state
-// allocations); dense layers run on the packed linalg.Dense kernel — the
-// initial shared pass as one call over the whole range, then the step loop
-// walking four rows in lockstep so each per-step layer is one call per four
-// rows; and the masked shared pass exploits sparsemax sparsity — the mask
-// typically keeps a handful of the features, so x·Wᵀ collapses to a few
-// contiguous axpys over rows of the packed shared weights. Outputs agree
-// with forwardSample to float rounding (see the parity tests), not bitwise:
-// summation orders differ. Each prediction is bitwise independent of lo, hi
-// and where its row falls in a block.
-func (m *Model) forwardRows(xs *linalg.Matrix, lo, hi int, out []float64, pk *packed, sc *infScratch) {
-	n, cols := hi-lo, xs.Cols
-	m.bind(sc, pk)
+// forwardRows is the cache-free forward pass in element type T over rows
+// lo..hi of the standardized row-major block xs (cols wide), the hot path
+// of batch diagnosis, writing target-scale predictions into out (len
+// hi-lo). It differs from the reference forwardSample (reference_test.go)
+// in three ways: all intermediates live in the worker's scratch (zero
+// steady-state allocations); dense layers run on the packed linalg.Dense
+// kernel — the initial shared pass as one call over the whole range, then
+// the step loop walking four rows in lockstep so each per-step layer, and
+// the GLU after it, is one call per four rows; and the masked shared pass
+// exploits sparsemax sparsity — the mask typically keeps a handful of the
+// features, so x·Wᵀ collapses to a few contiguous axpys over rows of the
+// packed shared weights. Outputs agree with forwardSample to float
+// rounding (see the parity tests), not bitwise: summation orders differ.
+// Each prediction is bitwise independent of lo, hi and where its row falls
+// in a block.
+func forwardRows[T linalg.Float](m *Model, xs []T, cols, lo, hi int, out []float64, pk *packed[T], sc *infScratch[T]) {
+	n := hi - lo
+	bind(m, sc, pk)
 	zs := pk.shared.OutPad
 	z0 := resize(&sc.z0, n*zs)
-	x := xs.Data[lo*cols : hi*cols]
+	x := xs[lo*cols : hi*cols]
 	pk.shared.Forward(z0, zs, x, cols, n)
 	for b := 0; b < n; b += 4 {
 		k := min(4, n-b)
-		m.forwardBlock(x[b*cols:], cols, z0[b*zs:], zs, out[b:b+k], pk, sc)
+		forwardBlock(m, x[b*cols:], cols, z0[b*zs:], zs, out[b:b+k], pk, sc)
 	}
 }
 
 // forwardBlock walks len(out) ≤ 4 rows (x and their shared-pass outputs z0,
 // at strides cols and zs) through the step loop in lockstep. The attention
-// and step layers run once per step for the whole block; the sparsemax
-// projection and the sparse masked shared pass stay per row, because what
-// they touch depends on each row's support.
-func (m *Model) forwardBlock(x []float64, cols int, z0 []float64, zs int, out []float64, pk *packed, sc *infScratch) {
+// and step layers and the GLUs run once per step for the whole block; the
+// sparsemax projection and the sparse masked shared pass stay per row,
+// because what they touch depends on each row's support.
+func forwardBlock[T linalg.Float](m *Model, x []T, cols int, z0 []T, zs int, out []float64, pk *packed[T], sc *infScratch[T]) {
 	k := len(out)
 	nf, na := m.NumFeatures, m.Config.AttentionDim
 	h := m.Config.DecisionDim + na
+	linalg.GLURows(sc.hb, h, z0, zs, h, k)
 	for r := 0; r < k; r++ {
-		m.stepStart(z0[r*zs:r*zs+2*h], &sc.rows[r])
+		stepStart(m, pk, &sc.rows[r])
 	}
 	for s := 0; s < m.Config.Steps; s++ {
 		att := pk.att[s]
 		att.Forward(sc.logits, att.OutPad, sc.a, na, k)
 		for r := 0; r < k; r++ {
-			m.stepMask(x[r*cols:r*cols+nf], pk.shared, &sc.rows[r])
+			stepMask(m, x[r*cols:r*cols+nf], pk.shared, &sc.rows[r])
 		}
+		linalg.GLURows(sc.hb, h, sc.z, pk.shared.OutPad, h, k)
 		fc := pk.step[s]
 		fc.Forward(sc.z2, fc.OutPad, sc.hb, h, k)
+		linalg.GLURows(sc.hs, h, sc.z2, fc.OutPad, h, k)
 		for r := 0; r < k; r++ {
-			m.stepFinish(&sc.rows[r])
+			stepFinish(m, &sc.rows[r])
 		}
 	}
 	for r := 0; r < k; r++ {
-		y := linalg.Dot(m.Out.W, sc.rows[r].agg) + m.Out.B[0]
-		out[r] = y*m.YStd + m.YMean
+		y := linalg.Dot(pk.outW, sc.rows[r].agg) + pk.outB
+		out[r] = float64(y)*m.YStd + m.YMean
 	}
 }
 
-// stepStart initializes a row's forward state from its shared-pass output.
-func (m *Model) stepStart(z0 []float64, rs *rowState) {
+// stepStart initializes a row's forward state from the GLU of its
+// shared-pass output, already in hb.
+func stepStart[T linalg.Float](m *Model, pk *packed[T], rs *rowState[T]) {
 	d := m.Config.DecisionDim
 	h := d + m.Config.AttentionDim
-	gluInto(rs.hb, z0)
 	copy(rs.a, rs.hb[d:h])
-	for i := range rs.agg {
-		rs.agg[i] = 0
-	}
-	for i := range rs.prior {
-		rs.prior[i] = 1
-	}
+	clear(rs.agg)
+	copy(rs.prior, pk.ones)
 }
 
 // stepMask runs one row's attentive-transformer half step: sparsemax over
-// the scaled logits, the sparse masked shared pass, and the prior decay.
-// Only the sparsemax candidates can exceed tau (tau >= max-1 by
+// the scaled logits, the sparse masked shared pass into z, and the prior
+// decay. Only the sparsemax candidates can exceed tau (tau >= max-1 by
 // construction), so the walk visits the handful of candidate indices, not
 // every feature; mask[i] is lg-tau on the support and 0 off it — no mask
 // vector exists. Off-support priors decay by the full gamma (one vector
 // scale), then the support entries are overwritten with their (gamma - mv)
 // product taken from the pre-decay value, so every prior matches the
 // per-index scalar update bitwise.
-func (m *Model) stepMask(x []float64, shared *linalg.Dense, rs *rowState) {
-	gamma := m.Config.Gamma
-	var tau float64
+func stepMask[T linalg.Float](m *Model, x []T, shared *linalg.DenseOf[T], rs *rowState[T]) {
+	gamma := T(m.Config.Gamma)
+	var tau T
 	tau, rs.cand, rs.candIdx = sparsemaxTauScaled(rs.logits, rs.prior, rs.cand, rs.candIdx)
-	copy(rs.z, m.Shared.B)
+	copy(rs.z, shared.Bias)
 	sup := rs.sup[:0]
 	supPrior := rs.supPrior[:0]
 	for _, ii := range rs.candIdx {
@@ -408,15 +441,13 @@ func (m *Model) stepMask(x []float64, shared *linalg.Dense, rs *rowState) {
 	for k, ii := range sup {
 		rs.prior[ii] = supPrior[k]
 	}
-	gluInto(rs.hb, rs.z)
 }
 
-// stepFinish consumes one row's feature-transformer output: GLU, the ReLU
-// aggregation of the decision half, and the attention handoff.
-func (m *Model) stepFinish(rs *rowState) {
+// stepFinish consumes one row's feature-transformer GLU output hs: the
+// ReLU aggregation of the decision half, and the attention handoff.
+func stepFinish[T linalg.Float](m *Model, rs *rowState[T]) {
 	d := m.Config.DecisionDim
 	h := d + m.Config.AttentionDim
-	gluInto(rs.hs, rs.z2)
 	for i := 0; i < d; i++ {
 		if rs.hs[i] > 0 {
 			rs.agg[i] += rs.hs[i]
@@ -498,13 +529,13 @@ func fit(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY 
 		// stays unbuilt until the finished model is first asked for a
 		// prediction.
 		evalXS := m.scale.Into(new(linalg.Matrix), evalX, m.Mean, m.Std)
-		var pk *packed
+		var pk *packed[float64]
 		loop.Eval = func() []float64 {
-			pk = m.pack(pk)
-			return m.predictStandardized(evalXS, pk)
+			pk = pack(m, pk)
+			return predictStandardized(m, &m.f64, evalXS.Data, evalXS.Cols, evalXS.Rows, pk)
 		}
 	}
-	m.EvalLoss, m.BestEpoch = loop.Run(x.Rows, evalY, prev != nil)
+	m.EvalLoss, m.BestEpoch, m.BestEval = loop.Run(x.Rows, evalY, prev != nil)
 	return m, nil
 }
 
@@ -540,21 +571,22 @@ func (m *Model) standardizer() nn.Standardizer {
 // passes are too few to amortize worker startup.
 const predictParallelMinRows = 8
 
-// predictStandardized runs the forward pass with the packed layers pk on
-// the bounded worker pool for large batches (SHAP coalition matrices). pk is
-// read-only, each worker pulls its own scratch from the pool and owns a
+// predictStandardized runs the forward pass in element type T with the
+// packed weights pk over the standardized rows × cols block xs, on the
+// bounded worker pool for large batches (SHAP coalition matrices). pk is
+// read-only, each worker pulls its own scratch from in's pool and owns a
 // disjoint row range, and every prediction is independent of the range it
 // falls in, so the sharded result is bitwise identical to a sequential pass.
-func (m *Model) predictStandardized(xs *linalg.Matrix, pk *packed) []float64 {
-	out := make([]float64, xs.Rows)
+func predictStandardized[T linalg.Float](m *Model, in *inference[T], xs []T, cols, rows int, pk *packed[T]) []float64 {
+	out := make([]float64, rows)
 	workers := 0
-	if xs.Rows < predictParallelMinRows {
+	if rows < predictParallelMinRows {
 		workers = 1
 	}
-	parallel.For(xs.Rows, workers, func(lo, hi int) {
-		sc := m.getScratch()
-		m.forwardRows(xs, lo, hi, out[lo:hi], pk, sc)
-		m.putScratch(sc)
+	parallel.For(rows, workers, func(lo, hi int) {
+		sc := getScratch(in)
+		forwardRows(m, xs, cols, lo, hi, out[lo:hi], pk, sc)
+		in.scratch.Put(sc)
 	})
 	return out
 }
@@ -563,23 +595,36 @@ func (m *Model) predictStandardized(xs *linalg.Matrix, pk *packed) []float64 {
 // PredictBatch path on a one-row block, so it matches PredictBatch's row
 // for the same input bitwise.
 func (m *Model) Predict(x []float64) float64 {
-	sc := m.getScratch()
-	xs := nn.Reshape(&sc.xs, 1, len(x))
-	m.scale.Row(xs.Data, x, m.Mean, m.Std)
+	pk := ready(m, &m.f64)
+	sc := getScratch(&m.f64)
+	sc.xs = nn.Standardize(&m.scale, sc.xs, &linalg.Matrix{Rows: 1, Cols: len(x), Data: x}, m.Mean, m.Std)
 	var out [1]float64
-	m.forwardRows(xs, 0, 1, out[:], m.layers(), sc)
-	m.putScratch(sc)
+	forwardRows(m, sc.xs, len(x), 0, 1, out[:], pk, sc)
+	m.f64.scratch.Put(sc)
 	return out[0]
 }
 
-// PredictBatch predicts every row of x. The standardized block lives in
-// pooled scratch so repeated SHAP coalition batches stop allocating a
-// fresh matrix per call.
-func (m *Model) PredictBatch(x *linalg.Matrix) []float64 {
-	sc := m.getScratch()
-	xs := m.scale.Into(&sc.xs, x, m.Mean, m.Std)
-	out := m.predictStandardized(xs, m.layers())
-	m.putScratch(sc)
+// PredictBatch predicts every row of x in float64. The standardized block
+// lives in pooled scratch so repeated batches stop allocating a fresh
+// matrix per call.
+func (m *Model) PredictBatch(x *linalg.Matrix) []float64 { return predictBatch(m, &m.f64, x) }
+
+// PredictBatch32 is PredictBatch computed in float32: standardization
+// rounds each input to float32, and the dense layers, sparsemax, GLUs and
+// prior updates all run on float32 weights and state; only the target
+// rescale returns to float64. It is Kernel SHAP's coalition-batch predictor
+// (DESIGN.md §8) and serves no prediction. Each value is bitwise
+// independent of the batch and of its sharding, as PredictBatch's is.
+func (m *Model) PredictBatch32(x *linalg.Matrix) []float64 { return predictBatch(m, &m.f32, x) }
+
+// predictBatch standardizes x into pooled scratch in element type T and
+// predicts every row.
+func predictBatch[T linalg.Float](m *Model, in *inference[T], x *linalg.Matrix) []float64 {
+	pk := ready(m, in)
+	sc := getScratch(in)
+	sc.xs = nn.Standardize(&m.scale, sc.xs, x, m.Mean, m.Std)
+	out := predictStandardized(m, in, sc.xs, x.Cols, x.Rows, pk)
+	in.scratch.Put(sc)
 	return out
 }
 

@@ -91,6 +91,27 @@ func getDrift(t *testing.T, srv *httptest.Server) *DriftResponse {
 	return &body
 }
 
+// TestIngestReportsTripWhenBacklogStartsRetrain: one POST crosses the
+// -retrain-after backlog threshold while it trips the drift monitor. The
+// backlog starts the retrain, and the response still says the monitor is
+// tripped, as IngestResponse.DriftTripped promises.
+func TestIngestReportsTripWhenBacklogStartsRetrain(t *testing.T) {
+	s, _, _ := lifecycleServer(t, drift.Config{MinSamples: 100, Window: 400, PSIThreshold: 0.5}, 20, 256)
+	s.SetLifecycle(lifecycle.Config{RetrainThreshold: 100})
+	s.Drift.SetReference(drift.BuildReference(genRecords(t, 200)))
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	resp, err := NewClient(srv.URL).Ingest(faults.ShiftDataset(genRecords(t, 100), 1000, 5_000_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRetrainIdle(t, s)
+	if !resp.RetrainTriggered || resp.DriftRetrainTriggered || !resp.DriftTripped {
+		t.Fatalf("backlog-started retrain with a tripped monitor: %+v, want retrain_triggered and drift_tripped", resp)
+	}
+}
+
 // TestDriftTripRunsCanaryGatedRetrain is the lifecycle's happy path: the
 // workload shifts, the monitor trips, the triggered retrain adapts, the
 // canary admits it, and the promotion re-arms the monitor against the new

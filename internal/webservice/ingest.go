@@ -133,6 +133,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		s.lifecycleMu.Unlock()
 	}
-	resp.DriftTripped = trip != nil && !resp.RetrainTriggered
+	resp.DriftTripped = trip != nil
 	writeJSON(w, http.StatusOK, &resp)
 }
