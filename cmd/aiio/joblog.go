@@ -280,9 +280,9 @@ func cmdJobLog(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("compacted %s: %d -> %d segments, %d -> %d frames (%d duplicates dropped), %d -> %d bytes, %d sort runs\n",
+		fmt.Printf("compacted %s: %d -> %d segments, %d -> %d frames (%d duplicates dropped), %d -> %d bytes\n",
 			*dir, st.SegmentsIn, st.SegmentsOut, st.FramesIn, st.FramesOut, st.DuplicatesDropped,
-			st.BytesIn, st.BytesOut, st.Runs)
+			st.BytesIn, st.BytesOut)
 	}
 	st := jl.Stats()
 	report.KV(os.Stdout, "records", "%d", st.Records)

@@ -40,8 +40,10 @@ import (
 // The commit point of a save is the rename of the finished temp directory
 // to generations/N; CURRENT then flips to N. A crash anywhere in between
 // leaves either a stray .tmp-* directory (swept by the next save) or a
-// committed-but-not-current generation (adopted by the next load) — never
-// a partially visible model set.
+// committed generation CURRENT does not name. Load prefers the generation
+// CURRENT names, so that one is never served, and the next commit numbers
+// past it; only with no CURRENT at all (the first save crashed) does Load
+// start from the newest generation. Never a partially visible model set.
 //
 // The pre-versioning flat layout (manifest.json and gobs directly in dir,
 // no checksums) still loads, reported as generation 0 / legacy.

@@ -152,7 +152,7 @@ func TestCrashSweepCompact(t *testing.T) {
 	const jobs = 40
 	for n := 0; ; n++ {
 		dir := t.TempDir()
-		s, err := Open(dir, Options{segmentBytes: 1024, chunkRecords: 8})
+		s, err := Open(dir, Options{segmentBytes: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestCrashSweepCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 		appendRawDuplicate(t, dir, 500, testRecord(1), 90)
-		s, err = Open(dir, Options{segmentBytes: 1024, chunkRecords: 8})
+		s, err = Open(dir, Options{segmentBytes: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -132,7 +132,7 @@ func TestGroupCommitAckAfterFsyncCrash(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				rec := testRecord(w*perWriter + i)
 				if _, err := s.Append(rec); err != nil {
-					// Append can also trip the hook via syncEvery/seal paths;
+					// Append can also trip the hook via a rotation's seal;
 					// an un-acked record is simply not in the acked set.
 					failed.Add(1)
 					continue

@@ -28,11 +28,10 @@
 // deduplicates replayed appends by job hash, so client retries after a
 // lost ack are idempotent.
 //
-// Compaction (compact.go) rewrites the sealed segments through a chunked
-// sort + k-way heap merge, dropping physical duplicates, in bounded
-// memory — the store operates on datasets larger than RAM. The in-memory
-// footprint that remains is the dedup index, ~24 bytes per unique job
-// (a 128-bit job hash plus its sequence number).
+// Compaction (compact.go) is Scan's walk over the live frames (walkLive)
+// writing them into fresh segments: physical duplicates drop, sequence
+// order stays. The in-memory footprint is the dedup index, ~24 bytes per
+// unique job (a 128-bit job hash plus its sequence number).
 package joblog
 
 import (
@@ -77,9 +76,7 @@ const (
 	StepAppendSync      = "append-sync"      // before fsyncing the active segment
 	StepSealSync        = "seal-sync"        // before fsyncing a segment being sealed
 	StepSealManifest    = "seal-manifest"    // before committing the manifest that seals it
-	StepCompactRun      = "compact-run"      // before writing one sorted run
-	StepCompactMerge    = "compact-merge"    // before the k-way merge starts
-	StepCompactSeal     = "compact-seal"     // before renaming one merged segment into place
+	StepCompactSeal     = "compact-seal"     // before renaming one compacted segment into place
 	StepCompactManifest = "compact-manifest" // before committing the compacted manifest
 	StepCompactCleanup  = "compact-cleanup"  // before deleting one superseded segment
 	StepCursorCommit    = "cursor-commit"    // before committing the retrain cursor
@@ -100,20 +97,13 @@ type manifest struct {
 }
 
 // Options tunes a store. The zero value is what every binary opens with;
-// the fields are unexported because only this package's tests (small
-// segments, tiny compaction chunks, per-append syncs) set them.
+// the field is unexported because only this package's tests (small
+// segments) set it.
 type Options struct {
 	// segmentBytes is the size at which the active segment is sealed and a
 	// new one opened (DefaultSegmentBytes when 0). Sealing fsyncs the
 	// segment and commits it — with its SHA-256 — to the manifest.
 	segmentBytes int64
-	// syncEvery, when > 0, fsyncs the active segment automatically after
-	// every N appends. Regardless of its value, Sync must be called before
-	// acknowledging a batch: only synced records are durable.
-	syncEvery int
-	// chunkRecords bounds how many records a compaction sorts in memory at
-	// once (DefaultChunkRecords when 0).
-	chunkRecords int
 }
 
 // RecoveryReport says what Open had to repair.
@@ -566,8 +556,8 @@ func (s *Store) QuarantineNote(reason string) error {
 }
 
 // Append stages one record in the active segment. The record is NOT
-// durable until Sync returns (or the syncEvery policy fires); callers must
-// not acknowledge it before then. Appending a job whose hash is already
+// durable until Sync returns (or a rotation seals its segment); callers
+// must not acknowledge it before then. Appending a job whose hash is already
 // present is a no-op reported as Duplicate — retries are idempotent. The
 // hash is a 128-bit truncated SHA-256 (see hashKey in codec.go), so two
 // distinct jobs colliding — which would silently swallow the second — is
@@ -598,11 +588,6 @@ func (s *Store) Append(rec *darshan.Record) (AppendResult, error) {
 	s.activeBytes += int64(len(frame))
 	s.appendSeq++
 	res := AppendResult{Seq: seq}
-	if s.opts.syncEvery > 0 && s.appendSeq-s.durableSeq >= uint64(s.opts.syncEvery) {
-		if err := s.syncLocked(); err != nil {
-			return res, err
-		}
-	}
 	if s.activeBytes >= s.opts.segmentBytes {
 		if err := s.sealLocked(); err != nil {
 			return res, err
@@ -814,14 +799,16 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Scan streams every unique record, in segment order, calling yield with
-// the record's sequence number until yield returns false. Physical
+// Scan streams every unique record, in segment order — sequence order for
+// any log this binary wrote, compacted or not — calling yield with the
+// record's sequence number until yield returns false. Physical
 // duplicate frames (replays, crash-interrupted compactions) are masked by
-// the dedup index: exactly one frame per job hash is yielded. Memory is
-// bounded by one segment. Scan holds the compaction read-guard for its
-// duration: a concurrent Compact blocks rather than deleting a superseded
-// segment out from under the walk (which would abort the scan mid-way —
-// e.g. a background incremental retrain racing `aiio joblog -compact`).
+// the liveness rule: exactly one frame per job hash is yielded. Memory is
+// one segment plus the walk's guard set. Scan holds the compaction
+// read-guard for its duration: a concurrent Compact blocks rather than
+// deleting a superseded segment out from under the walk (which would abort
+// the scan mid-way — e.g. a background incremental retrain racing
+// `aiio joblog -compact`).
 func (s *Store) Scan(yield func(seq uint64, rec *darshan.Record) bool) error {
 	s.compactMu.RLock()
 	defer s.compactMu.RUnlock()
@@ -832,6 +819,27 @@ func (s *Store) Scan(yield func(seq uint64, rec *darshan.Record) bool) error {
 		s.mu.Unlock()
 		return err
 	}
+	files := s.segmentFilesLocked()
+	s.mu.Unlock()
+
+	// s.mu is taken per index read only, so appends proceed during the walk.
+	first := func(h hashKey) uint64 {
+		s.mu.Lock()
+		seq := s.index[h]
+		s.mu.Unlock()
+		return seq
+	}
+	return s.walkLive(files, first, func(fr liveFrame) (bool, error) {
+		if !fr.live {
+			return true, nil
+		}
+		return yield(fr.seq, fr.rec), nil
+	})
+}
+
+// segmentFilesLocked lists the segment files in manifest order, the active
+// segment last.
+func (s *Store) segmentFilesLocked() []string {
 	files := make([]string, 0, len(s.man.Sealed)+1)
 	for _, si := range s.man.Sealed {
 		files = append(files, filepath.Join(s.dir, segmentsDir, si.File))
@@ -839,41 +847,51 @@ func (s *Store) Scan(yield func(seq uint64, rec *darshan.Record) bool) error {
 	if s.active != nil {
 		files = append(files, s.segPath(s.activeIdx))
 	}
-	s.mu.Unlock()
+	return files
+}
 
-	// yielded guards against byte-identical physical duplicates — a crashed
-	// compaction leaves the same (hash, seq) frame in both the old and new
-	// segment, and index[hash] == seq matches both copies.
-	yielded := make(map[hashKey]struct{})
+// liveFrame is one frame walkLive hands its visitor.
+type liveFrame struct {
+	frame []byte // the whole frame, header included; valid during the call
+	seq   uint64
+	rec   *darshan.Record
+	err   error // "file@offset: why" the payload failed to decode; rec is nil
+	live  bool  // the one copy of its job that Scan yields and Compact keeps
+}
+
+// walkLive reads files in order, one at a time, and hands visit every
+// cleanly framed frame until visit returns false or an error. It holds the
+// store's one liveness rule: a frame is live iff index[hash] == seq — the
+// job's original append, not a replay — and no earlier frame of the walk
+// was live for that hash, which masks the byte-identical (hash, seq) copies
+// a crashed compaction leaves in an old and a new segment. first reads
+// index[hash] under the caller's lock discipline; the walk assumes none. A
+// torn or checksum-failing frame ends that file's walk: recovery leaves
+// segments clean, so it can only be external corruption after Open.
+func (s *Store) walkLive(files []string, first func(hashKey) uint64, visit func(liveFrame) (bool, error)) error {
+	seen := make(map[hashKey]struct{})
 	for _, path := range files {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return fmt.Errorf("joblog: scan %s: %w", path, err)
+			return fmt.Errorf("joblog: read segment %s: %w", path, err)
 		}
-		off := 0
-		for off < len(data) {
+		for off := 0; off < len(data); {
 			res, payload, size := parseFrame(data[off:])
 			if res != frameOK {
-				// Post-recovery segments are clean; anything else here is
-				// concurrent external corruption. Stop at this segment.
 				break
 			}
-			seq, rec, err := decodePayload(payload)
-			if err != nil {
-				off += size
-				continue
-			}
-			h := payloadHash(payload)
-			s.mu.Lock()
-			first := s.index[h]
-			s.mu.Unlock()
-			if first == seq {
-				if _, dup := yielded[h]; !dup {
-					yielded[h] = struct{}{}
-					if !yield(seq, rec) {
-						return nil
-					}
+			fr := liveFrame{frame: data[off : off+size]}
+			fr.seq, fr.rec, fr.err = decodePayload(payload)
+			if fr.err != nil {
+				fr.err = fmt.Errorf("%s@%d: %w", filepath.Base(path), off, fr.err)
+			} else if h := payloadHash(payload); first(h) == fr.seq {
+				if _, dup := seen[h]; !dup {
+					seen[h] = struct{}{}
+					fr.live = true
 				}
+			}
+			if more, err := visit(fr); err != nil || !more {
+				return err
 			}
 			off += size
 		}

@@ -1,12 +1,14 @@
 package joblog
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/hpc-repro/aiio/internal/darshan"
+	"github.com/hpc-repro/aiio/internal/faults"
 )
 
 // testRecord builds a deterministic record; i controls every field, so
@@ -256,9 +258,11 @@ func TestPhysicalDuplicatesMaskedThenCompacted(t *testing.T) {
 	}
 }
 
-func TestCompactionBoundedChunksManyRuns(t *testing.T) {
+// TestCompactionManySegments compacts a log spread over many sealed
+// segments into a layout that reopens clean and still holds every job.
+func TestCompactionManySegments(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{segmentBytes: 4096, chunkRecords: 16})
+	s := mustOpen(t, dir, Options{segmentBytes: 4096})
 	const n = 150
 	for i := 0; i < n; i++ {
 		if _, err := s.Append(testRecord(i)); err != nil {
@@ -269,8 +273,8 @@ func TestCompactionBoundedChunksManyRuns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compact: %v", err)
 	}
-	if stats.Runs < 2 {
-		t.Fatalf("expected a multi-run external sort, got %d runs (stats %+v)", stats.Runs, stats)
+	if stats.SegmentsIn < 10 {
+		t.Fatalf("expected a many-segment log, got %d segments in (stats %+v)", stats.SegmentsIn, stats)
 	}
 	if stats.FramesOut != n {
 		t.Fatalf("frames out = %d, want %d", stats.FramesOut, n)
@@ -312,19 +316,147 @@ func TestQuarantineRecordPersists(t *testing.T) {
 	}
 }
 
-func TestSyncEveryPolicy(t *testing.T) {
+// scanSeqsIncreasing fails unless Scan yields strictly increasing seqs.
+func scanSeqsIncreasing(t *testing.T, s *Store, label string, want int) {
+	t.Helper()
+	var last uint64
+	n, backward := 0, 0
+	if err := s.Scan(func(seq uint64, rec *darshan.Record) bool {
+		if seq <= last {
+			backward++
+		}
+		last = seq
+		n++
+		return true
+	}); err != nil {
+		t.Fatalf("%s: scan: %v", label, err)
+	}
+	if n != want || backward != 0 {
+		t.Fatalf("%s: scanned %d records (want %d), %d steps out of sequence order", label, n, want, backward)
+	}
+}
+
+// TestScanInSequenceOrderAfterCompact pins the order contract the retrain
+// window relies on: Scan yields sequence order before a compaction, after
+// it, after appends that land behind the compacted segments, and after a
+// reopen.
+func TestScanInSequenceOrderAfterCompact(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{syncEvery: 1})
-	for i := 0; i < 5; i++ {
+	s := mustOpen(t, dir, Options{segmentBytes: 1024})
+	const n, more = 150, 30
+	for i := 0; i < n; i++ {
 		if _, err := s.Append(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// With syncEvery=1 every append is already durable: a reopen without
-	// Close (a crash) must still see all five.
-	s2 := mustOpen(t, dir, Options{})
-	counts, _ := collect(t, s2)
-	if len(counts) != 5 {
-		t.Fatalf("auto-synced records lost: %d, want 5", len(counts))
+	if st := s.Stats(); st.SealedSegments < 40 {
+		t.Fatalf("want at least 40 sealed segments, got %d", st.SealedSegments)
+	}
+	scanSeqsIncreasing(t, s, "before compaction", n)
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	scanSeqsIncreasing(t, s, "after compaction", n)
+	for i := n; i < n+more; i++ {
+		if _, err := s.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scanSeqsIncreasing(t, s, "after appends", n+more)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	scanSeqsIncreasing(t, mustOpen(t, dir, Options{segmentBytes: 1024}), "after reopen", n+more)
+}
+
+// diskFrame is one frame on disk, identified by its job hash, its seq and
+// its exact bytes.
+type diskFrame struct {
+	hash  hashKey
+	seq   uint64
+	frame string
+}
+
+// diskFrames parses every segment file under dir, bypassing the store.
+func diskFrames(t *testing.T, dir string) []diskFrame {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, segmentsDir, "*"+segmentExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []diskFrame
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(data); {
+			res, payload, size := parseFrame(data[off:])
+			if res != frameOK {
+				t.Fatalf("%s@%d: unparseable frame", p, off)
+			}
+			seq, _, err := decodePayload(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, diskFrame{payloadHash(payload), seq, string(data[off : off+size])})
+			off += size
+		}
+	}
+	return out
+}
+
+// TestCompactKeepsLowestSeqFrameSet checks what one compaction keeps on a
+// log holding both kinds of physical duplicate — a replay under a later
+// seq and the byte-identical copies a compaction crashed before its
+// manifest flip leaves behind: exactly one frame per job, the lowest-seq
+// one, byte for byte. Sets are compared, not order.
+func TestCompactKeepsLowestSeqFrameSet(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{segmentBytes: 1024})
+	const n = 30
+	for i := 0; i < n; i++ {
+		if _, err := s.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendRawDuplicate(t, dir, 500, testRecord(4), 90)
+	s = mustOpen(t, dir, Options{segmentBytes: 1024})
+	s.SetHook(faults.CrashAtStep(StepCompactManifest))
+	if _, err := s.Compact(); !errors.Is(err, faults.ErrInjectedCrash) {
+		t.Fatalf("compact: %v, want the injected crash", err)
+	}
+	s = mustOpen(t, dir, Options{segmentBytes: 1024})
+	if rep := s.Recovery(); rep.DuplicateFrames <= n {
+		t.Fatalf("recovery %+v: want the replay plus a crash-adopted copy of every job", rep)
+	}
+
+	want := make(map[hashKey]diskFrame)
+	for _, f := range diskFrames(t, dir) {
+		if cur, ok := want[f.hash]; !ok || f.seq < cur.seq {
+			want[f.hash] = f
+		}
+	}
+	stats, err := s.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[diskFrame]int)
+	for _, f := range diskFrames(t, dir) {
+		got[f]++
+	}
+	if len(got) != n || len(want) != n || stats.FramesOut != n {
+		t.Fatalf("%d distinct frames kept, %d jobs, %d frames out; want %d each", len(got), len(want), stats.FramesOut, n)
+	}
+	for _, f := range want {
+		if got[f] != 1 {
+			t.Fatalf("job seq %d kept %d times, want its lowest-seq frame exactly once", f.seq, got[f])
+		}
+	}
+	if st := s.Stats(); st.DuplicateFrames != 0 || st.Records != n {
+		t.Fatalf("post-compaction stats: %+v", st)
 	}
 }

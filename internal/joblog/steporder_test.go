@@ -16,11 +16,10 @@ import (
 //   - Rotate: write staged frames → seal-sync → fsync + close the segment;
 //     seal-manifest → write + fsync .tmp-MANIFEST → rename it to MANIFEST
 //     → fsync the store directory.
-//   - Compact: the Rotate sequence for the active segment; per run,
-//     compact-run → write the run file (scratch, no fsync); compact-merge;
-//     per merged segment, write + fsync .tmp-cmp-N → compact-seal → rename
-//     it to N.wal → fsync segments/; compact-manifest → the manifest
-//     commit above; per superseded segment, compact-cleanup → remove it.
+//   - Compact: the Rotate sequence for the active segment; per compacted
+//     segment, write + fsync .tmp-cmp-N → compact-seal → rename it to
+//     N.wal → fsync segments/; compact-manifest → the manifest commit
+//     above; per superseded segment, compact-cleanup → remove it.
 //   - AdvanceCursor: cursor-commit → write + fsync .tmp-CURSOR → rename it
 //     to CURSOR → fsync the store directory.
 func TestJobLogDurableStepOrder(t *testing.T) {
@@ -61,7 +60,7 @@ func TestJobLogDurableStepOrder(t *testing.T) {
 		"seal-manifest MANIFEST",
 	})
 
-	// A second, unsealed segment: Compact seals it first, then merges both.
+	// A second, unsealed segment: Compact seals it first, then rewrites both.
 	if _, err := s.Append(testRecord(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +71,6 @@ func TestJobLogDurableStepOrder(t *testing.T) {
 	check("Compact", []string{
 		"seal-sync segments/00000002.wal",
 		"seal-manifest MANIFEST",
-		"compact-run segments/.tmp-run-000000",
-		"compact-merge segments",
 		"compact-seal segments/00000003.wal",
 		"compact-manifest MANIFEST",
 		"compact-cleanup segments/00000001.wal",
