@@ -301,12 +301,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	gen := "legacy flat layout"
-	if !rep.Legacy {
-		gen = fmt.Sprintf("generation %d", rep.Generation)
-	}
-	fmt.Printf("aiio-server: %d models loaded from %s (%s), listening on %s\n",
-		len(ens.Models), *modelsDir, gen, *addr)
+	fmt.Printf("aiio-server: %d models loaded from %s (generation %d), listening on %s\n",
+		len(ens.Models), *modelsDir, rep.Generation, *addr)
 
 	select {
 	case err := <-errc:

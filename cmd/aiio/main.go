@@ -187,14 +187,6 @@ func loadRegistry(dir string) (*core.Ensemble, []report.Advisory, error) {
 			dir, rep.Generation)
 	}
 	var advs []report.Advisory
-	if rep.Legacy {
-		advs = append(advs, report.Advisory{
-			Claim:      "serving a legacy flat registry",
-			Source:     "model-registry",
-			Confidence: "unverified (no checksums)",
-		})
-		return ens, advs, nil
-	}
 	claim := fmt.Sprintf("serving generation %d", rep.Generation)
 	if fp := rep.Fingerprint; len(fp) >= 12 {
 		claim += fmt.Sprintf(" (fingerprint %s)", fp[:12])

@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/hpc-repro/aiio/internal/darshan"
@@ -11,7 +15,7 @@ import (
 )
 
 // Tests for the self-healing lifecycle's durable half: canary verdicts and
-// drift references committed with a generation, the SetCurrent rollback
+// drift references committed with a generation, the Restore rollback
 // path, and the gated RunIncremental (blocked candidates leave nothing
 // durable behind; admitted ones carry their provenance).
 
@@ -90,22 +94,78 @@ func TestCanaryVerdictOutsideFingerprint(t *testing.T) {
 	}
 }
 
-func TestSetCurrentRollsBackDurably(t *testing.T) {
+// TestRestoreCommitsForward: a rollback commits the restored generation's
+// models, canary verdict and drift reference again as the newest
+// generation, and a source that fails verification commits nothing.
+func TestRestoreCommitsForward(t *testing.T) {
 	_, ens, _ := fixture(t)
-	st := saveGenerations(t, ens, 3)
-	if err := st.SetCurrent(2); err != nil {
+	st := OpenStore(t.TempDir())
+	verdict := &CanaryRecord{Passed: true, HoldoutJobs: 21, Reason: "restored verdict"}
+	refBytes := []byte(`{"jobs":5}`)
+	if _, err := st.SaveDetailed(ens, &GenerationExtra{Canary: verdict, Reference: refBytes}); err != nil {
 		t.Fatal(err)
 	}
-	// A fresh store handle (a restart) must serve the pinned generation.
+	if _, err := st.Save(&Ensemble{Models: ens.Models[:1]}); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := st.Restore(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen != 3 {
+		t.Fatalf("Restore(1) committed generation %d, want 3", gen)
+	}
+	src, err := st.Manifest(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := st.Manifest(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Fingerprint() != src.Fingerprint() {
+		t.Fatalf("restored fingerprint %.12s, source %.12s", man.Fingerprint(), src.Fingerprint())
+	}
+	if man.Canary == nil || *man.Canary != *verdict {
+		t.Fatalf("restored canary = %+v, want %+v", man.Canary, verdict)
+	}
+	if ref, err := st.Reference(gen); err != nil || string(ref) != string(refBytes) {
+		t.Fatalf("restored reference = %q, %v; want %q", ref, err, refBytes)
+	}
+	// A fresh store handle (a restart) serves the restored commit.
 	_, rep, err := OpenStore(st.dir).Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Generation != 2 {
-		t.Fatalf("after SetCurrent(2) a restart serves generation %d", rep.Generation)
+	if rep.Generation != gen || rep.FellBack || rep.Fingerprint != src.Fingerprint() {
+		t.Fatalf("restart after Restore serves %+v, want generation %d with the source's fingerprint", rep, gen)
 	}
-	if err := st.SetCurrent(99); err == nil {
-		t.Fatal("SetCurrent accepted an uncommitted generation")
+
+	if _, err := st.Restore(99); err == nil {
+		t.Fatal("Restore accepted an uncommitted generation")
+	}
+	before, err := st.Generations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(st.dir, "generations", "000001", src.Models[0].File)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Restore(1); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("Restore of a rotted generation: err = %v, want a checksum mismatch", err)
+	}
+	after, err := st.Generations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(after, before) {
+		t.Fatalf("failed Restore changed the generations: %v -> %v", before, after)
 	}
 }
 

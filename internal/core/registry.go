@@ -45,8 +45,9 @@ import (
 // past it; only with no CURRENT at all (the first save crashed) does Load
 // start from the newest generation. Never a partially visible model set.
 //
-// The pre-versioning flat layout (manifest.json and gobs directly in dir,
-// no checksums) still loads, reported as generation 0 / legacy.
+// CURRENT only moves forward: every write, a rollback's Restore included,
+// is a commit of a new, higher generation, so outside that crash window
+// CURRENT names the newest committed generation.
 
 // ManifestEntry describes one stored model file. It is exported because the
 // manifest is the unit of generation replication: a follower replica fetches
@@ -106,7 +107,7 @@ type GenerationManifest struct {
 // sorted (name, model checksum) pairs, independent of the local generation
 // number. Two replicas serve the same model set iff their fingerprints
 // match, no matter how their generation counters drifted. Empty when any
-// model entry predates checksums (legacy layout).
+// model entry has no checksum.
 func (m *GenerationManifest) Fingerprint() string {
 	lines := make([]string, 0, len(m.Models))
 	for _, e := range m.Models {
@@ -137,8 +138,8 @@ const (
 // fall-back generation for the newest is never pruned away.
 const DefaultKeepGenerations = 5
 
-// Durable hook steps, in the order a save hits them (an import skips
-// model-sync; SetCurrent hits only current-commit). A fault-injection hook
+// Durable hook steps, in the order a save hits them (an import or a
+// restore skips model-sync). A fault-injection hook
 // (internal/faults, or AIIO_CRASH via durable.HookFromEnv) aborts the
 // commit at one of these points to simulate a crash; production stores
 // have no hook. The names are disjoint from the joblog's.
@@ -171,7 +172,7 @@ type Store struct {
 func OpenStore(dir string) *Store { return &Store{dir: dir} }
 
 // SetHook installs a fault-injection hook called before every durable
-// step of Save, ImportGeneration and SetCurrent. A nil hook (the default)
+// step of Save, ImportGeneration and Restore. A nil hook (the default)
 // is a no-op.
 func (s *Store) SetHook(h durable.Hook) { s.hook = h }
 
@@ -188,9 +189,8 @@ func (s *Store) keep() int {
 
 func genDirName(gen uint64) string { return fmt.Sprintf("%06d", gen) }
 
-// Generations lists the committed generation numbers, ascending. A store
-// with only a legacy flat layout (or nothing at all) returns an empty
-// list.
+// Generations lists the committed generation numbers, ascending; empty
+// for a store that holds none.
 func (s *Store) Generations() ([]uint64, error) {
 	entries, err := os.ReadDir(filepath.Join(s.dir, generationsDir))
 	if os.IsNotExist(err) {
@@ -273,17 +273,24 @@ func (s *Store) SaveDetailed(e *Ensemble, extra *GenerationExtra) (uint64, error
 				Name: m.Name(), Kind: m.Kind(), File: file, SHA256: sum,
 			})
 		}
-		if extra != nil {
-			man.Canary = extra.Canary
-			if len(extra.Reference) > 0 {
-				if err := durable.WriteSync(filepath.Join(tmpDir, referenceName), extra.Reference); err != nil {
-					return fmt.Errorf("core: write drift reference: %w", err)
-				}
-				man.ReferenceFile = referenceName
-			}
-		}
-		return nil
+		return addExtra(tmpDir, man, extra)
 	})
+}
+
+// addExtra writes extra's canary verdict into man and its drift-reference
+// sidecar into the generation being filled; a nil extra adds nothing.
+func addExtra(tmpDir string, man *GenerationManifest, extra *GenerationExtra) error {
+	if extra == nil {
+		return nil
+	}
+	man.Canary = extra.Canary
+	if len(extra.Reference) > 0 {
+		if err := durable.WriteSync(filepath.Join(tmpDir, referenceName), extra.Reference); err != nil {
+			return fmt.Errorf("core: write drift reference: %w", err)
+		}
+		man.ReferenceFile = referenceName
+	}
+	return nil
 }
 
 // CheckModelName refuses a model name that is not a plain file name. The
@@ -303,7 +310,8 @@ func plainFileName(name string) bool {
 	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, `/\`)
 }
 
-// commit is the one write path of Save and ImportGeneration. Under saveMu
+// commit is the one write path of Save, ImportGeneration and Restore, and
+// the only caller of setCurrent. Under saveMu
 // it sweeps debris of crashed commits, picks the next generation number
 // (at least floor), and creates its temp directory; fill writes the model
 // files into that directory and completes man. commit then writes the
@@ -426,12 +434,8 @@ type GenerationError struct {
 // LoadReport describes which generation a Load served and what it had to
 // skip to get there.
 type LoadReport struct {
-	// Generation is the generation actually loaded (0 for a legacy flat
-	// registry).
+	// Generation is the generation actually loaded.
 	Generation uint64 `json:"generation"`
-	// Legacy is true when the store held only the pre-versioning flat
-	// layout (no checksums to verify).
-	Legacy bool `json:"legacy,omitempty"`
 	// FellBack is true when the preferred (CURRENT / newest) generation
 	// failed verification and an older one was served instead.
 	FellBack bool `json:"fell_back,omitempty"`
@@ -439,7 +443,7 @@ type LoadReport struct {
 	// first.
 	Rejected []GenerationError `json:"rejected,omitempty"`
 	// Fingerprint is the content identity of the loaded generation (see
-	// GenerationManifest.Fingerprint); empty for legacy layouts.
+	// GenerationManifest.Fingerprint).
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
@@ -453,24 +457,9 @@ func (s *Store) Load() (*Ensemble, *LoadReport, error) {
 		return nil, nil, err
 	}
 	if len(gens) == 0 {
-		// No versioned generations: legacy flat layout or nothing.
-		e, err := loadFlat(s.dir)
-		if err != nil {
-			return nil, nil, err
-		}
-		return e, &LoadReport{Generation: 0, Legacy: true}, nil
+		return nil, nil, fmt.Errorf("core: registry %s holds no committed generation", s.dir)
 	}
-	// Prefer CURRENT when it names a committed generation; a missing or
-	// stale CURRENT (crash between the two commits) starts at the newest.
-	start := gens[len(gens)-1]
-	if cur, ok := s.current(); ok {
-		for _, g := range gens {
-			if g == cur {
-				start = cur
-				break
-			}
-		}
-	}
+	start := s.preferred(gens)
 	rep := &LoadReport{}
 	for i := len(gens) - 1; i >= 0; i-- {
 		gen := gens[i]
@@ -507,12 +496,13 @@ func (s *Store) loadGeneration(gen uint64) (*Ensemble, *GenerationManifest, erro
 		if err != nil {
 			return nil, nil, fmt.Errorf("read model %s: %w", entry.Name, err)
 		}
-		if entry.SHA256 != "" {
-			sum := sha256.Sum256(raw)
-			if got := hex.EncodeToString(sum[:]); got != entry.SHA256 {
-				return nil, nil, fmt.Errorf("model %s: checksum mismatch (manifest %s…, file %s…)",
-					entry.Name, entry.SHA256[:12], got[:12])
-			}
+		if entry.SHA256 == "" {
+			return nil, nil, fmt.Errorf("model %s: no checksum in the manifest", entry.Name)
+		}
+		sum := sha256.Sum256(raw)
+		if got := hex.EncodeToString(sum[:]); got != entry.SHA256 {
+			return nil, nil, fmt.Errorf("model %s: checksum mismatch (manifest %.12s…, file %.12s…)",
+				entry.Name, entry.SHA256, got)
 		}
 		m, err := LoadModel(entry.Name, entry.Kind, bytes.NewReader(raw))
 		if err != nil {
@@ -541,20 +531,23 @@ func readManifest(path string) (*GenerationManifest, error) {
 
 // CurrentGeneration resolves the generation a Load would prefer: CURRENT
 // when it names a committed generation, otherwise the newest committed one.
-// Zero (with ok=false) when the store holds no versioned generations.
+// Zero (with ok=false) when the store holds no committed generations.
 func (s *Store) CurrentGeneration() (gen uint64, ok bool) {
 	gens, err := s.Generations()
 	if err != nil || len(gens) == 0 {
 		return 0, false
 	}
-	if cur, curOK := s.current(); curOK {
-		for _, g := range gens {
-			if g == cur {
-				return cur, true
-			}
-		}
+	return s.preferred(gens), true
+}
+
+// preferred is the one copy of the rule CurrentGeneration documents,
+// applied to a non-empty listing: a missing or stale CURRENT (a crash
+// between the two commits) yields the newest generation.
+func (s *Store) preferred(gens []uint64) uint64 {
+	if cur, ok := s.current(); ok && slices.Contains(gens, cur) {
+		return cur
 	}
-	return gens[len(gens)-1], true
+	return gens[len(gens)-1]
 }
 
 // Manifest reads one committed generation's manifest. It is the first half
@@ -602,9 +595,8 @@ func (s *Store) LoadGeneration(gen uint64) (*Ensemble, *GenerationManifest, erro
 
 // Reference reads one committed generation's drift-reference sidecar (the
 // training-time input distribution snapshot). Nil with no error when the
-// generation was saved without one — legacy generations, uploads, and
-// replication imports have no reference, and the drift monitor self-arms
-// from live traffic instead.
+// generation was saved without one — uploads and replication imports have
+// no reference, and the drift monitor self-arms from live traffic instead.
 func (s *Store) Reference(gen uint64) ([]byte, error) {
 	man, err := s.Manifest(gen)
 	if err != nil {
@@ -623,34 +615,8 @@ func (s *Store) Reference(gen uint64) ([]byte, error) {
 	return data, nil
 }
 
-// SetCurrent flips CURRENT to an already-committed generation — the
-// registry half of an automatic rollback: the post-promotion watch demotes
-// a regressing generation by pointing CURRENT back at its predecessor, so
-// a restart loads the known-good set, while the regressing generation's
-// files stay on disk for the operator. The flip is the same durable file
-// commit a save ends with; a crash mid-flip leaves the old CURRENT.
-func (s *Store) SetCurrent(gen uint64) error {
-	s.saveMu.Lock()
-	defer s.saveMu.Unlock()
-	gens, err := s.Generations()
-	if err != nil {
-		return err
-	}
-	committed := false
-	for _, g := range gens {
-		if g == gen {
-			committed = true
-			break
-		}
-	}
-	if !committed {
-		return fmt.Errorf("core: set current: generation %d is not committed", gen)
-	}
-	return s.setCurrent(gen)
-}
-
-// setCurrent is the CURRENT flip every commit ends with. Called with saveMu
-// held.
+// setCurrent is the CURRENT flip every commit ends with. Called only by
+// commit, with saveMu held.
 func (s *Store) setCurrent(gen uint64) error {
 	curPath := filepath.Join(s.dir, currentName)
 	if err := s.hook.At(StepCurrentCommit, curPath); err != nil {
@@ -674,22 +640,9 @@ func (s *Store) setCurrent(gen uint64) error {
 // the manifest is rewritten to match, which leaves the fingerprint — the
 // content identity replication converges on — untouched.
 func (s *Store) ImportGeneration(man *GenerationManifest, fetch func(file string) (io.ReadCloser, error)) (uint64, error) {
-	if len(man.Models) == 0 {
-		return 0, fmt.Errorf("core: import: peer manifest holds no models")
-	}
-	for _, e := range man.Models {
-		if e.SHA256 == "" {
-			return 0, fmt.Errorf("core: import: model %s has no checksum; an unverifiable generation cannot be replicated", e.Name)
-		}
-	}
 	return s.commit(man.Generation, func(tmpDir string, local *GenerationManifest) error {
-		for _, entry := range man.Models {
-			if err := s.hook.At(StepModelWrite, filepath.Join(tmpDir, entry.File)); err != nil {
-				return err
-			}
-			if err := fetchVerified(tmpDir, entry, fetch); err != nil {
-				return err
-			}
+		if err := s.copyModels(tmpDir, man.Models, fetch); err != nil {
+			return fmt.Errorf("core: import: %w", err)
 		}
 		// The canary verdict is content provenance and travels with the
 		// models; the drift-reference sidecar does not replicate (followers
@@ -699,68 +652,89 @@ func (s *Store) ImportGeneration(man *GenerationManifest, fetch func(file string
 	})
 }
 
-// fetchVerified streams one replicated model file into dir, fsyncs it, and
+// Restore commits generation gen's content again as the newest generation
+// and flips CURRENT to it, returning the new number: the registry half of a
+// rollback. CURRENT never moves back, so the restored set sits at the
+// highest number, and replication (lifecycle.ShouldAdopt) carries it to
+// every peer instead of bringing the rejected one back. Each model file is
+// copied with its SHA-256 recomputed, so a rotted source commits nothing.
+// The canary verdict and the drift-reference sidecar come along, so the
+// restored set re-arms its own reference.
+func (s *Store) Restore(gen uint64) (uint64, error) {
+	return s.commit(0, func(tmpDir string, man *GenerationManifest) error {
+		src, err := s.Manifest(gen)
+		if err != nil {
+			return err
+		}
+		ref, err := s.Reference(gen)
+		if err != nil {
+			return err
+		}
+		srcDir := filepath.Join(s.dir, generationsDir, genDirName(gen))
+		if err := s.copyModels(tmpDir, src.Models, func(file string) (io.ReadCloser, error) {
+			return os.Open(filepath.Join(srcDir, file))
+		}); err != nil {
+			return fmt.Errorf("core: restore generation %d: %w", gen, err)
+		}
+		man.Models = src.Models
+		return addExtra(tmpDir, man, &GenerationExtra{Canary: src.Canary, Reference: ref})
+	})
+}
+
+// copyModels is the per-model loop of ImportGeneration and Restore: every
+// entry must carry a checksum, and each file, after the model-write hook,
+// is streamed from open into tmpDir and verified against its checksum.
+func (s *Store) copyModels(tmpDir string, models []ManifestEntry, open func(file string) (io.ReadCloser, error)) error {
+	if len(models) == 0 {
+		return fmt.Errorf("manifest holds no models")
+	}
+	for _, entry := range models {
+		if entry.SHA256 == "" {
+			return fmt.Errorf("model %s has no checksum; an unverifiable generation cannot be copied", entry.Name)
+		}
+		if err := s.hook.At(StepModelWrite, filepath.Join(tmpDir, entry.File)); err != nil {
+			return err
+		}
+		if err := fetchVerified(tmpDir, entry, open); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fetchVerified streams one model file from fetch into dir, fsyncs it, and
 // fails on any checksum mismatch against the manifest entry.
 func fetchVerified(dir string, entry ManifestEntry, fetch func(file string) (io.ReadCloser, error)) error {
 	if !plainFileName(entry.File) {
-		return fmt.Errorf("core: import: model %s has hostile file name %q", entry.Name, entry.File)
+		return fmt.Errorf("model %s has hostile file name %q", entry.Name, entry.File)
 	}
 	src, err := fetch(entry.File)
 	if err != nil {
-		return fmt.Errorf("core: import: fetch %s: %w", entry.File, err)
+		return fmt.Errorf("fetch %s: %w", entry.File, err)
 	}
 	defer src.Close()
 	dst, err := os.Create(filepath.Join(dir, entry.File))
 	if err != nil {
-		return fmt.Errorf("core: import: create %s: %w", entry.File, err)
+		return fmt.Errorf("create %s: %w", entry.File, err)
 	}
 	h := sha256.New()
 	_, cpErr := io.Copy(io.MultiWriter(dst, h), src)
 	if cpErr != nil {
 		dst.Close()
-		return fmt.Errorf("core: import: stream %s: %w", entry.File, cpErr)
+		return fmt.Errorf("stream %s: %w", entry.File, cpErr)
 	}
 	if err := dst.Sync(); err != nil {
 		dst.Close()
-		return fmt.Errorf("core: import: sync %s: %w", entry.File, err)
+		return fmt.Errorf("sync %s: %w", entry.File, err)
 	}
 	if err := dst.Close(); err != nil {
 		return err
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != entry.SHA256 {
-		return fmt.Errorf("core: import: model %s checksum mismatch (manifest %s…, transfer %s…): torn or corrupt transfer",
-			entry.Name, entry.SHA256[:12], got[:12])
+		return fmt.Errorf("model %s checksum mismatch (manifest %.12s…, copy %.12s…): torn or corrupt copy",
+			entry.Name, entry.SHA256, got)
 	}
 	return nil
-}
-
-// loadFlat reads the pre-versioning flat layout (no checksums).
-func loadFlat(dir string) (*Ensemble, error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, fmt.Errorf("core: read manifest: %w", err)
-	}
-	var man GenerationManifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, fmt.Errorf("core: parse manifest: %w", err)
-	}
-	e := &Ensemble{}
-	for _, entry := range man.Models {
-		f, err := os.Open(filepath.Join(dir, entry.File))
-		if err != nil {
-			return nil, fmt.Errorf("core: open model %s: %w", entry.Name, err)
-		}
-		m, err := LoadModel(entry.Name, entry.Kind, f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("core: load model %s: %w", entry.Name, err)
-		}
-		e.Models = append(e.Models, m)
-	}
-	if len(e.Models) == 0 {
-		return nil, fmt.Errorf("core: registry %s holds no models", dir)
-	}
-	return e, nil
 }
 
 // SaveEnsemble writes every model of e into dir (created if missing) as a
@@ -771,8 +745,7 @@ func SaveEnsemble(dir string, e *Ensemble) error {
 }
 
 // LoadEnsemble reads the newest verifiable generation of a registry
-// written by SaveEnsemble (or a legacy flat registry), discarding the
-// load report. Callers that must surface fallbacks use Store.Load.
+// written by SaveEnsemble, discarding the load report. Callers that must surface fallbacks use Store.Load.
 func LoadEnsemble(dir string) (*Ensemble, error) {
 	e, _, err := OpenStore(dir).Load()
 	return e, err

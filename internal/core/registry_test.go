@@ -42,7 +42,7 @@ func TestStoreSaveBumpsGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Generation != 3 || rep.FellBack || rep.Legacy {
+	if rep.Generation != 3 || rep.FellBack {
 		t.Fatalf("load report = %+v, want generation 3, no fallback", rep)
 	}
 	if len(e.Models) != len(ens.Models) {
@@ -179,8 +179,8 @@ func TestStoreSweepsCrashedTempDirs(t *testing.T) {
 }
 
 // TestStoreCrashMidSaveRecoversPreviousGeneration crashes every commit that
-// shares Save's path — Save, ImportGeneration and SetCurrent — at each of
-// its durable steps in turn. CURRENT flips last, so after every crash the
+// shares Save's path — Save, ImportGeneration and Restore — at each of its
+// durable steps in turn. CURRENT flips last, so after every crash the
 // store must still serve the generation it served before, with no
 // checksum fallback, and every visible generation must verify: a temp
 // directory never becomes a generation.
@@ -203,8 +203,8 @@ func TestStoreCrashMidSaveRecoversPreviousGeneration(t *testing.T) {
 			func(st *Store) error { _, err := st.Save(ens); return err }, 4},
 		{"ImportGeneration", []string{StepModelWrite, StepManifestWrite, StepGenCommit, StepCurrentCommit},
 			func(st *Store) error { _, err := st.ImportGeneration(peerMan, fetch); return err }, 4},
-		{"SetCurrent", []string{StepCurrentCommit},
-			func(st *Store) error { return st.SetCurrent(1) }, 1},
+		{"Restore", []string{StepModelWrite, StepManifestWrite, StepGenCommit, StepCurrentCommit},
+			func(st *Store) error { _, err := st.Restore(1); return err }, 4},
 	}
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {
@@ -273,46 +273,60 @@ func TestStorePrunesOldGenerations(t *testing.T) {
 	}
 }
 
-func TestStoreLegacyFlatLayoutStillLoads(t *testing.T) {
-	frame, ens, _ := fixture(t)
+// TestStoreStrippedChecksumFallsBack: a manifest entry whose sha256 is
+// missing or truncated cannot verify its file. Load rejects the generation
+// and serves the previous one, and an import of the same manifest fails
+// without committing anything.
+func TestStoreStrippedChecksumFallsBack(t *testing.T) {
+	_, ens, _ := fixture(t)
+	for _, tc := range []struct{ name, sum, want string }{
+		{"stripped", "", "no checksum"},
+		{"truncated", "abc", "checksum mismatch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := saveGenerations(t, ens, 2)
+			man, err := st.Manifest(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range man.Models {
+				man.Models[i].SHA256 = tc.sum
+			}
+			data, err := json.Marshal(man)
+			if err != nil {
+				t.Fatal(err)
+			}
+			genDir := filepath.Join(st.dir, "generations", "000002")
+			if err := os.WriteFile(filepath.Join(genDir, "manifest.json"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, rep, err := st.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Generation != 1 || !rep.FellBack || rep.Fingerprint == "" {
+				t.Fatalf("report = %+v, want a verified fallback to generation 1", rep)
+			}
+			if len(rep.Rejected) != 1 || !strings.Contains(rep.Rejected[0].Err, tc.want) {
+				t.Fatalf("rejected = %+v, want generation 2 rejected with %q", rep.Rejected, tc.want)
+			}
+
+			follower := OpenStore(t.TempDir())
+			fetch := func(file string) (io.ReadCloser, error) { return os.Open(filepath.Join(genDir, file)) }
+			if _, err := follower.ImportGeneration(man, fetch); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("import: err = %v, want %q", err, tc.want)
+			}
+			if gens, _ := follower.Generations(); len(gens) != 0 {
+				t.Fatalf("a refused import committed generations %v", gens)
+			}
+		})
+	}
+}
+
+func TestStoreLoadWithoutGenerationsNamesDir(t *testing.T) {
 	dir := t.TempDir()
-	// Write the pre-versioning layout by hand: gobs + flat manifest, no
-	// checksums, no generations.
-	type entry struct {
-		Name string `json:"name"`
-		Kind string `json:"kind"`
-		File string `json:"file"`
-	}
-	var man struct {
-		Models []entry `json:"models"`
-	}
-	for _, m := range ens.Models {
-		f, err := os.Create(filepath.Join(dir, m.Name()+".gob"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Save(f); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		man.Models = append(man.Models, entry{Name: m.Name(), Kind: m.Kind(), File: m.Name() + ".gob"})
-	}
-	data, _ := json.Marshal(man)
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	e, rep, err := OpenStore(dir).Load()
-	if err != nil {
-		t.Fatalf("legacy load: %v", err)
-	}
-	if !rep.Legacy || rep.Generation != 0 {
-		t.Fatalf("report = %+v, want legacy generation 0", rep)
-	}
-	x := frame.X.Row(0)
-	for i := range ens.Models {
-		if a, b := ens.Models[i].Predict(x), e.Models[i].Predict(x); a != b {
-			t.Errorf("legacy model %s predicts %v, want %v", ens.Models[i].Name(), b, a)
-		}
+	if _, _, err := OpenStore(dir).Load(); err == nil || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("Load of an empty registry: err = %v, want an error naming %s", err, dir)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // TestRegistryDurableStepOrder pins the exact hook steps, in order, of one
-// Save, one ImportGeneration and one SetCurrent. Around those steps the
+// Save, one ImportGeneration and one Restore. Around those steps the
 // file system sees, per operation:
 //
 //   - Save: per model, model-write → create + write the .gob in the temp
@@ -19,7 +19,8 @@ import (
 //   - ImportGeneration: per model, model-write → stream + fsync the file
 //     (no model-sync step); then the same manifest, gen-commit and
 //     current-commit sequence as Save.
-//   - SetCurrent: the current-commit sequence alone.
+//   - Restore: the same steps as ImportGeneration, copying the files from
+//     the restored generation's directory.
 func TestRegistryDurableStepOrder(t *testing.T) {
 	_, ens, _ := fixture(t)
 	peer := saveGenerations(t, ens, 1)
@@ -79,8 +80,17 @@ func TestRegistryDurableStepOrder(t *testing.T) {
 		"current-commit CURRENT",
 	})
 
-	if err := st.SetCurrent(1); err != nil {
+	if _, err := st.Restore(1); err != nil {
 		t.Fatal(err)
 	}
-	check("SetCurrent", []string{"current-commit CURRENT"})
+	check("Restore", []string{
+		"model-write generations/.tmp-000003/xgboost.gob",
+		"model-write generations/.tmp-000003/lightgbm.gob",
+		"model-write generations/.tmp-000003/catboost.gob",
+		"model-write generations/.tmp-000003/mlp.gob",
+		"model-write generations/.tmp-000003/tabnet.gob",
+		"manifest-write generations/.tmp-000003/manifest.json",
+		"gen-commit generations/000003",
+		"current-commit CURRENT",
+	})
 }

@@ -133,8 +133,9 @@ func payloadHash(p []byte) hashKey {
 	} else {
 		h.Write(p)
 	}
+	var sum [sha256.Size]byte
 	var k hashKey
-	copy(k[:], h.Sum(nil))
+	copy(k[:], h.Sum(sum[:0]))
 	return k
 }
 

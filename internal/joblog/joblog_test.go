@@ -1,6 +1,8 @@
 package joblog
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -458,5 +460,22 @@ func TestCompactKeepsLowestSeqFrameSet(t *testing.T) {
 	}
 	if st := s.Stats(); st.DuplicateFrames != 0 || st.Records != n {
 		t.Fatalf("post-compaction stats: %+v", st)
+	}
+}
+
+// TestPayloadHashAllocatesNothing: the dedup key is computed on every Append
+// and on every frame a Scan, a compaction or a recovery reads, so it stays
+// off the heap. The key is the head of the SHA-256 of the payload with its
+// seq field zeroed.
+func TestPayloadHashAllocatesNothing(t *testing.T) {
+	p := encodePayload(nil, 7, testRecord(3))
+	zeroed := bytes.Clone(p)
+	clear(zeroed[seqOffset : seqOffset+8])
+	want := sha256.Sum256(zeroed)
+	if k := payloadHash(p); !bytes.Equal(k[:], want[:len(k)]) {
+		t.Fatalf("payloadHash = %x, want %x", k, want[:len(k)])
+	}
+	if n := testing.AllocsPerRun(100, func() { payloadHash(p) }); n != 0 {
+		t.Fatalf("payloadHash allocates %v times per call, want 0", n)
 	}
 }

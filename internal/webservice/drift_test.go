@@ -306,8 +306,9 @@ func TestPoisonedRetrainBlockedByCanary(t *testing.T) {
 }
 
 // TestPostPromotionErrorSpikeRollsBack: a promotion that regresses serving
-// error must be demoted automatically — durably (CURRENT flips back) and
-// in memory (validated hot-swap) — with the decision on the wire.
+// error must be demoted automatically — durably (the known-good content is
+// committed again as the newest generation) and in memory (validated
+// hot-swap) — with the decision on the wire.
 func TestPostPromotionErrorSpikeRollsBack(t *testing.T) {
 	jl, err := joblog.Open(t.TempDir(), joblog.Options{})
 	if err != nil {
@@ -396,17 +397,19 @@ func TestPostPromotionErrorSpikeRollsBack(t *testing.T) {
 		t.Fatalf("rollback state malformed: %+v", lc)
 	}
 
-	// In memory: the good set serves again, stamped on responses.
+	// In memory: the good set serves again, committed above gen2 and
+	// stamped on responses.
 	rep := s.GenerationReport()
-	if rep.Generation != gen1 || !rep.FellBack {
-		t.Fatalf("serving report after rollback: %+v", rep)
+	if rep.Generation <= gen2 || rep.Fingerprint != s.storeReport(gen1).Fingerprint || rep.FellBack {
+		t.Fatalf("serving report after rollback: %+v, want gen1's content above generation %d", rep, gen2)
 	}
 	if got := len(s.ServingEnsemble().Models); got != len(good.Models) {
 		t.Fatalf("serving %d models after rollback, want %d", got, len(good.Models))
 	}
-	// Durably: a restart (fresh store handle) loads the good generation.
-	if _, lrep, err := core.OpenStore(storeDir).Load(); err != nil || lrep.Generation != gen1 {
-		t.Fatalf("restart would serve generation %d (err %v), want %d", lrep.Generation, err, gen1)
+	// Durably: a restart (fresh store handle) loads the same generation.
+	if _, lrep, err := core.OpenStore(storeDir).Load(); err != nil ||
+		lrep.Generation != rep.Generation || lrep.Fingerprint != rep.Fingerprint {
+		t.Fatalf("restart would serve %+v (err %v), want generation %d", lrep, err, rep.Generation)
 	}
 	// Provenance: the rollback advisory rides on diagnoses.
 	_, diag, _ := postDiagnose(t, srv, testRecord())

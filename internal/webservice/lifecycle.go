@@ -160,24 +160,26 @@ func (s *Server) install(ens *core.Ensemble, rep *core.LoadReport) error {
 	return nil
 }
 
-// rollback carries out a Rollback, durable first: it flips the registry's
-// CURRENT back, so even a crash mid-rollback boots the known-good set (the
-// regressing generation's files stay on disk for the operator), then
-// installs that set. The caller holds lifecycleMu.
+// rollback carries out a Rollback, durable first: the registry commits
+// generation To's content again as the newest generation, so a crash
+// mid-rollback boots the known-good set and replication carries it to every
+// peer (the regressing generation's files stay on disk for the operator).
+// It then installs that commit the way Syncer.adopt installs an import. The
+// caller holds lifecycleMu.
 func (s *Server) rollback(c lifecycle.Rollback) {
 	reason, to := c.Reason, uint64(0)
-	if ens, man, err := s.Store.LoadGeneration(c.To); err != nil {
+	gen, err := s.Store.Restore(c.To)
+	var ens *core.Ensemble
+	if err == nil {
+		ens, _, err = s.Store.LoadGeneration(gen)
+	}
+	if err == nil {
+		err = s.install(ens, s.storeReport(gen))
+	}
+	if err != nil {
 		reason += fmt.Sprintf(" (rollback FAILED: %v)", err)
 	} else {
-		if err := s.Store.SetCurrent(c.To); err != nil {
-			reason += fmt.Sprintf(" (CURRENT flip failed: %v)", err)
-		}
-		rep := &core.LoadReport{Generation: c.To, Fingerprint: man.Fingerprint(), FellBack: true}
-		if err := s.install(ens, rep); err != nil {
-			reason += fmt.Sprintf(" (hot-swap FAILED: %v)", err)
-		} else {
-			to = c.To
-		}
+		to = c.To
 	}
 	s.step(lifecycle.RolledBack{From: c.From, To: to, Reason: reason, Unix: time.Now().Unix()})
 }

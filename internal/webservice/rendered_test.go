@@ -223,7 +223,8 @@ func TestModelSwapInvalidatesFrozenEntry(t *testing.T) {
 			s.lifecycleMu.Lock()
 			s.rollback(lifecycle.Rollback{From: served, To: gen})
 			s.lifecycleMu.Unlock()
-			return gen, 1
+			// The restore commits gen's content again as the next generation.
+			return gen + 1, 1
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/hpc-repro/aiio/internal/core"
+	"github.com/hpc-repro/aiio/internal/lifecycle"
 )
 
 // testReplica is one real aiio-server replica: a Server over its own
@@ -235,5 +236,57 @@ func TestSyncSkipsUnreachablePeers(t *testing.T) {
 	}
 	if fp := follower.WS.GenerationReport().Fingerprint; fp != rep.Fingerprint {
 		t.Fatal("follower did not converge on the live peer's content")
+	}
+}
+
+// TestRollbackSurvivesReplication: replica A promotes new content, B adopts
+// it, and A rolls back. The rollback commits the known-good content above
+// the rejected generation, so replication spreads the rollback instead of
+// bringing the rejected content back: after sweeps both ways, both replicas
+// serve generation 1's content under one generation number.
+func TestRollbackSurvivesReplication(t *testing.T) {
+	models := ensemble(t)
+	dir := t.TempDir()
+	a := newReplica(t, filepath.Join(dir, "a"), models)
+	b := newReplica(t, filepath.Join(dir, "b"), models)
+	good := a.WS.GenerationReport().Fingerprint
+
+	subset := &core.Ensemble{Models: models.Models[:1]}
+	gen2, err := a.Store.Save(subset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WS.AdoptGeneration(subset, a.WS.storeReport(gen2)); err != nil {
+		t.Fatal(err)
+	}
+	rejected := a.WS.GenerationReport().Fingerprint
+	if adopted, err := syncerFor(b, a.URL()).SyncOnce(context.Background()); err != nil || !adopted {
+		t.Fatalf("B did not adopt A's promotion: adopted=%v err=%v", adopted, err)
+	}
+
+	a.WS.lifecycleMu.Lock()
+	a.WS.rollback(lifecycle.Rollback{From: gen2, To: 1, Reason: "test rollback"})
+	a.WS.lifecycleMu.Unlock()
+	if lc := a.WS.lifecycleSnapshot(); lc.LastRollbackTo != 1 {
+		t.Fatalf("rollback failed: %+v", lc)
+	}
+
+	for sweep := 0; sweep < 2; sweep++ {
+		for _, sy := range []*Syncer{syncerFor(a, b.URL()), syncerFor(b, a.URL())} {
+			if _, err := sy.SyncOnce(context.Background()); err != nil {
+				t.Fatalf("sweep %d: %v", sweep, err)
+			}
+		}
+	}
+	ra, rb := a.WS.GenerationReport(), b.WS.GenerationReport()
+	for name, rep := range map[string]*core.LoadReport{"A": ra, "B": rb} {
+		if rep.Fingerprint == rejected {
+			t.Errorf("replica %s serves the rolled-back content at generation %d", name, rep.Generation)
+		} else if rep.Fingerprint != good {
+			t.Errorf("replica %s serves fingerprint %.12s, want generation 1's %.12s", name, rep.Fingerprint, good)
+		}
+	}
+	if ra.Generation != rb.Generation {
+		t.Errorf("replicas serve generations %d (A) and %d (B), want one number", ra.Generation, rb.Generation)
 	}
 }
