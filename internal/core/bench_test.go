@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -69,27 +70,34 @@ func BenchmarkDiagnoseSingleJobSampled(b *testing.B) {
 	}
 }
 
+// diagnoseBatch returns one DiagnoseBatch over 16 fixture jobs at the
+// given pool size, the unit of BenchmarkDiagnoseBatch.
+func diagnoseBatch(tb testing.TB, workers int) (op func() error, jobs int) {
+	frame, ens, _ := fixture(tb)
+	n := min(16, frame.Len())
+	recs := make([]*darshan.Record, n)
+	copy(recs, frame.Records[:n])
+	opts := fastDiagOpts()
+	opts.Parallelism = workers
+	return func() error {
+		_, err := ens.DiagnoseBatch(recs, opts)
+		return err
+	}, n
+}
+
 // BenchmarkDiagnoseBatch measures throughput over a batch of jobs, the
 // DiagnoseBatch path the experiments and the batch endpoint use.
 func BenchmarkDiagnoseBatch(b *testing.B) {
-	frame, ens, _ := fixture(b)
-	n := 16
-	if n > frame.Len() {
-		n = frame.Len()
-	}
-	recs := make([]*darshan.Record, n)
-	copy(recs, frame.Records[:n])
 	for _, workers := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := fastDiagOpts()
-			opts.Parallelism = workers
+			op, jobs := diagnoseBatch(b, workers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ens.DiagnoseBatch(recs, opts); err != nil {
+				if err := op(); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(len(recs)), "jobs/op")
+			b.ReportMetric(float64(jobs), "jobs/op")
 		})
 	}
 }
@@ -129,4 +137,50 @@ func BenchmarkPredictSingleRowPerFamily(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestDiagnoseBatchAllocCeiling is BenchmarkDiagnoseBatch/workers=2's
+// allocation ceiling. The flattened path makes a few hundred allocations
+// for the 16 jobs (676k before the buffer-reuse work, see
+// BENCH_inference.json). A ceiling of 40 000 leaves room for fixture drift
+// while catching any reintroduced per-row or per-coalition allocation:
+// those come back in multiples of NSamples = 1024 and blow straight past
+// it.
+func TestDiagnoseBatchAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation ceiling; skipped under -short")
+	}
+	op, _ := diagnoseBatch(t, 2)
+	allocs, _ := quietestAllocs(t, 3, func(allocs, _ uint64) bool { return allocs <= 40000 }, nil, op)
+	t.Logf("DiagnoseBatch of 16 jobs at workers=2 makes %d allocations (ceiling 40000)", allocs)
+	if allocs > 40000 {
+		t.Errorf("DiagnoseBatch of 16 jobs at workers=2 makes %d allocations, want ≤ 40000", allocs)
+	}
+}
+
+// quietestAllocs runs op up to the given number of times, each after
+// prepare (nil for none), and returns the fewest heap allocations and bytes
+// one run of op made. The first run pays for warm-up (plan caches, pools),
+// and under -race sync.Pool drops some of what is put back, which is the
+// detector's cost, not the code's: the quietest run is the code's own. It
+// stops at the first run that within accepts, so a ceiling that holds costs
+// one run and only a run over it is repeated.
+func quietestAllocs(tb testing.TB, runs int, within func(allocs, bytes uint64) bool, prepare func(), op func() error) (allocs, bytes uint64) {
+	tb.Helper()
+	allocs, bytes = math.MaxUint64, math.MaxUint64
+	var before, after runtime.MemStats
+	for i := 0; i < runs && !within(allocs, bytes); i++ {
+		if prepare != nil {
+			prepare()
+		}
+		runtime.ReadMemStats(&before)
+		err := op()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return allocs, bytes
 }

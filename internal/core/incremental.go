@@ -119,34 +119,41 @@ type IncrementalReport struct {
 	Canary *CanaryRecord
 }
 
-// ValidateEnsemble probes every model with a synthetic feature vector and
-// rejects an ensemble whose prediction panics or is non-finite. It is the
-// same gate the web service applies to uploaded models before a hot swap;
-// incremental retraining applies it before committing a generation so a
-// degenerate fit can never become the recovery point.
+// ValidateEnsemble probes every model (ProbeModel) and rejects an ensemble
+// whose prediction panics or is non-finite. It is the same gate the web
+// service applies to uploaded models before a hot swap; incremental
+// retraining applies it before committing a generation so a degenerate fit
+// can never become the recovery point.
 func ValidateEnsemble(e *Ensemble) error {
 	if e == nil || len(e.Models) == 0 {
 		return fmt.Errorf("core: empty ensemble")
 	}
-	probe := make([]float64, darshan.NumCounters)
-	for j := range probe {
-		probe[j] = float64(j%7) + 0.5
-	}
 	for _, m := range e.Models {
-		if err := probeOne(m, probe); err != nil {
+		if err := ProbeModel(m); err != nil {
 			return fmt.Errorf("core: model %s failed validation: %w", m.Name(), err)
 		}
 	}
 	return nil
 }
 
-func probeOne(m Model, probe []float64) (err error) {
+// ProbeModel rejects a model whose feature dimension does not match the
+// counter schema before it can reach a diagnosis: a wrongly-dimensioned
+// model panics (slice bounds) or returns a non-finite value when
+// evaluated, so it is evaluated here on a probe vector, inside a recover,
+// instead of inside a live request.
+func ProbeModel(m Model) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("probe prediction panicked (feature dimension mismatch with the %d-counter schema?): %v",
 				darshan.NumCounters, r)
 		}
 	}()
+	probe := make([]float64, darshan.NumCounters)
+	for j := range probe {
+		// Non-zero, varied values so dimension-dependent code paths
+		// (standardization, tree splits on any counter) are exercised.
+		probe[j] = float64(j%7) + 0.5
+	}
 	v := m.Predict(probe)
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return fmt.Errorf("probe prediction is %v", v)

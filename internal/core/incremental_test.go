@@ -21,7 +21,7 @@ func fastIncOpts() IncrementalOptions {
 }
 
 // fillLog appends jobs [lo, hi) from the synthetic generator.
-func fillLog(t *testing.T, jl *joblog.Store, lo, hi int) {
+func fillLog(t testing.TB, jl *joblog.Store, lo, hi int) {
 	t.Helper()
 	cfg := logdb.DefaultGenConfig()
 	cfg.Jobs = hi

@@ -547,3 +547,41 @@ func TestParseDatasetLenientMatchesStrictOnCleanStream(t *testing.T) {
 		}
 	}
 }
+
+// TestParseDatasetSkipsBlankPreamble: whitespace before the first record,
+// or between records, separates them and is no record of its own, for the
+// strict parser as for the lenient one. Parsing it would invent an all-zero
+// job (app "", no counters, performance 0).
+func TestParseDatasetSkipsBlankPreamble(t *testing.T) {
+	want := &Dataset{}
+	for i := int64(1); i <= 2; i++ {
+		rec := &Record{JobID: i, App: "ior", PerfMiBps: float64(i) * 10}
+		rec.Counters[PosixReads] = float64(i)
+		want.Append(rec)
+	}
+	var buf bytes.Buffer
+	if err := WriteDataset(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	for _, pre := range []string{"\n", " \t\n\n"} {
+		stream := pre + buf.String()
+		strict, err := ParseDataset(strings.NewReader(stream))
+		if err != nil {
+			t.Fatalf("preamble %q: %v", pre, err)
+		}
+		lenient, quarantine, err := ParseDatasetLenient(strings.NewReader(stream))
+		if err != nil || len(quarantine) != 0 {
+			t.Fatalf("preamble %q: lenient err=%v quarantine=%v", pre, err, quarantine)
+		}
+		for name, got := range map[string]*Dataset{"strict": strict, "lenient": lenient} {
+			if got.Len() != want.Len() {
+				t.Fatalf("preamble %q: %s parse found %d records, want %d", pre, name, got.Len(), want.Len())
+			}
+			for i := range got.Records {
+				if *got.Records[i] != *want.Records[i] {
+					t.Errorf("preamble %q: %s record %d differs: job %d, want job %d", pre, name, i, got.Records[i].JobID, want.Records[i].JobID)
+				}
+			}
+		}
+	}
+}

@@ -137,41 +137,62 @@ func WriteDataset(w io.Writer, d *Dataset) error {
 }
 
 // ParseDataset parses a stream of records produced by WriteDataset. Records
-// are delimited by the log version header line.
+// are delimited by the log version header line; the first record that fails
+// to parse aborts the whole stream.
 func ParseDataset(r io.Reader) (*Dataset, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	ds := &Dataset{}
-	var chunk strings.Builder
-	flush := func() error {
-		if chunk.Len() == 0 {
-			return nil
-		}
-		rec, err := ParseLog(strings.NewReader(chunk.String()))
+	err := splitRecords(r, func(chunk string, _ int) error {
+		rec, err := ParseLog(strings.NewReader(chunk))
 		if err != nil {
 			return err
 		}
 		ds.Append(rec)
-		chunk.Reset()
 		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ds, nil
+}
+
+// versionHeader opens every record WriteLog writes.
+const versionHeader = "# darshan log version:"
+
+// splitRecords cuts a WriteDataset stream into one chunk of lines per
+// record and hands each to fn with the 1-based line it starts on, stopping
+// at fn's first error. A record starts at a version header line. Chunks of
+// whitespace alone are record separators (or a blank preamble), not
+// records: parsing one would fabricate an all-zero phantom job.
+func splitRecords(r io.Reader, fn func(chunk string, line int) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64*1024), 1024*1024)
+	var chunk strings.Builder
+	start, lineno := 1, 0
+	flush := func() error {
+		defer chunk.Reset()
+		if strings.TrimSpace(chunk.String()) == "" {
+			return nil
+		}
+		return fn(chunk.String(), start)
 	}
 	for sc.Scan() {
 		line := sc.Text()
-		if strings.HasPrefix(line, "# darshan log version:") {
+		lineno++
+		if strings.HasPrefix(line, versionHeader) && chunk.Len() > 0 {
 			if err := flush(); err != nil {
-				return nil, err
+				return err
 			}
+		}
+		if chunk.Len() == 0 {
+			start = lineno
 		}
 		chunk.WriteString(line)
 		chunk.WriteByte('\n')
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	return ds, nil
+	return flush()
 }
 
 // RecordError describes one quarantined record of a lenient parse.
@@ -199,54 +220,27 @@ func (e RecordError) Error() string {
 // millions. The returned error is non-nil only for a reader failure — a
 // stream of pure garbage yields an empty dataset and a full quarantine.
 func ParseDatasetLenient(r io.Reader) (*Dataset, []RecordError, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	ds := &Dataset{}
 	var quarantine []RecordError
-	var chunk strings.Builder
 	index := 0
-	chunkLine := 1
-	lineno := 0
-	flush := func() {
-		if strings.TrimSpace(chunk.String()) == "" {
-			// Whitespace-only chunks are record separators (or a blank
-			// preamble), not records: parsing one would fabricate an
-			// all-zero phantom job.
-			chunk.Reset()
-			return
-		}
-		defer func() {
-			chunk.Reset()
-			index++
-		}()
-		rec, err := ParseLog(strings.NewReader(chunk.String()))
+	err := splitRecords(r, func(chunk string, line int) error {
+		defer func() { index++ }()
+		rec, err := ParseLog(strings.NewReader(chunk))
 		if err != nil {
-			quarantine = append(quarantine, RecordError{Index: index, Line: chunkLine, Reason: err.Error()})
-			return
+			quarantine = append(quarantine, RecordError{Index: index, Line: line, Reason: err.Error()})
+			return nil
 		}
 		if reason := vetRecord(rec); reason != "" {
-			quarantine = append(quarantine, RecordError{Index: index, Line: chunkLine, Reason: reason})
-			return
+			quarantine = append(quarantine, RecordError{Index: index, Line: line, Reason: reason})
+			return nil
 		}
 		ds.Append(rec)
-	}
-	for sc.Scan() {
-		line := sc.Text()
-		lineno++
-		if strings.HasPrefix(line, "# darshan log version:") && chunk.Len() > 0 {
-			flush()
-			chunkLine = lineno
-		}
-		if chunk.Len() == 0 {
-			chunkLine = lineno
-		}
-		chunk.WriteString(line)
-		chunk.WriteByte('\n')
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
+		// fn never fails, so the error is the reader's.
 		return nil, nil, fmt.Errorf("darshan: read log stream: %w", err)
 	}
-	flush()
 	return ds, quarantine, nil
 }
 

@@ -257,7 +257,9 @@ func BenchmarkExplainExact12(b *testing.B) {
 	}
 }
 
-func BenchmarkExplainSampled30(b *testing.B) {
+// sampled30 is the sampled estimator on 30 active features with a
+// 2048-coalition budget, and the point it explains.
+func sampled30() (*Explainer, []float64) {
 	rng := rand.New(rand.NewSource(1))
 	w := make([]float64, 30)
 	x := make([]float64, 30)
@@ -267,10 +269,38 @@ func BenchmarkExplainSampled30(b *testing.B) {
 	}
 	cfg := DefaultConfig()
 	cfg.NSamples = 2048
-	e := New(linearF(0, w), nil, cfg)
+	return New(linearF(0, w), nil, cfg), x
+}
+
+func BenchmarkExplainSampled30(b *testing.B) {
+	e, x := sampled30()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Explain(x)
+	}
+}
+
+// TestExplainSampled30AllocCeiling is BenchmarkExplainSampled30's
+// allocation ceiling. With the coalition plan cached an Explain makes 6
+// allocations (Phi, two model output batches, two matrix headers, the
+// solution vector). Per-explain masks, design matrices or normal equations
+// come back in the dozens (the pre-plan path made 28), so a ceiling of 10
+// catches them.
+func TestExplainSampled30AllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation ceiling; skipped under -short")
+	}
+	e, x := sampled30()
+	e.Explain(x) // build the plan
+	// The quietest of several single runs: under -race sync.Pool drops some
+	// of what is put back, which is the detector's cost, not the explainer's.
+	best := testing.AllocsPerRun(1, func() { e.Explain(x) })
+	for i := 0; i < 10; i++ {
+		best = min(best, testing.AllocsPerRun(1, func() { e.Explain(x) }))
+	}
+	t.Logf("a sampled Explain on 30 features makes %.0f allocations (ceiling 10)", best)
+	if best > 10 {
+		t.Errorf("a sampled Explain on 30 features makes %.0f allocations, want ≤ 10", best)
 	}
 }
 

@@ -50,19 +50,17 @@ func BenchmarkWriteJSON(b *testing.B) {
 	}
 }
 
-// BenchmarkDiagnoseHandlerCached is the full handler path on a warm cache in
-// its steady state: the entry is frozen (asked for twice before the timer
-// starts), so each iteration reads the body into a pooled buffer, hashes it
-// and writes the rendered response — no parse, no advisor, no encode of the
-// factors. This is the per-request overhead a replica pays at peak cache hit
-// rate; over half of its allocations are the benchmark's own http.NewRequest
-// (TestRenderedHitAllocations holds the handler's share to 10).
-func BenchmarkDiagnoseHandlerCached(b *testing.B) {
-	s := NewServer(ensemble(b), fastOpts())
+// cachedHandler returns one request through the full handler path on a
+// warm cache in its steady state: the entry is frozen (asked for twice
+// before it returns), so each call builds a request, reads the body into a
+// pooled buffer, hashes it and writes the rendered response — no parse, no
+// advisor, no encode of the factors.
+func cachedHandler(tb testing.TB) func() {
+	s := NewServer(ensemble(tb), fastOpts())
 	handler := s.Handler()
 	var body bytes.Buffer
 	if err := darshan.WriteLog(&body, testRecord()); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	raw := body.Bytes()
 	warm, _ := http.NewRequest(http.MethodPost, "/api/v1/diagnose", bytes.NewReader(raw))
@@ -71,12 +69,45 @@ func BenchmarkDiagnoseHandlerCached(b *testing.B) {
 	handler.ServeHTTP(w, warm) // fill the cache
 	warm.Body = io.NopCloser(bytes.NewReader(raw))
 	handler.ServeHTTP(w, warm) // second touch: freeze the entry
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		req, _ := http.NewRequest(http.MethodPost, "/api/v1/diagnose", bytes.NewReader(raw))
 		req.Header.Set("Content-Type", "text/plain")
 		clear(w.h)
 		handler.ServeHTTP(w, req)
+	}
+}
+
+// BenchmarkDiagnoseHandlerCached is the per-request overhead a replica pays
+// at peak cache hit rate; over half of its allocations are the benchmark's
+// own http.NewRequest (TestRenderedHitAllocations holds the handler's share
+// to 10).
+func BenchmarkDiagnoseHandlerCached(b *testing.B) {
+	serve := cachedHandler(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+}
+
+// TestDiagnoseHandlerCachedAllocCeiling is BenchmarkDiagnoseHandlerCached's
+// allocation ceiling. A repeat answered from its request bytes makes 14
+// allocations, 8 of them http.NewRequest's (the parsed hit path made 172).
+// A ceiling of 20 catches the parser, the advisor or a per-response encoder
+// coming back onto the hit path: each returns in the dozens.
+func TestDiagnoseHandlerCachedAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation ceiling; skipped under -short")
+	}
+	serve := cachedHandler(t)
+	// The quietest of many single runs: under -race sync.Pool drops a quarter
+	// of what is put back, which is the detector's cost, not the handler's.
+	best := testing.AllocsPerRun(1, serve)
+	for i := 0; i < 50; i++ {
+		best = min(best, testing.AllocsPerRun(1, serve))
+	}
+	t.Logf("a cached hit with its request makes %.0f allocations (ceiling 20)", best)
+	if best > 20 {
+		t.Errorf("a cached hit with its request makes %.0f allocations, want ≤ 20", best)
 	}
 }

@@ -192,12 +192,13 @@ func TestBatchDiagnosePartialCacheHits(t *testing.T) {
 		}
 	}
 
-	// The whole batch is now warm.
-	buf.Reset()
-	if err := darshan.WriteDataset(&buf, &darshan.Dataset{Records: []*darshan.Record{recA, recB}}); err != nil {
+	// The whole batch is now warm. A fresh buffer, not buf.Reset(): the
+	// transport may still be finishing the first body after Post returns.
+	var again bytes.Buffer
+	if err := darshan.WriteDataset(&again, &darshan.Dataset{Records: []*darshan.Record{recA, recB}}); err != nil {
 		t.Fatal(err)
 	}
-	resp2, err := srv.Client().Post(srv.URL+"/api/v1/diagnose/batch", "text/plain", &buf)
+	resp2, err := srv.Client().Post(srv.URL+"/api/v1/diagnose/batch", "text/plain", &again)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func safeMeanPredict(ens *core.Ensemble, rec *darshan.Record) (pred float64, ok 
 // serializes transitions.
 func (s *Server) install(ens *core.Ensemble, rep *core.LoadReport) error {
 	for _, m := range ens.Models {
-		if err := probeModel(m); err != nil {
+		if err := core.ProbeModel(m); err != nil {
 			return fmt.Errorf("webservice: model %s failed validation, swap refused: %w", m.Name(), err)
 		}
 	}

@@ -551,7 +551,7 @@ func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate the uploaded model alone first — the cheap reject, before
 	// taking any lock.
-	if err := probeModel(m); err != nil {
+	if err := core.ProbeModel(m); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]any{
 			"error":       fmt.Sprintf("model failed validation: %v", err),
 			"rolled_back": true,
@@ -593,31 +593,6 @@ func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, body)
-}
-
-// probeModel rejects an uploaded model whose feature dimension does not
-// match the 45-counter schema before it can reach a diagnosis: a
-// wrongly-dimensioned model panics (slice bounds) or returns a non-finite
-// value when evaluated, so it is exercised here on a probe vector, inside
-// a recover, instead of inside a live request.
-func probeModel(m core.Model) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("probe prediction panicked (feature dimension mismatch with the %d-counter schema?): %v",
-				darshan.NumCounters, r)
-		}
-	}()
-	probe := make([]float64, darshan.NumCounters)
-	for j := range probe {
-		// Non-zero, varied values so dimension-dependent code paths
-		// (standardization, tree splits on any counter) are exercised.
-		probe[j] = float64(j%7) + 0.5
-	}
-	v := m.Predict(probe)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("probe prediction is %v", v)
-	}
-	return nil
 }
 
 // applyBreakers partitions the snapshot ensemble by each model's circuit

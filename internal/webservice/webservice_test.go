@@ -118,12 +118,14 @@ func TestModelsEndpointAndUpload(t *testing.T) {
 		t.Errorf("after upload: %d models", len(models))
 	}
 
-	// Replacing an existing name keeps the count.
-	buf.Reset()
-	if err := private.Model(core.NameCatBoost).Save(&buf); err != nil {
+	// Replacing an existing name keeps the count. A fresh buffer, not
+	// buf.Reset(): the transport may still be finishing the first body
+	// after Post returns, and the race detector catches the reuse.
+	var replacement bytes.Buffer
+	if err := private.Model(core.NameCatBoost).Save(&replacement); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.UploadModel(core.NameCatBoost, "gbdt", &buf); err != nil {
+	if err := client.UploadModel(core.NameCatBoost, "gbdt", &replacement); err != nil {
 		t.Fatal(err)
 	}
 	models, _ = client.Models()

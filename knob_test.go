@@ -15,6 +15,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -103,14 +104,33 @@ func TestKnobCensus(t *testing.T) {
 // modPkg is one type-checked non-test package of the module.
 type modPkg struct {
 	rel   string // directory relative to the module root ("." for the root)
+	fset  *token.FileSet
 	files []*ast.File
+	pkg   *types.Package
 	info  *types.Info
+}
+
+// module holds the type-checked module once one test has loaded it: the
+// knob census and the architecture rules read the same packages.
+var module struct {
+	sync.Mutex
+	pkgs []*modPkg
 }
 
 // loadModule type-checks every non-test package of the module from source,
 // dependencies first, importing the standard library from the export data
-// go list -export compiles.
+// go list -export compiles. The first call loads; later calls share it.
 func loadModule(t *testing.T) []*modPkg {
+	t.Helper()
+	module.Lock()
+	defer module.Unlock()
+	if module.pkgs == nil {
+		module.pkgs = typeCheckModule(t)
+	}
+	return module.pkgs
+}
+
+func typeCheckModule(t *testing.T) []*modPkg {
 	t.Helper()
 	cmd := exec.Command(goTool(t), "list", "-export", "-deps", "-f",
 		`{{.ImportPath}}{{"\t"}}{{.Export}}{{"\t"}}{{.Dir}}{{"\t"}}{{join .GoFiles " "}}`, "./...")
@@ -140,7 +160,7 @@ func loadModule(t *testing.T) []*modPkg {
 			exports[path] = export
 			continue
 		}
-		p := &modPkg{rel: strings.TrimPrefix(strings.TrimPrefix(path, modulePath), "/"), info: &types.Info{
+		p := &modPkg{rel: strings.TrimPrefix(strings.TrimPrefix(path, modulePath), "/"), fset: fset, info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
@@ -160,6 +180,7 @@ func loadModule(t *testing.T) []*modPkg {
 			t.Fatalf("type-check %s: %v", path, err)
 		}
 		checked[path] = pkg
+		p.pkg = pkg
 		pkgs = append(pkgs, p)
 	}
 	if len(pkgs) < 10 {
