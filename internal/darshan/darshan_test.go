@@ -2,6 +2,7 @@ package darshan
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -341,6 +342,29 @@ func TestParseLogErrors(t *testing.T) {
 	}
 }
 
+// TestParseLogRejectsMultiRecordBody: a version header after a record's
+// content opens a second job, and ParseLog must say so rather than merge
+// the two into a job that never ran (job 2's App and JobID with job 1's
+// reads and job 2's writes). A comment before the first header is no
+// record, so it does not count.
+func TestParseLogRejectsMultiRecordBody(t *testing.T) {
+	job1 := "# darshan log version: aiio-1.0\n# exe: a\n# jobid: 1\nPOSIX_READS\t4\n"
+	job2 := "# darshan log version: aiio-1.0\n# exe: b\n# jobid: 2\nPOSIX_WRITES\t7\n"
+	rec, err := ParseLog(strings.NewReader(job1 + job2))
+	if err == nil {
+		t.Fatalf("ParseLog merged two jobs into app %q, job %d, reads %v, writes %v",
+			rec.App, rec.JobID, rec.Counter(PosixReads), rec.Counter(PosixWrites))
+	}
+	if !errors.Is(err, ErrSecondRecord) || err.Error() != "darshan: line 5: a second record starts here" {
+		t.Errorf("ParseLog error = %q, want line 5 and ErrSecondRecord", err)
+	}
+
+	rec, err = ParseLog(strings.NewReader("# produced by site-sweep v2\n\n" + job1))
+	if err != nil || rec.App != "a" || rec.JobID != 1 || rec.Counter(PosixReads) != 4 {
+		t.Errorf("ParseLog after a comment preamble = %+v, %v; want job 1", rec, err)
+	}
+}
+
 func TestDatasetRoundTrip(t *testing.T) {
 	ds := &Dataset{}
 	for i := 0; i < 5; i++ {
@@ -550,8 +574,9 @@ func TestParseDatasetLenientMatchesStrictOnCleanStream(t *testing.T) {
 
 // TestParseDatasetSkipsBlankPreamble: whitespace before the first record,
 // or between records, separates them and is no record of its own, for the
-// strict parser as for the lenient one. Parsing it would invent an all-zero
-// job (app "", no counters, performance 0).
+// strict parser as for the lenient one; so are comment lines before the
+// first record, which hold no counter line. Parsing either would invent an
+// all-zero job (app "", no counters, performance 0).
 func TestParseDatasetSkipsBlankPreamble(t *testing.T) {
 	want := &Dataset{}
 	for i := int64(1); i <= 2; i++ {
@@ -563,7 +588,7 @@ func TestParseDatasetSkipsBlankPreamble(t *testing.T) {
 	if err := WriteDataset(&buf, want); err != nil {
 		t.Fatal(err)
 	}
-	for _, pre := range []string{"\n", " \t\n\n"} {
+	for _, pre := range []string{"\n", " \t\n\n", "# produced by site-sweep v2\n"} {
 		stream := pre + buf.String()
 		strict, err := ParseDataset(strings.NewReader(stream))
 		if err != nil {

@@ -2,11 +2,15 @@ package darshan
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The text log format mirrors darshan-parser output closely enough to be
@@ -39,79 +43,236 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// maxLine caps one line of a log stream: a line of maxLine bytes or more,
+// not counting its newline, fails the read with bufio.ErrTooLong.
+const maxLine = 1024 * 1024
+
+// versionHeader opens every record WriteLog writes.
+const versionHeader = "# darshan log version:"
+
+// ErrSecondRecord is wrapped by ParseLog's error when a version header after
+// the record's content opens a second record: merging two jobs' lines would
+// describe a job that never ran, so a multi-record stream goes to
+// ParseDataset.
+var ErrSecondRecord = errors.New("a second record starts here")
+
 // ParseLog parses a single record from the text log format. Unknown counter
 // names are ignored (newer Darshan versions add counters AIIO does not use);
 // missing counters stay zero, which is exactly the sparsity semantics of
-// Section 3.1.
+// Section 3.1. A second record in the stream is an error that wraps
+// ErrSecondRecord.
 func ParseLog(r io.Reader) (*Record, error) {
+	d := newDecoder(r)
 	rec := &Record{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			if err := parseHeaderLine(rec, line); err != nil {
-				return nil, fmt.Errorf("darshan: line %d: %w", lineno, err)
-			}
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("darshan: line %d: want \"name value\", got %q", lineno, line)
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("darshan: line %d: bad value %q: %w", lineno, fields[1], err)
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("darshan: line %d: non-finite value %q", lineno, fields[1])
-		}
-		if id, ok := CounterByName(fields[0]); ok {
-			rec.Counters[id] = v
-		}
+	if _, err := d.record(rec, true); err != nil {
+		return nil, err
 	}
-	if err := sc.Err(); err != nil {
+	if err := d.sc.Err(); err != nil {
 		return nil, fmt.Errorf("darshan: read log: %w", err)
 	}
 	return rec, nil
 }
 
-func parseHeaderLine(rec *Record, line string) error {
-	body := strings.TrimSpace(strings.TrimPrefix(line, "#"))
-	key, value, found := strings.Cut(body, ":")
-	if !found {
-		return nil // free-form comment
+// decoder is the one pass over a text log stream behind ParseLog,
+// ParseDataset and ParseDatasetLenient. Each line is parsed from the
+// scanner's bytes straight into the current Record, so a record allocates
+// itself and its App string, and memory stays bounded by the longest line
+// however long the stream.
+type decoder struct {
+	sc   *bufio.Scanner
+	line int  // the 1-based number of the line last scanned
+	held bool // that line is a version header that opens the next record
+}
+
+func newDecoder(r io.Reader) *decoder {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64*1024), maxLine)
+	return &decoder{sc: sc}
+}
+
+// span describes the lines record read for one record.
+type span struct {
+	start    int  // the line the record starts on; 0 once the stream is done
+	opened   bool // a version header line opened the record
+	counters bool // it holds a counter line: one neither blank nor a # comment
+}
+
+// preamble reports whether the lines are a preamble, not a record: lines
+// before the first version header that hold no counter line. Decoding one
+// would invent an all-zero job.
+func (s span) preamble() bool { return !s.opened && !s.counters }
+
+// record decodes the next record's lines into rec and returns the error of
+// its first bad line, numbered from the record's start. In a dataset
+// (single false) a record runs up to the next version header line, which is
+// held for the next call, so that the next call starts at the next record
+// even after a bad line. A single log returns at its first bad line, and a
+// version header after its content is an error. When the scanner stops,
+// d.sc.Err tells whether the stream ended or failed.
+func (d *decoder) record(rec *Record, single bool) (s span, err error) {
+	for {
+		if d.held {
+			d.held = false
+		} else if d.sc.Scan() {
+			d.line++
+		} else {
+			return s, err
+		}
+		b := d.sc.Bytes()
+		if isVersionHeader(b) {
+			switch {
+			case single && (s.opened || s.counters):
+				return s, fmt.Errorf("darshan: line %d: %w", d.line, ErrSecondRecord)
+			case !single && s.start != 0:
+				d.held = true
+				return s, err
+			}
+			s.opened = true
+		}
+		if s.start == 0 {
+			s.start = d.line
+		}
+		counter, lerr := parseLine(rec, b)
+		s.counters = s.counters || counter
+		if lerr != nil && err == nil {
+			err = fmt.Errorf("darshan: line %d: %w", d.line-s.start+1, lerr)
+			if single {
+				return s, err
+			}
+		}
 	}
-	key = strings.TrimSpace(key)
-	value = strings.TrimSpace(value)
-	switch key {
+}
+
+// each decodes a dataset stream record by record and hands fn each record,
+// the line it starts on and the error of its first bad line, stopping at
+// fn's first error. A preamble is skipped. A failed read ends the stream
+// with the reader's error, which wins over the error of the record it cut
+// short.
+func (d *decoder) each(fn func(rec *Record, line int, err error) error) error {
+	for {
+		rec := &Record{}
+		s, err := d.record(rec, false)
+		if serr := d.sc.Err(); serr != nil {
+			return serr
+		}
+		if s.start == 0 {
+			return nil
+		}
+		if s.preamble() {
+			continue
+		}
+		if err := fn(rec, s.start, err); err != nil {
+			return err
+		}
+	}
+}
+
+func isVersionHeader(b []byte) bool {
+	return len(b) >= len(versionHeader) && string(b[:len(versionHeader)]) == versionHeader
+}
+
+// parseLine parses one line into rec and reports whether it is a counter
+// line.
+func parseLine(rec *Record, b []byte) (counter bool, err error) {
+	b = bytes.TrimSpace(b)
+	switch {
+	case len(b) == 0:
+		return false, nil
+	case b[0] == '#':
+		body := bytes.TrimSpace(b[1:])
+		i := bytes.IndexByte(body, ':')
+		if i < 0 {
+			return false, nil // free-form comment
+		}
+		return false, setHeader(rec, bytes.TrimSpace(body[:i]), bytes.TrimSpace(body[i+1:]))
+	}
+	name, rest := field(b)
+	value, rest := field(rest)
+	if len(value) == 0 || len(rest) > 0 {
+		return true, fmt.Errorf("want \"name value\", got %q", b)
+	}
+	return true, setCounter(rec, name, value)
+}
+
+// field cuts the first field off b, a line that starts with a non-space
+// rune, and returns it and the rest after the spaces that follow. It splits
+// as strings.Fields does.
+func field(b []byte) (f, rest []byte) {
+	i := 0
+	for i < len(b) && spaceLen(b, i) == 0 {
+		i++ // a rune's continuation bytes are never a space
+	}
+	j := i
+	for j < len(b) {
+		n := spaceLen(b, j)
+		if n == 0 {
+			break
+		}
+		j += n
+	}
+	return b[:i], b[j:]
+}
+
+// spaceLen returns the width of the whitespace rune at b[i], as
+// strings.Fields judges it, or 0 if another rune or byte is there. An ASCII
+// byte is looked up inline; a rune is decoded only at a byte of 0x80 or more.
+func spaceLen(b []byte, i int) int {
+	if c := b[i]; c < utf8.RuneSelf {
+		return int(asciiSpace[c])
+	}
+	return unicodeSpaceLen(b[i:])
+}
+
+// asciiSpace is the ASCII whitespace of strings.Fields and strings.TrimSpace.
+var asciiSpace = [256]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
+
+func unicodeSpaceLen(b []byte) int {
+	if r, n := utf8.DecodeRune(b); unicode.IsSpace(r) {
+		return n
+	}
+	return 0
+}
+
+func setCounter(rec *Record, name, value []byte) error {
+	v, err := strconv.ParseFloat(string(value), 64)
+	if err != nil {
+		return fmt.Errorf("bad value %q: %w", value, err)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("non-finite value %q", value)
+	}
+	if id, ok := CounterByName(string(name)); ok {
+		rec.Counters[id] = v
+	}
+	return nil
+}
+
+// setHeader applies one "# key: value" header line to rec; a key it does
+// not know makes the line a comment.
+func setHeader(rec *Record, key, value []byte) error {
+	switch string(key) {
 	case "exe":
-		rec.App = value
+		rec.App = string(value)
 	case "jobid":
-		id, err := strconv.ParseInt(value, 10, 64)
+		id, err := strconv.ParseInt(string(value), 10, 64)
 		if err != nil {
 			return fmt.Errorf("bad jobid %q: %w", value, err)
 		}
 		rec.JobID = id
 	case "year":
-		y, err := strconv.Atoi(value)
+		y, err := strconv.Atoi(string(value))
 		if err != nil {
 			return fmt.Errorf("bad year %q: %w", value, err)
 		}
 		rec.Year = y
 	case "performance_mibps":
-		p, err := strconv.ParseFloat(value, 64)
+		p, err := strconv.ParseFloat(string(value), 64)
 		if err != nil {
 			return fmt.Errorf("bad performance %q: %w", value, err)
 		}
 		rec.PerfMiBps = p
 	case "slowest_seconds":
-		s, err := strconv.ParseFloat(value, 64)
+		s, err := strconv.ParseFloat(string(value), 64)
 		if err != nil {
 			return fmt.Errorf("bad slowest_seconds %q: %w", value, err)
 		}
@@ -137,17 +298,16 @@ func WriteDataset(w io.Writer, d *Dataset) error {
 }
 
 // ParseDataset parses a stream of records produced by WriteDataset. Records
-// are delimited by the log version header line; the first record that fails
-// to parse aborts the whole stream.
+// are delimited by the log version header line, and lines before the first
+// one that hold no counter line are a preamble, not a record. The first
+// record that fails to parse aborts the whole stream.
 func ParseDataset(r io.Reader) (*Dataset, error) {
 	ds := &Dataset{}
-	err := splitRecords(r, func(chunk string, _ int) error {
-		rec, err := ParseLog(strings.NewReader(chunk))
-		if err != nil {
-			return err
+	err := newDecoder(r).each(func(rec *Record, _ int, err error) error {
+		if err == nil {
+			ds.Append(rec)
 		}
-		ds.Append(rec)
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -155,52 +315,12 @@ func ParseDataset(r io.Reader) (*Dataset, error) {
 	return ds, nil
 }
 
-// versionHeader opens every record WriteLog writes.
-const versionHeader = "# darshan log version:"
-
-// splitRecords cuts a WriteDataset stream into one chunk of lines per
-// record and hands each to fn with the 1-based line it starts on, stopping
-// at fn's first error. A record starts at a version header line. Chunks of
-// whitespace alone are record separators (or a blank preamble), not
-// records: parsing one would fabricate an all-zero phantom job.
-func splitRecords(r io.Reader, fn func(chunk string, line int) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	var chunk strings.Builder
-	start, lineno := 1, 0
-	flush := func() error {
-		defer chunk.Reset()
-		if strings.TrimSpace(chunk.String()) == "" {
-			return nil
-		}
-		return fn(chunk.String(), start)
-	}
-	for sc.Scan() {
-		line := sc.Text()
-		lineno++
-		if strings.HasPrefix(line, versionHeader) && chunk.Len() > 0 {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		if chunk.Len() == 0 {
-			start = lineno
-		}
-		chunk.WriteString(line)
-		chunk.WriteByte('\n')
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return flush()
-}
-
 // RecordError describes one quarantined record of a lenient parse.
 type RecordError struct {
 	// Index is the record's ordinal position in the stream, counting
 	// quarantined records (0-based).
 	Index int
-	// Line is the 1-based line number where the record's chunk starts.
+	// Line is the 1-based line number where the record starts.
 	Line int
 	// Reason is why the record was quarantined.
 	Reason string
@@ -213,7 +333,7 @@ func (e RecordError) Error() string {
 
 // ParseDatasetLenient parses a WriteDataset-format stream like ParseDataset
 // but quarantines bad records instead of aborting the whole database: a
-// record whose chunk fails to parse, or that carries NaN/Inf/negative
+// record with a line that fails to parse, or that carries NaN/Inf/negative
 // counters or a non-finite performance tag, is skipped and reported in the
 // returned quarantine list. Real Darshan corpora are riddled with corrupt,
 // partial, and out-of-range records; one bad job must not discard the other
@@ -223,9 +343,8 @@ func ParseDatasetLenient(r io.Reader) (*Dataset, []RecordError, error) {
 	ds := &Dataset{}
 	var quarantine []RecordError
 	index := 0
-	err := splitRecords(r, func(chunk string, line int) error {
+	err := newDecoder(r).each(func(rec *Record, line int, err error) error {
 		defer func() { index++ }()
-		rec, err := ParseLog(strings.NewReader(chunk))
 		if err != nil {
 			quarantine = append(quarantine, RecordError{Index: index, Line: line, Reason: err.Error()})
 			return nil

@@ -240,30 +240,32 @@ func TestDiagnoseBatchEndpoint(t *testing.T) {
 		}
 	}
 
-	// A blank line before the first record is no job: two records get two
-	// replies, and no all-zero phantom.
-	body.Reset()
-	body.WriteString("\n")
-	if err := darshan.WriteDataset(&body, &darshan.Dataset{Records: []*darshan.Record{rec, rec}}); err != nil {
-		t.Fatal(err)
-	}
-	httpResp, err = srv.Client().Post(srv.URL+"/api/v1/diagnose/batch", "text/plain", &body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resps = nil
-	err = json.NewDecoder(httpResp.Body).Decode(&resps)
-	httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK || err != nil {
-		t.Fatalf("batch with a blank preamble: HTTP %d, decode: %v", httpResp.StatusCode, err)
-	}
-	if len(resps) != 2 {
-		t.Fatalf("batch with a blank preamble: got %d responses, want 2", len(resps))
-	}
-	for i, r := range resps {
-		if r.App != rec.App || r.ActualMiBps != rec.PerfMiBps {
-			t.Errorf("batch with a blank preamble: response %d is app %q at %v MiB/s, want %q at %v",
-				i, r.App, r.ActualMiBps, rec.App, rec.PerfMiBps)
+	// A blank line or a comment before the first record is no job: two
+	// records get two replies, and no all-zero phantom.
+	for _, pre := range []string{"\n", "# produced by site-sweep v2\n"} {
+		body.Reset()
+		body.WriteString(pre)
+		if err := darshan.WriteDataset(&body, &darshan.Dataset{Records: []*darshan.Record{rec, rec}}); err != nil {
+			t.Fatal(err)
+		}
+		httpResp, err = srv.Client().Post(srv.URL+"/api/v1/diagnose/batch", "text/plain", &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resps = nil
+		err = json.NewDecoder(httpResp.Body).Decode(&resps)
+		httpResp.Body.Close()
+		if httpResp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("batch with preamble %q: HTTP %d, decode: %v", pre, httpResp.StatusCode, err)
+		}
+		if len(resps) != 2 {
+			t.Fatalf("batch with preamble %q: got %d responses, want 2", pre, len(resps))
+		}
+		for i, r := range resps {
+			if r.App != rec.App || r.ActualMiBps != rec.PerfMiBps {
+				t.Errorf("batch with preamble %q: response %d is app %q at %v MiB/s, want %q at %v",
+					pre, i, r.App, r.ActualMiBps, rec.App, rec.PerfMiBps)
+			}
 		}
 	}
 

@@ -717,6 +717,9 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rec, err := darshan.ParseLog(bytes.NewReader(body.Bytes()))
+	if errors.Is(err, darshan.ErrSecondRecord) {
+		err = fmt.Errorf("%w; diagnose a multi-record stream through /api/v1/diagnose/batch", err)
+	}
 	if err != nil {
 		bodyError(w, err)
 		return

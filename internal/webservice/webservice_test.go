@@ -192,6 +192,31 @@ func TestServerErrorPaths(t *testing.T) {
 	}
 }
 
+// TestDiagnoseRejectsMultiRecordBody: two jobs posted to the single-job
+// endpoint are a 400 that points at the batch endpoint, not a diagnosis of
+// one merged job that never ran.
+func TestDiagnoseRejectsMultiRecordBody(t *testing.T) {
+	srv := httptest.NewServer(NewServer(ensemble(t), fastOpts()).Handler())
+	defer srv.Close()
+
+	job1, job2 := testRecord(), testRecord()
+	job2.App, job2.JobID = "other", job1.JobID+1
+	job2.SetCounter(darshan.PosixWrites, job1.Counter(darshan.PosixWrites)+7)
+	var body bytes.Buffer
+	if err := darshan.WriteDataset(&body, &darshan.Dataset{Records: []*darshan.Record{job1, job2}}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Client().Post(srv.URL+"/api/v1/diagnose", "text/plain", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "/api/v1/diagnose/batch") {
+		t.Errorf("two jobs posted to /api/v1/diagnose: HTTP %d %s, want 400 naming /api/v1/diagnose/batch", resp.StatusCode, msg)
+	}
+}
+
 func TestClientAgainstDeadServer(t *testing.T) {
 	client := NewClient("http://127.0.0.1:1") // nothing listens here
 	if _, err := client.Diagnose(&darshan.Record{}); err == nil {
